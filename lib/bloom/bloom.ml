@@ -67,8 +67,6 @@ let equal a b = a.k = b.k && Bitset.equal a.bits b.bits
 
 let num_bits t = Bitset.length t.bits
 
-let num_hashes t = t.k
-
 let of_list ?bits_per_element ?hashes elements =
   let t = create ?bits_per_element ?hashes ~expected:(max 1 (List.length elements)) () in
   List.iter (add t) elements;

@@ -50,8 +50,6 @@ val equal : t -> t -> bool
 
 val num_bits : t -> int
 
-val num_hashes : t -> int
-
 val of_list : ?bits_per_element:int -> ?hashes:int -> int list -> t
 (** Filter sized for and containing the given elements (empty list gets a
     minimal 64-bit filter). *)

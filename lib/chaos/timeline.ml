@@ -13,5 +13,3 @@ let make entries =
 let entries t = t
 
 let first_time = function [] -> None | (at, _) :: _ -> Some at
-
-let is_empty = function [] -> true | _ :: _ -> false

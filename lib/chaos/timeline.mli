@@ -13,5 +13,3 @@ val entries : t -> (float * Action.t) list
 val first_time : t -> float option
 (** Offset of the earliest action; [None] for an empty timeline.  The
     report's baseline is measured over the windows that end before it. *)
-
-val is_empty : t -> bool

@@ -62,10 +62,8 @@ let log2i n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
   go 0 n
 
-(* Fig. 9's size-dependent knobs (cache and map sizes grow
-   logarithmically), plus the calendar-queue scheduler — at capacity scale
-   the heap's O(log n) pops dominate the engine, and scheduler choice is
-   behavior-neutral by construction. *)
+(* Fig. 9's size-dependent knobs: cache and map sizes grow
+   logarithmically. *)
 let config_for ~servers ~seed =
   let log2s = log2i servers in
   {
@@ -74,7 +72,6 @@ let config_for ~servers ~seed =
     placement = Config.Round_robin;
     cache_slots = max 4 ((2 * log2s) - 2);
     r_map = max 2 (log2s - 2);
-    scheduler = `Calendar;
     seed;
   }
 

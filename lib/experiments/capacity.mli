@@ -7,7 +7,7 @@
     [ρ·S / (service_mean · est_hops)] with [est_hops = 2·mean_depth + 1]
     (the ascend-plus-descend routing bound — an overestimate once caches
     warm, so realized utilization stays below the target).  The config is
-    Fig. 9's size-scaled knobs plus the calendar-queue scheduler.
+    Fig. 9's size-scaled knobs.
 
     At reference scale ([scale = 1.0], or [bench/capacity.ml]'s defaults)
     the scenario is 100 000 servers and an expected 2 100 000 queries.

@@ -89,8 +89,6 @@ let set_multi t ~lanes ~stamp =
     t.stamp <- Some stamp
   end
 
-let now t = t.clock ()
-
 let record t ~server event =
   if t.counters_on then begin
     match t.stamp with

@@ -72,9 +72,6 @@ val set_clock : t -> (unit -> float) -> unit
 (** Point the sink at the owning engine's clock ([Engine.now]).  Done by
     [Cluster.create]; a no-op on {!null}. *)
 
-val now : t -> float
-(** Current stamp time (0 before {!set_clock}). *)
-
 val record : t -> server:int -> Event.t -> unit
 (** Stamp and store one event.  No-op below [Counters]; finer gating
     (which events exist at which level) is the call site's job via the

@@ -31,8 +31,6 @@ let add t ~server sample =
   t.series.(server) <- sample :: t.series.(server);
   t.samples <- t.samples + 1
 
-let num_servers t = Array.length t.series
-
 let samples t = t.samples
 
 let series t server =

@@ -21,9 +21,6 @@ val create : unit -> t
 val add : t -> server:int -> sample -> unit
 (** @raise Invalid_argument on a negative server id. *)
 
-val num_servers : t -> int
-(** Upper bound on probed server ids (array extent, not sample count). *)
-
 val samples : t -> int
 (** Total samples across all servers. *)
 

@@ -32,7 +32,6 @@ let ctx_shift = 43
 let max_ctx = 1 lsl 19
 
 type t = {
-  scheduler : [ `Heap | `Calendar ];
   mutable domains : int; (* shard count K; 1 = sequential *)
   mutable lanes : Shard.t array; (* length K *)
   mutable driver : Shard.t; (* = lanes.(0) when K = 1 *)
@@ -53,10 +52,9 @@ type t = {
   dls : Shard.t option Domain.DLS.key; (* worker domains' own lane *)
 }
 
-let create ?(scheduler = `Heap) () =
-  let lane0 = Shard.create ~scheduler ~idx:0 ~ndest:0 in
+let create () =
+  let lane0 = Shard.create ~idx:0 ~ndest:0 in
   {
-    scheduler;
     domains = 1;
     lanes = [| lane0 |];
     driver = lane0;
@@ -161,9 +159,9 @@ let configure t ~domains ~lookahead ~shard_of =
     t.shard_of <- Array.copy shard_of;
     t.lookahead <- lookahead;
     let ndest = domains + 2 in
-    t.lanes <- Array.init domains (fun i -> Shard.create ~scheduler:t.scheduler ~idx:i ~ndest);
-    t.driver <- Shard.create ~scheduler:t.scheduler ~idx:domains ~ndest;
-    t.sync <- Shard.create ~scheduler:t.scheduler ~idx:domains ~ndest
+    t.lanes <- Array.init domains (fun i -> Shard.create ~idx:i ~ndest);
+    t.driver <- Shard.create ~idx:domains ~ndest;
+    t.sync <- Shard.create ~idx:domains ~ndest
   end
 
 (* Allocate the canonical key for a fresh event and route it.  The seq
@@ -207,12 +205,6 @@ let schedule_at ?(owner = driver_ctx) t time f =
 let add_observer t ~every f =
   if every < 1 then invalid_arg "Engine.add_observer: every must be >= 1";
   t.observers <- t.observers @ [ (every, f) ]
-
-let set_observer t ~every f =
-  if every < 1 then invalid_arg "Engine.set_observer: every must be >= 1";
-  t.observers <- [ (every, f) ]
-
-let clear_observer t = t.observers <- []
 
 (* ---- sequential execution (K = 1) ---- *)
 

@@ -17,13 +17,9 @@
 
 type t
 
-val create : ?scheduler:[ `Heap | `Calendar ] -> unit -> t
-(** Fresh sequential engine with the clock at 0.  [scheduler] selects the
-    event-queue implementation: [`Heap] (default) is the binary-heap
-    {!Terradir_util.Pqueue}; [`Calendar] is the calendar queue, O(1)
-    expected add/pop at steady state — the right choice for
-    capacity-scale runs.  Both pop in the identical canonical sequence,
-    so the selection never changes simulation results, only speed. *)
+val create : unit -> t
+(** Fresh sequential engine with the clock at 0.  Each lane's event
+    queue is the binary heap {!Terradir_util.Pqueue}. *)
 
 val configure : t -> domains:int -> lookahead:float -> shard_of:int array -> unit
 (** Partition the engine's contexts across [domains] shard lanes before
@@ -99,12 +95,6 @@ val add_observer : t -> every:int -> (unit -> unit) -> unit
     observation (invariant checks, probes).  Observers fire in
     registration order; several may share a cadence.
     @raise Invalid_argument if [every < 1]. *)
-
-val set_observer : t -> every:int -> (unit -> unit) -> unit
-(** [add_observer] after discarding every registered observer. *)
-
-val clear_observer : t -> unit
-(** Discard all observers. *)
 
 val run : ?until:float -> t -> unit
 (** Execute events in canonical key order.  With [until], stops (without

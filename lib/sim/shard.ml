@@ -10,8 +10,6 @@ open Terradir_util
    queue's (key, seq) slots and the executing-context id (owner server,
    or a negative pseudo-context) in the tag slot. *)
 
-type queue = Heap of (unit -> unit) Pqueue.t | Calendar of (unit -> unit) Calqueue.t
-
 (* A per-destination deposit buffer, struct-of-arrays so a window's
    cross-lane traffic costs zero allocation once the arrays have grown to
    the high-water mark.  Capacity persists across windows; only [len]
@@ -37,7 +35,7 @@ let outbox_create () =
 
 type t = {
   idx : int; (* lane index: 0..K-1 shards; K = the coordinator lane *)
-  queue : queue;
+  queue : (unit -> unit) Pqueue.t;
   mutable clock : float; (* time of the event being / last executed *)
   mutable ctx : int; (* executing context: owner of the running event, -1 idle *)
   mutable tie : int; (* tie-break of the running event (obs stamping) *)
@@ -49,15 +47,10 @@ type t = {
          — ties are globally unique. *)
 }
 
-let create ~scheduler ~idx ~ndest =
-  let queue =
-    match scheduler with
-    | `Heap -> Heap (Pqueue.create ())
-    | `Calendar -> Calendar (Calqueue.create ())
-  in
+let create ~idx ~ndest =
   {
     idx;
-    queue;
+    queue = Pqueue.create ();
     clock = 0.0;
     ctx = -1;
     tie = 0;
@@ -123,23 +116,18 @@ let drain_outboxes t ~f =
     end
   done
 
-let length t = match t.queue with Heap q -> Pqueue.length q | Calendar q -> Calqueue.length q
+let length t = Pqueue.length t.queue
 
-let is_empty t = match t.queue with Heap q -> Pqueue.is_empty q | Calendar q -> Calqueue.is_empty q
+let is_empty t = Pqueue.is_empty t.queue
 
-(* The three peeks are undefined on an empty lane; callers check first.
-   The calendar queue caches its min position, so peeking all three
-   components costs one scan at most. *)
-let top_key t = match t.queue with Heap q -> Pqueue.top_key q | Calendar q -> Calqueue.top_key q
+(* The three peeks are undefined on an empty lane; callers check first. *)
+let top_key t = Pqueue.top_key t.queue
 
-let top_tie t = match t.queue with Heap q -> Pqueue.top_seq q | Calendar q -> Calqueue.top_seq q
+let top_tie t = Pqueue.top_seq t.queue
 
-let top_tag t = match t.queue with Heap q -> Pqueue.top_tag q | Calendar q -> Calqueue.top_tag q
+let top_tag t = Pqueue.top_tag t.queue
 
-let enqueue t ~key ~tie ~tag f =
-  match t.queue with
-  | Heap q -> Pqueue.add_tagged q ~key ~seq:tie ~tag f
-  | Calendar q -> Calqueue.add_tagged q ~key ~seq:tie ~tag f
+let enqueue t ~key ~tie ~tag f = Pqueue.add_tagged t.queue ~key ~seq:tie ~tag f
 
 (* Execute the lane's minimum event: advance the lane clock, expose the
    event's owner as the executing context for the duration of the
@@ -147,7 +135,7 @@ let enqueue t ~key ~tie ~tag f =
    not observe a stale context. *)
 let pop_run t =
   let key = top_key t and tie = top_tie t and tag = top_tag t in
-  let f = match t.queue with Heap q -> Pqueue.pop_exn q | Calendar q -> Calqueue.pop_exn q in
+  let f = Pqueue.pop_exn t.queue in
   if key < t.clock then
     invalid_arg
       (Printf.sprintf "Shard.pop_run: lane %d key regressed %h -> %h" t.idx t.clock key);

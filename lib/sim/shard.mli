@@ -1,11 +1,11 @@
 (** One shard lane of the discrete-event engine.
 
-    A lane is an event queue ({!Terradir_util.Pqueue} or
-    {!Terradir_util.Calqueue}) plus the mutable execution context of the
-    event it is currently running (clock, owner, tie-break, intra-event
-    counter).  The engine partitions servers across lanes; during a
-    synchronized window each lane is driven by exactly one domain, so the
-    fields need no atomicity — the window barrier publishes them.
+    A lane is an event queue ({!Terradir_util.Pqueue}) plus the mutable
+    execution context of the event it is currently running (clock, owner,
+    tie-break, intra-event counter).  The engine partitions servers across
+    lanes; during a synchronized window each lane is driven by exactly one
+    domain, so the fields need no atomicity — the window barrier publishes
+    them.
 
     The representation is abstract: lane state is single-writer by
     protocol (exactly one domain drives a lane inside a window), so every
@@ -22,7 +22,7 @@
 
 type t
 
-val create : scheduler:[ `Heap | `Calendar ] -> idx:int -> ndest:int -> t
+val create : idx:int -> ndest:int -> t
 
 val idx : t -> int
 (** Lane index: [0..K-1] shards; [K] = the coordinator lane. *)

@@ -827,7 +827,7 @@ let place_owners config tree rng =
 let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
   Config.validate config;
   let rng = Splitmix.create config.Config.seed in
-  let engine = Engine.create ~scheduler:config.Config.scheduler () in
+  let engine = Engine.create () in
   (* The sink reads simulation time through this closure; a null sink
      ignores it (shared across clusters and domains). *)
   Obs.set_clock obs (fun () -> Engine.now engine);
@@ -1321,25 +1321,6 @@ let replicas_per_level t which =
   Array.mapi
     (fun d c -> if levels.(d) = 0 then 0.0 else float_of_int c /. float_of_int levels.(d))
     counts
-
-let mean_load t =
-  let time = now t in
-  let sum = ref 0.0 and n = ref 0 in
-  Array.iter
-    (fun s ->
-      if s.Server.alive then begin
-        sum := !sum +. Load_meter.raw_load s.Server.load time;
-        incr n
-      end)
-    t.servers;
-  if !n = 0 then 0.0 else !sum /. float_of_int !n
-
-let max_load t =
-  let time = now t in
-  Array.fold_left
-    (fun acc s ->
-      if s.Server.alive then Float.max acc (Load_meter.raw_load s.Server.load time) else acc)
-    0.0 t.servers
 
 let check_invariants t =
   let a = Invariant.create () in

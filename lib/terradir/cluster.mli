@@ -228,11 +228,6 @@ val replicas_per_level : t -> [ `Current | `Created ] -> float array
 (** Average replicas per node at each namespace level (Fig. 7):
     [`Current] counts replicas held now, [`Created] cumulative installs. *)
 
-val mean_load : t -> float
-(** Mean raw measured load over alive servers, at the current time. *)
-
-val max_load : t -> float
-
 val check_invariants : t -> unit
 (** One immediate {!Invariant.check_cluster} pass (independent of whether
     auditing is enabled).  @raise Failure describing the first violation. *)

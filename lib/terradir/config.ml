@@ -39,7 +39,6 @@ type t = {
   oracle_maps : bool;
   audit : bool;
   audit_every : int;
-  scheduler : [ `Heap | `Calendar ];
   engine_domains : int;
   seed : int;
 }
@@ -86,7 +85,6 @@ let default =
     oracle_maps = false;
     audit = false;
     audit_every = 10_000;
-    scheduler = `Heap;
     engine_domains = 1;
     seed = 42;
   }

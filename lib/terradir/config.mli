@@ -102,11 +102,6 @@ type t = {
           switched on (for any config) by the TERRADIR_AUDIT environment
           variable or the CLI's [--audit] flag *)
   audit_every : int;  (** auditor cadence, in executed engine events *)
-  scheduler : [ `Heap | `Calendar ];
-      (** event-queue implementation for the engine: [`Heap] (default) is
-          the binary heap, [`Calendar] the calendar queue — O(1) expected
-          add/pop at steady state, preferred for capacity-scale runs.
-          Pop order is identical either way; the knob is performance-only *)
   engine_domains : int;
       (** OCaml domains driving the event loop: 1 (default) is the
           sequential engine; [k >= 2] shards servers across [k] domains

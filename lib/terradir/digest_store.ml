@@ -49,8 +49,6 @@ let test_remote t ~server ~node =
      warm in the LRU. *)
   Option.map (fun r -> Bloom.mem r.bloom node) (Lru.find t.remotes server)
 
-let fold_remote t ~init ~f = Lru.fold t.remotes ~init ~f:(fun acc server r -> f acc server r.bloom)
-
 let fold_remote_until t ~init ~f =
   Lru.fold_until t.remotes ~init ~f:(fun acc server r -> f acc server r.bloom)
 

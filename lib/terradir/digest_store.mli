@@ -33,16 +33,13 @@ val test_remote : t -> server:int -> node:int -> bool option
 (** [Some answer] from server [server]'s stored digest; [None] when no
     digest for that server is held. *)
 
-val fold_remote : t -> init:'a -> f:('a -> int -> Terradir_bloom.Bloom.t -> 'a) -> 'a
-(** Fold over (server, digest) pairs currently held. *)
-
 val fold_remote_until :
   t ->
   init:'a ->
   f:('a -> int -> Terradir_bloom.Bloom.t -> ('a, 'a) Either.t) ->
   'a
-(** Like {!fold_remote} in MRU-first order, but [f] answering [Right acc]
-    stops the walk.  The routing shortcut consults only a short MRU prefix
+(** Fold over the (server, digest) pairs currently held, in MRU-first
+    order; [f] answering [Right acc] stops the walk.  The routing shortcut consults only a short MRU prefix
     on every decision; walking the whole store there dominated large
     deployments' event cost. *)
 

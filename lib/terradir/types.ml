@@ -157,7 +157,3 @@ type message = {
 let null_payload = Data_reply { fetch_id = -1; node = -1 }
 (* Scrub value for pooled messages: an id no pending table ever contains,
    so even a bug that processed it would no-op. *)
-
-let is_query_class = function
-  | Query _ | Data_request _ -> true
-  | Query_reply _ | Load_probe _ | Load_reply _ | Replicate _ | Data_reply _ -> false

@@ -132,5 +132,3 @@ type message = {
 
 val null_payload : payload
 (** Scrub value for pooled messages — ids no pending table ever contains. *)
-
-val is_query_class : payload -> bool

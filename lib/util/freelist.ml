@@ -9,8 +9,6 @@ type 'a t = { mutable items : 'a array; mutable len : int }
 
 let create () = { items = [||]; len = 0 }
 
-let length t = t.len
-
 let is_empty t = t.len = 0
 
 let put t x =

@@ -15,8 +15,6 @@ val create : unit -> 'a t
 (** An empty pool.  No backing storage is allocated until the first
     {!put}. *)
 
-val length : 'a t -> int
-
 val is_empty : 'a t -> bool
 
 val put : 'a t -> 'a -> unit

@@ -7,9 +7,8 @@
 
    The [tag] is an opaque integer riding along with each entry (the
    engine stores the executing-context id there); it never participates
-   in the ordering.  [add] assigns sequence numbers from an internal
-   counter (tag 0); [add_tagged] lets the caller supply both, which the
-   parallel engine uses to impose a partition-independent total order. *)
+   in the ordering.  The caller supplies the sequence number, which the
+   engine uses to impose a partition-independent total order. *)
 
 type 'a t = {
   mutable keys : float array; (* positions [0, size) are live *)
@@ -17,16 +16,15 @@ type 'a t = {
   mutable tags : int array;
   mutable vals : 'a array;
   mutable size : int;
-  mutable next_seq : int;
 }
 
-let create () = { keys = [||]; seqs = [||]; tags = [||]; vals = [||]; size = 0; next_seq = 0 }
+let create () = { keys = [||]; seqs = [||]; tags = [||]; vals = [||]; size = 0 }
 
 let length q = q.size
 
 let is_empty q = q.size = 0
 
-(* Entry ordering: key first, then insertion sequence for FIFO ties. *)
+(* Entry ordering: key first, then sequence number. *)
 let before q i kj sj = q.keys.(i) < kj || (q.keys.(i) = kj && q.seqs.(i) < sj)
 
 let grow q value =
@@ -76,18 +74,11 @@ let add_tagged q ~key ~seq ~tag value =
   q.tags.(!i) <- tag;
   q.vals.(!i) <- value
 
-let add q key value =
-  let seq = q.next_seq in
-  q.next_seq <- seq + 1;
-  add_tagged q ~key ~seq ~tag:0 value
-
 let top_key q = q.keys.(0)
 
 let top_seq q = q.seqs.(0)
 
 let top_tag q = q.tags.(0)
-
-let min q = if q.size = 0 then None else Some (q.keys.(0), q.vals.(0))
 
 (* Sift the last entry down from the root hole. *)
 let sift_down q key seq tag value =
@@ -130,32 +121,3 @@ let pop_exn q =
     sift_down q k s g v
   end;
   top
-
-let pop q =
-  if q.size = 0 then None
-  else begin
-    let key = q.keys.(0) in
-    let value = pop_exn q in
-    Some (key, value)
-  end
-
-let clear q =
-  q.keys <- [||];
-  q.seqs <- [||];
-  q.tags <- [||];
-  q.vals <- [||];
-  q.size <- 0
-
-let to_sorted_list q =
-  let copy =
-    {
-      keys = Array.copy q.keys;
-      seqs = Array.copy q.seqs;
-      tags = Array.copy q.tags;
-      vals = Array.copy q.vals;
-      size = q.size;
-      next_seq = q.next_seq;
-    }
-  in
-  let rec drain acc = match pop copy with None -> List.rev acc | Some kv -> drain (kv :: acc) in
-  drain []

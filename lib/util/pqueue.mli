@@ -1,9 +1,11 @@
 (** Mutable min-priority queue on float keys (struct-of-arrays binary heap).
 
-    The event queue of the discrete-event engine.  Ties on the key are broken
-    by insertion order (FIFO), which makes simulations deterministic even when
-    many events share a timestamp.  Keys, sequence numbers, and values live in
-    parallel arrays, so steady-state add/pop allocates nothing. *)
+    The event queue of the discrete-event engine.  Entries are ordered by
+    (key, seq): ties on the key are broken by the caller-supplied sequence
+    number, so a caller that numbers entries in insertion order gets FIFO
+    ties, which makes simulations deterministic even when many events share
+    a timestamp.  Keys, sequence numbers, tags and values live in parallel
+    arrays, so steady-state add/pop allocates nothing. *)
 
 type 'a t
 
@@ -14,26 +16,14 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val add : 'a t -> float -> 'a -> unit
-(** [add q key v] inserts [v] with priority [key], a sequence number from
-    the queue's internal counter, and tag 0. *)
-
 val add_tagged : 'a t -> key:float -> seq:int -> tag:int -> 'a -> unit
-(** Insert with a caller-supplied sequence number and tag.  The tag is an
-    opaque payload (readable via {!top_tag}); ordering is (key, seq) as
-    always.  Callers mixing [add_tagged] with {!add} own the burden of
-    keeping sequence numbers unique per key. *)
-
-val min : 'a t -> (float * 'a) option
-(** Smallest key and its value, without removing it. *)
-
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the entry with the smallest key; [None] when empty.
-    Among equal keys, the earliest-inserted entry is returned first. *)
+(** Insert [v] with priority [(key, seq)] and an opaque integer [tag]
+    (readable via {!top_tag}; it never participates in the ordering).
+    Callers keep sequence numbers unique per key. *)
 
 val top_key : 'a t -> float
 (** Smallest key without removal; undefined when the queue is empty (check
-    [is_empty] first).  Allocation-free counterpart of [min]. *)
+    [is_empty] first). *)
 
 val top_seq : 'a t -> int
 (** Sequence number of the minimum entry; undefined when empty. *)
@@ -44,9 +34,3 @@ val top_tag : 'a t -> int
 val pop_exn : 'a t -> 'a
 (** Remove the minimum entry and return its value without boxing the key.
     @raise Invalid_argument when empty. *)
-
-val clear : 'a t -> unit
-
-val to_sorted_list : 'a t -> (float * 'a) list
-(** Drain a copy of the queue in priority order (for tests/inspection);
-    the queue itself is unchanged. *)

@@ -40,8 +40,6 @@ let float g x =
   let u = Int64.to_int (Int64.shift_right_logical (bits64 g) 11) in
   float_of_int u /. 9007199254740992.0 *. x
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
-
 let exponential g mean =
   (* Inverse CDF; [1.0 -. u] keeps the log argument strictly positive. *)
   let u = float g 1.0 in

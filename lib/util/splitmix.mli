@@ -36,9 +36,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float g x] is uniform in [\[0, x)] (53-bit mantissa resolution). *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val exponential : t -> float -> float
 (** [exponential g mean] draws from Exp with the given mean (inverse-CDF). *)
 

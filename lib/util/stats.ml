@@ -51,8 +51,6 @@ let mean t = if t.n = 0 then 0.0 else get t.f i_mean
 
 let variance t = if t.n < 2 then 0.0 else get t.f i_m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
 let min_value t =
   if t.n = 0 then invalid_arg "Stats.min_value: empty";
   get t.f i_min

@@ -18,8 +18,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0.0 with fewer than two samples. *)
 
-val stddev : t -> float
-
 val min_value : t -> float
 (** @raise Invalid_argument when empty. *)
 

@@ -10,8 +10,6 @@ let create ?(bin = 1.0) () =
   if bin <= 0.0 then invalid_arg "Timeseries.create: bin must be positive";
   { bin; sums = [||]; maxima = [||]; counts = [||]; used = 0 }
 
-let bin_width t = t.bin
-
 let ensure t idx =
   let capacity = Array.length t.sums in
   if idx >= capacity then begin

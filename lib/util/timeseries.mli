@@ -11,8 +11,6 @@ val create : ?bin:float -> unit -> t
 (** [create ~bin ()] buckets into bins of [bin] time units (default 1.0).
     @raise Invalid_argument if [bin <= 0]. *)
 
-val bin_width : t -> float
-
 val add : t -> float -> float -> unit
 (** [add t time value] accumulates [value] into the bin containing [time].
     Times may arrive out of order. @raise Invalid_argument on negative time. *)

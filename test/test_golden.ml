@@ -57,10 +57,9 @@ let fig7_golden () =
     (fun path -> check_golden (Filename.basename path) (read_file path))
     paths
 
-(* The capacity experiment runs on the calendar-queue scheduler with the
-   analytic (probe-free) injection rate: this golden pins both — a
-   calendar-queue ordering bug or a drifted rate formula is a byte diff
-   here before it is a wrong number in BENCH_results.json. *)
+(* The capacity experiment runs with the analytic (probe-free) injection
+   rate: this golden pins it — a drifted rate formula is a byte diff here
+   before it is a wrong number in BENCH_results.json. *)
 let capacity_golden () =
   let dir = "_golden_out" in
   let paths = Csv_export.export ~id:"capacity" ~scale ~seed ~dir () in

@@ -13,11 +13,10 @@ open Terradir
 open Terradir_namespace
 open Terradir_workload
 
-let mk_config ?(servers = 24) ?(scheduler = `Heap) ~domains () =
+let mk_config ?(servers = 24) ~domains () =
   {
     Config.default with
     Config.num_servers = servers;
-    scheduler;
     engine_domains = domains;
     seed = 11;
   }
@@ -27,8 +26,8 @@ let mk_config ?(servers = 24) ?(scheduler = `Heap) ~domains () =
    fire.  Returns the full metrics CSV — any trajectory difference is a
    byte diff here. *)
 let run_workload ?shard_of ?(obs = Terradir_obs.Obs.null) ?(servers = 24)
-    ?(scheduler = `Heap) ?(mutate = fun _ -> ()) ~domains () =
-  let config = mk_config ~servers ~scheduler ~domains () in
+    ?(mutate = fun _ -> ()) ~domains () =
+  let config = mk_config ~servers ~domains () in
   let tree = Build.balanced ~arity:2 ~levels:6 in
   let cluster = Cluster.create ?shard_of ~obs ~config ~tree () in
   mutate cluster;
@@ -38,8 +37,8 @@ let run_workload ?shard_of ?(obs = Terradir_obs.Obs.null) ?(servers = 24)
   Cluster.run_until cluster (Cluster.now cluster +. 4.0);
   (cluster, Terradir_experiments.Csv_export.metrics_csv (Cluster.metrics cluster))
 
-let csv_of ?shard_of ?obs ?servers ?scheduler ?mutate ~domains () =
-  snd (run_workload ?shard_of ?obs ?servers ?scheduler ?mutate ~domains ())
+let csv_of ?shard_of ?obs ?servers ?mutate ~domains () =
+  snd (run_workload ?shard_of ?obs ?servers ?mutate ~domains ())
 
 let check_equal label a b =
   if not (String.equal a b) then begin
@@ -63,14 +62,6 @@ let test_k_equivalence () =
   let k4 = csv_of ~domains:4 () in
   check_equal "K=1 vs K=2" k1 k2;
   check_equal "K=1 vs K=4" k1 k4
-
-let test_k_equivalence_calendar () =
-  let k1 = csv_of ~scheduler:`Calendar ~domains:1 () in
-  let k4 = csv_of ~scheduler:`Calendar ~domains:4 () in
-  check_equal "calendar K=1 vs K=4" k1 k4;
-  (* scheduler choice is behavior-neutral on the parallel engine too *)
-  check_equal "heap K=2 vs calendar K=2" (csv_of ~domains:2 ())
-    (csv_of ~scheduler:`Calendar ~domains:2 ())
 
 let test_k_equivalence_under_faults () =
   (* Jitter exercises the per-sender latency streams, loss + timers the
@@ -175,8 +166,6 @@ let () =
         [
           Alcotest.test_case "metrics CSV byte-identical for K in {1,2,4}" `Slow
             test_k_equivalence;
-          Alcotest.test_case "calendar scheduler equivalent at K>=2" `Slow
-            test_k_equivalence_calendar;
           Alcotest.test_case "loss+jitter+timers equivalent across K" `Slow
             test_k_equivalence_under_faults;
           Alcotest.test_case "kill/revive equivalent across K" `Slow

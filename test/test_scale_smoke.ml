@@ -4,12 +4,8 @@
    pass that raises on any violated invariant).
 
    Beyond "it runs at scale without tripping an invariant", the test
-   byte-compares the full metrics export across the two axes this PR
-   must keep behavior-neutral:
-
-   - observability Off vs Full (recording must never perturb a run);
-   - the `Heap vs `Calendar engine scheduler (pop order is specified to
-     be identical, so every downstream metric must be too). *)
+   byte-compares the full metrics export with observability Off vs Full:
+   recording must never perturb a run. *)
 
 open Terradir
 open Terradir_namespace
@@ -24,7 +20,7 @@ let log2i n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
   go 0 n
 
-let config ~scheduler =
+let config =
   let log2s = log2i servers in
   {
     Config.default with
@@ -32,14 +28,12 @@ let config ~scheduler =
     placement = Config.Round_robin;
     cache_slots = max 4 ((2 * log2s) - 2);
     r_map = max 2 (log2s - 2);
-    scheduler;
     seed;
   }
 
 (* Analytic rate at utilization 0.5, as in Experiments.Capacity; ~20k
    expected queries keep the smoke in test-suite time. *)
-let run ?obs ~scheduler () =
-  let config = config ~scheduler in
+let run ?obs () =
   let tree = Build.balanced ~arity:2 ~levels:(max 3 (log2i (8 * servers))) in
   let est_hops = (2.0 *. Common.mean_depth tree) +. 1.0 in
   let rate = 0.5 *. float_of_int servers /. (config.Config.service_mean *. est_hops) in
@@ -61,26 +55,16 @@ let check_sane label cluster =
     Alcotest.failf "%s: expected %d alive servers" label servers
 
 let test_obs_off_vs_full () =
-  let off = run ~scheduler:`Calendar () in
+  let off = run () in
   check_sane "obs off" off;
   let full =
     let obs = Terradir_obs.Obs.create ~probe_every:2000 ~level:Terradir_obs.Obs.Full () in
-    run ~obs ~scheduler:`Calendar ()
+    run ~obs ()
   in
   Alcotest.(check string) "Off and Full runs are byte-identical" (fingerprint off)
     (fingerprint full);
   if Terradir_obs.Recorder.total (Terradir_obs.Obs.recorder full.Cluster.obs) = 0 then
     Alcotest.fail "Full-level sink recorded nothing"
-
-let test_heap_vs_calendar () =
-  let heap = run ~scheduler:`Heap () in
-  check_sane "heap" heap;
-  let calendar = run ~scheduler:`Calendar () in
-  Alcotest.(check string) "schedulers produce byte-identical metrics" (fingerprint heap)
-    (fingerprint calendar);
-  Alcotest.(check int) "and execute the same number of events"
-    (Terradir_sim.Engine.events_executed heap.Cluster.engine)
-    (Terradir_sim.Engine.events_executed calendar.Cluster.engine)
 
 let () =
   Runner.set_jobs (Some 1);
@@ -90,7 +74,5 @@ let () =
         [
           Alcotest.test_case "audited run: obs Off vs Full byte-identical" `Slow
             test_obs_off_vs_full;
-          Alcotest.test_case "audited run: heap vs calendar byte-identical" `Slow
-            test_heap_vs_calendar;
         ] );
     ]

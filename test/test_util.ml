@@ -149,52 +149,56 @@ let prop_bitset_count =
 (* Pqueue                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_pqueue_ordering () =
+(* Insert with sequence numbers in insertion order, as the engine does. *)
+let pqueue_of ?(tag = fun _ -> 0) entries =
   let q = Pqueue.create () in
-  List.iter (fun (k, v) -> Pqueue.add q k v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
-  let drain () = match Pqueue.pop q with Some (_, v) -> v | None -> "?" in
-  let first = drain () in
-  let second = drain () in
-  let third = drain () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ];
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q)
+  List.iteri (fun seq (key, v) -> Pqueue.add_tagged q ~key ~seq ~tag:(tag v) v) entries;
+  q
+
+let pqueue_drain q =
+  let rec go acc = if Pqueue.is_empty q then List.rev acc else go (Pqueue.pop_exn q :: acc) in
+  go []
+
+let test_pqueue_ordering () =
+  let q = pqueue_of [ (3.0, "c"); (1.0, "a"); (2.0, "b") ] in
+  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] (pqueue_drain q);
+  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Pqueue.pop_exn: empty") (fun () ->
+      ignore (Pqueue.pop_exn q))
 
 let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
-  List.iter (fun v -> Pqueue.add q 5.0 v) [ 1; 2; 3; 4 ];
-  let order = List.filter_map (fun _ -> Option.map snd (Pqueue.pop q)) [ (); (); (); () ] in
-  Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4 ] order
+  let q = pqueue_of (List.map (fun v -> (5.0, v)) [ 1; 2; 3; 4 ]) in
+  Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4 ] (pqueue_drain q)
 
 let test_pqueue_min_peek () =
-  let q = Pqueue.create () in
-  Alcotest.(check bool) "empty min" true (Pqueue.min q = None);
-  Pqueue.add q 2.0 "x";
-  Pqueue.add q 1.0 "y";
-  (match Pqueue.min q with
-  | Some (k, v) ->
-    check_float "min key" 1.0 k;
-    Alcotest.(check string) "min value" "y" v
-  | None -> Alcotest.fail "expected min");
+  let q = pqueue_of ~tag:(fun v -> Char.code v.[0]) [ (2.0, "x"); (1.0, "y") ] in
+  check_float "min key" 1.0 (Pqueue.top_key q);
+  Alcotest.(check int) "min seq" 1 (Pqueue.top_seq q);
+  Alcotest.(check int) "min tag" (Char.code 'y') (Pqueue.top_tag q);
   Alcotest.(check int) "peek does not remove" 2 (Pqueue.length q)
 
-let test_pqueue_to_sorted_list () =
-  let q = Pqueue.create () in
-  List.iter (fun k -> Pqueue.add q k (int_of_float k)) [ 4.0; 1.0; 3.0; 2.0 ];
-  let keys = List.map fst (Pqueue.to_sorted_list q) in
-  Alcotest.(check (list (float 0.0))) "sorted view" [ 1.0; 2.0; 3.0; 4.0 ] keys;
-  Alcotest.(check int) "queue intact" 4 (Pqueue.length q)
+let test_pqueue_sorted_view () =
+  (* Tags and values travel with their keys through every sift. *)
+  let q = pqueue_of ~tag:Fun.id (List.map (fun v -> (float_of_int v, v)) [ 4; 1; 3; 2 ]) in
+  let rec view acc =
+    if Pqueue.is_empty q then List.rev acc
+    else begin
+      let k = Pqueue.top_key q and tag = Pqueue.top_tag q in
+      let v = Pqueue.pop_exn q in
+      view ((k, tag, v) :: acc)
+    end
+  in
+  Alcotest.(check (list (triple (float 0.0) int int)))
+    "sorted view"
+    [ (1.0, 1, 1); (2.0, 2, 2); (3.0, 3, 3); (4.0, 4, 4) ]
+    (view [])
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue: pops are sorted" ~count:200
     QCheck.(list (float_bound_inclusive 1000.0))
     (fun keys ->
-      let q = Pqueue.create () in
-      List.iter (fun k -> Pqueue.add q k ()) keys;
-      let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some (k, ()) -> drain (k :: acc)
-      in
-      let popped = drain [] in
-      popped = List.sort compare keys)
+      let q = pqueue_of (List.map (fun k -> (k, k)) keys) in
+      pqueue_drain q = List.sort compare keys)
 
 (* ------------------------------------------------------------------ *)
 (* Lru                                                                 *)
@@ -477,7 +481,7 @@ let () =
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "min peek" `Quick test_pqueue_min_peek;
-          Alcotest.test_case "sorted view" `Quick test_pqueue_to_sorted_list;
+          Alcotest.test_case "sorted view" `Quick test_pqueue_sorted_view;
         ] );
       qsuite "pqueue-props" [ prop_pqueue_sorted ];
       ( "lru",
