@@ -67,6 +67,25 @@ let capacity_golden () =
     (fun path -> check_golden (Filename.basename path) (read_file path))
     paths
 
+(* The rpc-retry, fetch-failover and churn paths: loss, two kill waves
+   and a revival with 30 % of resolved lookups followed by a data fetch.
+   Pins the cluster's counters (timeouts, retransmits, late replies,
+   failed fetches) and the per-window resilience report. *)
+let churn_fetch_golden () =
+  let open Terradir in
+  let module Chaos = Terradir_chaos in
+  let servers = 64 and seed = 7 in
+  let spec = Chaos.Campaigns.churn_ramp.Chaos.Campaigns.spec ~servers ~rate:100.0 ~seed in
+  let tree = Terradir_namespace.Build.balanced ~arity:2 ~levels:9 in
+  let config = spec.config_tweak { Config.default with Config.num_servers = servers; seed } in
+  let cluster = Cluster.create ~config ~tree () in
+  let report =
+    Chaos.Chaos.run ~drain:spec.drain ~window:spec.window ~slo:spec.slo ~fetch_probability:0.3
+      cluster ~workload:spec.workload ~workload_seed:seed ~timeline:spec.timeline ()
+  in
+  check_golden "churn_fetch.csv"
+    (Csv_export.metrics_csv (Cluster.metrics cluster) ^ Chaos.Report.windows_csv report)
+
 let () =
   Runner.set_jobs (Some 1);
   Alcotest.run "golden"
@@ -76,5 +95,7 @@ let () =
           Alcotest.test_case "fig3 drop-fraction CSV is byte-identical" `Slow fig3_golden;
           Alcotest.test_case "fig7 replicas-per-level CSV is byte-identical" `Slow fig7_golden;
           Alcotest.test_case "capacity CSV is byte-identical" `Slow capacity_golden;
+          Alcotest.test_case "churn-fetch counters and windows are byte-identical" `Slow
+            churn_fetch_golden;
         ] );
     ]
