@@ -17,21 +17,16 @@ let drop_label = function
 
 type fetch_outcome = Fetched of { latency : float } | Fetch_failed
 
-type fetch_state = {
-  f_client : server_id;
-  f_node : node_id;
-  f_started : float;
-  f_tried : (server_id, unit) Hashtbl.t;
-  mutable f_attempts : int;
-  f_on_done : (fetch_outcome -> unit) option;
-}
+type request_kind =
+  | Lookup of (outcome -> unit) option
+  | Fetch of { tried : (server_id, unit) Hashtbl.t; on_done : (fetch_outcome -> unit) option }
 
-type query_ctx = {
-  qc_src : server_id;
-  qc_dst : node_id;
-  qc_born : float;
-  mutable qc_attempt : int;
-  qc_on_complete : (outcome -> unit) option;
+type request = {
+  issuer : server_id;
+  node : node_id;
+  born : float;
+  mutable attempt : int;
+  kind : request_kind;
 }
 
 type t = {
@@ -52,13 +47,9 @@ type t = {
   replicas_created_per_level : int array array;
   data_holders : server_id array array;
   shard_ix : int array;
-  pending_fetches : (int, fetch_state) Hashtbl.t array;
-  pending_queries : (int, query_ctx) Hashtbl.t array;
-  query_seq : int array;
-  fetch_seq : int array;
-  session_seq : int array;
+  pending : (int, request) Hashtbl.t array;
+  id_seq : int array;
   meta_version : int array;
-  mutable last_src : server_id;
   epochs : int array;
   msg_pool : message Freelist.t array;
   query_pool : query Freelist.t array;
@@ -130,9 +121,7 @@ let alloc_query t ~qid ~src ~dst ~attempt ~born =
   q.hops <- 0;
   q.target <- dst;
   path_reset q;
-  q.shortcut_hops <- 0;
   q.best_dist <- max_int;
-  q.stale_forwards <- 0;
   q.result_map <- Node_map.empty;
   q.result_meta <- 0;
   q
@@ -148,14 +137,17 @@ let metrics t =
     ~latency:(fold_stats t.lat_stats) ~hops:(fold_stats t.hops_stats)
     ~data_latency:(fold_stats t.data_lat_stats) ~meta_lag:(fold_stats t.meta_lag_stats)
 
-(* Request ids encode their issuer ([(src + 1) lsl 32 lor seq], allocated
-   from a per-server counter) so any context can find both the owning
-   server and its shard's pending table without global state. *)
+(* Request and session ids encode their issuer ([(src + 1) lsl 32 lor
+   seq], from one per-server counter) so any context can find both the
+   owning server and its shard's pending table without global state. *)
+let next_id t sid =
+  let seq = t.id_seq.(sid) in
+  t.id_seq.(sid) <- seq + 1;
+  ((sid + 1) lsl 32) lor seq
+
 let id_owner id = (id lsr 32) - 1
 
-let q_tbl t qid = t.pending_queries.(t.shard_ix.(id_owner qid))
-
-let f_tbl t fid = t.pending_fetches.(t.shard_ix.(id_owner fid))
+let pending_of t id = t.pending.(t.shard_ix.(id_owner id))
 
 (* Run [f] in [target]'s context: inline when already there (or in a
    driver/sync context, where every shard lane is idle), otherwise
@@ -259,18 +251,14 @@ let rec send t ~from ~to_ payload =
         ~digest_version:version ~digest payload
     in
     Engine.schedule ~owner:to_ t.engine ~delay (fun () -> deliver t ~to_ msg)
-  | Net.Lost ->
+  | (Net.Lost | Net.Blocked) as verdict -> (
     let m = met t in
-    m.Metrics.net_lost <- m.Metrics.net_lost + 1;
+    (match verdict with
+    | Net.Lost -> m.Metrics.net_lost <- m.Metrics.net_lost + 1
+    | Net.Blocked | Net.Delivered _ -> m.Metrics.net_blocked <- m.Metrics.net_blocked + 1);
     (* A silently-lost query attempt is this record's terminal point: the
        issuer's timer retransmits with a fresh record. *)
-    (match payload with
-    | Query q | Query_reply q -> free_query t q
-    | Load_probe _ | Load_reply _ | Replicate _ | Data_request _ | Data_reply _ -> ())
-  | Net.Blocked ->
-    let m = met t in
-    m.Metrics.net_blocked <- m.Metrics.net_blocked + 1;
-    (match payload with
+    match payload with
     | Query q | Query_reply q -> free_query t q
     | Load_probe _ | Load_reply _ | Replicate _ | Data_request _ | Data_reply _ -> ())
 
@@ -300,7 +288,7 @@ and deliver t ~to_ msg =
       end
     | Data_request { fetch_id; _ } ->
       if queue_full () then begin
-        fetch_retry t fetch_id ~failed:to_;
+        fetch_retry t fetch_id;
         free_msg t msg
       end
       else begin
@@ -352,7 +340,7 @@ and bounce t ~dead msg =
     finish_dropped t q Server_dead;
     free_msg t msg
   | Data_request { fetch_id; _ } ->
-    fetch_retry t fetch_id ~failed:dead;
+    fetch_retry t fetch_id;
     free_msg t msg
   | Load_probe _ | Load_reply _ | Replicate _ | Data_reply _ -> free_msg t msg
 
@@ -444,15 +432,15 @@ and process t sid msg =
        busy time, already accounted by this service slot. *)
     send t ~from:sid ~to_:client (Data_reply { fetch_id; node })
   | Data_reply { fetch_id; _ } -> (
-    match Hashtbl.find_opt (f_tbl t fetch_id) fetch_id with
-    | None -> ()
-    | Some f ->
-      Hashtbl.remove (f_tbl t fetch_id) fetch_id;
+    match Hashtbl.find_opt (pending_of t fetch_id) fetch_id with
+    | Some ({ kind = Fetch { on_done; _ }; _ } as f) ->
+      Hashtbl.remove (pending_of t fetch_id) fetch_id;
       let m = met t in
       m.Metrics.data_completed <- m.Metrics.data_completed + 1;
-      let latency = now t -. f.f_started in
-      Stats.add t.data_lat_stats.(f.f_client) latency;
-      Option.iter (fun k -> k (Fetched { latency })) f.f_on_done));
+      let latency = now t -. f.born in
+      Stats.add t.data_lat_stats.(f.issuer) latency;
+      Option.iter (fun k -> k (Fetched { latency })) on_done
+    | Some { kind = Lookup _; _ } | None -> ()));
   (* §3.3 step 1: a server checks its load after each processed query. *)
   maybe_start_session t s
 
@@ -487,7 +475,6 @@ and process_query ?from t s q =
   s.Server.queries_processed <- s.Server.queries_processed + 1;
   absorb_path t s q;
   if q.hops > 0 && not (Server.hosts s q.target) then begin
-    q.stale_forwards <- q.stale_forwards + 1;
     let m = met t in
     m.Metrics.stale_forwards <- m.Metrics.stale_forwards + 1;
     (* Stale-forward feedback — the alive-host dual of the bounce.  The
@@ -558,7 +545,6 @@ and process_query ?from t s q =
         | None -> (via_node, to_server, shortcut)
     in
     if shortcut then begin
-      q.shortcut_hops <- q.shortcut_hops + 1;
       let m = met t in
       m.Metrics.shortcut_forwards <- m.Metrics.shortcut_forwards + 1
     end;
@@ -595,53 +581,71 @@ and process_query ?from t s q =
    through [finalize_at] — the re-check happens there. *)
 and finish_dropped t q reason =
   finalize_at t q.src_server (fun () ->
-      (match Hashtbl.find_opt (q_tbl t q.qid) q.qid with
-      | None -> ()
-      | Some ctx when q.attempt < ctx.qc_attempt -> ()
-      | Some ctx ->
-        Hashtbl.remove (q_tbl t q.qid) q.qid;
-        Metrics.drop (met t) reason ~now:(now t);
-        if Obs.spans_on t.obs then
-          (* lint: obs-in-hot-path terminal drop closes the span; spans level *)
-          Obs.record t.obs ~server:ctx.qc_src
-            (Event.Query_dropped { qid = q.qid; reason = drop_label reason });
-        Option.iter (fun k -> k (Dropped reason)) ctx.qc_on_complete);
+      (match Hashtbl.find_opt (pending_of t q.qid) q.qid with
+      | Some r when q.attempt >= r.attempt -> give_up t q.qid r reason
+      | Some _ | None -> ());
       (* Whatever the branch, this attempt's record is retired here — the
          closure took sole ownership when the drop was detected. *)
       free_query t q)
 
 (* ------------------------------------------------------------------ *)
-(* Data retrieval (§2.1 step two)                                      *)
+(* Request lifecycle                                                   *)
 (* ------------------------------------------------------------------ *)
 
-and fetch_attempt t fetch_id =
-  match Hashtbl.find_opt (f_tbl t fetch_id) fetch_id with
-  | None -> ()
-  | Some f -> (
-    let holders = t.data_holders.(f.f_node) in
-    (* Constant-time membership: with many data copies and a long failover
-       history, the old [List.mem h f_tried] filter was O(tried x holders)
-       per attempt and quadratic across a failover sequence. *)
+(* Finalize a pending request without a result: the one exit for a
+   lookup's terminal drop, a fetch whose holders are exhausted, and the
+   last timer expiry of either.  [reason] is the lookup's drop reason; a
+   fetch counts one [data_dropped] whatever the cause.  Runs on the
+   issuer. *)
+and give_up t id r reason =
+  Hashtbl.remove (pending_of t id) id;
+  match r.kind with
+  | Lookup on_complete ->
+    Metrics.drop (met t) reason ~now:(now t);
+    if Obs.spans_on t.obs then
+      (* lint: obs-in-hot-path terminal drop closes the span; spans level *)
+      Obs.record t.obs ~server:r.issuer
+        (Event.Query_dropped { qid = id; reason = drop_label reason });
+    Option.iter (fun k -> k (Dropped reason)) on_complete
+  | Fetch { on_done; _ } ->
+    let m = met t in
+    m.Metrics.data_dropped <- m.Metrics.data_dropped + 1;
+    Option.iter (fun k -> k Fetch_failed) on_done
+
+(* Start the request's current attempt at its issuer.  A lookup attempt is
+   a fresh query record (fresh hop budget and path; [born] stays the
+   original injection time so latency is end-to-end) handed straight to
+   the issuer's queue.  A fetch attempt (§2.1 step two) asks one data
+   holder not yet tried this failover round, and gives up when none is
+   left. *)
+and start_attempt t id r =
+  match r.kind with
+  | Lookup _ ->
+    let q = alloc_query t ~qid:id ~src:r.issuer ~dst:r.node ~attempt:r.attempt ~born:r.born in
+    deliver t ~to_:r.issuer
+      (alloc_msg t ~from:r.issuer ~load:0.0 ~digest_version:0 ~digest:None (Query q))
+  | Fetch { tried; _ } -> (
     let untried =
-      Array.to_list holders |> List.filter (fun h -> not (Hashtbl.mem f.f_tried h))
+      Array.to_list t.data_holders.(r.node) |> List.filter (fun h -> not (Hashtbl.mem tried h))
     in
     match untried with
-    | [] ->
-      Hashtbl.remove (f_tbl t fetch_id) fetch_id;
-      let m = met t in
-      m.Metrics.data_dropped <- m.Metrics.data_dropped + 1;
-      Option.iter (fun k -> k Fetch_failed) f.f_on_done
+    | [] -> give_up t id r Dead_end
     | _ ->
       (* The holder choice draws from the {e client's} stream, so the
          sequence depends only on the client's own event order. *)
-      let rng = t.servers.(f.f_client).Server.rng in
+      let rng = t.servers.(r.issuer).Server.rng in
       let holder = List.nth untried (Splitmix.int rng (List.length untried)) in
-      Hashtbl.replace f.f_tried holder ();
-      send t ~from:f.f_client ~to_:holder
-        (Data_request { fetch_id; node = f.f_node; client = f.f_client }))
+      Hashtbl.replace tried holder ();
+      send t ~from:r.issuer ~to_:holder
+        (Data_request { fetch_id = id; node = r.node; client = r.issuer }))
 
-and fetch_retry t fetch_id ~failed:_ =
-  finalize_at t (id_owner fetch_id) (fun () -> fetch_attempt t fetch_id)
+(* A data request failed explicitly (dead or overloaded holder): fail over
+   to another holder, from the issuer's context. *)
+and fetch_retry t fetch_id =
+  finalize_at t (id_owner fetch_id) (fun () ->
+      match Hashtbl.find_opt (pending_of t fetch_id) fetch_id with
+      | Some r -> start_attempt t fetch_id r
+      | None -> ())
 
 (* Ground truth for oracle routing: the servers that actually host a node
    right now.  A linear scan per call — acceptable because the oracle is an
@@ -663,37 +667,37 @@ and ground_truth_map t node =
 and complete_query t s q =
   (* Always runs on the issuer: a local resolve is at [q.src_server] and a
      [Query_reply] is delivered there. *)
-  match Hashtbl.find_opt (q_tbl t q.qid) q.qid with
-  | None ->
+  match Hashtbl.find_opt (pending_of t q.qid) q.qid with
+  | Some { kind = Fetch _; _ } | None ->
     (* The request was already finalized (another attempt won the race, or
        the last timer expired): a duplicate result, discarded. *)
     let m = met t in
     m.Metrics.late_replies <- m.Metrics.late_replies + 1;
     free_query t q
-  | Some ctx ->
+  | Some ({ kind = Lookup on_complete; _ } as r) ->
     (* First resolution wins, whichever attempt carried it. *)
-    Hashtbl.remove (q_tbl t q.qid) q.qid;
+    Hashtbl.remove (pending_of t q.qid) q.qid;
     (* The source caches its lookup result even under endpoint-only caching;
        with path propagation it absorbs the whole route. *)
     absorb_path ~at_endpoint:true t s q;
     let latency = now t -. q.born in
-    Metrics.resolve (met t) ~latency ~hops:q.hops ~now:(now t);
-    Stats.add t.lat_stats.(ctx.qc_src) latency;
-    Stats.add t.hops_stats.(ctx.qc_src) (float_of_int q.hops);
+    Metrics.resolve (met t) ~latency ~hops:q.hops;
+    Stats.add t.lat_stats.(r.issuer) latency;
+    Stats.add t.hops_stats.(r.issuer) (float_of_int q.hops);
     if Obs.spans_on t.obs then
       (* lint: obs-in-hot-path resolution closes the span; spans level *)
-      Obs.record t.obs ~server:ctx.qc_src
+      Obs.record t.obs ~server:r.issuer
         (Event.Query_resolved { qid = q.qid; latency; hops = q.hops });
     (* Meta-data staleness at the resolving host, vs the owner's truth.
        The authoritative version lives in [t.meta_version] (updated only
        between events, by [update_meta]/owner writes), not read out of the
        owner server's records — those belong to another shard. *)
-    Stats.add t.meta_lag_stats.(ctx.qc_src)
+    Stats.add t.meta_lag_stats.(r.issuer)
       (float_of_int (max 0 (t.meta_version.(q.dst) - q.result_meta)));
     Option.iter
       (fun k ->
         k (Resolved { latency; hops = q.hops; map = q.result_map; meta_version = q.result_meta }))
-      ctx.qc_on_complete;
+      on_complete;
     (* The winning attempt's record retires after the callback captured its
        result values (the map is an immutable Node_map, safe to share). *)
     free_query t q
@@ -706,10 +710,7 @@ and maybe_start_session t s =
   if Replication.should_start s ~now:(now t) then begin
     let m = met t in
     m.Metrics.sessions_started <- m.Metrics.sessions_started + 1;
-    let sid = s.Server.id in
-    let session_id = ((sid + 1) lsl 32) lor t.session_seq.(sid) in
-    t.session_seq.(sid) <- t.session_seq.(sid) + 1;
-    let sess = { Server.session_id; tried = []; attempts = 0 } in
+    let sess = { Server.session_id = next_id t s.Server.id; tried = []; attempts = 0 } in
     s.Server.session <- Some sess;
     probe_next_peer t s sess
   end
@@ -757,7 +758,7 @@ and handle_load_reply t s ~peer ~session ~peer_load =
     let l_source = Load_meter.load s.Server.load time in
     if Replication.acceptable ~config:t.config ~l_source ~l_dest:peer_load then begin
       let nodes = Replication.select_nodes s ~l_source ~l_dest:peer_load ~now:time in
-      let payloads = List.filter_map (fun n -> Server.make_replica_payload s n ~now:time) nodes in
+      let payloads = List.filter_map (fun n -> Server.make_replica_payload s n) nodes in
       if payloads = [] then abort_session t s
       else begin
         send t ~from:s.Server.id ~to_:peer (Replicate { session; replicas = payloads });
@@ -895,7 +896,9 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
     Obs.set_multi obs ~lanes:(Engine.lane_count engine) ~stamp:(fun () -> Engine.stamp engine)
   end;
   let lanes = Engine.lane_count engine in
-  let metrics_rng = Splitmix.split rng in
+  (* The metrics once drew from a stream of their own; the split stays
+     because removing the draw would shift every later draw from [rng]. *)
+  ignore (Splitmix.split rng : Splitmix.t);
   let t =
     {
       engine;
@@ -906,7 +909,7 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
       rng;
       net;
       obs;
-      lane_metrics = Array.init lanes (fun _ -> Metrics.create ~rng:metrics_rng);
+      lane_metrics = Array.init lanes (fun _ -> Metrics.create ());
       lat_stats = Array.init config.Config.num_servers (fun _ -> Stats.create ());
       hops_stats = Array.init config.Config.num_servers (fun _ -> Stats.create ());
       data_lat_stats = Array.init config.Config.num_servers (fun _ -> Stats.create ());
@@ -916,13 +919,9 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
         Array.init lanes (fun _ -> Array.make (Tree.max_depth tree + 1) 0);
       data_holders;
       shard_ix;
-      pending_fetches = Array.init (max 1 k) (fun _ -> Hashtbl.create 64);
-      pending_queries = Array.init (max 1 k) (fun _ -> Hashtbl.create 256);
-      query_seq = Array.make config.Config.num_servers 0;
-      fetch_seq = Array.make config.Config.num_servers 0;
-      session_seq = Array.make config.Config.num_servers 0;
+      pending = Array.init (max 1 k) (fun _ -> Hashtbl.create 256);
+      id_seq = Array.make config.Config.num_servers 0;
       meta_version = Array.make (Tree.size tree) 0;
-      last_src = 0;
       epochs = Array.make config.Config.num_servers 0;
       msg_pool = Array.init lanes (fun _ -> Freelist.create ());
       query_pool = Array.init lanes (fun _ -> Freelist.create ());
@@ -1020,56 +1019,51 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
 (* Driving                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand one attempt of a pending request to its source server's queue.
-   The query record is rebuilt per attempt (fresh hop budget and path);
-   [born] stays the original injection time so latency is end-to-end. *)
-let start_query_attempt t qid ctx =
-  let q =
-    alloc_query t ~qid ~src:ctx.qc_src ~dst:ctx.qc_dst ~attempt:ctx.qc_attempt ~born:ctx.qc_born
-  in
-  (* The query originates at [src]: straight into its queue, no network. *)
-  deliver t ~to_:ctx.qc_src
-    (alloc_msg t ~from:ctx.qc_src ~load:0.0 ~digest_version:0 ~digest:None (Query q))
-
 (* Arm the current attempt's timer.  Timers only catch silent loss:
    explicit terminal drops finalize the request immediately, so with an
    ideal network a timer never changes behavior — it either finds the
-   request finalized or its attempt superseded, and does nothing. *)
-let rec arm_query_timer t qid =
+   request finalized or its attempt superseded, and does nothing.  A fetch
+   whose every holder was tried starts over across all of them. *)
+let rec arm_timer t id =
   let cfg = t.config in
   if cfg.Config.rpc_timeout > 0.0 then
-    match Hashtbl.find_opt (q_tbl t qid) qid with
+    match Hashtbl.find_opt (pending_of t id) id with
     | None -> ()
-    | Some ctx ->
-      let attempt = ctx.qc_attempt in
+    | Some r ->
+      let attempt = r.attempt in
       let timeout =
         Net.backoff ~base:cfg.Config.rpc_timeout ~factor:cfg.Config.retry_backoff ~attempt
       in
       (* The timer is issuer state and runs on the issuer's lane. *)
-      Engine.schedule ~owner:(id_owner qid) t.engine ~delay:timeout (fun () ->
-          match Hashtbl.find_opt (q_tbl t qid) qid with
-          | Some cur when cur.qc_attempt = attempt ->
-            if attempt >= t.config.Config.max_retries then begin
-              Hashtbl.remove (q_tbl t qid) qid;
-              Metrics.drop (met t) Timed_out ~now:(now t);
-              if Obs.spans_on t.obs then
-                (* lint: obs-in-hot-path final timer expiry closes the span; spans level *)
-                Obs.record t.obs ~server:cur.qc_src
-                  (Event.Query_dropped { qid; reason = drop_label Timed_out });
-              Option.iter (fun k -> k (Dropped Timed_out)) cur.qc_on_complete
-            end
+      Engine.schedule ~owner:r.issuer t.engine ~delay:timeout (fun () ->
+          match Hashtbl.find_opt (pending_of t id) id with
+          | Some cur when cur.attempt = attempt ->
+            if attempt >= cfg.Config.max_retries then give_up t id cur Timed_out
             else begin
-              cur.qc_attempt <- attempt + 1;
+              cur.attempt <- attempt + 1;
               let m = met t in
-              m.Metrics.query_retransmits <- m.Metrics.query_retransmits + 1;
-              if Obs.spans_on t.obs then
-                (* lint: obs-in-hot-path timer-driven retries are rare; spans level *)
-                Obs.record t.obs ~server:cur.qc_src
-                  (Event.Retransmit { qid; attempt = attempt + 1 });
-              start_query_attempt t qid cur;
-              arm_query_timer t qid
+              (match cur.kind with
+              | Lookup _ ->
+                m.Metrics.query_retransmits <- m.Metrics.query_retransmits + 1;
+                if Obs.spans_on t.obs then
+                  (* lint: obs-in-hot-path timer-driven retries are rare; spans level *)
+                  Obs.record t.obs ~server:cur.issuer
+                    (Event.Retransmit { qid = id; attempt = attempt + 1 })
+              | Fetch { tried; _ } ->
+                m.Metrics.fetch_retransmits <- m.Metrics.fetch_retransmits + 1;
+                if Array.for_all (Hashtbl.mem tried) t.data_holders.(cur.node) then
+                  Hashtbl.reset tried);
+              start_attempt t id cur;
+              arm_timer t id
             end
           | Some _ | None -> ())
+
+(* Register a request at its issuer, start its first attempt and arm its
+   timer.  The first outcome of any attempt finalizes it, exactly once. *)
+let issue t id r =
+  Hashtbl.add (pending_of t id) id r;
+  start_attempt t id r;
+  arm_timer t id
 
 let inject ?on_complete t ~src ~dst =
   if src < 0 || src >= num_servers t then invalid_arg "Cluster.inject: bad source server";
@@ -1078,17 +1072,11 @@ let inject ?on_complete t ~src ~dst =
   let m = met t in
   m.Metrics.injected <- m.Metrics.injected + 1;
   Timeseries.incr m.Metrics.injected_ts time;
-  let qid = ((src + 1) lsl 32) lor t.query_seq.(src) in
-  t.query_seq.(src) <- t.query_seq.(src) + 1;
-  let ctx =
-    { qc_src = src; qc_dst = dst; qc_born = time; qc_attempt = 0; qc_on_complete = on_complete }
-  in
-  Hashtbl.add (q_tbl t qid) qid ctx;
+  let qid = next_id t src in
   if Obs.spans_on t.obs then
     (* lint: obs-in-hot-path span root; spans level *)
     Obs.record t.obs ~server:src (Event.Query_injected { qid; dst });
-  start_query_attempt t qid ctx;
-  arm_query_timer t qid
+  issue t qid { issuer = src; node = dst; born = time; attempt = 0; kind = Lookup on_complete }
 
 let inject_uniform_src ?on_complete t ~dst =
   let s_count = num_servers t in
@@ -1097,10 +1085,8 @@ let inject_uniform_src ?on_complete t ~dst =
     if t.servers.(src).Server.alive || tries > 32 then src else pick (tries + 1)
   in
   let src = pick 0 in
-  t.last_src <- src;
-  inject ?on_complete t ~src ~dst
-
-let last_injected_src t = t.last_src
+  inject ?on_complete t ~src ~dst;
+  src
 
 let run_until t time =
   Engine.run ~until:time t.engine;
@@ -1116,57 +1102,19 @@ let run_until t time =
         (Printf.sprintf "audit of run to t=%.3f (%d servers, seed %d)" time
            (Array.length t.servers) t.config.Config.seed)
 
-(* Same shape as the query timer: a fetch whose request or reply was
-   silently lost is retried on timeout, failing over to untried holders
-   first and starting over across all holders once every one was tried. *)
-let rec arm_fetch_timer t fetch_id =
-  let cfg = t.config in
-  if cfg.Config.rpc_timeout > 0.0 then
-    match Hashtbl.find_opt (f_tbl t fetch_id) fetch_id with
-    | None -> ()
-    | Some f ->
-      let attempt = f.f_attempts in
-      let timeout =
-        Net.backoff ~base:cfg.Config.rpc_timeout ~factor:cfg.Config.retry_backoff ~attempt
-      in
-      Engine.schedule ~owner:(id_owner fetch_id) t.engine ~delay:timeout (fun () ->
-          match Hashtbl.find_opt (f_tbl t fetch_id) fetch_id with
-          | Some cur when cur.f_attempts = attempt ->
-            if attempt >= t.config.Config.max_retries then begin
-              Hashtbl.remove (f_tbl t fetch_id) fetch_id;
-              let m = met t in
-              m.Metrics.data_dropped <- m.Metrics.data_dropped + 1;
-              Option.iter (fun k -> k Fetch_failed) cur.f_on_done
-            end
-            else begin
-              cur.f_attempts <- attempt + 1;
-              let m = met t in
-              m.Metrics.fetch_retransmits <- m.Metrics.fetch_retransmits + 1;
-              let holders = t.data_holders.(cur.f_node) in
-              if Array.for_all (Hashtbl.mem cur.f_tried) holders then Hashtbl.reset cur.f_tried;
-              fetch_attempt t fetch_id;
-              arm_fetch_timer t fetch_id
-            end
-          | Some _ | None -> ())
-
 let fetch ?on_done t ~client ~node =
   if client < 0 || client >= num_servers t then invalid_arg "Cluster.fetch: bad client";
   if node < 0 || node >= Tree.size t.tree then invalid_arg "Cluster.fetch: bad node";
   let m = met t in
   m.Metrics.data_requests <- m.Metrics.data_requests + 1;
-  let fetch_id = ((client + 1) lsl 32) lor t.fetch_seq.(client) in
-  t.fetch_seq.(client) <- t.fetch_seq.(client) + 1;
-  Hashtbl.add (f_tbl t fetch_id) fetch_id
+  issue t (next_id t client)
     {
-      f_client = client;
-      f_node = node;
-      f_started = now t;
-      f_tried = Hashtbl.create 8;
-      f_attempts = 0;
-      f_on_done = on_done;
-    };
-  fetch_attempt t fetch_id;
-  arm_fetch_timer t fetch_id
+      issuer = client;
+      node;
+      born = now t;
+      attempt = 0;
+      kind = Fetch { tried = Hashtbl.create 8; on_done };
+    }
 
 let owner_meta_version t node =
   match Server.find_hosted t.servers.(t.owner_of.(node)) node with
@@ -1198,7 +1146,7 @@ let handoff t ~node ~to_ =
   | Some _ | None -> ());
   let time = now t in
   let payload =
-    match Server.make_replica_payload donor node ~now:time with
+    match Server.make_replica_payload donor node with
     | Some p -> p
     | None -> invalid_arg "Cluster.handoff: donor does not host the node"
   in
@@ -1239,24 +1187,20 @@ let kill t sid =
        holders.  Every swept message (and any reply-borne query record —
        the dead server was its issuer, so nothing else will ever touch it)
        is recycled here. *)
-    Queue.iter
-      (fun msg ->
-        (match msg.msg_payload with
-        | Query q -> finish_dropped t q Server_dead
-        | Data_request { fetch_id; _ } -> fetch_retry t fetch_id ~failed:sid
-        | Query_reply _ | Load_probe _ | Load_reply _ | Replicate _ | Data_reply _ -> ());
-        free_msg t msg)
-      s.Server.queue;
-    Queue.clear s.Server.queue;
-    Queue.iter
-      (fun msg ->
-        (match msg.msg_payload with
-        | Query_reply q -> free_query t q
-        | Query _ | Load_probe _ | Load_reply _ | Replicate _ | Data_request _ | Data_reply _ ->
-          ());
-        free_msg t msg)
-      s.Server.ctrl_queue;
-    Queue.clear s.Server.ctrl_queue;
+    let sweep queue =
+      Queue.iter
+        (fun msg ->
+          (match msg.msg_payload with
+          | Query q -> finish_dropped t q Server_dead
+          | Query_reply q -> free_query t q
+          | Data_request { fetch_id; _ } -> fetch_retry t fetch_id
+          | Load_probe _ | Load_reply _ | Replicate _ | Data_reply _ -> ());
+          free_msg t msg)
+        queue;
+      Queue.clear queue
+    in
+    sweep s.Server.queue;
+    sweep s.Server.ctrl_queue;
     (* Fail-stop loses all soft state; ownership is durable. *)
     List.iter (fun node -> Server.evict_replica s node) (Server.replica_nodes s);
     Cache.clear s.Server.cache;

@@ -30,13 +30,21 @@
       forgotten); and a server left with no usable candidate — or only
       sideways ones on a stale forward — falls back on the well-known root
       contact and lets the query descend the owner chain;
-    - timeouts: when [rpc_timeout] is positive, every lookup and fetch
-      carries a per-request timer at its issuer.  An attempt that produces
-      no outcome in time (some message of it was silently lost) is
-      retransmitted with exponentially backed-off timeouts, up to
-      [max_retries] times; fetches fail over to alternate data holders
-      first.  The first outcome of any attempt finalizes the request;
-      duplicate results are discarded (counted as [late_replies]). *)
+    - requests and timeouts: a lookup and a data fetch are both a
+      {!request} with one lifecycle.  {!inject} and {!fetch} register it
+      in its issuer's shard of [pending] and start attempt 0.  When
+      [rpc_timeout] is positive, a per-request timer at the issuer
+      retransmits an attempt that produced no outcome in time (some
+      message of it was silently lost), with exponentially backed-off
+      timeouts, up to [max_retries] times; a fetch asks a holder it has
+      not tried yet, and starts over across all of them once every one
+      was tried.  The first outcome of any attempt finalizes the request,
+      exactly once; duplicate results are discarded (counted as
+      [late_replies]).  A request that cannot complete — a lookup's
+      terminal drop, a fetch with no holder left, the last timer expiry —
+      gives up through one path: a lookup counts a drop and reports
+      [Dropped], a fetch counts [data_dropped] and reports
+      [Fetch_failed]. *)
 
 open Types
 
@@ -45,25 +53,27 @@ type fetch_outcome =
   | Fetched of { latency : float }
   | Fetch_failed
 
-type fetch_state = {
-  f_client : server_id;
-  f_node : node_id;
-  f_started : float;
-  f_tried : (server_id, unit) Hashtbl.t;
-      (** holders already attempted this failover round (constant-time
-          membership; cleared when every holder has been tried) *)
-  mutable f_attempts : int;  (** timeout-driven retransmissions used *)
-  f_on_done : (fetch_outcome -> unit) option;
-}
+(** What a request is for, with its kind-specific state. *)
+type request_kind =
+  | Lookup of (outcome -> unit) option  (** the [on_complete] callback *)
+  | Fetch of {
+      tried : (server_id, unit) Hashtbl.t;
+          (** holders already asked this failover round (constant-time
+              membership; cleared when every holder has been tried) *)
+      on_done : (fetch_outcome -> unit) option;
+    }
 
-(** Per-request issuer state for an in-flight lookup: survives across
+(** Issuer state for an in-flight lookup or fetch: survives across
     retransmitted attempts; removed exactly once, on finalization. *)
-type query_ctx = {
-  qc_src : server_id;
-  qc_dst : node_id;
-  qc_born : float;
-  mutable qc_attempt : int;  (** newest attempt number (0 = original) *)
-  qc_on_complete : (outcome -> unit) option;
+type request = {
+  issuer : server_id;  (** the lookup's source, the fetch's client *)
+  node : node_id;  (** the lookup's destination, the fetched node *)
+  born : float;  (** issue time; latencies are measured from it *)
+  mutable attempt : int;
+      (** newest attempt number (0 = original), advanced only by the
+          request's timer; drops reported by older lookup attempts are
+          discarded, while a result from any attempt finalizes *)
+  kind : request_kind;
 }
 
 type t = {
@@ -95,19 +105,16 @@ type t = {
   data_holders : server_id array array;
       (** node → servers durably holding its data (owner + static copies) *)
   shard_ix : int array;  (** server → engine shard lane (all 0 when K = 1) *)
-  pending_fetches : (int, fetch_state) Hashtbl.t array;  (** per shard *)
-  pending_queries : (int, query_ctx) Hashtbl.t array;  (** per shard *)
-  query_seq : int array;
-      (** per-server request-id counters; ids are
-          [(issuer + 1) lsl 32 lor seq], so issuer and shard are
+  pending : (int, request) Hashtbl.t array;
+      (** per shard: every unfinalized lookup and fetch, by request id *)
+  id_seq : int array;
+      (** per-server counter behind request and replication-session ids;
+          ids are [(issuer + 1) lsl 32 lor seq], so issuer and shard are
           recoverable from any context *)
-  fetch_seq : int array;
-  session_seq : int array;
   meta_version : int array;
       (** per-node authoritative meta-data version — the owner's truth,
           mirrored here so resolution-time staleness measurement reads no
           other shard's server records *)
-  mutable last_src : server_id;
   epochs : int array;  (** bumped on kill/revive; cancels stale events *)
   msg_pool : Types.message Terradir_util.Freelist.t array;
       (** per-lane recycled message records; a lane frees only into its own
@@ -184,13 +191,10 @@ val update_meta : t -> node_id -> int
 
 val owner_meta_version : t -> node_id -> int
 
-val inject_uniform_src : ?on_complete:(outcome -> unit) -> t -> dst:node_id -> unit
-(** [inject] from a uniformly random alive server. *)
-
-val last_injected_src : t -> server_id
-(** The source server chosen by the most recent {!inject_uniform_src}
-    (clients layering retrieval on a stream need to fetch from the same
-    peer the lookup ran at). *)
+val inject_uniform_src : ?on_complete:(outcome -> unit) -> t -> dst:node_id -> server_id
+(** [inject] from a uniformly random alive server; returns that server
+    (clients layering retrieval on a stream fetch from the same peer the
+    lookup ran at). *)
 
 val run_until : t -> float -> unit
 (** Advance the simulation clock.  With auditing enabled, ends with a full

@@ -38,7 +38,7 @@ type t = {
   load_max_ts : Timeseries.t;
 }
 
-let empty () =
+let create () =
   {
     injected = 0;
     resolved = 0;
@@ -76,16 +76,6 @@ let empty () =
     load_max_ts = Timeseries.create ();
   }
 
-(* [rng] is accepted (and split off by the caller) for compatibility: the
-   reservoir sampler it used to feed is gone — log-bucketed histograms
-   need no randomness — but dropping the split here would shift every
-   downstream draw and invalidate the golden CSVs.  The cluster splits
-   exactly one stream off regardless of how many per-lane parts it
-   creates, for the same reason. *)
-let create ~rng =
-  ignore (rng : Splitmix.t);
-  empty ()
-
 let dropped_total t =
   t.dropped_queue + t.dropped_hops + t.dropped_dead_end + t.dropped_server_dead
   + t.dropped_timeout
@@ -103,8 +93,7 @@ let drop t reason ~now =
    multi-domain run can fold them back in a shard-count-independent
    order); [resolve] only maintains the lane-local counter and the
    integer histogram state.  [merged] reunites the two. *)
-let resolve t ~latency ~hops ~now =
-  ignore now;
+let resolve t ~latency ~hops =
   t.resolved <- t.resolved + 1;
   Hist.add t.latency_hist latency;
   Hist.add t.hops_hist (float_of_int hops)
@@ -122,7 +111,7 @@ let replica_created t ~now =
    histograms' float moments are re-derived from them because both saw
    the identical value stream. *)
 let merged ~parts ~latency ~hops ~data_latency ~meta_lag =
-  let out = { (empty ()) with latency; hops; data_latency; meta_lag } in
+  let out = { (create ()) with latency; hops; data_latency; meta_lag } in
   List.iter
     (fun p ->
       out.injected <- out.injected + p.injected;

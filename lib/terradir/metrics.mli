@@ -58,17 +58,15 @@ type t = {
   load_max_ts : Timeseries.t;  (** max server load sampled each second *)
 }
 
-val create : rng:Splitmix.t -> t
-(** [rng] is consumed for stream-compatibility only (the reservoir
-    sampler it used to feed is gone); callers keep splitting a stream off
-    for it so seeded runs reproduce historical golden output. *)
+val create : unit -> t
+(** All counters zero, all series and distributions empty. *)
 
 val dropped_total : t -> int
 
 val drop : t -> Types.drop_reason -> now:float -> unit
 (** Count one dropped query (all reasons feed [drops_ts]). *)
 
-val resolve : t -> latency:float -> hops:int -> now:float -> unit
+val resolve : t -> latency:float -> hops:int -> unit
 (** Count one resolution and feed the histograms.  The Welford [Stats]
     for latency/hops are {e not} updated here — the cluster keeps those
     per-server (so they fold back in a shard-count-independent order)

@@ -382,7 +382,7 @@ let prune_map_with_digests t node map =
     pruned
   end
 
-let make_replica_payload t node ~now =
+let make_replica_payload t node =
   match find_hosted t node with
   | None -> None
   | Some h ->
@@ -393,7 +393,6 @@ let make_replica_payload t node ~now =
           (nb, map))
         (Tree.neighbors t.tree node)
     in
-    ignore now;
     Some
       {
         rp_node = node;

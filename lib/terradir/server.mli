@@ -172,7 +172,7 @@ val prune_map_with_digests : t -> node_id -> Node_map.t -> Node_map.t
     node.  Conservative: entries without a digest, and owner entries, are
     kept.  No-op when the digest feature is off. *)
 
-val make_replica_payload : t -> node_id -> now:float -> replica_payload option
+val make_replica_payload : t -> node_id -> replica_payload option
 (** Sender side: package a hosted node's replica state (map with self and
     the receiver-relevant stamp refresh, full neighbor context, weight
     hint).  [None] if the node is not hosted. *)

@@ -12,7 +12,7 @@ let apply (cluster : Cluster.t) ~levels ~copies =
   Tree.iter tree (fun node ->
       if Tree.depth tree node < levels then begin
         let owner = servers.(cluster.Cluster.owner_of.(node)) in
-        match Server.make_replica_payload owner node ~now:0.0 with
+        match Server.make_replica_payload owner node with
         | None -> ()
         | Some payload ->
           (* Draw target servers until [copies] succeed or attempts run

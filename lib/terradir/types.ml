@@ -52,14 +52,10 @@ and query = {
           parallel to [path_nodes], capped at [path_cap] in flight. *)
   mutable path_head : int;  (** ring index of the newest path entry *)
   mutable path_len : int;  (** live entries, newest-first from [path_head] *)
-  mutable shortcut_hops : int;  (** hops chosen via a digest shortcut *)
   mutable best_dist : int;
       (** closest namespace distance to [dst] this query has ever reached;
           digest shortcuts must beat it, which makes shortcut chains
           strictly decreasing and immune to false-positive loops *)
-  mutable stale_forwards : int;
-      (** arrivals at a server that no longer hosted [target] — the routing
-          inaccuracy measure of §4.4 *)
   mutable result_map : Node_map.t;  (** destination map captured at resolution *)
   mutable result_meta : int;
 }
@@ -113,9 +109,7 @@ let fresh_query () =
     path_maps = Array.make path_store Node_map.empty;
     path_head = 0;
     path_len = 0;
-    shortcut_hops = 0;
     best_dist = max_int;
-    stale_forwards = 0;
     result_map = Node_map.empty;
     result_meta = 0;
   }
@@ -155,5 +149,6 @@ type message = {
 }
 
 let null_payload = Data_reply { fetch_id = -1; node = -1 }
-(* Scrub value for pooled messages: an id no pending table ever contains,
-   so even a bug that processed it would no-op. *)
+(* Scrub value for pooled messages: fetch id -1 names no issuer, so a bug
+   that processed a scrubbed record would fail on the pending-table
+   lookup. *)

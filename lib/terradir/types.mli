@@ -53,14 +53,10 @@ and query = {
           parallel to [path_nodes], capped at [path_cap] in flight. *)
   mutable path_head : int;  (** ring index of the newest path entry *)
   mutable path_len : int;  (** live entries, newest-first from [path_head] *)
-  mutable shortcut_hops : int;  (** hops chosen via a digest shortcut *)
   mutable best_dist : int;
       (** closest namespace distance to [dst] this query has ever reached;
           digest shortcuts must beat it, which makes shortcut chains
           strictly decreasing and immune to false-positive loops *)
-  mutable stale_forwards : int;
-      (** arrivals at a server that no longer hosted [target] — the routing
-          inaccuracy measure of §4.4 *)
   mutable result_map : Node_map.t;  (** destination map captured at resolution *)
   mutable result_meta : int;
 }
@@ -131,4 +127,4 @@ type message = {
 }
 
 val null_payload : payload
-(** Scrub value for pooled messages — ids no pending table ever contains. *)
+(** Scrub value for pooled messages — its fetch id (-1) names no issuer. *)

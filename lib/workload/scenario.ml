@@ -53,13 +53,13 @@ let start ?(fetch_probability = 0.0) ?(on_phase = fun _ _ -> ()) cluster ~phases
          lookup's source server; resolution is always asynchronous, so the
          reference is filled before any fetch can fire. *)
       let client = ref 0 in
-      Cluster.inject_uniform_src cluster ~dst ~on_complete:(fun outcome ->
-          match outcome with
-          | Terradir.Types.Resolved _ -> Cluster.fetch cluster ~client:!client ~node:dst
-          | Terradir.Types.Dropped _ -> ());
-      client := Cluster.last_injected_src cluster
+      client :=
+        Cluster.inject_uniform_src cluster ~dst ~on_complete:(fun outcome ->
+            match outcome with
+            | Terradir.Types.Resolved _ -> Cluster.fetch cluster ~client:!client ~node:dst
+            | Terradir.Types.Dropped _ -> ())
     end
-    else Cluster.inject_uniform_src cluster ~dst
+    else ignore (Cluster.inject_uniform_src cluster ~dst : Terradir.Types.server_id)
   in
   let rec arrival () =
     let gap = Dist.poisson_gap arrival_rng ~rate:(!rate *. !factor) in

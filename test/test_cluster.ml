@@ -257,7 +257,7 @@ let test_partition_heal_recovers () =
   let injected, resolved, dropped, timed_out, retransmits, blocked, _, _ = snapshot cluster in
   Alcotest.(check int) "every query finalized" injected (resolved + dropped);
   Alcotest.(check int) "no request left pending" 0
-    (Array.fold_left (fun a h -> a + Hashtbl.length h) 0 cluster.Cluster.pending_queries);
+    (Array.fold_left (fun a h -> a + Hashtbl.length h) 0 cluster.Cluster.pending);
   Alcotest.(check bool) "the cut actually dropped traffic" true (blocked > 100);
   Alcotest.(check bool) "timers actually fired" true (retransmits > 50);
   (* retries carry cross-cut queries past the heal: near-total success *)
@@ -349,7 +349,8 @@ let test_owner_lost_mid_fetch_fails_over () =
   | Some (Cluster.Fetched _) -> ()
   | Some Cluster.Fetch_failed -> Alcotest.fail "fetch must time out onto the other holder"
   | None -> Alcotest.fail "partitioned fetch never finalized");
-  Alcotest.(check int) "no fetch left pending" 0 (Array.fold_left (fun a h -> a + Hashtbl.length h) 0 cluster.Cluster.pending_fetches)
+  Alcotest.(check int) "no fetch left pending" 0
+    (Array.fold_left (fun a h -> a + Hashtbl.length h) 0 cluster.Cluster.pending)
 
 let test_fetch_failover_many_holders () =
   (* Regression for the failover holder filter: with many data copies the
@@ -400,7 +401,8 @@ let test_fetch_failover_many_holders () =
   | Some Cluster.Fetch_failed -> ()
   | Some (Cluster.Fetched _) -> Alcotest.fail "no holder is alive; fetch cannot succeed"
   | None -> Alcotest.fail "exhausted fetch never finalized");
-  Alcotest.(check int) "no fetch left pending" 0 (Array.fold_left (fun a h -> a + Hashtbl.length h) 0 cluster.Cluster.pending_fetches)
+  Alcotest.(check int) "no fetch left pending" 0
+    (Array.fold_left (fun a h -> a + Hashtbl.length h) 0 cluster.Cluster.pending)
 
 let test_dead_link_degrades_but_never_deadlocks () =
   (* 100% loss on one directed link for the whole run (a directed
@@ -424,7 +426,8 @@ let test_dead_link_degrades_but_never_deadlocks () =
   let m = Cluster.metrics cluster in
   Alcotest.(check int) "accounting identity" m.Metrics.injected
     (m.Metrics.resolved + Metrics.dropped_total m);
-  Alcotest.(check int) "no query pending" 0 (Array.fold_left (fun a h -> a + Hashtbl.length h) 0 cluster.Cluster.pending_queries);
+  Alcotest.(check int) "no query pending" 0
+    (Array.fold_left (fun a h -> a + Hashtbl.length h) 0 cluster.Cluster.pending);
   Alcotest.(check bool) "link dropped traffic" true (m.Metrics.net_blocked > 0);
   Alcotest.(check bool)
     (Printf.sprintf "still mostly working: %d/%d" m.Metrics.resolved m.Metrics.injected)
@@ -542,7 +545,7 @@ let prop_membership_churn_invariants =
             then Cluster.handoff cluster ~node ~to_
           | _ ->
             if Cluster.alive_servers cluster > 0 then
-              Cluster.inject_uniform_src cluster ~dst:(arg mod Tree.size tree));
+              ignore (Cluster.inject_uniform_src cluster ~dst:(arg mod Tree.size tree) : int));
           run_for 0.5)
         ops;
       (* bring everyone back and verify reachability of the namespace *)

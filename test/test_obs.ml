@@ -11,7 +11,6 @@
    - the determinism hard constraint: fig3's figure CSV is
      byte-identical between obs Off and obs Full. *)
 
-open Terradir_util
 open Terradir_namespace
 open Terradir
 open Terradir_workload
@@ -178,8 +177,7 @@ let test_metrics_csv_exact_once () =
   Alcotest.(check int) "no duplicate counter names"
     (List.length names)
     (List.length (List.sort_uniq String.compare names));
-  let rng = Splitmix.create 7 in
-  let m = Metrics.create ~rng in
+  let m = Metrics.create () in
   Alcotest.(check int) "row aligns with header" (List.length names)
     (List.length (Metrics.csv_row m));
   let csv = E.Csv_export.metrics_csv m in

@@ -254,7 +254,7 @@ let test_make_replica_payload () =
   let s = owned_server [ 5 ] in
   Server.touch_node s 5 ~now:0.1;
   Server.touch_node s 5 ~now:0.1;
-  (match Server.make_replica_payload s 5 ~now:1.0 with
+  (match Server.make_replica_payload s 5 with
   | Some p ->
     Alcotest.(check int) "node" 5 p.rp_node;
     Alcotest.(check int) "full context" (List.length (Tree.neighbors tree 5))
@@ -264,7 +264,7 @@ let test_make_replica_payload () =
       p.rp_context;
     Alcotest.(check (float 1e-9)) "weight hint is half" 1.0 p.rp_weight_hint
   | None -> Alcotest.fail "expected payload");
-  Alcotest.(check bool) "absent node" true (Server.make_replica_payload s 9 ~now:1.0 = None)
+  Alcotest.(check bool) "absent node" true (Server.make_replica_payload s 9 = None)
 
 let test_record_new_replica_advertised () =
   let s = owned_server [ 5 ] in
