@@ -16,21 +16,21 @@ type t
 val create : ?bits_per_element:int -> ?hashes:int -> expected:int -> unit -> t
 (** [create ~expected ()] sizes the filter for [expected] insertions at
     [bits_per_element] bits each (default 10, k defaults to 7 ≈ ln 2 · 10,
-    giving ≈1% false-positive rate at capacity).
-    @raise Invalid_argument on non-positive parameters. *)
+    giving ≈1% false-positive rate at capacity).  The filter is one flat
+    byte block: a header holding m and k, then the m bits.
+    @raise Invalid_argument on non-positive parameters or [hashes > 65535]. *)
 
 val add : t -> int -> unit
 
 val mem : t -> int -> bool
 
-type hashed
-(** An element's precomputed hash pair — reusable across filters. *)
+val hash_into : int array -> int -> int -> unit
+(** [hash_into dst i x] stores [x]'s hash pair [(h1, h2)] at [dst.(2i)] and
+    [dst.(2i+1)] — unboxed, so loops that test several elements against
+    several filters hash each element once and allocate nothing. *)
 
-val hash : int -> hashed
-
-val mem_hashed : t -> hashed -> bool
-(** [mem_hashed t (hash x) = mem t x]; hoists the hashing out of loops that
-    test one element against many filters. *)
+val mem_hashed : t -> int -> int -> bool
+(** [mem_hashed t h1 h2 = mem t x] for the pair {!hash_into} stored for [x]. *)
 
 val cardinality_estimate : t -> float
 (** Maximum-likelihood estimate of the number of distinct insertions, from

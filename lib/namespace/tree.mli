@@ -66,9 +66,13 @@ val find : t -> Name.t -> node option
 val find_string : t -> string -> node option
 
 val lca : t -> node -> node -> node
+(** Walks the shallower node's parent chain, testing each step in O(1)
+    against the other node's preorder rank. *)
 
 val is_ancestor : t -> node -> node -> bool
-(** [is_ancestor t a b]: is [a] on the path from the root to [b] (inclusive)? *)
+(** [is_ancestor t a b]: is [a] on the path from the root to [b] (inclusive)?
+    O(1): [b]'s preorder rank lies within [a]'s subtree span, both recorded
+    at {!Builder.freeze}. *)
 
 val ancestor_at_depth : t -> node -> int -> node
 (** [ancestor_at_depth t v d] is the ancestor of [v] at depth [d].
@@ -77,6 +81,32 @@ val ancestor_at_depth : t -> node -> int -> node
 val distance : t -> node -> node -> int
 (** Namespace metric: [depth a + depth b - 2*depth (lca a b)].  This is the
     hop count of the straightforward hierarchical route. *)
+
+(** {2 Anchored distances}
+
+    Many distances to one fixed node — a routing decision scores every
+    known node against the same destination — are cheaper against that
+    node's root path written out once: each distance is then a binary
+    search over the path's nested subtree spans, O(log depth) with no
+    parent-chain walk.  An anchor is caller-owned scratch (single-owner:
+    share one per domain, never across domains). *)
+
+type anchor
+
+val anchor : unit -> anchor
+(** A fresh anchor, set to nothing. *)
+
+val anchor_at : t -> anchor -> node -> unit
+(** [anchor_at t a dst] writes [dst]'s root path into [a] (a no-op when [a]
+    already holds [dst] of this very tree). *)
+
+val anchored_distance : t -> anchor -> node -> int
+(** [anchored_distance t a v = distance t v dst] for the [dst] of the last
+    {!anchor_at} on [t].
+    @raise Invalid_argument if [a] was last anchored in another tree. *)
+
+val anchored_ancestor : t -> anchor -> int -> node
+(** [anchored_ancestor t a d = ancestor_at_depth t dst d], in O(1). *)
 
 val route_path : t -> node -> node -> node list
 (** The straightforward route: up from [src] to the LCA, then down to [dst];

@@ -72,6 +72,10 @@ let update t ~node ~f =
 
 let iter t ~f = Lru.iter t.lru ~f
 
+let keys_into t dst = Lru.keys_into t.lru dst
+
+let put_unchecked t ~node map = Lru.put t.lru node map
+
 let hits t = t.hits
 
 let misses t = t.misses

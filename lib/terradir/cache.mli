@@ -5,7 +5,11 @@
     itself.  Replacement is LRU, with an entry touched whenever it is used in
     routing.  Path propagation means inserts come in bursts (the whole query
     path so far); inserted maps are merged with any existing entry for the
-    same node. *)
+    same node.
+
+    The cache never holds an empty map: {!insert} ignores one and {!update}
+    drops an entry it empties.  Routing's candidate scan relies on this
+    (it reads only keys), and the auditor checks it. *)
 
 type t
 
@@ -42,6 +46,15 @@ val update : t -> node:int -> f:(Node_map.t -> Node_map.t) -> unit
 
 val iter : t -> f:(int -> Node_map.t -> unit) -> unit
 (** Iterate entries (MRU first) without touching them. *)
+
+val keys_into : t -> int array -> int
+(** Write every cached node into the array (length ≥ {!slots}), in no
+    particular order, and return how many: an allocation-free sweep for
+    scans whose result does not depend on visit order. *)
+
+val put_unchecked : t -> node:int -> Node_map.t -> unit
+(** Bind without {!insert}'s empty-map guard or merge — only for tests that
+    inject a violation the auditor must catch. *)
 
 val hits : t -> int
 

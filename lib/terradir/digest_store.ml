@@ -1,12 +1,11 @@
 open Terradir_util
 open Terradir_bloom
 
-type remote = { bloom : Bloom.t; version : int }
-
 type t = {
   mutable local : Bloom.t;
   mutable local_version : int;
-  remotes : remote Lru.t;
+  remotes : Bloom.t Lru.t;
+  versions : int array; (* LRU slot -> version of the digest held in it *)
   sent : (int, int) Hashtbl.t; (* peer -> last local version piggybacked *)
 }
 
@@ -15,6 +14,7 @@ let create ~max_remote () =
     local = Bloom.create ~expected:1 ();
     local_version = 0;
     remotes = Lru.create ~capacity:max_remote;
+    versions = Array.make (max 1 max_remote) 0;
     sent = Hashtbl.create 64;
   }
 
@@ -37,20 +37,39 @@ let rebuild_local_from t ~count ~iter =
 let rebuild_local t ~hosted =
   rebuild_local_from t ~count:(List.length hosted) ~iter:(fun add -> List.iter add hosted)
 
+(* Versions live beside the LRU, indexed by slot — a slot stays its key's
+   until the key leaves — so the LRU holds the Blooms themselves and the
+   routing shortcut reaches a digest without a record in between. *)
 let record_remote t ~server ~version bloom =
-  match Lru.peek t.remotes server with
-  | Some r when r.version >= version -> ()
-  | Some _ | None -> Lru.put t.remotes server { bloom; version }
+  let slot = Lru.slot t.remotes server in
+  if slot < 0 || t.versions.(slot) < version then begin
+    Lru.put t.remotes server bloom;
+    let slot = Lru.slot t.remotes server in
+    if slot >= 0 then t.versions.(slot) <- version
+  end
 
-let remote_version t ~server = Option.map (fun r -> r.version) (Lru.peek t.remotes server)
+let remote_version t ~server =
+  let slot = Lru.slot t.remotes server in
+  if slot < 0 then None else Some t.versions.(slot)
 
 let test_remote t ~server ~node =
   (* [find] rather than [peek]: a consulted digest is useful state, keep it
      warm in the LRU. *)
-  Option.map (fun r -> Bloom.mem r.bloom node) (Lru.find t.remotes server)
+  match Lru.find t.remotes server with Some bloom -> Some (Bloom.mem bloom node) | None -> None
 
-let fold_remote_until t ~init ~f =
-  Lru.fold_until t.remotes ~init ~f:(fun acc server r -> f acc server r.bloom)
+let collect_mru t ~skip ~servers ~blooms =
+  let cap = Array.length servers in
+  let slot = ref (Lru.first t.remotes) and n = ref 0 in
+  while !slot >= 0 && !n < cap do
+    let server = Lru.key_at t.remotes !slot in
+    if server <> skip then begin
+      servers.(!n) <- server;
+      blooms.(!n) <- Lru.value_at t.remotes !slot;
+      incr n
+    end;
+    slot := Lru.next t.remotes !slot
+  done;
+  !n
 
 let remote_count t = Lru.length t.remotes
 

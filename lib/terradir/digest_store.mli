@@ -33,15 +33,14 @@ val test_remote : t -> server:int -> node:int -> bool option
 (** [Some answer] from server [server]'s stored digest; [None] when no
     digest for that server is held. *)
 
-val fold_remote_until :
-  t ->
-  init:'a ->
-  f:('a -> int -> Terradir_bloom.Bloom.t -> ('a, 'a) Either.t) ->
-  'a
-(** Fold over the (server, digest) pairs currently held, in MRU-first
-    order; [f] answering [Right acc] stops the walk.  The routing shortcut consults only a short MRU prefix
-    on every decision; walking the whole store there dominated large
-    deployments' event cost. *)
+val collect_mru :
+  t -> skip:int -> servers:int array -> blooms:Terradir_bloom.Bloom.t array -> int
+(** Copy the most recently used held digests, MRU first and leaving out
+    server [skip], into [servers]/[blooms] (as many as [servers] holds);
+    returns how many were copied.  Walks only that prefix of the store and
+    allocates nothing: the routing shortcut does this on every decision,
+    and walking the whole store there dominated large deployments' event
+    cost. *)
 
 val remote_count : t -> int
 

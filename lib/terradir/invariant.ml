@@ -179,6 +179,24 @@ let check_server t ~now (s : Server.t) =
         add t ~now ~server "digest-stale"
           (Printf.sprintf "local digest denies hosted node %d (Bloom false negative)" node))
     s.Server.hosted;
+  (* The dense hosted index lists exactly the hosted table's keys, each at
+     the slot its record names — routing's hosted scan sweeps it in place
+     of the table. *)
+  if s.Server.hosted_len <> Hashtbl.length s.Server.hosted then
+    add t ~now ~server "hosted-index"
+      (Printf.sprintf "dense index lists %d nodes but %d are hosted" s.Server.hosted_len
+         (Hashtbl.length s.Server.hosted));
+  for slot = 0 to min s.Server.hosted_len (Array.length s.Server.hosted_ids) - 1 do
+    let node = s.Server.hosted_ids.(slot) in
+    match Server.find_hosted s node with
+    | Some h when h.Server.h_slot = slot -> ()
+    | Some h ->
+      add t ~now ~server "hosted-index"
+        (Printf.sprintf "node %d sits at index slot %d but records slot %d" node slot h.Server.h_slot)
+    | None ->
+      add t ~now ~server "hosted-index"
+        (Printf.sprintf "index slot %d lists node %d, which is not hosted" slot node)
+  done;
   if !owned <> s.Server.owned_count then
     add t ~now ~server "count-mismatch"
       (Printf.sprintf "owned_count=%d but %d owned nodes hosted" s.Server.owned_count !owned);
@@ -235,6 +253,9 @@ let check_server t ~now (s : Server.t) =
       (Printf.sprintf "cache holds %d entries > %d slots" (Cache.length s.Server.cache)
          (Cache.slots s.Server.cache));
   Cache.iter s.Server.cache ~f:(fun node map ->
+      (* Routing's cache scan takes every key as a usable candidate. *)
+      if Node_map.is_empty map then
+        add t ~now ~server "cache-empty-map" (Printf.sprintf "cache holds an empty map for node %d" node);
       check_map t ~now ~server ~r_map ~what:"cached" node map);
   (* Load meter: busy fractions are fractions. *)
   let raw = Load_meter.raw_load s.Server.load now in

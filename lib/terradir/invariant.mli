@@ -20,6 +20,11 @@
     - {b stamp-future}: no map entry is stamped later than the current
       simulation time (causality of creation/refresh stamps);
     - {b cache-bound}: LRU occupancy within [cache_slots];
+    - {b cache-empty-map}: no cache entry holds an empty map (routing's
+      candidate scan reads cache keys only, relying on this);
+    - {b hosted-index}: the server's dense hosted index lists exactly the
+      hosted table's keys, each at the slot its record names (routing
+      sweeps the index instead of the table);
     - {b load-range}: measured busy fractions lie in [0, 1];
     - {b digest-stale} (§3.6): the local Bloom digest has no false
       negatives over the hosted set;

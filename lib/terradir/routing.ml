@@ -1,5 +1,6 @@
 open Terradir_namespace
 open Types
+module Bloom = Terradir_bloom.Bloom
 module Obs = Terradir_obs.Obs
 module Event = Terradir_obs.Event
 
@@ -31,49 +32,19 @@ let candidates (s : Server.t) ~dst =
       match Int.compare a.c_dist b.c_dist with 0 -> Int.compare a.c_node b.c_node | c -> c)
     !acc
 
-(* Allocation-free fast path returning only the minimum candidate.
-
-   Instead of scanning all tree-neighbors of hosted nodes, scan the hosted
-   nodes themselves: for hosted [h] ≠ dst, the neighbor of [h] nearest to
-   [dst] is the one toward [dst] — the parent when [dst] is outside [h]'s
-   subtree, else the child whose subtree holds [dst] — at distance
-   [distance h dst − 1].  So the best neighbor candidate overall is derived
-   from the hosted node minimizing [distance h dst], at a third of the
-   scanning cost.  Cached nodes are scanned as themselves. *)
-let best_candidate (s : Server.t) ~dst =
-  let best_hosted = ref (-1) and best_hosted_dist = ref max_int in
-  (* lint: ordered running minimum under the total (dist, node) order; any visit order yields it *)
-  Hashtbl.iter
-    (fun node (_ : Server.hosted) ->
-      let d = Tree.distance s.tree node dst in
-      if d < !best_hosted_dist || (d = !best_hosted_dist && node < !best_hosted) then begin
-        best_hosted := node;
-        best_hosted_dist := d
-      end)
-    s.hosted;
-  let best_node = ref (-1) and best_dist = ref max_int and best_cache = ref false in
-  if !best_hosted >= 0 then begin
-    let h = !best_hosted in
-    let toward =
-      if Tree.is_ancestor s.tree h dst then Tree.ancestor_at_depth s.tree dst (Tree.depth s.tree h + 1)
-      else match Tree.parent s.tree h with Some p -> p | None -> assert false
-    in
-    best_node := toward;
-    best_dist := !best_hosted_dist - 1
-  end;
-  Cache.iter s.cache ~f:(fun node map ->
-      if not (Node_map.is_empty map) then begin
-        let d = Tree.distance s.tree node dst in
-        if d < !best_dist || (d = !best_dist && node < !best_node) then begin
-          best_node := node;
-          best_dist := d;
-          best_cache := true
-        end
-      end);
-  if !best_node < 0 then None
-  else Some { c_node = !best_node; c_dist = !best_dist; c_from_cache = !best_cache }
-
-let best_distance cands = match cands with [] -> None | c :: _ -> Some c.c_dist
+(* Per-domain workspace of one routing decision.  A decision runs start to
+   finish inside one event on one domain, so a domain-local record is never
+   shared, and servers carry no routing scratch of their own. *)
+type scratch = {
+  anchor : Tree.anchor; (* dst's root path with its preorder spans *)
+  hashes : int array; (* Bloom hash pair of dst's ancestor at distance d, at 2d *)
+  servers : int array; (* the consulted digests' servers, MRU first *)
+  blooms : Bloom.t array; (* ... and their digests *)
+  mutable cached : int array; (* the cache's nodes; grown to the largest cache seen *)
+  mutable best_node : node_id; (* best_candidate's result; -1 = none *)
+  mutable best_dist : int;
+  mutable best_cache : bool;
+}
 
 let max_shortcut_walk = 6
 (* Ancestors of dst tested per step.  A shortcut farther out is still a
@@ -81,53 +52,114 @@ let max_shortcut_walk = 6
    another chance to find it next step; bounding the walk bounds both the
    per-step cost and the false-positive exposure. *)
 
-(* §3.6.1: walk dst's ancestor chain from dst upward (distance 0, 1, ...)
-   and stop as soon as the chain distance reaches the best conventional
-   candidate — a digest hit beyond that point cannot improve the route. *)
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        anchor = Tree.anchor ();
+        hashes = Array.make (2 * max_shortcut_walk) 0;
+        servers = Array.make Server.max_digests_consulted 0;
+        blooms = Array.make Server.max_digests_consulted (Bloom.create ~expected:1 ());
+        cached = [||];
+        best_node = -1;
+        best_dist = max_int;
+        best_cache = false;
+      })
+
+(* Allocation-free fast path finding only the minimum candidate, left in
+   the scratch's [best_*] fields.
+
+   Instead of scanning all tree-neighbors of hosted nodes, scan the hosted
+   nodes themselves: for hosted [h] ≠ dst, the neighbor of [h] nearest to
+   [dst] is the one toward [dst] — the parent when [dst] is outside [h]'s
+   subtree, else the child whose subtree holds [dst] — at distance
+   [distance h dst − 1].  So the best neighbor candidate overall is derived
+   from the hosted node minimizing [distance h dst], without visiting any
+   neighbor.  Cached nodes are scanned as themselves (the cache holds no
+   empty map, so every key is a usable candidate), in slot order: the
+   running minimum under the total (dist, node) order is the same for any
+   visit order.  Every distance is an anchored one: dst's root path is
+   written once, and each scanned node costs one span lookup and a binary
+   search over that path.  [dst] must not be hosted ({!decide} resolves
+   those first), so the best hosted node is never [dst] itself. *)
+let best_candidate (s : Server.t) sc ~dst =
+  let tree = s.tree and a = sc.anchor in
+  Tree.anchor_at tree a dst;
+  let best_hosted = ref (-1) and best_hosted_dist = ref max_int in
+  for i = 0 to s.hosted_len - 1 do
+    let node = s.hosted_ids.(i) in
+    let d = Tree.anchored_distance tree a node in
+    if d < !best_hosted_dist || (d = !best_hosted_dist && node < !best_hosted) then begin
+      best_hosted := node;
+      best_hosted_dist := d
+    end
+  done;
+  sc.best_node <- -1;
+  sc.best_dist <- max_int;
+  sc.best_cache <- false;
+  if !best_hosted >= 0 then begin
+    let h = !best_hosted in
+    let hd = Tree.depth tree h in
+    sc.best_node <-
+      (if Tree.is_ancestor tree h dst then Tree.anchored_ancestor tree a (hd + 1)
+       else (* h's parent; h ≠ root, which is everyone's ancestor *)
+         Tree.ancestor_at_depth tree h (hd - 1));
+    sc.best_dist <- !best_hosted_dist - 1
+  end;
+  if Array.length sc.cached < Cache.slots s.cache then sc.cached <- Array.make (Cache.slots s.cache) 0;
+  for i = 0 to Cache.keys_into s.cache sc.cached - 1 do
+    let node = sc.cached.(i) in
+    let d = Tree.anchored_distance tree a node in
+    if d < sc.best_dist || (d = sc.best_dist && node < sc.best_node) then begin
+      sc.best_node <- node;
+      sc.best_dist <- d;
+      sc.best_cache <- true
+    end
+  done
+
+let best_distance cands = match cands with [] -> None | c :: _ -> Some c.c_dist
+
+(* §3.6.1: among dst and its ancestors up to the walk bound — and strictly
+   nearer than the best conventional candidate, beyond which a digest hit
+   cannot improve the route — find the nearest name some consulted digest
+   claims, ties going to the most recently refreshed digest.
+
+   Digest-major: each consulted Bloom is visited once, testing ancestors
+   nearest first, and a later digest is only tested for a strictly nearer
+   hit.  That yields the lexicographic minimum of (distance, MRU index) —
+   the same hit as walking ancestors outward and trying every digest at
+   each — while each Bloom's bytes are touched in one visit.  Ancestor
+   hashes are computed on first use into the scratch, unboxed. *)
 let digest_shortcut (s : Server.t) ~dst ~better_than =
   let limit = min better_than max_shortcut_walk in
   if (not s.config.Config.features.Config.digests) || limit <= 0 then None
   else begin
-    (* Collect the MRU-first prefix of remote digests into the server's
-       scratch arrays — no tuples, cons cells, or reversal on the hot
-       path, and the walk STOPS at the prefix: this runs on every routing
-       decision, and folding the whole store (up to [max_remote_digests]
-       entries) here was the dominant per-event cost at large server
-       counts. *)
-    let servers = s.Server.digest_scratch_servers in
-    let blooms = s.Server.digest_scratch_blooms in
-    let cap = Array.length servers in
-    let count =
-      Digest_store.fold_remote_until s.digests ~init:0 ~f:(fun n server bloom ->
-          if n >= cap then Either.Right n
-          else if server = s.id then Either.Left n
-          else begin
-            servers.(n) <- server;
-            blooms.(n) <- bloom;
-            Either.Left (n + 1)
-          end)
-    in
+    let sc = Domain.DLS.get scratch_key in
+    let count = Digest_store.collect_mru s.digests ~skip:s.id ~servers:sc.servers ~blooms:sc.blooms in
     if count = 0 then None
-    else
-      let find_hit h =
-        (* First hit in MRU order, matching the historical consultation
-           order of the consulted list. *)
-        let rec go i = if i >= count then -1 else if Terradir_bloom.Bloom.mem_hashed blooms.(i) h then i else go (i + 1) in
-        go 0
-      in
-      let rec walk node dist =
-        if dist >= limit then None
-        else begin
-          let h = Terradir_bloom.Bloom.hash node in
-          let i = find_hit h in
-          if i >= 0 then Some (node, servers.(i), dist)
-          else
-            match Tree.parent s.tree node with
-            | Some p -> walk p (dist + 1)
-            | None -> None
-        end
-      in
-      walk dst 0
+    else begin
+      let tree = s.tree and a = sc.anchor and hashes = sc.hashes in
+      Tree.anchor_at tree a dst;
+      let top = Tree.depth tree dst in
+      let best = ref (min limit (top + 1)) and best_i = ref (-1) and hashed = ref 0 in
+      let i = ref 0 in
+      while !i < count && !best > 0 do
+        let bloom = sc.blooms.(!i) and d = ref 0 in
+        while !d < !best do
+          if !d = !hashed then begin
+            Bloom.hash_into hashes !d (Tree.anchored_ancestor tree a (top - !d));
+            incr hashed
+          end;
+          if Bloom.mem_hashed bloom hashes.(2 * !d) hashes.((2 * !d) + 1) then begin
+            best := !d;
+            best_i := !i
+          end
+          else incr d
+        done;
+        incr i
+      done;
+      if !best_i < 0 then None
+      else Some (Tree.anchored_ancestor tree a (top - !best), sc.servers.(!best_i), !best)
+    end
   end
 
 (* Pick a server from the candidate node's map: digest-pruned first, raw as
@@ -138,33 +170,32 @@ let select_server (s : Server.t) node map =
   | Some _ as r -> r
   | None -> Node_map.random_server ~exclude:s.id map s.rng
 
-let forward_via ?oracle (s : Server.t) c =
+let forward_via ?oracle (s : Server.t) ~node ~from_cache =
   let map =
     match oracle with
     | Some truth ->
       (* Perfect accuracy: select among the node's actual current hosts.
          Local state is still touched so demand accounting matches. *)
-      if c.c_from_cache then ignore (Cache.use s.cache ~node:c.c_node);
-      let m = truth c.c_node in
+      if from_cache then ignore (Cache.use s.cache ~node);
+      let m = truth node in
       if Node_map.is_empty m then None else Some m
-    | None ->
-      if c.c_from_cache then Cache.use s.cache ~node:c.c_node else Server.neighbor_map s c.c_node
+    | None -> if from_cache then Cache.use s.cache ~node else Server.neighbor_map s node
   in
   match map with
   | None -> None
   | Some map -> (
-    match select_server s c.c_node map with
-    | Some to_server -> Some (Forward { via_node = c.c_node; to_server; shortcut = false })
+    match select_server s node map with
+    | Some to_server -> Some (Forward { via_node = node; to_server; shortcut = false })
     | None -> None)
 
 let decide ?(shortcut_bound = max_int) ?oracle (s : Server.t) ~dst =
   if Server.hosts s dst then Resolve
   else begin
-    let best = best_candidate s ~dst in
-    let best_dist = match best with Some c -> c.c_dist | None -> max_int in
+    let sc = Domain.DLS.get scratch_key in
+    best_candidate s sc ~dst;
     let shortcut =
-      if oracle <> None then None
-      else digest_shortcut s ~dst ~better_than:(min best_dist shortcut_bound)
+      if Option.is_some oracle then None
+      else digest_shortcut s ~dst ~better_than:(min sc.best_dist shortcut_bound)
     in
     match shortcut with
     | Some (via_node, to_server, _) ->
@@ -176,13 +207,19 @@ let decide ?(shortcut_bound = max_int) ?oracle (s : Server.t) ~dst =
     | None -> (
       (* Fast path: the nearest candidate almost always yields a server;
          fall back to the full nearest-first scan when it does not. *)
-      match Option.bind best (forward_via ?oracle s) with
+      let fast =
+        if sc.best_node < 0 then None
+        else forward_via ?oracle s ~node:sc.best_node ~from_cache:sc.best_cache
+      in
+      match fast with
       | Some decision -> decision
       | None ->
         let rec attempt = function
           | [] -> Dead_end
           | c :: rest -> (
-            match forward_via ?oracle s c with Some decision -> decision | None -> attempt rest)
+            match forward_via ?oracle s ~node:c.c_node ~from_cache:c.c_from_cache with
+            | Some decision -> decision
+            | None -> attempt rest)
         in
         attempt (candidates s ~dst)
       )

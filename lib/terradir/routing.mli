@@ -45,6 +45,16 @@ val decide :
     {e candidate} set is still the server's local knowledge: the oracle
     perfects accuracy, not awareness. *)
 
+val digest_shortcut :
+  Server.t -> dst:node_id -> better_than:int -> (node_id * server_id * int) option
+(** The §3.6.1 shortcut search {!decide} runs: [Some (node, server, dist)]
+    for the nearest of [dst] and its ancestors — fewer than
+    [min better_than 6] steps up — that one of the
+    {!Server.max_digests_consulted} most recently refreshed remote digests
+    (this server's own excluded) claims, ties going to the more recent
+    digest; [None] without a hit or with the digest feature off.  Exposed
+    for its equivalence test. *)
+
 val closest_known_distance : Server.t -> dst:node_id -> int option
 (** Distance of the best non-digest candidate (diagnostics/tests); [None]
     when the server knows nothing relevant. *)

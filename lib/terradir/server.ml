@@ -12,6 +12,7 @@ type hosted = {
   mutable h_map : Node_map.t;
   mutable h_meta_version : int;
   mutable h_last_used : float;
+  mutable h_slot : int;
 }
 
 type session = { session_id : int; mutable tried : server_id list; mutable attempts : int }
@@ -22,6 +23,9 @@ let max_digests_consulted = 8
 (* Bloom false positives compound across (ancestors × digests) tests, so a
    routing step consults only the most recently refreshed digests. *)
 
+(* hosted_ids starts this long and doubles when full. *)
+let initial_hosted_capacity = 8
+
 type t = {
   id : server_id;
   config : Config.t;
@@ -30,13 +34,13 @@ type t = {
   obs : Obs.t;
   speed : float;
   hosted : (node_id, hosted) Hashtbl.t;
+  mutable hosted_ids : int array;
+  mutable hosted_len : int;
   neighbor_maps : (node_id, neighbor_ref) Hashtbl.t;
   mutable owned_count : int;
   mutable replica_count : int;
   cache : Cache.t;
   digests : Digest_store.t;
-  digest_scratch_servers : int array;
-  digest_scratch_blooms : Terradir_bloom.Bloom.t array;
   map_scratch : Node_map.scratch;
   load : Load_meter.t;
   ranking : Ranking.t;
@@ -57,7 +61,6 @@ type t = {
 
 let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
   if speed <= 0.0 then invalid_arg "Server.create: speed must be positive";
-  let digests = Digest_store.create ~max_remote:config.Config.max_remote_digests () in
   {
     id;
     config;
@@ -66,15 +69,13 @@ let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
     obs;
     speed;
     hosted = Hashtbl.create 32;
+    hosted_ids = Array.make initial_hosted_capacity 0;
+    hosted_len = 0;
     neighbor_maps = Hashtbl.create 64;
     owned_count = 0;
     replica_count = 0;
     cache = Cache.create ~obs ~owner:id ~slots:config.Config.cache_slots ~r_map:config.Config.r_map ~rng ();
-    digests;
-    (* Reused by Routing.digest_shortcut so consulting digests allocates
-       nothing per routing step. *)
-    digest_scratch_servers = Array.make max_digests_consulted 0;
-    digest_scratch_blooms = Array.make max_digests_consulted (Digest_store.local digests);
+    digests = Digest_store.create ~max_remote:config.Config.max_remote_digests ();
     map_scratch = Node_map.scratch ();
     load = Load_meter.create ~window:config.Config.load_window;
     ranking = Ranking.create ();
@@ -146,9 +147,40 @@ let unref_neighbor t node =
     r.refs <- r.refs - 1;
     if r.refs <= 0 then Hashtbl.remove t.neighbor_maps node
 
+(* The dense index [hosted_ids.(0 .. hosted_len-1)] lists the hosted
+   table's keys, so routing sweeps an int array instead of hash buckets.
+   Each record keeps its slot: adding appends, dropping swap-removes. *)
+let add_hosted t h =
+  if t.hosted_len = Array.length t.hosted_ids then begin
+    let grown = Array.make (2 * t.hosted_len) 0 in
+    Array.blit t.hosted_ids 0 grown 0 t.hosted_len;
+    t.hosted_ids <- grown
+  end;
+  h.h_slot <- t.hosted_len;
+  t.hosted_ids.(t.hosted_len) <- h.h_node;
+  t.hosted_len <- t.hosted_len + 1;
+  Hashtbl.add t.hosted h.h_node h
+
+let drop_hosted t h =
+  Hashtbl.remove t.hosted h.h_node;
+  let last = t.hosted_len - 1 in
+  let moved = t.hosted_ids.(last) in
+  if moved <> h.h_node then begin
+    t.hosted_ids.(h.h_slot) <- moved;
+    (Hashtbl.find t.hosted moved).h_slot <- h.h_slot
+  end;
+  t.hosted_len <- last
+
 let install_hosted t node kind ~map ~meta_version ~context ~now =
-  Hashtbl.replace t.hosted node
-    { h_node = node; h_kind = kind; h_map = map; h_meta_version = meta_version; h_last_used = now };
+  add_hosted t
+    {
+      h_node = node;
+      h_kind = kind;
+      h_map = map;
+      h_meta_version = meta_version;
+      h_last_used = now;
+      h_slot = -1;
+    };
   (match kind with
   | Owned -> t.owned_count <- t.owned_count + 1
   | Replicated -> t.replica_count <- t.replica_count + 1);
@@ -250,7 +282,7 @@ let replica_budget t =
 let evict_replica t node =
   match find_hosted t node with
   | Some h when h.h_kind = Replicated ->
-    Hashtbl.remove t.hosted node;
+    drop_hosted t h;
     t.replica_count <- t.replica_count - 1;
     t.replicas_evicted <- t.replicas_evicted + 1;
     (* lint: obs-in-hot-path replica churn is counters-level and rare *)
@@ -264,7 +296,7 @@ let evict_replica t node =
 let remove_owned t node =
   match find_hosted t node with
   | Some h when h.h_kind = Owned ->
-    Hashtbl.remove t.hosted node;
+    drop_hosted t h;
     t.owned_count <- t.owned_count - 1;
     List.iter (unref_neighbor t) (Tree.neighbors t.tree node);
     Ranking.remove t.ranking node;

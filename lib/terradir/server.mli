@@ -34,6 +34,7 @@ type hosted = {
   mutable h_map : Node_map.t;  (** hosts of this node, self included *)
   mutable h_meta_version : int;
   mutable h_last_used : float;
+  mutable h_slot : int;  (** this node's index in [hosted_ids] *)
 }
 
 (** An in-progress replication session (§3.3). *)
@@ -53,15 +54,17 @@ type t = {
           {!Replication} so their signatures stay hook-free *)
   speed : float;  (** relative capacity: service times divide by this *)
   hosted : (node_id, hosted) Hashtbl.t;
+  mutable hosted_ids : int array;
+      (** dense index of [hosted]'s keys: [hosted_ids.(0 .. hosted_len-1)]
+          holds each hosted node once (in no particular order), and each
+          record's [h_slot] is its position — kept in O(1) by the
+          mutators, read by {!Routing} as a sequential sweep *)
+  mutable hosted_len : int;
   neighbor_maps : (node_id, neighbor_ref) Hashtbl.t;
   mutable owned_count : int;
   mutable replica_count : int;
   cache : Cache.t;
   digests : Digest_store.t;
-  digest_scratch_servers : int array;
-      (** scratch for {!Routing}'s digest consultation — length
-          {!max_digests_consulted}, reused every routing step *)
-  digest_scratch_blooms : Terradir_bloom.Bloom.t array;
   map_scratch : Node_map.scratch;
       (** reusable workspace for every map merge/add this server performs —
           single-owner (the server's engine lane), never shared *)

@@ -193,15 +193,27 @@ let fold t ~init ~f =
   let rec go acc slot = if slot < 0 then acc else go (f acc t.keys.(slot) t.vals.(slot)) t.next.(slot) in
   go init t.head
 
-let fold_until t ~init ~f =
-  let rec go acc slot =
-    if slot < 0 then acc
-    else
-      match f acc t.keys.(slot) t.vals.(slot) with
-      | Either.Left acc -> go acc t.next.(slot)
-      | Either.Right acc -> acc
-  in
-  go init t.head
+let slot = find_slot
+
+(* A slot is occupied iff it has a predecessor or is the head: [unlink]
+   and [clear] reset a freed slot's links to -1. *)
+let keys_into t dst =
+  let n = ref 0 in
+  for slot = 0 to t.capacity - 1 do
+    if slot = t.head || t.prev.(slot) >= 0 then begin
+      dst.(!n) <- t.keys.(slot);
+      incr n
+    end
+  done;
+  !n
+
+let first t = t.head
+
+let next t slot = t.next.(slot)
+
+let key_at t slot = t.keys.(slot)
+
+let value_at t slot = t.vals.(slot)
 
 let iter t ~f = fold t ~init:() ~f:(fun () k v -> f k v)
 

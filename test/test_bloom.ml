@@ -82,12 +82,53 @@ let test_copy_independent () =
 let test_mem_hashed_agrees () =
   let b = Bloom.create ~expected:50 () in
   List.iter (Bloom.add b) (List.init 50 (fun i -> i * 3));
+  let hashes = Array.make 4 0 in
   for x = 0 to 300 do
+    Bloom.hash_into hashes (x land 1) x;
     Alcotest.(check bool)
       (Printf.sprintf "mem_hashed %d" x)
       (Bloom.mem b x)
-      (Bloom.mem_hashed b (Bloom.hash x))
+      (Bloom.mem_hashed b hashes.(2 * (x land 1)) hashes.((2 * (x land 1)) + 1))
   done
+
+(* Which values a digest answers "yes" for is part of every recorded
+   trajectory (a false positive can redirect a query), so membership is
+   pinned against the Kirsch–Mitzenmacher scheme written out
+   independently: SplitMix64 finalizer hashes, bit [(h1 + i*h2) mod m] for
+   [i < k] in wrapping native-int arithmetic.  Small, dense filters make
+   most probe values false positives, each depending on k positions. *)
+let reference_bits ~m ~k elements =
+  let mix z =
+    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    Int64.(logxor z (shift_right_logical z 31))
+  in
+  let positions x =
+    let r = mix (Int64.of_int x) in
+    let h1 = Int64.to_int (Int64.shift_right_logical r 2) in
+    let h2 = Int64.to_int (Int64.shift_right_logical (mix (Int64.add r 0x9E3779B97F4A7C15L)) 2) lor 1 in
+    List.init k (fun i ->
+        let p = (h1 + (i * h2)) mod m in
+        if p < 0 then p + m else p)
+  in
+  let bits = Array.make m false in
+  List.iter (fun x -> List.iter (fun p -> bits.(p) <- true) (positions x)) elements;
+  fun x -> List.for_all (fun p -> bits.(p)) (positions x)
+
+let test_membership_pinned () =
+  List.iter
+    (fun (bits_per_element, hashes, elements) ->
+      let b = Bloom.of_list ~bits_per_element ~hashes elements in
+      let m = Bloom.num_bits b in
+      let reference = reference_bits ~m ~k:hashes elements in
+      for x = 0 to 5000 do
+        if Bloom.mem b x <> reference x then Alcotest.failf "m=%d k=%d: membership of %d differs" m hashes x
+      done)
+    [
+      (3, 2, List.init 40 (fun i -> (i * 37) + 1));
+      (10, 7, List.init 9 (fun i -> i * 1009));
+      (16, 10, List.init 24 (fun i -> i * 17));
+    ]
 
 let test_of_list () =
   let b = Bloom.of_list [ 5; 10; 15 ] in
@@ -135,6 +176,7 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "mem_hashed" `Quick test_mem_hashed_agrees;
+          Alcotest.test_case "membership = reference hashing" `Quick test_membership_pinned;
           Alcotest.test_case "of_list" `Quick test_of_list;
           Alcotest.test_case "validation" `Quick test_create_validation;
         ] );

@@ -72,6 +72,31 @@ let show_op = function
   | Mem k -> Printf.sprintf "Mem %d" k
   | Remove k -> Printf.sprintf "Remove %d" k
 
+(* The allocation-free views agree with the model after every operation:
+   the cursor walks (key, value) pairs in MRU order, [keys_into] yields the
+   key set, and a key keeps its slot for as long as it stays present
+   ([slots] carries the previous step's key -> slot binding). *)
+let views_agree lru (model : Model.t) slots =
+  let rec walk slot =
+    if slot < 0 then [] else (Lru.key_at lru slot, Lru.value_at lru slot) :: walk (Lru.next lru slot)
+  in
+  let dst = Array.make (max 1 (Lru.capacity lru)) (-1) in
+  let n = Lru.keys_into lru dst in
+  let stable =
+    List.for_all
+      (fun (k, _) ->
+        let slot = Lru.slot lru k in
+        slot >= 0
+        && Lru.key_at lru slot = k
+        && match Hashtbl.find_opt slots k with Some old -> old = slot | None -> true)
+      model.Model.items
+  in
+  Hashtbl.reset slots;
+  List.iter (fun (k, _) -> Hashtbl.replace slots k (Lru.slot lru k)) model.Model.items;
+  walk (Lru.first lru) = model.Model.items
+  && List.sort Int.compare (Array.to_list (Array.sub dst 0 n)) = List.sort Int.compare (Model.keys model)
+  && stable
+
 let prop_lru_model =
   QCheck.Test.make ~name:"flat LRU ≡ list model (ops, results, MRU order)" ~count:500
     QCheck.(
@@ -81,9 +106,10 @@ let prop_lru_model =
     (fun (cap, ops) ->
       let lru = Lru.create ~capacity:cap in
       let model = Model.create cap in
+      let slots = Hashtbl.create 16 in
       List.for_all
         (fun op ->
-          match op with
+          (match op with
           | Put (k, v) ->
             Lru.put lru k v;
             Model.put model k v;
@@ -95,6 +121,7 @@ let prop_lru_model =
             Lru.remove lru k;
             Model.remove model k;
             true)
+          && views_agree lru model slots)
         ops
       && Lru.keys_mru_order lru = Model.keys model
       && Lru.length lru = List.length (Model.keys model))

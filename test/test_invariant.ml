@@ -93,6 +93,26 @@ let test_context_refs () =
   | None -> Alcotest.fail "expected a neighbor context for node 1's parent");
   check_fires "forged refcount" "context-refs" (rules_of s ~now:1.0)
 
+let test_cache_empty_map () =
+  let s = owned_server [ 1 ] in
+  Cache.put_unchecked s.Server.cache ~node:9 Node_map.empty;
+  check_fires "empty map cached" "cache-empty-map" (rules_of s ~now:1.0)
+
+let test_hosted_index () =
+  let s = owned_server [ 1; 6; 9 ] in
+  List.iter (fun n -> ignore (Server.install_replica s (payload_for n) ~now:1.0)) [ 20; 21; 25 ];
+  (* 20 sits mid-index, so evicting it moves the last node into its slot. *)
+  Server.evict_replica s 20;
+  Alcotest.(check (list string)) "swap-remove keeps the index exact" [] (rules_of s ~now:1.0);
+  Alcotest.(check (list int)) "index lists the hosted set" (Server.hosted_nodes s)
+    (List.sort Int.compare (Array.to_list (Array.sub s.Server.hosted_ids 0 s.Server.hosted_len)));
+  (* Drop a node from the table behind the index's back. *)
+  Hashtbl.remove s.Server.hosted 6;
+  check_fires "table shrank alone" "hosted-index" (rules_of s ~now:1.0);
+  let s = owned_server [ 1; 6 ] in
+  (Option.get (Server.find_hosted s 6)).Server.h_slot <- 0;
+  check_fires "forged slot" "hosted-index" (rules_of s ~now:1.0)
+
 let test_clock_regression () =
   let t = Invariant.create () in
   Invariant.check_cluster t ~now:5.0 ~next_event:None ~servers:[||] ~owner_of:[||];
@@ -141,6 +161,8 @@ let () =
           Alcotest.test_case "self missing" `Quick test_self_missing;
           Alcotest.test_case "stamp future" `Quick test_stamp_future;
           Alcotest.test_case "context refs" `Quick test_context_refs;
+          Alcotest.test_case "cache empty map" `Quick test_cache_empty_map;
+          Alcotest.test_case "hosted index" `Quick test_hosted_index;
           Alcotest.test_case "clock regression" `Quick test_clock_regression;
           Alcotest.test_case "deliver raises and resets" `Quick test_deliver_raises_and_resets;
         ] );

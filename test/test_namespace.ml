@@ -237,6 +237,107 @@ let test_of_paths_dedup () =
   let t = Build.of_paths [ "/x/y"; "/x/y"; "/x/z" ] in
   Alcotest.(check int) "shared prefixes interned once" 4 (Tree.size t)
 
+(* ------------------------------------------------------------------ *)
+(* Preorder spans vs the lift walk                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The parent-chain algorithms [Tree] used before it recorded preorder
+   spans, kept as the reference the span-based versions must agree with. *)
+module Lift_ref = struct
+  let parent t v = match Tree.parent t v with Some p -> p | None -> -1
+
+  let rec lift t v d = if Tree.depth t v > d then lift t (parent t v) d else v
+
+  let lca t a b =
+    let d = min (Tree.depth t a) (Tree.depth t b) in
+    let rec go a b = if a = b then a else go (parent t a) (parent t b) in
+    go (lift t a d) (lift t b d)
+
+  let is_ancestor t a b = Tree.depth t a <= Tree.depth t b && lift t b (Tree.depth t a) = a
+
+  let distance t a b = Tree.depth t a + Tree.depth t b - (2 * Tree.depth t (lca t a b))
+end
+
+let span_trees =
+  lazy
+    [|
+      Build.balanced ~arity:1 ~levels:12;
+      Build.balanced ~arity:2 ~levels:7;
+      Build.balanced ~arity:3 ~levels:5;
+      Build.balanced ~arity:4 ~levels:4;
+      Build.coda_like ~seed:3 ~target:600 ();
+      sample_tree ();
+    |]
+
+(* One anchor shared by every check below, so it is constantly re-aimed
+   across trees and destinations — a stale path would show up as a wrong
+   distance. *)
+let shared_anchor = Tree.anchor ()
+
+(* Every span-based answer for the pair (a, b) of [t], and every anchored
+   answer with [b] as the destination, against the lift walk. *)
+let spans_agree t a b =
+  Tree.check_invariants t;
+  let depth_b = Tree.depth t b in
+  Tree.anchor_at t shared_anchor b;
+  Tree.is_ancestor t a b = Lift_ref.is_ancestor t a b
+  && Tree.is_ancestor t b a = Lift_ref.is_ancestor t b a
+  && Tree.lca t a b = Lift_ref.lca t a b
+  && Tree.distance t a b = Lift_ref.distance t a b
+  && Tree.anchored_distance t shared_anchor a = Lift_ref.distance t a b
+  && Tree.anchored_distance t shared_anchor b = 0
+  && Tree.anchored_distance t shared_anchor Tree.root = depth_b
+  && List.for_all
+       (fun d ->
+         Tree.anchored_ancestor t shared_anchor d = Lift_ref.lift t b d
+         && Tree.ancestor_at_depth t b d = Lift_ref.lift t b d)
+       (List.init (depth_b + 1) Fun.id)
+
+let test_spans_exhaustive_small () =
+  List.iter
+    (fun t ->
+      Tree.iter t (fun a ->
+          Tree.iter t (fun b ->
+              if not (spans_agree t a b) then
+                Alcotest.failf "spans disagree with the lift walk on (%s, %s)" (Tree.name_string t a)
+                  (Tree.name_string t b))))
+    [
+      Build.balanced ~arity:1 ~levels:6;
+      Build.balanced ~arity:2 ~levels:4;
+      Build.balanced ~arity:3 ~levels:3;
+      Build.balanced ~arity:4 ~levels:3;
+      Build.coda_like ~seed:5 ~target:60 ();
+      sample_tree ();
+    ]
+
+let test_anchor_not_stale_across_trees () =
+  (* Node 5 exists in both trees but sits on different root paths: after
+     re-aiming at the second tree the anchor must answer for it, and using
+     it with the first tree again must fail loudly. *)
+  let t1 = Build.balanced ~arity:2 ~levels:5 and t2 = Build.balanced ~arity:4 ~levels:3 in
+  let a = Tree.anchor () in
+  Tree.anchor_at t1 a 5;
+  Tree.iter t1 (fun v ->
+      Alcotest.(check int) "first tree" (Lift_ref.distance t1 v 5) (Tree.anchored_distance t1 a v));
+  Tree.anchor_at t2 a 5;
+  Tree.iter t2 (fun v ->
+      Alcotest.(check int) "second tree" (Lift_ref.distance t2 v 5) (Tree.anchored_distance t2 a v));
+  Alcotest.check_raises "anchor used with the wrong tree"
+    (Invalid_argument "Tree.anchored_distance: anchor belongs to another tree") (fun () ->
+      ignore (Tree.anchored_distance t1 a 3));
+  (* Same tree, new destination: re-aimed, not served from the old path. *)
+  Tree.anchor_at t2 a 20;
+  Tree.iter t2 (fun v ->
+      Alcotest.(check int) "new destination" (Lift_ref.distance t2 v 20) (Tree.anchored_distance t2 a v))
+
+let prop_spans_match_lift_walk =
+  QCheck.Test.make ~name:"tree: span is_ancestor/lca/distance/anchored = lift walk" ~count:500
+    QCheck.(triple (int_bound 5) (int_bound 100_000) (int_bound 100_000))
+    (fun (which, a, b) ->
+      let t = (Lazy.force span_trees).(which) in
+      let n = Tree.size t in
+      spans_agree t (a mod n) (b mod n))
+
 let prop_tree_distance_equals_name_distance =
   QCheck.Test.make ~name:"tree: interned distance = name-level distance" ~count:100
     QCheck.(pair (int_bound 62) (int_bound 62))
@@ -281,6 +382,8 @@ let () =
           Alcotest.test_case "ancestor ops" `Quick test_tree_ancestor_ops;
           Alcotest.test_case "levels/leaves" `Quick test_tree_levels_leaves;
           Alcotest.test_case "builder validation" `Quick test_builder_validation;
+          Alcotest.test_case "spans = lift walk, all pairs" `Quick test_spans_exhaustive_small;
+          Alcotest.test_case "anchor not stale across trees" `Quick test_anchor_not_stale_across_trees;
         ] );
       ( "build",
         [
@@ -292,5 +395,9 @@ let () =
         ] );
       ( "tree-props",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
-          [ prop_tree_distance_equals_name_distance; prop_route_path_adjacency ] );
+          [
+            prop_tree_distance_equals_name_distance;
+            prop_route_path_adjacency;
+            prop_spans_match_lift_walk;
+          ] );
     ]

@@ -7,6 +7,9 @@ open Terradir
 
 let tree = Build.balanced ~arity:2 ~levels:4 (* 31 nodes, ids in BFS order *)
 
+(* Deeper than the shortcut's 6-step walk, so both bounds get exercised. *)
+let shortcut_tree = Build.balanced ~arity:2 ~levels:9
+
 let config =
   { Config.default with Config.num_servers = 16; cache_slots = 8; seed = 11 }
 
@@ -213,6 +216,80 @@ let prop_routing_converges =
       in
       walk start 0)
 
+(* The digest shortcut as first written: walk dst's ancestors outward and,
+   at each, try the consulted digests in MRU order — the first hit wins.
+   [mru] is the store's content most recent first, modelled independently
+   of [Digest_store] (see [record] below). *)
+let ancestor_major_shortcut ~self ~mru ~dst ~better_than =
+  let limit = min better_than 6 in
+  let rec take n = function
+    | [] -> []
+    | _ when n = 0 -> []
+    | (srv, _, bloom) :: rest -> if srv = self then take n rest else (srv, bloom) :: take (n - 1) rest
+  in
+  let consulted = take Server.max_digests_consulted mru in
+  if limit <= 0 || consulted = [] then None
+  else
+    let rec walk node dist =
+      if dist >= limit then None
+      else
+        match List.find_opt (fun (_, bloom) -> Terradir_bloom.Bloom.mem bloom node) consulted with
+        | Some (srv, _) -> Some (node, srv, dist)
+        | None -> ( match Tree.parent shortcut_tree node with Some p -> walk p (dist + 1) | None -> None)
+    in
+    walk dst 0
+
+(* [Digest_store.record_remote]'s contract: a strictly newer version
+   replaces the held digest and becomes most recent; the least recent
+   falls out past capacity. *)
+let record ~capacity mru (srv, version, bloom) =
+  match List.find_opt (fun (s, _, _) -> s = srv) mru with
+  | Some (_, held, _) when held >= version -> mru
+  | Some _ | None ->
+    let rest = List.filter (fun (s, _, _) -> s <> srv) mru in
+    List.filteri (fun i _ -> i < capacity) ((srv, version, bloom) :: rest)
+
+let shortcut_capacity = 10
+
+let arb_shortcut_case =
+  let open QCheck.Gen in
+  let n = Tree.size shortcut_tree in
+  let digest =
+    (* Few bits per element, so false positives show up too. *)
+    map3
+      (fun srv version (bits, nodes) ->
+        (srv, version, Terradir_bloom.Bloom.of_list ~bits_per_element:bits ~hashes:3 nodes))
+      (int_bound 13) (int_bound 6)
+      (pair (oneofl [ 2; 16 ]) (list_size (int_bound 6) (int_bound (n - 1))))
+  in
+  let case =
+    quad (list_size (int_bound 24) digest) (int_bound (n - 1))
+      (oneofl [ 0; 1; 2; 3; 5; 6; 7; max_int ])
+      bool
+  in
+  QCheck.make
+    ~print:(fun (events, dst, better_than, _) ->
+      Printf.sprintf "%d digests recorded, dst %d, better_than %d" (List.length events) dst better_than)
+    case
+
+let prop_digest_major_shortcut =
+  QCheck.Test.make ~name:"routing: digest-major shortcut = ancestor-major walk" ~count:400
+    arb_shortcut_case (fun (events, dst, better_than, digests_on) ->
+      let features = if digests_on then Config.bcr else Config.bc in
+      let cfg = { config with Config.max_remote_digests = shortcut_capacity; features } in
+      let s = Server.create ~id:0 ~config:cfg ~tree:shortcut_tree ~rng:(Splitmix.create 5) () in
+      let mru =
+        List.fold_left
+          (fun mru ((srv, version, bloom) as ev) ->
+            Digest_store.record_remote s.Server.digests ~server:srv ~version bloom;
+            record ~capacity:shortcut_capacity mru ev)
+          [] events
+      in
+      let expected =
+        if digests_on then ancestor_major_shortcut ~self:0 ~mru ~dst ~better_than else None
+      in
+      Routing.digest_shortcut s ~dst ~better_than = expected)
+
 let () =
   Alcotest.run "terradir_routing"
     [
@@ -231,5 +308,6 @@ let () =
           Alcotest.test_case "closest known distance" `Quick test_closest_known_distance;
         ] );
       ( "routing-props",
-        List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_routing_converges ] );
+        List.map (QCheck_alcotest.to_alcotest ~long:false)
+          [ prop_routing_converges; prop_digest_major_shortcut ] );
     ]

@@ -1,0 +1,166 @@
+(* SIGPROF self-sampler: where does a simulation spend its CPU time?
+
+     prof_main.exe experiment ID [--scale S] [--duration D] [--seed N] [--hz H] [--top K]
+     prof_main.exe scenario [--servers N] [--levels L] [--rate R] [--duration D]
+                            [--seed N] [--hz H] [--top K]
+
+   [experiment] runs a registry entry (fig3 ... hetero, as
+   `terradir_sim list` names them); [scenario] runs a uniform-lookup
+   stream over a balanced binary namespace, the shape of the benchmark's
+   uniform workload.  Both run on one domain (one experiment job, one
+   engine domain), so every sample interrupts the simulation itself.
+
+   An [ITIMER_PROF] timer raises SIGPROF every 1/H seconds of process CPU
+   time; the handler records the OCaml call stack ([Printexc.get_callstack])
+   and the run ends with two frame tables: self (the innermost frame) and
+   inclusive (every frame on the stack, counted once per sample).
+
+   OCaml 5 runs signal handlers only at poll points — allocations,
+   function entries and loop back-edges — so a sample lands at the next
+   poll point after the timer fires, not at the instruction it
+   interrupted.  Self time of a tight allocation-free loop shows up on
+   that loop's own frame, but time in C (the GC, blits, hashing
+   primitives) is charged to the OCaml frame that called it.  Inclusive
+   numbers do not suffer from this and are the ones to trust for "how much
+   of the run sits under X". *)
+
+module Registry = Terradir_experiments.Registry
+module Runner = Terradir_experiments.Runner
+open Terradir
+
+let usage =
+  "prof_main.exe (experiment ID [--scale S] [--duration D] | scenario [--servers N] [--levels L] \
+   [--rate R] [--duration D]) [--seed N] [--hz H] [--top K]"
+
+let max_frames = 256
+
+(* Frame name -> samples, for the innermost frame and for every frame. *)
+let self_counts : (string, int) Hashtbl.t = Hashtbl.create 256
+
+let incl_counts : (string, int) Hashtbl.t = Hashtbl.create 1024
+
+let samples = ref 0
+
+let bump table key = Hashtbl.replace table key (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
+
+let frame_name slot =
+  match Printexc.Slot.name slot with
+  | Some name -> name
+  | None -> (
+    match Printexc.Slot.location slot with
+    | Some l -> Printf.sprintf "%s:%d" l.Printexc.filename l.Printexc.line_number
+    | None -> "?")
+
+(* The handler's own frames sit on top of the interrupted stack; they are
+   recognised by this module's name. *)
+let own_frame name =
+  let me = "Dune__exe__Prof_main" in
+  String.length name >= String.length me && String.equal (String.sub name 0 (String.length me)) me
+
+let on_sample _signal =
+  let stack = Printexc.get_callstack max_frames in
+  let frames =
+    match Printexc.backtrace_slots stack with
+    | None -> []
+    | Some slots -> List.filter (fun n -> not (own_frame n)) (List.map frame_name (Array.to_list slots))
+  in
+  match frames with
+  | [] -> ()
+  | innermost :: _ ->
+    incr samples;
+    bump self_counts innermost;
+    List.iter (bump incl_counts) (List.sort_uniq String.compare frames)
+
+let host_wall () =
+  (* lint: wall-clock the profiler prints its own host wall time next to the samples; it never reaches simulation state *)
+  Unix.gettimeofday ()
+
+let with_sampler ~hz f =
+  let period = 1.0 /. float_of_int hz in
+  Sys.set_signal Sys.sigprof (Sys.Signal_handle on_sample);
+  ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = period; it_value = period });
+  let t0 = host_wall () in
+  Fun.protect f ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.0; it_value = 0.0 });
+      Sys.set_signal Sys.sigprof Sys.Signal_default);
+  host_wall () -. t0
+
+let print_table ~title ~top table =
+  let rows =
+    List.sort
+      (fun (a, x) (b, y) -> match Int.compare y x with 0 -> String.compare a b | c -> c)
+      (Hashtbl.fold (fun name n acc -> (name, n) :: acc) table [])
+  in
+  Printf.printf "\n%-8s %6s  %s\n" "samples" title "frame";
+  List.iteri
+    (fun i (name, n) ->
+      if i < top then
+        Printf.printf "%8d %5.1f%%  %s\n" n (100.0 *. float_of_int n /. float_of_int (max 1 !samples)) name)
+    rows
+
+let run_scenario ~servers ~levels ~rate ~duration ~seed =
+  let tree = Terradir_namespace.Build.balanced ~arity:2 ~levels in
+  let config = { Config.default with Config.num_servers = servers; seed; engine_domains = 1 } in
+  let cluster = Cluster.create ~config ~tree () in
+  Terradir_workload.Scenario.run cluster
+    ~phases:(Terradir_workload.Stream.unif ~rate ~duration)
+    ~seed:(seed + 1);
+  Printf.printf "engine events executed: %d\n"
+    (Terradir_sim.Engine.events_executed cluster.Cluster.engine)
+
+let () =
+  let command = if Array.length Sys.argv >= 2 then Sys.argv.(1) else "" in
+  let id = if Array.length Sys.argv >= 3 then Sys.argv.(2) else "" in
+  let first = match command with "experiment" -> 3 | _ -> 2 in
+  let scale = ref 0.002 and duration = ref 90.0 and seed = ref 42 and hz = ref 1000 and top = ref 30 in
+  let servers = ref 1024 and levels = ref 13 and rate = ref 2000.0 in
+  let specs =
+    [
+      ("--scale", Arg.Set_float scale, "S experiment scale (default 0.002)");
+      ("--duration", Arg.Set_float duration, "D simulated seconds (default 90)");
+      ("--seed", Arg.Set_int seed, "N seed (default 42)");
+      ("--hz", Arg.Set_int hz, "H samples per CPU second (default 1000)");
+      ("--top", Arg.Set_int top, "K rows per table (default 30)");
+      ("--servers", Arg.Set_int servers, "N scenario servers (default 1024)");
+      ("--levels", Arg.Set_int levels, "L scenario namespace levels (default 13)");
+      ("--rate", Arg.Set_float rate, "R scenario queries per simulated second (default 2000)");
+    ]
+  in
+  (try
+     Arg.parse_argv ~current:(ref (first - 1)) Sys.argv specs
+       (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+       usage
+   with Arg.Bad msg | Arg.Help msg ->
+     prerr_string msg;
+     exit 2);
+  if !hz <= 0 then (prerr_endline "--hz must be positive"; exit 2);
+  Runner.set_jobs (Some 1);
+  Runner.set_engine_domains (Some 1);
+  let work, label =
+    match command with
+    | "experiment" -> (
+      match Registry.find id with
+      | Some e ->
+        ( (fun () -> e.Registry.run ~scale:!scale ~duration:!duration ~seed:!seed ()),
+          Printf.sprintf "experiment %s, scale %g, %g s, seed %d" id !scale !duration !seed )
+      | None ->
+        Printf.eprintf "unknown experiment %S; one of: %s\n" id (String.concat " " (Registry.ids ()));
+        exit 2)
+    | "scenario" ->
+      ( (fun () ->
+          run_scenario ~servers:!servers ~levels:!levels ~rate:!rate ~duration:!duration ~seed:!seed),
+        Printf.sprintf "scenario: %d servers, balanced:%d, %g q/s, %g s, seed %d" !servers !levels
+          !rate !duration !seed )
+    | _ ->
+      prerr_endline usage;
+      exit 2
+  in
+  let wall = with_sampler ~hz:!hz work in
+  Printf.printf "\n== SIGPROF profile: %s ==\n" label;
+  Printf.printf
+    "%d samples at %d Hz of process CPU time, %.2f s wall.  Samples land at OCaml poll points\n\
+     (allocations, function entries, loop back-edges), not at the interrupted instruction:\n\
+     time in C is charged to its OCaml caller.  Inclusive counts are the reliable ones.\n"
+    !samples !hz wall;
+  print_table ~title:"self" ~top:!top self_counts;
+  print_table ~title:"incl" ~top:!top incl_counts
