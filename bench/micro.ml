@@ -21,7 +21,9 @@ let warmed_server () =
   let owner_of node = node mod config.Config.num_servers in
   (* 8 owned nodes spread over the tree *)
   for i = 0 to 7 do
-    Server.add_owned s ((i * 37) mod Tree.size tree) ~owner_of ~now:0.0
+    let n = (i * 37) mod Tree.size tree in
+    Server.add_owned s n ~owner_map:(fun v ->
+        Node_map.singleton ~is_owner:true ~server:(if v = n then 0 else owner_of v) ~stamp:0.0 ())
   done;
   (* 16 replicas *)
   let payload node =

@@ -8,7 +8,6 @@ type t = {
   rng : Splitmix.t;
   obs : Obs.t;
   owner : int;  (* server id the sink attributes hit/miss events to *)
-  scratch : Node_map.scratch;  (* single-owner: the owning server's lane *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -21,7 +20,6 @@ let create ?(obs = Obs.null) ?(owner = -1) ~slots ~r_map ~rng () =
     rng;
     obs;
     owner;
-    scratch = Node_map.scratch ();
     hits = 0;
     misses = 0;
   }
@@ -36,7 +34,7 @@ let insert t ~node map =
     let merged =
       match Lru.peek t.lru node with
       | None -> Node_map.truncate ~max:t.r_map map
-      | Some existing -> Node_map.merge ~scratch:t.scratch ~max:t.r_map t.rng existing map
+      | Some existing -> Node_map.merge ~max:t.r_map t.rng existing map
     in
     Lru.put t.lru node merged
 

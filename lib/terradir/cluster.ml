@@ -53,9 +53,6 @@ type t = {
   epochs : int array;
   msg_pool : message Freelist.t array;
   query_pool : query Freelist.t array;
-  gt_scratch : Node_map.scratch;
-      (* oracle-only workspace; oracle routing pins the engine to one
-         domain, so a single scratch is race-free *)
   audit : Invariant.t option;
 }
 
@@ -655,7 +652,7 @@ and ground_truth_map t node =
   Array.fold_left
     (fun acc s ->
       if s.Server.alive && Server.hosts s node then
-        Node_map.add ~scratch:t.gt_scratch ~max:max_int acc
+        Node_map.add ~max:max_int acc
           {
             Node_map.server = s.Server.id;
             is_owner = t.owner_of.(node) = s.Server.id;
@@ -925,7 +922,6 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
       epochs = Array.make config.Config.num_servers 0;
       msg_pool = Array.init lanes (fun _ -> Freelist.create ());
       query_pool = Array.init lanes (fun _ -> Freelist.create ());
-      gt_scratch = Node_map.scratch ();
       audit = (if Invariant.enabled config then Some (Invariant.create ()) else None);
     }
   in
@@ -950,9 +946,15 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
                   p_hit_rate = Cache.hit_rate s.Server.cache;
                 })
           t.servers);
-  (* Bootstrap ownership and per-node routing contexts. *)
+  (* Bootstrap ownership and per-node routing contexts.  One owner
+     singleton per node serves as its owner's hosted map and as every
+     tree-neighbor's context for it: maps are immutable, and merging a map
+     into itself returns it. *)
+  let owner_maps =
+    Array.map (fun owner -> Node_map.singleton ~is_owner:true ~server:owner ~stamp:0.0 ()) owner_of
+  in
   Array.iteri
-    (fun node owner -> Server.add_owned servers.(owner) node ~owner_of:(fun v -> owner_of.(v)) ~now:0.0)
+    (fun node owner -> Server.add_owned servers.(owner) node ~owner_map:(Array.get owner_maps))
     owner_of;
   (* Bootstrap contact: under uniform placement a server can own zero
      nodes and would otherwise know nothing at all — queries injected

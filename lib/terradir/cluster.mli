@@ -120,8 +120,6 @@ type t = {
       (** per-lane recycled message records; a lane frees only into its own
           pool (records migrate across pools with cross-lane traffic) *)
   query_pool : Types.query Terradir_util.Freelist.t array;
-  gt_scratch : Node_map.scratch;
-      (** oracle-only map workspace (oracle routing pins one domain) *)
   audit : Invariant.t option;
       (** the runtime invariant auditor, when enabled ({!Invariant.enabled}
           at construction): checks run every [config.audit_every] engine

@@ -5,7 +5,7 @@ type t = {
   mutable local : Bloom.t;
   mutable local_version : int;
   remotes : Bloom.t Lru.t;
-  versions : int array; (* LRU slot -> version of the digest held in it *)
+  mutable versions : int array; (* LRU slot -> version of its digest; grows with the slots *)
   sent : (int, int) Hashtbl.t; (* peer -> last local version piggybacked *)
 }
 
@@ -14,7 +14,7 @@ let create ~max_remote () =
     local = Bloom.create ~expected:1 ();
     local_version = 0;
     remotes = Lru.create ~capacity:max_remote;
-    versions = Array.make (max 1 max_remote) 0;
+    versions = [||];
     sent = Hashtbl.create 64;
   }
 
@@ -45,7 +45,15 @@ let record_remote t ~server ~version bloom =
   if slot < 0 || t.versions.(slot) < version then begin
     Lru.put t.remotes server bloom;
     let slot = Lru.slot t.remotes server in
-    if slot >= 0 then t.versions.(slot) <- version
+    if slot >= 0 then begin
+      let n = Array.length t.versions in
+      if slot >= n then begin
+        let grown = Array.make (min (Lru.capacity t.remotes) (max (slot + 1) (max 4 (2 * n)))) 0 in
+        Array.blit t.versions 0 grown 0 n;
+        t.versions <- grown
+      end;
+      t.versions.(slot) <- version
+    end
   end
 
 let remote_version t ~server =

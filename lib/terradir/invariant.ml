@@ -1,4 +1,5 @@
 open Types
+module Intmap = Terradir_util.Intmap
 module Tree = Terradir_namespace.Tree
 module Bloom = Terradir_bloom.Bloom
 
@@ -135,7 +136,7 @@ let check_map t ~now ~server ~r_map ~what node map =
              e.Node_map.server e.Node_map.stamp now))
     (Node_map.entries map)
 
-(* Every per-server invariant from the catalogue.  The hashtable walks are
+(* Every per-server invariant from the catalogue.  The table walks are
    order-insensitive: each key is checked independently and counters are
    commutative sums. *)
 let check_server t ~now (s : Server.t) =
@@ -143,9 +144,7 @@ let check_server t ~now (s : Server.t) =
   let config = s.Server.config in
   let r_map = config.Config.r_map in
   let owned = ref 0 and replicas = ref 0 in
-  (* lint: ordered independent per-node checks and commutative counts; visit order immaterial *)
-  Hashtbl.iter
-    (fun node (h : Server.hosted) ->
+  Intmap.iter s.Server.hosted ~f:(fun node (h : Server.hosted) ->
       (match h.Server.h_kind with
       | Server.Owned -> incr owned
       | Server.Replicated -> incr replicas);
@@ -171,31 +170,21 @@ let check_server t ~now (s : Server.t) =
                 node));
       List.iter
         (fun nb ->
-          if (not (Hashtbl.mem s.Server.neighbor_maps nb)) && not (Server.hosts s nb) then
+          if (not (Intmap.mem s.Server.neighbor_maps nb)) && not (Server.hosts s nb) then
             add t ~now ~server "context-missing"
               (Printf.sprintf "hosted node %d lacks context for tree-neighbor %d" node nb))
         (Tree.neighbors s.Server.tree node);
       if not (Bloom.mem (Digest_store.local s.Server.digests) node) then
         add t ~now ~server "digest-stale"
-          (Printf.sprintf "local digest denies hosted node %d (Bloom false negative)" node))
-    s.Server.hosted;
-  (* The dense hosted index lists exactly the hosted table's keys, each at
-     the slot its record names — routing's hosted scan sweeps it in place
-     of the table. *)
-  if s.Server.hosted_len <> Hashtbl.length s.Server.hosted then
-    add t ~now ~server "hosted-index"
-      (Printf.sprintf "dense index lists %d nodes but %d are hosted" s.Server.hosted_len
-         (Hashtbl.length s.Server.hosted));
-  for slot = 0 to min s.Server.hosted_len (Array.length s.Server.hosted_ids) - 1 do
-    let node = s.Server.hosted_ids.(slot) in
-    match Server.find_hosted s node with
-    | Some h when h.Server.h_slot = slot -> ()
-    | Some h ->
+          (Printf.sprintf "local digest denies hosted node %d (Bloom false negative)" node));
+  (* Routing sweeps the hosted table's dense keys; each must resolve, via
+     the table's index, to the very slot it sits in. *)
+  for i = 0 to Intmap.length s.Server.hosted - 1 do
+    let node = Intmap.key_at s.Server.hosted i in
+    let found = Intmap.slot s.Server.hosted node in
+    if found <> i then
       add t ~now ~server "hosted-index"
-        (Printf.sprintf "node %d sits at index slot %d but records slot %d" node slot h.Server.h_slot)
-    | None ->
-      add t ~now ~server "hosted-index"
-        (Printf.sprintf "index slot %d lists node %d, which is not hosted" slot node)
+        (Printf.sprintf "node %d sits at dense slot %d but its index resolves to %d" node i found)
   done;
   if !owned <> s.Server.owned_count then
     add t ~now ~server "count-mismatch"
@@ -216,18 +205,13 @@ let check_server t ~now (s : Server.t) =
      its other maps — legitimate soft state that decays through the usual
      stale-forward machinery, with routing excluding self as a target. *)
   let expected_refs = Hashtbl.create 64 in
-  (* lint: ordered commutative refcount accumulation into expected_refs *)
-  Hashtbl.iter
-    (fun node _ ->
+  Intmap.iter s.Server.hosted ~f:(fun node _ ->
       List.iter
         (fun nb ->
           Hashtbl.replace expected_refs nb
             (1 + Option.value ~default:0 (Hashtbl.find_opt expected_refs nb)))
-        (Tree.neighbors s.Server.tree node))
-    s.Server.hosted;
-  (* lint: ordered independent per-neighbor checks; visit order immaterial *)
-  Hashtbl.iter
-    (fun nb (r : Server.neighbor_ref) ->
+        (Tree.neighbors s.Server.tree node));
+  Intmap.iter s.Server.neighbor_maps ~f:(fun nb (r : Server.neighbor_ref) ->
       check_map t ~now ~server ~r_map ~what:"neighbor" nb r.Server.n_map;
       match Hashtbl.find_opt expected_refs nb with
       | Some n when n = r.Server.refs -> ()
@@ -236,12 +220,11 @@ let check_server t ~now (s : Server.t) =
           (Printf.sprintf "neighbor %d refcount %d, expected %d" nb r.Server.refs n)
       | None ->
         add t ~now ~server "context-refs"
-          (Printf.sprintf "neighbor map for %d but no hosted node references it" nb))
-    s.Server.neighbor_maps;
+          (Printf.sprintf "neighbor map for %d but no hosted node references it" nb));
   (* lint: ordered independent per-neighbor presence checks; visit order immaterial *)
   Hashtbl.iter
     (fun nb n ->
-      if not (Hashtbl.mem s.Server.neighbor_maps nb) then
+      if not (Intmap.mem s.Server.neighbor_maps nb) then
         add t ~now ~server "context-missing"
           (Printf.sprintf "no neighbor map for node %d (%d hosted references)" nb n))
     expected_refs;

@@ -9,8 +9,8 @@ type entry = { server : int; is_owner : bool; stamp : float }
    server id as the tie-break ([order] below is total with a unique
    tie-break, so a deduped entry set has exactly one sorted form).  Maps
    remain immutable values; operations build fresh row arrays, assembling
-   intermediate states in a caller-provided {!scratch} so the hot merge
-   path allocates only its result. *)
+   intermediate states in a per-domain {!scratch} so the hot merge path
+   allocates only its result. *)
 type t = { ns : int array; stamp : floatarray }
 
 let empty = { ns = [||]; stamp = Float.Array.create 0 }
@@ -80,7 +80,11 @@ let ensure sc n =
     sc.sc_keep <- Array.make cap false
   end
 
-let sc_or = function Some sc -> sc | None -> scratch ()
+(* One workspace per domain, the same pattern as [Routing]'s: an
+   operation runs start to finish on one domain and never re-enters
+   another, so a domain-local scratch is never shared — and no server or
+   cache carries one of its own. *)
+let scratch_key = Domain.DLS.new_key scratch
 
 (* Fold one packed row into scratch rows [0 .. !len): combine with any
    existing row for the same server (newest stamp wins, owner flag is
@@ -141,9 +145,9 @@ let load_scratch sc t =
 let singleton ?(is_owner = false) ~server ~stamp () =
   { ns = [| pack ~server ~is_owner |]; stamp = Float.Array.make 1 stamp }
 
-let of_entries ?scratch ~max entries =
+let of_entries ~max entries =
   if max < 1 then invalid_arg "Node_map.of_entries: max must be >= 1";
-  let sc = sc_or scratch in
+  let sc = Domain.DLS.get scratch_key in
   ensure sc (List.length entries);
   let len = ref 0 in
   List.iter
@@ -159,9 +163,9 @@ let truncate ~max t =
 (* [t] already satisfies the sorted/deduped invariant: one insertion pass
    suffices.  (The historical error message is [of_entries]'s — kept
    verbatim, callers match on it.) *)
-let add ?scratch ~max t entry =
+let add ~max t entry =
   if max < 1 then invalid_arg "Node_map.of_entries: max must be >= 1";
-  let sc = sc_or scratch in
+  let sc = Domain.DLS.get scratch_key in
   ensure sc (size t + 1);
   let len = ref (load_scratch sc t) in
   insert_row sc len (pack ~server:entry.server ~is_owner:entry.is_owner) entry.stamp;
@@ -177,9 +181,9 @@ let add ?scratch ~max t entry =
    once owners alone fill the map), the map keeps its owners — owners are
    never displaced.  The pinned row lands in the last kept slot, which is
    still its sort position relative to the surviving rows. *)
-let add_pinned ?scratch ~max t entry =
+let add_pinned ~max t entry =
   if max < 1 then invalid_arg "Node_map.add_pinned: max must be >= 1";
-  let sc = sc_or scratch in
+  let sc = Domain.DLS.get scratch_key in
   ensure sc (size t + 1);
   let len = ref (load_scratch sc t) in
   insert_row sc len (pack ~server:entry.server ~is_owner:entry.is_owner) entry.stamp;
@@ -243,7 +247,7 @@ let merge ?scratch ~max rng a b =
   if max < 1 then invalid_arg "Node_map.merge: max must be >= 1";
   if (a == b || subsumes a b) && size a <= max then a
   else begin
-    let sc = sc_or scratch in
+    let sc = match scratch with Some sc -> sc | None -> Domain.DLS.get scratch_key in
     ensure sc (size a + size b);
     (* Both inputs are sorted and deduped (the representation invariant),
        so folding [b] into [a] yields the combined set already in sorted

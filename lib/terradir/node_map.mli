@@ -14,9 +14,9 @@
 
     Maps are immutable values; all operations return new maps.  The
     representation is a flat struct-of-arrays (packed server/owner ints,
-    unboxed stamps): operations that assemble intermediate states accept
-    an optional {!scratch} buffer so hot-path callers allocate only the
-    result map. *)
+    unboxed stamps): operations assemble intermediate states in a
+    per-domain workspace, so hot-path callers allocate only the result
+    map. *)
 
 type entry = { server : int; is_owner : bool; stamp : float }
 (** [stamp] is the simulation time this entry was (last) created/refreshed. *)
@@ -24,9 +24,9 @@ type entry = { server : int; is_owner : bool; stamp : float }
 type t
 
 type scratch
-(** Reusable workspace for {!of_entries}/{!add}/{!add_pinned}/{!merge}.
-    Single-owner mutable state: thread one per server (or per lane), never
-    share across engine lanes.  Omitting it allocates a transient one. *)
+(** A merge workspace of the caller's own.  {!merge} uses the calling
+    domain's when none is passed; an explicit one is single-owner mutable
+    state, never shared across domains. *)
 
 val scratch : unit -> scratch
 
@@ -34,7 +34,7 @@ val empty : t
 
 val singleton : ?is_owner:bool -> server:int -> stamp:float -> unit -> t
 
-val of_entries : ?scratch:scratch -> max:int -> entry list -> t
+val of_entries : max:int -> entry list -> t
 (** Dedup by server (newest stamp wins, owner flag is sticky) and truncate
     under the policy above (deterministically — random fill only applies to
     {!merge}). *)
@@ -58,10 +58,10 @@ val mem : t -> int -> bool
 val owner : t -> int option
 (** The owner entry's server, if the map knows it. *)
 
-val add : ?scratch:scratch -> max:int -> t -> entry -> t
+val add : max:int -> t -> entry -> t
 (** Insert/refresh one entry, truncating to [max] under the policy. *)
 
-val add_pinned : ?scratch:scratch -> max:int -> t -> entry -> t
+val add_pinned : max:int -> t -> entry -> t
 (** [add], but the added server's entry is guaranteed to survive the
     truncation: if it would fall past the cut, the lowest-priority kept
     non-owner entry is evicted in its favor.  Owners are never displaced —
@@ -77,7 +77,8 @@ val merge : ?scratch:scratch -> max:int -> Terradir_util.Splitmix.t -> t -> t ->
     then random fill from the remainder (§3.7 "map merging").  Call twice
     with different [rng] draws to produce the kept-vs-propagated variants.
     RNG consumption is representation-independent: one draw per randomly
-    filled slot, over the remainder in policy order. *)
+    filled slot, over the remainder in policy order.  [scratch] defaults to
+    the calling domain's workspace. *)
 
 val filter : t -> f:(int -> bool) -> t
 (** Keep entries whose {e server id} satisfies [f]; owner entries are

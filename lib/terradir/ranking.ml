@@ -1,25 +1,26 @@
-type t = { weights : (int, float) Hashtbl.t }
+open Terradir_util
 
-let create () = { weights = Hashtbl.create 64 }
+type t = { weights : float Intmap.t }
 
-let weight t node = Option.value ~default:0.0 (Hashtbl.find_opt t.weights node)
+let create () = { weights = Intmap.create () }
 
-let touch t node = Hashtbl.replace t.weights node (weight t node +. 1.0)
+let weight t node =
+  match Intmap.slot t.weights node with -1 -> 0.0 | i -> Intmap.value_at t.weights i
 
-let seed t node w = Hashtbl.replace t.weights node (Float.max 0.0 w)
+let touch t node = Intmap.replace t.weights node (weight t node +. 1.0)
 
+let seed t node w = Intmap.replace t.weights node (Float.max 0.0 w)
+
+(* Downward over the slots: dropping slot [i] moves the last entry into
+   it, and that entry has already been halved. *)
 let decay t =
   let floor = 1.0 /. 64.0 in
-  let dead = ref [] in
-  (* lint: ordered independent per-key halving; the final table is the same in any visit order *)
-  Hashtbl.iter
-    (fun node w ->
-      let w' = w /. 2.0 in
-      if w' < floor then dead := node :: !dead else Hashtbl.replace t.weights node w')
-    t.weights;
-  List.iter (Hashtbl.remove t.weights) !dead
+  for i = Intmap.length t.weights - 1 downto 0 do
+    let w' = Intmap.value_at t.weights i /. 2.0 in
+    if w' < floor then Intmap.remove_at t.weights i else Intmap.set_at t.weights i w'
+  done
 
-let remove t node = Hashtbl.remove t.weights node
+let remove t node = Intmap.remove t.weights node
 
 let compare_desc (n1, w1) (n2, w2) =
   match Float.compare w2 w1 with 0 -> Int.compare n1 n2 | c -> c

@@ -27,7 +27,7 @@ let should_start (s : Server.t) ~now =
     s.config.Config.features.Config.replication
     && s.session = None
     && now >= s.session_backoff_until
-    && Hashtbl.length s.hosted > 0
+    && Terradir_util.Intmap.length s.hosted > 0
     && Load_meter.sustained_load s.load now >= s.config.Config.high_water (* cheap floor *)
     && Load_meter.sustained_load s.load now >= effective_high_water s ~now
   in

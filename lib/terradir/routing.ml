@@ -1,3 +1,4 @@
+open Terradir_util
 open Terradir_namespace
 open Types
 module Bloom = Terradir_bloom.Bloom
@@ -18,12 +19,9 @@ type candidate = { c_node : node_id; c_dist : int; c_from_cache : bool }
    strictly closer to [dst], and all such neighbors are in the table. *)
 let candidates (s : Server.t) ~dst =
   let acc = ref [] in
-  (* lint: ordered every collected candidate goes through the total (dist, node) sort below *)
-  Hashtbl.iter
-    (fun node (r : Server.neighbor_ref) ->
+  Intmap.iter s.neighbor_maps ~f:(fun node (r : Server.neighbor_ref) ->
       if not (Node_map.is_empty r.n_map) then
-        acc := { c_node = node; c_dist = Tree.distance s.tree node dst; c_from_cache = false } :: !acc)
-    s.neighbor_maps;
+        acc := { c_node = node; c_dist = Tree.distance s.tree node dst; c_from_cache = false } :: !acc);
   Cache.iter s.cache ~f:(fun node map ->
       if not (Node_map.is_empty map) then
         acc := { c_node = node; c_dist = Tree.distance s.tree node dst; c_from_cache = true } :: !acc);
@@ -85,8 +83,8 @@ let best_candidate (s : Server.t) sc ~dst =
   let tree = s.tree and a = sc.anchor in
   Tree.anchor_at tree a dst;
   let best_hosted = ref (-1) and best_hosted_dist = ref max_int in
-  for i = 0 to s.hosted_len - 1 do
-    let node = s.hosted_ids.(i) in
+  for i = 0 to Intmap.length s.hosted - 1 do
+    let node = Intmap.key_at s.hosted i in
     let d = Tree.anchored_distance tree a node in
     if d < !best_hosted_dist || (d = !best_hosted_dist && node < !best_hosted) then begin
       best_hosted := node;

@@ -7,12 +7,10 @@ module Event = Terradir_obs.Event
 type host_kind = Owned | Replicated
 
 type hosted = {
-  h_node : node_id;
   h_kind : host_kind;
   mutable h_map : Node_map.t;
   mutable h_meta_version : int;
   mutable h_last_used : float;
-  mutable h_slot : int;
 }
 
 type session = { session_id : int; mutable tried : server_id list; mutable attempts : int }
@@ -23,9 +21,6 @@ let max_digests_consulted = 8
 (* Bloom false positives compound across (ancestors × digests) tests, so a
    routing step consults only the most recently refreshed digests. *)
 
-(* hosted_ids starts this long and doubles when full. *)
-let initial_hosted_capacity = 8
-
 type t = {
   id : server_id;
   config : Config.t;
@@ -33,15 +28,12 @@ type t = {
   rng : Splitmix.t;
   obs : Obs.t;
   speed : float;
-  hosted : (node_id, hosted) Hashtbl.t;
-  mutable hosted_ids : int array;
-  mutable hosted_len : int;
-  neighbor_maps : (node_id, neighbor_ref) Hashtbl.t;
+  hosted : hosted Intmap.t;
+  neighbor_maps : neighbor_ref Intmap.t;
   mutable owned_count : int;
   mutable replica_count : int;
   cache : Cache.t;
   digests : Digest_store.t;
-  map_scratch : Node_map.scratch;
   load : Load_meter.t;
   ranking : Ranking.t;
   known_loads : (server_id, float) Hashtbl.t;
@@ -68,15 +60,12 @@ let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
     rng;
     obs;
     speed;
-    hosted = Hashtbl.create 32;
-    hosted_ids = Array.make initial_hosted_capacity 0;
-    hosted_len = 0;
-    neighbor_maps = Hashtbl.create 64;
+    hosted = Intmap.create ();
+    neighbor_maps = Intmap.create ();
     owned_count = 0;
     replica_count = 0;
     cache = Cache.create ~obs ~owner:id ~slots:config.Config.cache_slots ~r_map:config.Config.r_map ~rng ();
     digests = Digest_store.create ~max_remote:config.Config.max_remote_digests ();
-    map_scratch = Node_map.scratch ();
     load = Load_meter.create ~window:config.Config.load_window;
     ranking = Ranking.create ();
     known_loads = Hashtbl.create 32;
@@ -94,31 +83,33 @@ let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
     replicas_evicted = 0;
   }
 
-let find_hosted t node = Hashtbl.find_opt t.hosted node
+let find_hosted t node = Intmap.find_opt t.hosted node
 
-let hosts t node = Hashtbl.mem t.hosted node
+let hosts t node = Intmap.mem t.hosted node
 
 let hosted_nodes t =
-  List.sort Int.compare (Hashtbl.fold (fun node _ acc -> node :: acc) t.hosted [])
+  List.sort Int.compare (Intmap.fold t.hosted ~init:[] ~f:(fun acc node _ -> node :: acc))
 
 let nodes_of_kind t kind =
   List.sort Int.compare
-    (Hashtbl.fold (fun node h acc -> if h.h_kind = kind then node :: acc else acc) t.hosted [])
+    (Intmap.fold t.hosted ~init:[] ~f:(fun acc node h ->
+         if h.h_kind = kind then node :: acc else acc))
 
 let owned_nodes t = nodes_of_kind t Owned
 
 let replica_nodes t = nodes_of_kind t Replicated
 
-(* The hash-table walk (vs the sorted [hosted_nodes] list) yields the same
+(* The slot-order walk (vs the sorted [hosted_nodes] list) yields the same
    filter without the sort + list allocation: Bloom bit-sets are
    iteration-order independent. *)
 let rebuild_digest t =
-  Digest_store.rebuild_local_from t.digests ~count:(Hashtbl.length t.hosted)
-    (* lint: ordered Bloom bit-sets are insertion-order independent *)
-    ~iter:(fun add -> Hashtbl.iter (fun node _ -> add node) t.hosted)
+  Digest_store.rebuild_local_from t.digests ~count:(Intmap.length t.hosted) ~iter:(fun add ->
+      Intmap.iter t.hosted ~f:(fun node _ -> add node))
 
 let neighbor_map t node =
-  Option.map (fun r -> r.n_map) (Hashtbl.find_opt t.neighbor_maps node)
+  match Intmap.slot t.neighbor_maps node with
+  | -1 -> None
+  | i -> Some (Intmap.value_at t.neighbor_maps i).n_map
 
 let known_map t node =
   match find_hosted t node with
@@ -133,54 +124,22 @@ let r_map t = t.config.Config.r_map
 (* Reference one tree-neighbor context, merging in [map] as the initial or
    additional view. *)
 let ref_neighbor t node map =
-  match Hashtbl.find_opt t.neighbor_maps node with
+  match Intmap.find_opt t.neighbor_maps node with
   | Some r ->
     r.refs <- r.refs + 1;
-    if not (Node_map.is_empty map) then
-      r.n_map <- Node_map.merge ~scratch:t.map_scratch ~max:(r_map t) t.rng r.n_map map
-  | None -> Hashtbl.add t.neighbor_maps node { n_map = map; refs = 1 }
+    if not (Node_map.is_empty map) then r.n_map <- Node_map.merge ~max:(r_map t) t.rng r.n_map map
+  | None -> Intmap.add t.neighbor_maps node { n_map = map; refs = 1 }
 
 let unref_neighbor t node =
-  match Hashtbl.find_opt t.neighbor_maps node with
+  match Intmap.find_opt t.neighbor_maps node with
   | None -> ()
   | Some r ->
     r.refs <- r.refs - 1;
-    if r.refs <= 0 then Hashtbl.remove t.neighbor_maps node
-
-(* The dense index [hosted_ids.(0 .. hosted_len-1)] lists the hosted
-   table's keys, so routing sweeps an int array instead of hash buckets.
-   Each record keeps its slot: adding appends, dropping swap-removes. *)
-let add_hosted t h =
-  if t.hosted_len = Array.length t.hosted_ids then begin
-    let grown = Array.make (2 * t.hosted_len) 0 in
-    Array.blit t.hosted_ids 0 grown 0 t.hosted_len;
-    t.hosted_ids <- grown
-  end;
-  h.h_slot <- t.hosted_len;
-  t.hosted_ids.(t.hosted_len) <- h.h_node;
-  t.hosted_len <- t.hosted_len + 1;
-  Hashtbl.add t.hosted h.h_node h
-
-let drop_hosted t h =
-  Hashtbl.remove t.hosted h.h_node;
-  let last = t.hosted_len - 1 in
-  let moved = t.hosted_ids.(last) in
-  if moved <> h.h_node then begin
-    t.hosted_ids.(h.h_slot) <- moved;
-    (Hashtbl.find t.hosted moved).h_slot <- h.h_slot
-  end;
-  t.hosted_len <- last
+    if r.refs <= 0 then Intmap.remove t.neighbor_maps node
 
 let install_hosted t node kind ~map ~meta_version ~context ~now =
-  add_hosted t
-    {
-      h_node = node;
-      h_kind = kind;
-      h_map = map;
-      h_meta_version = meta_version;
-      h_last_used = now;
-      h_slot = -1;
-    };
+  Intmap.add t.hosted node
+    { h_kind = kind; h_map = map; h_meta_version = meta_version; h_last_used = now };
   (match kind with
   | Owned -> t.owned_count <- t.owned_count + 1
   | Replicated -> t.replica_count <- t.replica_count + 1);
@@ -205,22 +164,20 @@ let install_hosted t node kind ~map ~meta_version ~context ~now =
   walk (Tree.neighbors t.tree node) context;
   rebuild_digest t
 
-let add_owned t node ~owner_of ~now =
+let add_owned t node ~owner_map =
   if hosts t node then invalid_arg "Server.add_owned: already hosted";
-  let map = Node_map.singleton ~is_owner:true ~server:t.id ~stamp:now () in
-  let context =
-    List.map
-      (fun nb -> (nb, Node_map.singleton ~is_owner:true ~server:(owner_of nb) ~stamp:now ()))
-      (Tree.neighbors t.tree node)
-  in
-  install_hosted t node Owned ~map ~meta_version:0 ~context ~now
+  let map = owner_map node in
+  if Node_map.owner map <> Some t.id then
+    invalid_arg "Server.add_owned: owner map names another server";
+  let context = List.map (fun nb -> (nb, owner_map nb)) (Tree.neighbors t.tree node) in
+  install_hosted t node Owned ~map ~meta_version:0 ~context ~now:0.0
 
 (* Bounded merges can push a replica host's own (non-owner) entry out of its
    hosted node's map; the map a host advertises must always include itself. *)
 let ensure_self t h ~now =
   if not (Node_map.mem h.h_map t.id) then
     h.h_map <-
-      Node_map.add_pinned ~scratch:t.map_scratch ~max:(r_map t) h.h_map
+      Node_map.add_pinned ~max:(r_map t) h.h_map
         { Node_map.server = t.id; is_owner = (h.h_kind = Owned); stamp = now }
 
 let merge_into_known_map t node map ~now =
@@ -228,12 +185,12 @@ let merge_into_known_map t node map ~now =
   else
     match find_hosted t node with
     | Some h ->
-      h.h_map <- Node_map.merge ~scratch:t.map_scratch ~max:(r_map t) t.rng h.h_map map;
+      h.h_map <- Node_map.merge ~max:(r_map t) t.rng h.h_map map;
       ensure_self t h ~now
     | None -> (
-      match Hashtbl.find_opt t.neighbor_maps node with
+      match Intmap.find_opt t.neighbor_maps node with
       | Some r ->
-        r.n_map <- Node_map.merge ~scratch:t.map_scratch ~max:(r_map t) t.rng r.n_map map
+        r.n_map <- Node_map.merge ~max:(r_map t) t.rng r.n_map map
       | None -> if t.config.Config.features.Config.caching then Cache.insert t.cache ~node map)
 
 let touch_node t node ~now =
@@ -282,7 +239,7 @@ let replica_budget t =
 let evict_replica t node =
   match find_hosted t node with
   | Some h when h.h_kind = Replicated ->
-    drop_hosted t h;
+    Intmap.remove t.hosted node;
     t.replica_count <- t.replica_count - 1;
     t.replicas_evicted <- t.replicas_evicted + 1;
     (* lint: obs-in-hot-path replica churn is counters-level and rare *)
@@ -296,7 +253,7 @@ let evict_replica t node =
 let remove_owned t node =
   match find_hosted t node with
   | Some h when h.h_kind = Owned ->
-    drop_hosted t h;
+    Intmap.remove t.hosted node;
     t.owned_count <- t.owned_count - 1;
     List.iter (unref_neighbor t) (Tree.neighbors t.tree node);
     Ranking.remove t.ranking node;
@@ -323,7 +280,7 @@ let install_owned t payload ~now =
   | Some _ -> invalid_arg "Server.install_owned: already owned"
   | None -> ());
   let map =
-    Node_map.add_pinned ~scratch:t.map_scratch ~max:(r_map t) payload.rp_map
+    Node_map.add_pinned ~max:(r_map t) payload.rp_map
       { Node_map.server = t.id; is_owner = true; stamp = now }
   in
   install_hosted t node Owned ~map ~meta_version:payload.rp_meta_version
@@ -335,14 +292,14 @@ let install_replica t payload ~now =
   match find_hosted t node with
   | Some h ->
     (* Already hosted: fold in the newer view (soft-state merge). *)
-    h.h_map <- Node_map.merge ~scratch:t.map_scratch ~max:(r_map t) t.rng h.h_map payload.rp_map;
+    h.h_map <- Node_map.merge ~max:(r_map t) t.rng h.h_map payload.rp_map;
     ensure_self t h ~now;
     if payload.rp_meta_version > h.h_meta_version then h.h_meta_version <- payload.rp_meta_version;
     List.iter
       (fun (nb, map) ->
-        match Hashtbl.find_opt t.neighbor_maps nb with
+        match Intmap.find_opt t.neighbor_maps nb with
         | Some r ->
-          r.n_map <- Node_map.merge ~scratch:t.map_scratch ~max:(r_map t) t.rng r.n_map map
+          r.n_map <- Node_map.merge ~max:(r_map t) t.rng r.n_map map
         | None -> ())
       payload.rp_context;
     `Merged
@@ -372,7 +329,7 @@ let install_replica t payload ~now =
         (* Pinned: a full same-stamp rp_map must not truncate the new
            host's own entry out of the map it will advertise. *)
         let map =
-          Node_map.add_pinned ~scratch:t.map_scratch ~max:(r_map t) payload.rp_map
+          Node_map.add_pinned ~max:(r_map t) payload.rp_map
             { Node_map.server = t.id; is_owner = false; stamp = now }
         in
         install_hosted t node Replicated ~map ~meta_version:payload.rp_meta_version
@@ -387,10 +344,8 @@ let idle_scan t ~now =
   let timeout = t.config.Config.replica_idle_timeout in
   let victims =
     List.sort Int.compare
-      (Hashtbl.fold
-         (fun node h acc ->
-           if h.h_kind = Replicated && now -. h.h_last_used > timeout then node :: acc else acc)
-         t.hosted [])
+      (Intmap.fold t.hosted ~init:[] ~f:(fun acc node h ->
+           if h.h_kind = Replicated && now -. h.h_last_used > timeout then node :: acc else acc))
   in
   List.iter (evict_replica t) victims;
   victims
@@ -438,7 +393,7 @@ let forget_server t node server =
   match find_hosted t node with
   | Some h -> h.h_map <- Node_map.remove h.h_map server
   | None -> (
-    match Hashtbl.find_opt t.neighbor_maps node with
+    match Intmap.find_opt t.neighbor_maps node with
     | Some r -> r.n_map <- Node_map.remove r.n_map server
     | None ->
       Cache.update t.cache ~node ~f:(fun map -> Node_map.remove map server))
@@ -456,7 +411,7 @@ let record_new_replica t node target ~now =
   | None -> ()
   | Some h ->
     h.h_map <-
-      Node_map.add ~scratch:t.map_scratch ~max:(r_map t) h.h_map
+      Node_map.add ~max:(r_map t) h.h_map
         { Node_map.server = target; is_owner = false; stamp = now };
     ensure_self t h ~now;
     if Obs.counters_on t.obs then
@@ -467,19 +422,16 @@ let state_kinds t =
   let by_node (a, _) (b, _) = Int.compare a b in
   let hosted =
     List.sort by_node
-      (Hashtbl.fold
-         (fun node h acc ->
-           (node, match h.h_kind with Owned -> "Owned" | Replicated -> "Replicated") :: acc)
-         t.hosted [])
+      (Intmap.fold t.hosted ~init:[] ~f:(fun acc node h ->
+           (node, match h.h_kind with Owned -> "Owned" | Replicated -> "Replicated") :: acc))
   in
   let neighboring =
     List.sort by_node
-      (Hashtbl.fold
-         (fun node _ acc -> if hosts t node then acc else (node, "Neighboring") :: acc)
-         t.neighbor_maps [])
+      (Intmap.fold t.neighbor_maps ~init:[] ~f:(fun acc node _ ->
+           if hosts t node then acc else (node, "Neighboring") :: acc))
   in
   let cached = ref [] in
   Cache.iter t.cache ~f:(fun node _ ->
-      if (not (hosts t node)) && not (Hashtbl.mem t.neighbor_maps node) then
+      if (not (hosts t node)) && not (Intmap.mem t.neighbor_maps node) then
         cached := (node, "Cached") :: !cached);
   hosted @ neighboring @ List.sort by_node !cached

@@ -29,12 +29,10 @@ val max_digests_consulted : int
 type host_kind = Owned | Replicated
 
 type hosted = {
-  h_node : node_id;
   h_kind : host_kind;
   mutable h_map : Node_map.t;  (** hosts of this node, self included *)
   mutable h_meta_version : int;
   mutable h_last_used : float;
-  mutable h_slot : int;  (** this node's index in [hosted_ids] *)
 }
 
 (** An in-progress replication session (§3.3). *)
@@ -53,21 +51,15 @@ type t = {
       (** observability sink (shared cluster-wide); read by {!Routing} and
           {!Replication} so their signatures stay hook-free *)
   speed : float;  (** relative capacity: service times divide by this *)
-  hosted : (node_id, hosted) Hashtbl.t;
-  mutable hosted_ids : int array;
-      (** dense index of [hosted]'s keys: [hosted_ids.(0 .. hosted_len-1)]
-          holds each hosted node once (in no particular order), and each
-          record's [h_slot] is its position — kept in O(1) by the
-          mutators, read by {!Routing} as a sequential sweep *)
-  mutable hosted_len : int;
-  neighbor_maps : (node_id, neighbor_ref) Hashtbl.t;
+  hosted : hosted Terradir_util.Intmap.t;
+      (** its dense keys ([Intmap.key_at] over [0 .. length - 1]) list
+          each hosted node once, in no particular order — read by
+          {!Routing} as a sequential sweep *)
+  neighbor_maps : neighbor_ref Terradir_util.Intmap.t;
   mutable owned_count : int;
   mutable replica_count : int;
   cache : Cache.t;
   digests : Digest_store.t;
-  map_scratch : Node_map.scratch;
-      (** reusable workspace for every map merge/add this server performs —
-          single-owner (the server's engine lane), never shared *)
   load : Load_meter.t;
   ranking : Ranking.t;
   known_loads : (server_id, float) Hashtbl.t;
@@ -105,10 +97,15 @@ val create :
     disabled sink; the server emits replica-churn and digest events
     through it and hands it to its cache. *)
 
-val add_owned : t -> node_id -> owner_of:(node_id -> server_id) -> now:float -> unit
-(** Install an owned node at bootstrap; neighbor maps are initialized from
-    the ground-truth owner function (local information each owner has by
-    construction of the namespace).  Rebuilds the digest. *)
+val add_owned : t -> node_id -> owner_map:(node_id -> Node_map.t) -> unit
+(** Install an owned node at bootstrap.  [owner_map v] is [v]'s bootstrap
+    map, naming its ground-truth owner (local information each owner has
+    by construction of the namespace): the node's own map is
+    [owner_map node], and each tree-neighbor's context starts as
+    [owner_map nb].  Maps are immutable, so {!Cluster} passes one shared
+    map per node to every server.  Rebuilds the digest.
+    @raise Invalid_argument if the node is hosted already, or if
+    [owner_map node] does not name this server as owner. *)
 
 val find_hosted : t -> node_id -> hosted option
 

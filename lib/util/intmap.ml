@@ -1,0 +1,168 @@
+(* Dense int-keyed table: keys and values in parallel arrays, [0 .. len)
+   occupied, plus an open-addressing index of [slot + 1] per occupied
+   probe position ([0] empty, [-1] tombstone).  Live entries stay at most
+   half the index, and tombstones are swept by an in-place rebuild once
+   they fill a quarter of it, so a probe always meets an empty position. *)
+
+module Index = struct
+  type t = { mutable tbl : int array; mutable tombs : int }
+
+  let create () = { tbl = [||]; tombs = 0 }
+
+  let size ix = Array.length ix.tbl
+
+  (* Fibonacci-style multiplicative scramble of an int key; keys here are
+     dense interned ids, which linear probing over the raw low bits would
+     cluster badly. *)
+  let scramble k =
+    let h = k lxor (k lsr 33) in
+    let h = h * 0x27220A95FE220589 in
+    (h lxor (h lsr 29)) land max_int
+
+  (* Probes are top-level functions over explicit arguments, not local
+     closures, so a lookup allocates nothing. *)
+  let rec find_from tbl mask keys k i =
+    match tbl.(i) with
+    | 0 -> -1
+    | v when v > 0 && keys.(v - 1) = k -> v - 1
+    | _ -> find_from tbl mask keys k ((i + 1) land mask)
+
+  let find ix keys k =
+    let tbl = ix.tbl in
+    let mask = Array.length tbl - 1 in
+    if mask < 0 then -1 else find_from tbl mask keys k (scramble k land mask)
+
+  let rec vacant_from tbl mask i =
+    if tbl.(i) <= 0 then i else vacant_from tbl mask ((i + 1) land mask)
+
+  let insert ix k slot =
+    let tbl = ix.tbl in
+    let mask = Array.length tbl - 1 in
+    let i = vacant_from tbl mask (scramble k land mask) in
+    if tbl.(i) < 0 then ix.tombs <- ix.tombs - 1;
+    tbl.(i) <- slot + 1
+
+  let rec holding_from tbl mask v i =
+    if tbl.(i) = v then i else holding_from tbl mask v ((i + 1) land mask)
+
+  (* The position holding [from + 1] on [k]'s probe sequence. *)
+  let position ix k from =
+    let tbl = ix.tbl in
+    let mask = Array.length tbl - 1 in
+    holding_from tbl mask (from + 1) (scramble k land mask)
+
+  let remove ix k slot =
+    ix.tbl.(position ix k slot) <- -1;
+    ix.tombs <- ix.tombs + 1
+
+  let move ix k ~from ~to_ = ix.tbl.(position ix k from) <- to_ + 1
+
+  let grown ix ~live =
+    let rec go n = if 2 * live > n then go (2 * n) else n in
+    go (max 8 (size ix))
+
+  let crowded ix = 4 * ix.tombs > size ix
+
+  let reset ix n =
+    if size ix = n then Array.fill ix.tbl 0 n 0 else ix.tbl <- Array.make n 0;
+    ix.tombs <- 0
+end
+
+type 'a t = {
+  mutable keys : int array;
+  mutable vals : 'a array; (* created at the first add: no 'a to prefill with before *)
+  mutable len : int;
+  index : Index.t;
+}
+
+let create () = { keys = [||]; vals = [||]; len = 0; index = Index.create () }
+
+let length t = t.len
+
+let slot t k = Index.find t.index t.keys k
+
+let mem t k = slot t k >= 0
+
+let find_opt t k = match slot t k with -1 -> None | i -> Some t.vals.(i)
+
+let check t i op = if i < 0 || i >= t.len then invalid_arg ("Intmap." ^ op ^ ": slot out of range")
+
+let key_at t i =
+  check t i "key_at";
+  t.keys.(i)
+
+let value_at t i =
+  check t i "value_at";
+  t.vals.(i)
+
+let set_at t i v =
+  check t i "set_at";
+  t.vals.(i) <- v
+
+let rebuild t n =
+  Index.reset t.index n;
+  for i = 0 to t.len - 1 do
+    Index.insert t.index t.keys.(i) i
+  done
+
+let append t k v =
+  let i = t.len in
+  if i = Array.length t.keys then begin
+    let cap = max 4 (2 * i) in
+    let keys = Array.make cap 0 and vals = Array.make cap v in
+    Array.blit t.keys 0 keys 0 i;
+    Array.blit t.vals 0 vals 0 i;
+    t.keys <- keys;
+    t.vals <- vals
+  end;
+  t.keys.(i) <- k;
+  t.vals.(i) <- v;
+  t.len <- i + 1;
+  if 2 * t.len > Index.size t.index then rebuild t (Index.grown t.index ~live:t.len)
+  else Index.insert t.index k i
+
+let add t k v = if mem t k then invalid_arg "Intmap.add: key already bound" else append t k v
+
+let replace t k v = match slot t k with -1 -> append t k v | i -> t.vals.(i) <- v
+
+let remove_at t i =
+  check t i "remove_at";
+  let last = t.len - 1 in
+  if last = 0 then begin
+    (* Emptied: back to the created state, holding no stale value. *)
+    t.keys <- [||];
+    t.vals <- [||];
+    t.len <- 0;
+    Index.reset t.index 0
+  end
+  else begin
+    Index.remove t.index t.keys.(i) i;
+    if i < last then begin
+      let moved = t.keys.(last) in
+      Index.move t.index moved ~from:last ~to_:i;
+      t.keys.(i) <- moved;
+      t.vals.(i) <- t.vals.(last)
+    end;
+    (* Slot [last] is free; point it at a live value so it pins nothing. *)
+    t.vals.(last) <- t.vals.(0);
+    t.len <- last;
+    if Index.crowded t.index then rebuild t (Index.size t.index)
+  end
+
+let remove t k = match slot t k with -1 -> () | i -> remove_at t i
+
+let iter t ~f =
+  for i = 0 to t.len - 1 do
+    f t.keys.(i) t.vals.(i)
+  done
+
+let fold t ~init ~f =
+  let acc = ref init in
+  for i = 0 to t.len - 1 do
+    acc := f !acc t.keys.(i) t.vals.(i)
+  done;
+  !acc
+
+let set_key_unchecked t i k =
+  check t i "set_key_unchecked";
+  t.keys.(i) <- k

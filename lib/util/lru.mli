@@ -2,10 +2,11 @@
 
     The TerraDir cache (§2.4 of the paper) stores node → map pointers with
     LRU replacement; an entry is "touched" whenever used in routing.  The
-    implementation is flat: entries live in preallocated parallel arrays
-    with the recency list as index links and an open-addressing int index
-    — all operations are O(1) and allocation-free after the first
-    insertion. *)
+    implementation is flat: entries live in parallel arrays with the
+    recency list as index links and an open-addressing int index
+    ({!Intmap.Index}) — all operations are O(1).  The arrays grow with the
+    entries held, up to [capacity], so an idle table costs a record and
+    {!put}/{!find} allocate only while growing. *)
 
 type 'a t
 
@@ -80,3 +81,5 @@ val hit_rate : 'a t -> float
 (** [hits / (hits + misses)]; 0 before the first counted lookup. *)
 
 val clear : 'a t -> unit
+(** Drop every entry and release the arrays; the hit/miss accounting
+    stays. *)

@@ -33,6 +33,26 @@ let test_bootstrap_placement () =
         cluster.Cluster.owner_of.(node)
         (List.hd holders).Server.id)
 
+(* Bootstrap maps are shared, not copied: every server's context for a
+   node is the very map that node's owner hosts.  Pins the sharing that
+   keeps set-up memory per node rather than per (server, neighbor). *)
+let test_bootstrap_maps_shared () =
+  let cluster = mk_cluster ~servers:32 ~levels:7 () in
+  let shared = ref 0 in
+  Array.iter
+    (fun (s : Server.t) ->
+      Intmap.iter s.Server.neighbor_maps ~f:(fun node (r : Server.neighbor_ref) ->
+          let owner = cluster.Cluster.servers.(cluster.Cluster.owner_of.(node)) in
+          match Server.find_hosted owner node with
+          | Some h ->
+            incr shared;
+            if not (r.Server.n_map == h.Server.h_map) then
+              Alcotest.failf "server %d's context for node %d is a copy of its owner's map"
+                s.Server.id node
+          | None -> Alcotest.failf "node %d is not hosted by its owner" node))
+    cluster.Cluster.servers;
+  Alcotest.(check bool) "contexts were checked" true (!shared > 0)
+
 let test_round_robin_placement () =
   let tree = Build.balanced ~arity:2 ~levels:6 (* 127 nodes *) in
   let config =
@@ -567,6 +587,7 @@ let () =
         [
           Alcotest.test_case "placement" `Quick test_bootstrap_placement;
           Alcotest.test_case "round robin" `Quick test_round_robin_placement;
+          Alcotest.test_case "bootstrap maps shared" `Quick test_bootstrap_maps_shared;
           Alcotest.test_case "injection validation" `Quick test_injection_validation;
         ] );
       ( "lifecycle",

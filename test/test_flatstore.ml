@@ -49,20 +49,26 @@ module Model = struct
 
   let remove m k = m.items <- List.remove_assoc k m.items
 
+  let clear m = m.items <- []
+
   let keys m = List.map fst m.items
 end
 
-type lru_op = Put of int * int | Find of int | Peek of int | Mem of int | Remove of int
+type lru_op = Put of int * int | Find of int | Peek of int | Mem of int | Remove of int | Clear
 
-let lru_op_gen =
+(* Keys range a little past the capacity, so a table both fills (and
+   evicts) and runs below capacity; [Clear] is rare, and the refill after
+   it regrows the arrays from nothing. *)
+let lru_op_gen ~keys =
   QCheck.Gen.(
     frequency
       [
-        (4, map2 (fun k v -> Put (k, v)) (int_bound 20) (int_bound 1000));
-        (3, map (fun k -> Find k) (int_bound 20));
-        (1, map (fun k -> Peek k) (int_bound 20));
-        (1, map (fun k -> Mem k) (int_bound 20));
-        (1, map (fun k -> Remove k) (int_bound 20));
+        (8, map2 (fun k v -> Put (k, v)) (int_bound keys) (int_bound 1000));
+        (6, map (fun k -> Find k) (int_bound keys));
+        (2, map (fun k -> Peek k) (int_bound keys));
+        (2, map (fun k -> Mem k) (int_bound keys));
+        (2, map (fun k -> Remove k) (int_bound keys));
+        (1, return Clear);
       ])
 
 let show_op = function
@@ -71,6 +77,7 @@ let show_op = function
   | Peek k -> Printf.sprintf "Peek %d" k
   | Mem k -> Printf.sprintf "Mem %d" k
   | Remove k -> Printf.sprintf "Remove %d" k
+  | Clear -> "Clear"
 
 (* The allocation-free views agree with the model after every operation:
    the cursor walks (key, value) pairs in MRU order, [keys_into] yields the
@@ -97,12 +104,20 @@ let views_agree lru (model : Model.t) slots =
   && List.sort Int.compare (Array.to_list (Array.sub dst 0 n)) = List.sort Int.compare (Model.keys model)
   && stable
 
+(* Capacities 0, 1, 5 and 64 besides the small range: 64 grows the
+   arrays 4 → 64 and the index 8 → 128 under the model. *)
+let lru_case_gen =
+  QCheck.Gen.(
+    frequency [ (2, int_range 0 8); (1, oneofl [ 0; 1; 5; 64 ]) ] >>= fun cap ->
+    let keys = max 20 (cap + (cap / 2)) in
+    map (fun ops -> (cap, ops)) (list_size (int_bound (max 60 (4 * cap))) (lru_op_gen ~keys)))
+
 let prop_lru_model =
   QCheck.Test.make ~name:"flat LRU ≡ list model (ops, results, MRU order)" ~count:500
-    QCheck.(
-      pair (int_range 0 8)
-        (make ~print:(fun l -> String.concat "; " (List.map show_op l))
-           (Gen.list_size (Gen.int_bound 60) lru_op_gen)))
+    (QCheck.make
+       ~print:(fun (cap, l) ->
+         Printf.sprintf "cap %d: %s" cap (String.concat "; " (List.map show_op l)))
+       lru_case_gen)
     (fun (cap, ops) ->
       let lru = Lru.create ~capacity:cap in
       let model = Model.create cap in
@@ -120,6 +135,10 @@ let prop_lru_model =
           | Remove k ->
             Lru.remove lru k;
             Model.remove model k;
+            true
+          | Clear ->
+            Lru.clear lru;
+            Model.clear model;
             true)
           && views_agree lru model slots)
         ops
@@ -139,6 +158,127 @@ let test_lru_eviction_order () =
   Lru.put lru 3 30;
   Lru.put lru 2 20;
   Alcotest.(check (list int)) "after churn" [ 2; 3; 4 ] (Lru.keys_mru_order lru)
+
+(* ------------------------------------------------------------------ *)
+(* Intmap vs Map                                                       *)
+(* ------------------------------------------------------------------ *)
+
+module IM = Map.Make (Int)
+
+type intmap_op =
+  | I_add of int * int
+  | I_replace of int * int
+  | I_remove of int
+  | I_remove_last
+  | I_find of int
+  | I_iter
+
+let show_intmap_op = function
+  | I_add (k, v) -> Printf.sprintf "Add(%d,%d)" k v
+  | I_replace (k, v) -> Printf.sprintf "Replace(%d,%d)" k v
+  | I_remove k -> Printf.sprintf "Remove %d" k
+  | I_remove_last -> "RemoveLast"
+  | I_find k -> Printf.sprintf "Find %d" k
+  | I_iter -> "Iter"
+
+(* Keys from a range of [keys] plus a few far-apart ones (the scramble
+   must spread those too).  Long runs of adds grow the table past 64
+   entries; long runs of removes leave tombstones until a sweep. *)
+let intmap_op_gen ~keys =
+  QCheck.Gen.(
+    let far = map (fun k -> (k * 1_000_003) + 7) (int_bound 50) in
+    let key = frequency [ (9, int_bound keys); (1, far) ] in
+    frequency
+      [
+        (6, map2 (fun k v -> I_add (k, v)) key (int_bound 1000));
+        (3, map2 (fun k v -> I_replace (k, v)) key (int_bound 1000));
+        (4, map (fun k -> I_remove k) key);
+        (1, return I_remove_last);
+        (3, map (fun k -> I_find k) key);
+        (1, return I_iter);
+      ])
+
+(* The dense index agrees with the table: every slot's key resolves to
+   that slot and carries the model's value, and the slots hold exactly the
+   model's keys. *)
+let intmap_agrees t model =
+  let n = Intmap.length t in
+  let dense = List.init n (fun i -> (Intmap.key_at t i, Intmap.value_at t i)) in
+  n = IM.cardinal model
+  && List.for_all (fun i -> Intmap.slot t (Intmap.key_at t i) = i) (List.init n Fun.id)
+  && List.sort compare dense = IM.bindings model
+  && IM.for_all (fun k v -> Intmap.find_opt t k = Some v && Intmap.mem t k) model
+
+let prop_intmap_model =
+  QCheck.Test.make ~name:"intmap ≡ Map (add/replace/remove/find/iter, dense index)" ~count:300
+    (QCheck.make
+       ~print:(fun (keys, l) ->
+         Printf.sprintf "keys %d: %s" keys (String.concat "; " (List.map show_intmap_op l)))
+       QCheck.Gen.(
+         oneofl [ 4; 40; 200 ] >>= fun keys ->
+         map (fun ops -> (keys, ops)) (list_size (int_bound 400) (intmap_op_gen ~keys))))
+    (fun (_, ops) ->
+      let t = Intmap.create () in
+      let model = ref IM.empty in
+      List.for_all
+        (fun op ->
+          (match op with
+          | I_add (k, v) -> (
+            match Intmap.add t k v with
+            | () ->
+              let fresh = not (IM.mem k !model) in
+              model := IM.add k v !model;
+              fresh
+            | exception Invalid_argument _ -> IM.mem k !model)
+          | I_replace (k, v) ->
+            Intmap.replace t k v;
+            model := IM.add k v !model;
+            true
+          | I_remove k ->
+            Intmap.remove t k;
+            model := IM.remove k !model;
+            true
+          | I_remove_last ->
+            let n = Intmap.length t in
+            if n > 0 then begin
+              model := IM.remove (Intmap.key_at t (n - 1)) !model;
+              Intmap.remove_at t (n - 1)
+            end;
+            true
+          | I_find k -> Intmap.find_opt t k = IM.find_opt k !model
+          | I_iter ->
+            let seen = ref [] in
+            Intmap.iter t ~f:(fun k v -> seen := (k, v) :: !seen);
+            let folded = Intmap.fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
+            List.sort compare !seen = IM.bindings !model && folded = !seen)
+          && intmap_agrees t !model)
+        ops)
+
+(* A downward walk may remove as it goes: what [Ranking.decay] relies on. *)
+let test_intmap_downward_removal () =
+  let t = Intmap.create () in
+  for k = 0 to 99 do
+    Intmap.add t (k * 7) k
+  done;
+  for i = Intmap.length t - 1 downto 0 do
+    let v = Intmap.value_at t i in
+    if v mod 3 = 0 then Intmap.remove_at t i else Intmap.set_at t i (v * 10)
+  done;
+  let expected =
+    List.filter_map
+      (fun k -> if k mod 3 = 0 then None else Some (k * 7, k * 10))
+      (List.init 100 Fun.id)
+  in
+  Alcotest.(check (list (pair int int)))
+    "every survivor updated once, every multiple of 3 gone" expected
+    (List.sort compare (Intmap.fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc)));
+  for i = Intmap.length t - 1 downto 0 do
+    Intmap.remove_at t i
+  done;
+  Alcotest.(check int) "emptied" 0 (Intmap.length t);
+  Alcotest.(check (option int)) "nothing found" None (Intmap.find_opt t 7);
+  Intmap.add t 7 1;
+  Alcotest.(check (option int)) "refills" (Some 1) (Intmap.find_opt t 7)
 
 (* ------------------------------------------------------------------ *)
 (* Digest rebuild: list path vs iteration path                         *)
@@ -282,6 +422,9 @@ let () =
       ( "lru",
         Alcotest.test_case "eviction order and churn" `Quick test_lru_eviction_order
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_lru_model ] );
+      ( "intmap",
+        Alcotest.test_case "downward removal" `Quick test_intmap_downward_removal
+        :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_intmap_model ] );
       ("digests", List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_digest_rebuild ]);
       ( "node_map",
         List.map

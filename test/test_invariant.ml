@@ -14,9 +14,16 @@ let config = { Config.default with Config.num_servers = 8; r_fact = 2.0; cache_s
 
 let owner_of node = node mod 8
 
+(* Bootstrap maps as {!Cluster.create} builds them, with [n] owned by [s]
+   and every other node by [owner_of]. *)
+let add_owned s n ~owner_of =
+  Server.add_owned s n ~owner_map:(fun v ->
+      let server = if v = n then s.Server.id else owner_of v in
+      Node_map.singleton ~is_owner:true ~server ~stamp:0.0 ())
+
 let owned_server ?(id = 0) nodes =
   let s = Server.create ~id ~config ~tree ~rng:(Splitmix.create (id + 100)) () in
-  List.iter (fun n -> Server.add_owned s n ~owner_of ~now:0.0) nodes;
+  List.iter (fun n -> add_owned s n ~owner_of) nodes;
   s
 
 let payload_for node =
@@ -88,7 +95,7 @@ let test_stamp_future () =
 
 let test_context_refs () =
   let s = owned_server [ 1 ] in
-  (match Hashtbl.find_opt s.Server.neighbor_maps 0 with
+  (match Intmap.find_opt s.Server.neighbor_maps 0 with
   | Some r -> r.Server.refs <- r.Server.refs + 7
   | None -> Alcotest.fail "expected a neighbor context for node 1's parent");
   check_fires "forged refcount" "context-refs" (rules_of s ~now:1.0)
@@ -101,17 +108,22 @@ let test_cache_empty_map () =
 let test_hosted_index () =
   let s = owned_server [ 1; 6; 9 ] in
   List.iter (fun n -> ignore (Server.install_replica s (payload_for n) ~now:1.0)) [ 20; 21; 25 ];
-  (* 20 sits mid-index, so evicting it moves the last node into its slot. *)
+  (* 20 sits mid-table, so evicting it moves the last node into its slot. *)
   Server.evict_replica s 20;
   Alcotest.(check (list string)) "swap-remove keeps the index exact" [] (rules_of s ~now:1.0);
-  Alcotest.(check (list int)) "index lists the hosted set" (Server.hosted_nodes s)
-    (List.sort Int.compare (Array.to_list (Array.sub s.Server.hosted_ids 0 s.Server.hosted_len)));
-  (* Drop a node from the table behind the index's back. *)
-  Hashtbl.remove s.Server.hosted 6;
-  check_fires "table shrank alone" "hosted-index" (rules_of s ~now:1.0);
+  let h = s.Server.hosted in
+  Alcotest.(check (list int)) "dense keys list the hosted set" (Server.hosted_nodes s)
+    (List.sort Int.compare (List.init (Intmap.length h) (Intmap.key_at h)));
+  (* Swap two dense keys behind the index's back: each now resolves to
+     the other's slot. *)
+  let k0 = Intmap.key_at h 0 and k1 = Intmap.key_at h 1 in
+  Intmap.set_key_unchecked h 0 k1;
+  Intmap.set_key_unchecked h 1 k0;
+  check_fires "swapped keys" "hosted-index" (rules_of s ~now:1.0);
+  (* A dense key the index has never seen resolves to no slot. *)
   let s = owned_server [ 1; 6 ] in
-  (Option.get (Server.find_hosted s 6)).Server.h_slot <- 0;
-  check_fires "forged slot" "hosted-index" (rules_of s ~now:1.0)
+  Intmap.set_key_unchecked s.Server.hosted 1 30;
+  check_fires "forged key" "hosted-index" (rules_of s ~now:1.0)
 
 let test_clock_regression () =
   let t = Invariant.create () in

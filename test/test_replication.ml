@@ -32,12 +32,19 @@ let test_adjusted_load () =
 
 let tree = Build.balanced ~arity:2 ~levels:4
 
+(* Bootstrap maps as {!Cluster.create} builds them, with [n] owned by [s]
+   and every other node by [owner_of]. *)
+let add_owned s n ~owner_of =
+  Server.add_owned s n ~owner_map:(fun v ->
+      let server = if v = n then s.Server.id else owner_of v in
+      Node_map.singleton ~is_owner:true ~server ~stamp:0.0 ())
+
 let server_with_weights weights =
   let config = { Config.default with Config.num_servers = 8 } in
   let s = Server.create ~id:0 ~config ~tree ~rng:(Splitmix.create 3) () in
   List.iter
     (fun (node, w) ->
-      Server.add_owned s node ~owner_of:(fun v -> v mod 8) ~now:0.0;
+      add_owned s node ~owner_of:(fun v -> v mod 8);
       Ranking.seed s.Server.ranking node w)
     weights;
   s
@@ -82,7 +89,7 @@ let test_should_start_gates () =
   (* no hosted nodes *)
   set_load s 0.1 0.9;
   Alcotest.(check bool) "nothing to replicate" false (Replication.should_start s ~now:0.1);
-  Server.add_owned s 1 ~owner_of:(fun v -> v mod 8) ~now:0.0;
+  add_owned s 1 ~owner_of:(fun v -> v mod 8);
   set_load s 0.1 0.9;
   Alcotest.(check bool) "hot server starts" true (Replication.should_start s ~now:0.1);
   (* below threshold *)
@@ -102,7 +109,7 @@ let test_should_start_gates () =
   (* feature gate *)
   let cfg_off = { config with Config.features = Config.bc } in
   let s2 = Server.create ~id:1 ~config:cfg_off ~tree ~rng:(Splitmix.create 6) () in
-  Server.add_owned s2 2 ~owner_of:(fun v -> v mod 8) ~now:0.0;
+  add_owned s2 2 ~owner_of:(fun v -> v mod 8);
   set_load s2 0.1 0.9;
   Alcotest.(check bool) "replication disabled" false (Replication.should_start s2 ~now:0.1)
 
@@ -260,7 +267,7 @@ let test_replica_self_survives_install () =
   let self = 7 in
   let s = Server.create ~id:self ~config ~tree ~rng:(Splitmix.create 11) () in
   (* Own one node so the replica budget (r_fact × owned) admits the install. *)
-  Server.add_owned s 1 ~owner_of:(fun _ -> self) ~now:0.0;
+  add_owned s 1 ~owner_of:(fun _ -> self);
   let now = 5.0 in
   let payload =
     {
@@ -286,7 +293,7 @@ let test_replica_self_survives_merge () =
   let config = { Config.default with Config.num_servers = 8 } in
   let self = 7 in
   let s = Server.create ~id:self ~config ~tree ~rng:(Splitmix.create 13) () in
-  Server.add_owned s 1 ~owner_of:(fun _ -> self) ~now:0.0;
+  add_owned s 1 ~owner_of:(fun _ -> self);
   let payload =
     {
       Types.rp_node = 2;

@@ -12,12 +12,19 @@ let config = { Config.default with Config.num_servers = 8; r_fact = 2.0; cache_s
 
 let owner_of node = node mod 8
 
+(* Bootstrap maps as {!Cluster.create} builds them, with [n] owned by [s]
+   and every other node by [owner_of]. *)
+let add_owned s n ~owner_of =
+  Server.add_owned s n ~owner_map:(fun v ->
+      let server = if v = n then s.Server.id else owner_of v in
+      Node_map.singleton ~is_owner:true ~server ~stamp:0.0 ())
+
 let mk_server ?(id = 0) ?(cfg = config) () =
   Server.create ~id ~config:cfg ~tree ~rng:(Splitmix.create (id + 100)) ()
 
 let owned_server ?(id = 0) ?(cfg = config) nodes =
   let s = mk_server ~id ~cfg () in
-  List.iter (fun n -> Server.add_owned s n ~owner_of ~now:0.0) nodes;
+  List.iter (fun n -> add_owned s n ~owner_of) nodes;
   s
 
 let payload_for node =
@@ -54,7 +61,7 @@ let test_add_owned () =
   | None -> Alcotest.fail "hosted");
   Invariant.assert_server s ~now:0.0;
   Alcotest.check_raises "double add" (Invalid_argument "Server.add_owned: already hosted")
-    (fun () -> Server.add_owned s 1 ~owner_of ~now:0.0)
+    (fun () -> add_owned s 1 ~owner_of)
 
 let test_digest_covers_hosted () =
   let s = owned_server [ 1; 6 ] in

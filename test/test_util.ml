@@ -82,70 +82,6 @@ let test_permutation_is_permutation () =
   Alcotest.(check bool) "all present" true (Array.for_all Fun.id seen)
 
 (* ------------------------------------------------------------------ *)
-(* Bitset                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_bitset_basic () =
-  let b = Bitset.create 100 in
-  Alcotest.(check int) "length" 100 (Bitset.length b);
-  Alcotest.(check int) "empty count" 0 (Bitset.count b);
-  Bitset.set b 0;
-  Bitset.set b 63;
-  Bitset.set b 99;
-  Alcotest.(check bool) "bit 0" true (Bitset.mem b 0);
-  Alcotest.(check bool) "bit 63" true (Bitset.mem b 63);
-  Alcotest.(check bool) "bit 99" true (Bitset.mem b 99);
-  Alcotest.(check bool) "bit 50 clear" false (Bitset.mem b 50);
-  Alcotest.(check int) "count 3" 3 (Bitset.count b);
-  Bitset.clear b 63;
-  Alcotest.(check bool) "cleared" false (Bitset.mem b 63);
-  Alcotest.(check int) "count 2" 2 (Bitset.count b)
-
-let test_bitset_bounds () =
-  let b = Bitset.create 8 in
-  Alcotest.check_raises "negative index" (Invalid_argument "Bitset.mem: index out of range")
-    (fun () -> ignore (Bitset.mem b (-1)));
-  Alcotest.check_raises "past end" (Invalid_argument "Bitset.set: index out of range")
-    (fun () -> Bitset.set b 8)
-
-let test_bitset_union_reset () =
-  let a = Bitset.create 32 and b = Bitset.create 32 in
-  Bitset.set a 1;
-  Bitset.set b 2;
-  Bitset.union_into ~dst:a b;
-  Alcotest.(check bool) "union has 1" true (Bitset.mem a 1);
-  Alcotest.(check bool) "union has 2" true (Bitset.mem a 2);
-  Alcotest.(check bool) "src unchanged" false (Bitset.mem b 1);
-  Bitset.reset a;
-  Alcotest.(check int) "reset empties" 0 (Bitset.count a)
-
-let test_bitset_copy_equal () =
-  let a = Bitset.create 16 in
-  Bitset.set a 5;
-  let b = Bitset.copy a in
-  Alcotest.(check bool) "copies equal" true (Bitset.equal a b);
-  Bitset.set b 6;
-  Alcotest.(check bool) "copy independent" false (Bitset.equal a b)
-
-let prop_bitset_set_then_mem =
-  QCheck.Test.make ~name:"bitset: set bits are members, others are not" ~count:200
-    QCheck.(pair (int_bound 500) (small_list (int_bound 500)))
-    (fun (extra, indices) ->
-      let size = 501 in
-      let b = Bitset.create size in
-      List.iter (fun i -> Bitset.set b i) indices;
-      let expected i = List.mem i indices in
-      List.for_all (fun i -> Bitset.mem b i = expected i) (extra :: indices))
-
-let prop_bitset_count =
-  QCheck.Test.make ~name:"bitset: count equals distinct set bits" ~count:200
-    QCheck.(small_list (int_bound 300))
-    (fun indices ->
-      let b = Bitset.create 301 in
-      List.iter (fun i -> Bitset.set b i) indices;
-      Bitset.count b = List.length (List.sort_uniq compare indices))
-
-(* ------------------------------------------------------------------ *)
 (* Pqueue                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -468,14 +404,6 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_splitmix_exponential_mean;
           Alcotest.test_case "permutation" `Quick test_permutation_is_permutation;
         ] );
-      ( "bitset",
-        [
-          Alcotest.test_case "basic" `Quick test_bitset_basic;
-          Alcotest.test_case "bounds" `Quick test_bitset_bounds;
-          Alcotest.test_case "union/reset" `Quick test_bitset_union_reset;
-          Alcotest.test_case "copy/equal" `Quick test_bitset_copy_equal;
-        ] );
-      qsuite "bitset-props" [ prop_bitset_set_then_mem; prop_bitset_count ];
       ( "pqueue",
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;

@@ -1,8 +1,10 @@
 (* SIGPROF self-sampler: where does a simulation spend its CPU time?
+   And a per-store heap breakdown: what does one server's state cost?
 
      prof_main.exe experiment ID [--scale S] [--duration D] [--seed N] [--hz H] [--top K]
      prof_main.exe scenario [--servers N] [--levels L] [--rate R] [--duration D]
                             [--seed N] [--hz H] [--top K]
+     prof_main.exe mem [--servers N] [--duration D] [--seed N]
 
    [experiment] runs a registry entry (fig3 ... hetero, as
    `terradir_sim list` names them); [scenario] runs a uniform-lookup
@@ -22,7 +24,24 @@
    that loop's own frame, but time in C (the GC, blits, hashing
    primitives) is charged to the OCaml frame that called it.  Inclusive
    numbers do not suffer from this and are the ones to trust for "how much
-   of the run sits under X". *)
+   of the run sits under X".
+
+   [mem] samples nothing.  It builds the benchmark's uniform deployment
+   at N servers (balanced binary namespace of log2(8N) levels,
+   [Round_robin] placement, [cache_slots] = 2·log2 N − 2, [r_map] =
+   log2 N − 2, deployment seed 42), runs D simulated seconds of uniform
+   lookups at the benchmark's analytic rate (stream seed N), and prints,
+   after set-up and after the run, live heap MB ([Gc.stat] after a full
+   major) and bytes per server for each [Server.t] field.  Rows come from
+   [Obj.reachable_words] over a growing set of roots — the shared tree,
+   config and observability sink first, then each field of every server
+   in turn — so a block reachable from several fields counts once, in the
+   first row that reaches it, and the rows sum to the total, which is the
+   benchmark's [mem.bytes_per_server].  [Obj.reachable_words] needs
+   memory of its own in proportion to the heap it walks: at 10k servers
+   this command peaks at about 570 MB RSS, where the benchmark's run of
+   the same deployment peaks at about 310 MB.  Never call it inside a run
+   whose RSS or time is measured. *)
 
 module Registry = Terradir_experiments.Registry
 module Runner = Terradir_experiments.Runner
@@ -30,7 +49,8 @@ open Terradir
 
 let usage =
   "prof_main.exe (experiment ID [--scale S] [--duration D] | scenario [--servers N] [--levels L] \
-   [--rate R] [--duration D]) [--seed N] [--hz H] [--top K]"
+   [--rate R] [--duration D]) [--seed N] [--hz H] [--top K]\n\
+   prof_main.exe mem [--servers N] [--duration D] [--seed N]"
 
 let max_frames = 256
 
@@ -108,20 +128,104 @@ let run_scenario ~servers ~levels ~rate ~duration ~seed =
   Printf.printf "engine events executed: %d\n"
     (Terradir_sim.Engine.events_executed cluster.Cluster.engine)
 
+(* ---- mem: per-store heap breakdown ---- *)
+
+let log2i n =
+  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
+  go 0 n
+
+(* Per-server rows: name and the field's value.  Scalar fields, the
+   records themselves and boxed floats land in the last row. *)
+let server_fields : (string * (Server.t -> Obj.t)) list =
+  [
+    ("hosted", fun s -> Obj.repr s.Server.hosted);
+    ("neighbor_maps", fun s -> Obj.repr s.Server.neighbor_maps);
+    ("rng", fun s -> Obj.repr s.Server.rng);
+    ("cache", fun s -> Obj.repr s.Server.cache);
+    ("digests", fun s -> Obj.repr s.Server.digests);
+    ("load", fun s -> Obj.repr s.Server.load);
+    ("ranking", fun s -> Obj.repr s.Server.ranking);
+    ("known_loads", fun s -> Obj.repr s.Server.known_loads);
+    ("queue, ctrl_queue", fun s -> Obj.repr (s.Server.queue, s.Server.ctrl_queue));
+  ]
+
+(* Words reachable from [roots], without the array that holds them. *)
+let reachable roots = Obj.reachable_words (Obj.repr (Array.of_list roots)) - (List.length roots + 1)
+
+let print_breakdown (cluster : Cluster.t) ~label =
+  Gc.full_major ();
+  let live_mb = float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8)) /. 1e6 in
+  let servers = Array.to_list cluster.Cluster.servers in
+  let n = List.length servers in
+  let per_server words = float_of_int (words * (Sys.word_size / 8)) /. float_of_int n in
+  let s0 = List.hd servers in
+  let shared =
+    [
+      ("tree (shared)", [ Obj.repr cluster.Cluster.tree ]);
+      ("config, obs (shared)", [ Obj.repr s0.Server.config; Obj.repr s0.Server.obs ]);
+    ]
+  in
+  let fields = List.map (fun (name, get) -> (name, List.map get servers)) server_fields in
+  let rows = shared @ fields @ [ ("records, scalars", List.map Obj.repr servers) ] in
+  Printf.printf "\n== %s: live heap %.1f MB, %d servers ==\n%-24s %10s\n" label live_mb n "store"
+    "B/server";
+  let _, total =
+    List.fold_left
+      (fun (roots, before) (name, more) ->
+        let roots = more @ roots in
+        let words = reachable roots in
+        Printf.printf "%-24s %10.1f\n" name (per_server (words - before));
+        (roots, words))
+      ([], 0) rows
+  in
+  Printf.printf "%-24s %10.1f\n" "total" (per_server total)
+
+let run_mem ~servers ~duration ~seed =
+  let open Terradir_namespace in
+  let open Terradir_workload in
+  let log2s = log2i servers in
+  let tree = Build.balanced ~arity:2 ~levels:(max 3 (log2i (8 * servers))) in
+  let config =
+    {
+      Config.default with
+      Config.num_servers = servers;
+      seed = 42;
+      engine_domains = 1;
+      placement = Config.Round_robin;
+      cache_slots = max 4 ((2 * log2s) - 2);
+      r_map = max 2 (log2s - 2);
+    }
+  in
+  let mean_depth =
+    float_of_int (Tree.fold tree ~init:0 ~f:(fun acc v -> acc + Tree.depth tree v))
+    /. float_of_int (Tree.size tree)
+  in
+  let rate =
+    0.5 *. float_of_int servers /. (config.Config.service_mean *. ((2.0 *. mean_depth) +. 1.0))
+  in
+  let cluster = Cluster.create ~config ~tree () in
+  print_breakdown cluster ~label:"after set-up";
+  let d = Scenario.start cluster ~phases:(Stream.unif ~rate ~duration) ~seed in
+  Cluster.run_until cluster (Scenario.stream_end d +. 2.0);
+  print_breakdown cluster
+    ~label:(Printf.sprintf "after %g s of uniform lookups at %.0f/s" duration rate)
+
 let () =
   let command = if Array.length Sys.argv >= 2 then Sys.argv.(1) else "" in
   let id = if Array.length Sys.argv >= 3 then Sys.argv.(2) else "" in
   let first = match command with "experiment" -> 3 | _ -> 2 in
   let scale = ref 0.002 and duration = ref 90.0 and seed = ref 42 and hz = ref 1000 and top = ref 30 in
-  let servers = ref 1024 and levels = ref 13 and rate = ref 2000.0 in
+  let servers = ref (if command = "mem" then 10_000 else 1024) in
+  let levels = ref 13 and rate = ref 2000.0 in
+  if command = "mem" then duration := 9.0;
   let specs =
     [
       ("--scale", Arg.Set_float scale, "S experiment scale (default 0.002)");
-      ("--duration", Arg.Set_float duration, "D simulated seconds (default 90)");
+      ("--duration", Arg.Set_float duration, "D simulated seconds (default 90; mem 9)");
       ("--seed", Arg.Set_int seed, "N seed (default 42)");
       ("--hz", Arg.Set_int hz, "H samples per CPU second (default 1000)");
       ("--top", Arg.Set_int top, "K rows per table (default 30)");
-      ("--servers", Arg.Set_int servers, "N scenario servers (default 1024)");
+      ("--servers", Arg.Set_int servers, "N scenario servers (default 1024; mem 10000)");
       ("--levels", Arg.Set_int levels, "L scenario namespace levels (default 13)");
       ("--rate", Arg.Set_float rate, "R scenario queries per simulated second (default 2000)");
     ]
@@ -136,6 +240,10 @@ let () =
   if !hz <= 0 then (prerr_endline "--hz must be positive"; exit 2);
   Runner.set_jobs (Some 1);
   Runner.set_engine_domains (Some 1);
+  if command = "mem" then begin
+    run_mem ~servers:!servers ~duration:!duration ~seed:!seed;
+    exit 0
+  end;
   let work, label =
     match command with
     | "experiment" -> (
