@@ -33,21 +33,15 @@ let entries t =
 
 let servers t = List.init (size t) (fun i -> row_server t i)
 
-let mem t s =
-  let n = size t in
-  let rec go i = i < n && (row_server t i = s || go (i + 1)) in
-  go 0
+(* Probes here are top-level recursions over explicit arguments, not local
+   closures (a closure over [t] would be allocated per call), and read
+   stamps in place rather than taking them as float arguments, which
+   would box them. *)
+let rec mem_from t s n i = i < n && (row_server t i = s || mem_from t s n (i + 1))
+
+let mem t s = mem_from t s (size t) 0
 
 let owner t = if size t > 0 && row_owner t 0 then Some (row_server t 0) else None
-
-(* Owners first; ties broken newest-first, then by server id for
-   determinism.  Compares packed rows: negative when row a sorts first. *)
-let order_rows na sa nb sb =
-  match ((nb land 1, na land 1) : int * int) with
-  | 1, 0 -> 1
-  | 0, 1 -> -1
-  | _ -> (
-    match Float.compare sb sa with 0 -> Int.compare (na lsr 1) (nb lsr 1) | c -> c)
 
 (* ------------------------------------------------------------------ *)
 (* Scratch                                                             *)
@@ -86,40 +80,61 @@ let ensure sc n =
    cache carries one of its own. *)
 let scratch_key = Domain.DLS.new_key scratch
 
+(* The scratch row holding [server] among [0 .. n), or -1. *)
+let rec row_of ns server n i =
+  if i >= n then -1 else if ns.(i) lsr 1 = server then i else row_of ns server n (i + 1)
+
+(* The first of rows [i .. n) that row [n] (the candidate, parked one past
+   the live rows) does not sort after.  Owners first; ties broken
+   newest-first, then by server id for determinism. *)
+let rec insert_pos ns stamp n i =
+  if i >= n then i
+  else begin
+    let c =
+      match ((ns.(i) land 1, ns.(n) land 1) : int * int) with
+      | 1, 0 -> 1
+      | 0, 1 -> -1
+      | _ -> (
+        match Float.compare (Float.Array.get stamp i) (Float.Array.get stamp n) with
+        | 0 -> Int.compare (ns.(n) lsr 1) (ns.(i) lsr 1)
+        | c -> c)
+    in
+    if c <= 0 then i else insert_pos ns stamp n (i + 1)
+  end
+
 (* Fold one packed row into scratch rows [0 .. !len): combine with any
    existing row for the same server (newest stamp wins, owner flag is
    sticky), then place the result at its unique sort position.  Mirrors
    the historical [add_entry] list fold, shift for shift. *)
 let insert_row sc len nrow srow =
   let ns = sc.sc_ns and stamp = sc.sc_stamp in
-  let server = nrow lsr 1 in
-  let nrow = ref nrow and srow = ref srow in
-  (* Strip an existing row for the same server, combining into the new. *)
   let n = !len in
-  let rec strip i =
-    if i < n then
-      if ns.(i) lsr 1 = server then begin
-        nrow := !nrow lor (ns.(i) land 1);
-        srow := Float.max (Float.Array.get stamp i) !srow;
-        for j = i to n - 2 do
-          ns.(j) <- ns.(j + 1);
-          Float.Array.set stamp j (Float.Array.get stamp (j + 1))
-        done;
-        len := n - 1
-      end
-      else strip (i + 1)
+  (* Park the candidate one past the live rows ([ensure] sized the scratch
+     for the insertion), then strip an existing row for the same server,
+     combining it into the candidate. *)
+  ns.(n) <- nrow;
+  Float.Array.set stamp n srow;
+  let n =
+    match row_of ns (nrow lsr 1) n 0 with
+    | -1 -> n
+    | i ->
+      ns.(n) <- ns.(n) lor (ns.(i) land 1);
+      Float.Array.set stamp n (Float.max (Float.Array.get stamp i) (Float.Array.get stamp n));
+      for j = i to n - 1 do
+        ns.(j) <- ns.(j + 1);
+        Float.Array.set stamp j (Float.Array.get stamp (j + 1))
+      done;
+      n - 1
   in
-  strip 0;
   (* Sorted insertion: before the first row it does not sort after. *)
-  let n = !len in
-  let rec pos i = if i >= n then i else if order_rows !nrow !srow ns.(i) (Float.Array.get stamp i) <= 0 then i else pos (i + 1) in
-  let at = pos 0 in
+  let at = insert_pos ns stamp n 0 in
+  let nrow = ns.(n) and srow = Float.Array.get stamp n in
   for j = n downto at + 1 do
     ns.(j) <- ns.(j - 1);
     Float.Array.set stamp j (Float.Array.get stamp (j - 1))
   done;
-  ns.(at) <- !nrow;
-  Float.Array.set stamp at !srow;
+  ns.(at) <- nrow;
+  Float.Array.set stamp at srow;
   len := n + 1
 
 (* Materialize scratch rows [0 .. n) as an immutable map. *)
@@ -226,22 +241,17 @@ let remove t s =
    [b] is already present with an equal-or-newer stamp and owner flag.  The
    common case on busy paths (the same maps circulate), worth a scan to
    avoid reallocating stored maps. *)
-let subsumes a b =
-  let na = size a and nb = size b in
-  let rec all i =
-    i >= nb
-    ||
-    let sb = row_server b i in
-    let rec found j =
-      j < na
-      && ((row_server a j = sb
-           && row_stamp a j >= row_stamp b i
-           && (row_owner a j || not (row_owner b i)))
-         || found (j + 1))
-    in
-    found 0 && all (i + 1)
-  in
-  all 0
+let rec covered a na b i j =
+  j < na
+  && ((row_server a j = row_server b i
+       && row_stamp a j >= row_stamp b i
+       && (row_owner a j || not (row_owner b i)))
+     || covered a na b i (j + 1))
+
+let rec subsumes_from a na b nb i =
+  i >= nb || (covered a na b i 0 && subsumes_from a na b nb (i + 1))
+
+let subsumes a b = subsumes_from a (size a) b (size b) 0
 
 let merge ?scratch ~max rng a b =
   if max < 1 then invalid_arg "Node_map.merge: max must be >= 1";
