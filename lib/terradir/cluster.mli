@@ -233,3 +233,21 @@ val replicas_per_level : t -> [ `Current | `Created ] -> float array
 val check_invariants : t -> unit
 (** One immediate {!Invariant.check_cluster} pass (independent of whether
     auditing is enabled).  @raise Failure describing the first violation. *)
+
+val alloc_msg :
+  t ->
+  from:server_id ->
+  to_:server_id ->
+  load:float ->
+  digest_version:int ->
+  digest:Terradir_bloom.Bloom.t option ->
+  payload ->
+  message
+(** Take a message record from the calling lane's pool, or build one with
+    its two event thunks when the pool is empty.  The protocol calls it
+    for every delivery; exported for the pooling tests. *)
+
+val free_msg : t -> message -> unit
+(** Scrub a message (recipient -1, no digest, no payload) and return it to
+    the calling lane's pool; its thunks stay built.  Exported for the
+    pooling tests. *)
