@@ -13,7 +13,7 @@ let effective_high_water (s : Server.t) ~now =
        message, so a fold here would cost O(peers) per event), plus own
        last measurement.  Raw (not adjusted) own load: the threshold should
        track reality, not the post-shed hysteresis value. *)
-    let sum = Load_meter.raw_load s.load now +. s.Server.peer_load_sum in
+    let sum = Load_meter.raw_load s.load now +. Server.peer_load_sum s in
     let n = 1 + Hashtbl.length s.Server.known_loads in
     let mean = sum /. float_of_int n in
     Float.max floor_threshold (Float.min 0.95 (factor *. mean))
@@ -26,7 +26,7 @@ let should_start (s : Server.t) ~now =
   let go =
     s.config.Config.features.Config.replication
     && s.session = None
-    && now >= s.session_backoff_until
+    && now >= Server.session_backoff_until s
     && Terradir_util.Intmap.length s.hosted > 0
     && Load_meter.sustained_load s.load now >= s.config.Config.high_water (* cheap floor *)
     && Load_meter.sustained_load s.load now >= effective_high_water s ~now

@@ -32,7 +32,7 @@ type hosted = {
   h_kind : host_kind;
   mutable h_map : Node_map.t;  (** hosts of this node, self included *)
   mutable h_meta_version : int;
-  mutable h_last_used : float;
+  h_last_used : floatarray;  (** one cell: time of the last processed query for it *)
 }
 
 (** An in-progress replication session (§3.3). *)
@@ -62,12 +62,8 @@ type t = {
   digests : Digest_store.t;
   load : Load_meter.t;
   ranking : Ranking.t;
-  known_loads : (server_id, float) Hashtbl.t;
-  mutable peer_load_sum : float;
-      (** running Σ of [known_loads] values, maintained by
-          {!note_peer_load} / {!forget_peer} so the replication trigger's
-          believed-mean-load check is O(1) per message instead of a
-          O(peers) fold (the fold dominated large deployments) *)
+  known_loads : (server_id, floatarray) Hashtbl.t;
+      (** believed load per peer, one cell each, updated in place *)
   queue : message Queue.t;  (** bounded query-class FIFO *)
   ctrl_queue : message Queue.t;  (** unbounded, served with priority *)
   mutable serving : bool;
@@ -75,8 +71,9 @@ type t = {
       (** observability-only: true between the recorded busy/idle edge
           events; written only while the sink's counters level is on *)
   mutable session : session option;
-  mutable session_backoff_until : float;
-  mutable last_decay : float;
+  floats : floatarray;
+      (** unboxed per-event float state: read it through {!peer_load_sum}
+          and {!session_backoff_until} *)
   mutable alive : bool;
   (* counters *)
   mutable queries_processed : int;
@@ -96,6 +93,17 @@ val create :
 (** [speed] defaults to 1.0; must be positive.  [obs] defaults to the
     disabled sink; the server emits replica-churn and digest events
     through it and hands it to its cache. *)
+
+val peer_load_sum : t -> float
+(** Running Σ of the [known_loads] values, maintained by {!note_peer_load}
+    and {!forget_peer}, so the replication trigger's believed-mean-load
+    check is O(1) per message instead of an O(peers) fold (the fold
+    dominated large deployments). *)
+
+val session_backoff_until : t -> float
+(** No replication session starts before this time. *)
+
+val set_session_backoff_until : t -> float -> unit
 
 val add_owned : t -> node_id -> owner_map:(node_id -> Node_map.t) -> unit
 (** Install an owned node at bootstrap.  [owner_map v] is [v]'s bootstrap
@@ -185,6 +193,9 @@ val forget_server : t -> node_id -> server_id -> unit
 
 val forget_peer : t -> server_id -> unit
 (** Drop a peer from the believed-load table. *)
+
+val forget_all_peers : t -> unit
+(** Empty the believed-load table (a crash loses it). *)
 
 val record_new_replica : t -> node_id -> server_id -> now:float -> unit
 (** Sender-side bookkeeping after shipping a replica: enter the new host

@@ -96,7 +96,7 @@ let test_should_start_gates () =
   set_load s 0.1 0.5;
   Alcotest.(check bool) "cool server does not" false (Replication.should_start s ~now:0.1);
   (* backoff respected *)
-  s.Server.session_backoff_until <- 5.0;
+  Server.set_session_backoff_until s 5.0;
   set_load s 4.0 0.9;
   Alcotest.(check bool) "backoff" false (Replication.should_start s ~now:4.0);
   set_load s 5.0 0.9;
