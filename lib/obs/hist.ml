@@ -14,23 +14,44 @@ let max_exp = 64
 
 let nbuckets = ((max_exp - min_exp) * sub) + 1 (* slot 0: values <= 0 *)
 
-type t = {
-  counts : int array;
-  mutable count : int;
-  mutable sum : float;
-  mutable vmin : float;
-  mutable vmax : float;
-}
+(* The float moments live in [moments] cells (sum, min, max) rather than
+   in mutable float fields: this record mixes ints and floats, so each
+   [add] would box three fresh floats and keep them alive from a
+   long-lived histogram. *)
+type t = { counts : int array; mutable count : int; moments : floatarray }
+
+let i_sum = 0
+
+let i_min = 1
+
+let i_max = 2
+
+let get_sum t = Float.Array.get t.moments i_sum
+
+let get_min t = Float.Array.get t.moments i_min
+
+let get_max t = Float.Array.get t.moments i_max
+
+let set_sum t v = Float.Array.set t.moments i_sum v
+
+let set_min t v = Float.Array.set t.moments i_min v
+
+let set_max t v = Float.Array.set t.moments i_max v
+
+let reset_moments t =
+  set_sum t 0.0;
+  set_min t infinity;
+  set_max t neg_infinity
 
 let create () =
-  { counts = Array.make nbuckets 0; count = 0; sum = 0.0; vmin = infinity; vmax = neg_infinity }
+  let t = { counts = Array.make nbuckets 0; count = 0; moments = Float.Array.create 3 } in
+  reset_moments t;
+  t
 
 let reset t =
   Array.fill t.counts 0 nbuckets 0;
   t.count <- 0;
-  t.sum <- 0.0;
-  t.vmin <- infinity;
-  t.vmax <- neg_infinity
+  reset_moments t
 
 let index v =
   if v <= 0.0 || Float.is_nan v then 0
@@ -58,9 +79,9 @@ let add t v =
   let i = index v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.count <- t.count + 1;
-  t.sum <- t.sum +. v;
-  if v < t.vmin then t.vmin <- v;
-  if v > t.vmax then t.vmax <- v
+  set_sum t (get_sum t +. v);
+  if v < get_min t then set_min t v;
+  if v > get_max t then set_max t v
 
 (* Integer state only: bucket counts and the total are exact under any
    merge order.  The float moments (sum/vmin/vmax) are deliberately NOT
@@ -94,29 +115,29 @@ let diff t ~since =
   done;
   d.count <- t.count - since.count;
   if d.count < 0 then invalid_arg "Hist.diff: since is not an earlier snapshot of t";
-  d.sum <- t.sum -. since.sum;
+  set_sum d (get_sum t -. get_sum since);
   if d.count > 0 then begin
-    d.vmin <- value_of_index !lo;
-    d.vmax <- value_of_index !hi
+    set_min d (value_of_index !lo);
+    set_max d (value_of_index !hi)
   end;
   d
 
 let set_moments t ~sum ~vmin ~vmax =
-  t.sum <- sum;
+  set_sum t sum;
   if t.count > 0 then begin
-    t.vmin <- vmin;
-    t.vmax <- vmax
+    set_min t vmin;
+    set_max t vmax
   end
 
 let count t = t.count
 
-let sum t = t.sum
+let sum t = get_sum t
 
-let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
+let mean t = if t.count = 0 then 0.0 else get_sum t /. float_of_int t.count
 
-let min_value t = if t.count = 0 then 0.0 else t.vmin
+let min_value t = if t.count = 0 then 0.0 else get_min t
 
-let max_value t = if t.count = 0 then 0.0 else t.vmax
+let max_value t = if t.count = 0 then 0.0 else get_max t
 
 let percentile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Hist.percentile: q outside [0, 1]";
@@ -137,7 +158,7 @@ let percentile t q =
      with Exit -> ());
     let v = value_of_index !found in
     (* the bucket midpoint can stick out past the observed extremes *)
-    if v < t.vmin then t.vmin else if v > t.vmax then t.vmax else v
+    if v < get_min t then get_min t else if v > get_max t then get_max t else v
   end
 
 let summary_fields t =

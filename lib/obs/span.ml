@@ -34,7 +34,9 @@ type t = {
 type building = {
   mutable b_src : int;
   mutable b_dst : int;
+  (* lint: boxed-float span assembly runs once per exported trace, after the run *)
   mutable b_start : float;
+  (* lint: boxed-float span assembly runs once per exported trace, after the run *)
   mutable b_stop : float;
   mutable b_outcome : outcome;
   mutable b_retries : int;

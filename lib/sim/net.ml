@@ -25,6 +25,7 @@ type t = {
          and independent of how servers are sharded across domains.
          [||] = the legacy single-stream network. *)
   obs : Terradir_obs.Obs.t;
+  (* lint: boxed-float set by the chaos driver between events, a few times per run *)
   mutable p_loss : float;
   mutable latency : latency;
   mutable partitions : partition list;

@@ -36,7 +36,9 @@ let outbox_create () =
 type t = {
   idx : int; (* lane index: 0..K-1 shards; K = the coordinator lane *)
   queue : (unit -> unit) Pqueue.t;
-  mutable clock : float; (* time of the event being / last executed *)
+  clock : floatarray;
+      (* one cell: time of the event being / last executed, unboxed because
+         it is written once per event *)
   mutable ctx : int; (* executing context: owner of the running event, -1 idle *)
   mutable tie : int; (* tie-break of the running event (obs stamping) *)
   mutable sub : int; (* intra-event emission counter (obs stamping) *)
@@ -51,7 +53,7 @@ let create ~idx ~ndest =
   {
     idx;
     queue = Pqueue.create ();
-    clock = 0.0;
+    clock = Float.Array.make 1 0.0;
     ctx = -1;
     tie = 0;
     sub = 0;
@@ -61,9 +63,9 @@ let create ~idx ~ndest =
 
 let idx t = t.idx
 
-let clock t = t.clock
+let clock t = Float.Array.get t.clock 0
 
-let set_clock t time = t.clock <- time
+let set_clock t time = Float.Array.set t.clock 0 time
 
 let ctx t = t.ctx
 
@@ -136,10 +138,10 @@ let enqueue t ~key ~tie ~tag f = Pqueue.add_tagged t.queue ~key ~seq:tie ~tag f
 let pop_run t =
   let key = top_key t and tie = top_tie t and tag = top_tag t in
   let f = Pqueue.pop_exn t.queue in
-  if key < t.clock then
+  if key < clock t then
     invalid_arg
-      (Printf.sprintf "Shard.pop_run: lane %d key regressed %h -> %h" t.idx t.clock key);
-  t.clock <- key;
+      (Printf.sprintf "Shard.pop_run: lane %d key regressed %h -> %h" t.idx (clock t) key);
+  set_clock t key;
   t.ctx <- tag;
   t.tie <- tie;
   t.sub <- 0;

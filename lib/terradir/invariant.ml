@@ -28,6 +28,7 @@ type t = {
   mutable kept_count : int;
   mutable total : int;
   mutable passes : int;
+  (* lint: boxed-float written once per audit pass, every audit_every events *)
   mutable last_clock : float;
 }
 

@@ -50,3 +50,15 @@ let hook obs qid = Obs.record obs ~server:0 (Event.Queue_enter { qid; attempt = 
 let hook_ok obs qid =
   (* lint: obs-in-hot-path spans-gated; fires once per enqueue *)
   Terradir_obs.Obs.record obs ~server:0 (Event.Queue_enter { qid; attempt = 0 })
+
+(* --- boxed floats: mixed record, annotated cold field, all-float record --- *)
+
+type meter = { mutable level : float; name : string }
+
+type cold = {
+  (* lint: boxed-float written once per run; never on the event path *)
+  mutable limit : float;
+  label : string;
+}
+
+type flat = { mutable lo : float; mutable hi : float }

@@ -25,6 +25,12 @@
                      must carry an annotation naming the level gate and
                      the event's frequency, so hook growth on the hot
                      path stays a reviewed decision rather than drift.
+     boxed-float     a [mutable f : float] field in a record that also has
+                     a non-float field.  Such a record stores its floats
+                     boxed, so every write allocates a box and takes the
+                     write barrier, and a long-lived record keeps each box
+                     alive past a minor collection.  Keep hot floats in a
+                     [floatarray] cell; annotate the cold ones.
 
    Suppression, per-site, with a recorded justification:
 
@@ -52,6 +58,7 @@ let rule_global_rng = "global-rng"
 let rule_poly_compare = "poly-compare"
 let rule_marshal = "marshal"
 let rule_obs_hot_path = "obs-in-hot-path"
+let rule_boxed_float = "boxed-float"
 let rule_bad_annotation = Suppress.rule_bad_annotation
 let rule_unused_suppression = Suppress.rule_unused_suppression
 let rule_parse_error = "parse-error"
@@ -59,7 +66,7 @@ let rule_parse_error = "parse-error"
 let all_rules =
   [
     rule_hashtbl; rule_wall_clock; rule_global_rng; rule_poly_compare; rule_marshal;
-    rule_obs_hot_path;
+    rule_obs_hot_path; rule_boxed_float;
   ]
 
 module SSet = Set.Make (String)
@@ -148,8 +155,38 @@ let lint_source ~path ~source =
         ^ " in protocol code; annotate the level gate and how often the event fires")
      | _ -> ())
   in
+  let is_float (t : Parsetree.core_type) =
+    match t.ptyp_desc with
+    | Ptyp_constr ({ txt = Lident "float" | Ldot (Lident "Stdlib", "float"); _ }, []) -> true
+    | _ -> false
+  in
+  (* An all-float record is stored flat and unboxed; any other field makes
+     its float fields boxed. *)
+  let check_labels (labels : Parsetree.label_declaration list) =
+    if List.exists (fun (l : Parsetree.label_declaration) -> not (is_float l.pld_type)) labels then
+      List.iter
+        (fun (l : Parsetree.label_declaration) ->
+          if l.pld_mutable = Asttypes.Mutable && is_float l.pld_type then
+            add l.pld_loc rule_boxed_float
+              (Printf.sprintf
+                 "mutable float field %s in a record with non-float fields boxes every write; \
+                  keep it in a floatarray cell or annotate why it is cold"
+                 l.pld_name.txt))
+        labels
+  in
   let iterator =
     let default = Ast_iterator.default_iterator in
+    let type_declaration it (td : Parsetree.type_declaration) =
+      (match td.ptype_kind with
+       | Ptype_record labels -> check_labels labels
+       | Ptype_variant cstrs ->
+         List.iter
+           (fun (c : Parsetree.constructor_declaration) ->
+             match c.pcd_args with Pcstr_record labels -> check_labels labels | Pcstr_tuple _ -> ())
+           cstrs
+       | Ptype_abstract | Ptype_open -> ());
+      default.type_declaration it td
+    in
     let expr it (e : Parsetree.expression) =
       match e.pexp_desc with
       | Pexp_ident { txt; loc } ->
@@ -181,7 +218,7 @@ let lint_source ~path ~source =
         default.expr it e
       | _ -> default.expr it e
     in
-    { default with expr }
+    { default with expr; type_declaration }
   in
   (try
      let lexbuf = Lexing.from_string source in
