@@ -15,6 +15,7 @@ val local_version : t -> int
 (** Starts at 0 with an empty digest; bumped by every {!rebuild_local}. *)
 
 val local : t -> Terradir_bloom.Bloom.t
+(** The local digest; the first read after a rebuild builds it. *)
 
 val rebuild_local : t -> hosted:int list -> unit
 (** Recompute the local digest over the hosted node ids. *)
@@ -22,7 +23,10 @@ val rebuild_local : t -> hosted:int list -> unit
 val rebuild_local_from : t -> count:int -> iter:((int -> unit) -> unit) -> unit
 (** {!rebuild_local} without materializing the hosted list: [iter] must
     produce exactly the hosted node ids ([count] of them — the filter is
-    sized by it).  Order-independent, so a hash-table iteration is fine. *)
+    sized by it).  Order-independent, so a hash-table iteration is fine.
+    The version is bumped at once; the filter is built by the next
+    {!local} read, by calling [iter] then — so [iter] must still produce
+    the same ids by that time, unless another rebuild replaces it first. *)
 
 val record_remote : t -> server:int -> version:int -> Terradir_bloom.Bloom.t -> unit
 (** Keep the digest if its version is newer than what is stored. *)
