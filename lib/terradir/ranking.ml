@@ -7,7 +7,11 @@ let create () = { weights = Intmap.create () }
 let weight t node =
   match Intmap.slot t.weights node with -1 -> 0.0 | i -> Intmap.value_at t.weights i
 
-let touch t node = Intmap.replace t.weights node (weight t node +. 1.0)
+(* In place for a known node: touched once per processed query. *)
+let touch t node =
+  match Intmap.slot t.weights node with
+  | -1 -> Intmap.add t.weights node 1.0
+  | i -> Intmap.add_at t.weights i 1.0
 
 let seed t node w = Intmap.replace t.weights node (Float.max 0.0 w)
 

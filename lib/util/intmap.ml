@@ -99,6 +99,12 @@ let set_at t i v =
   check t i "set_at";
   t.vals.(i) <- v
 
+(* Typed [float t], the values are a flat float array: the update reads
+   and writes it unboxed, where [set_at (value_at ...)] would box. *)
+let add_at (t : float t) i d =
+  check t i "add_at";
+  t.vals.(i) <- t.vals.(i) +. d
+
 let rebuild t n =
   Index.reset t.index n;
   for i = 0 to t.len - 1 do

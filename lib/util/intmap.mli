@@ -34,6 +34,10 @@ val value_at : 'a t -> int -> 'a
 val set_at : 'a t -> int -> 'a -> unit
 (** Rebind the value in slot [i]. *)
 
+val add_at : float t -> int -> float -> unit
+(** [add_at t i d] adds [d] to the value in slot [i], in place and without
+    allocating. *)
+
 val add : 'a t -> int -> 'a -> unit
 (** Bind a key that is not yet bound, in slot [length t].
     @raise Invalid_argument if [k] is bound. *)

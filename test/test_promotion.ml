@@ -1,0 +1,218 @@
+(* Tests for the promotion budget (DESIGN §16): the steady-state message
+   path may keep nothing past a minor collection that the protocol does
+   not keep.  Native allocation pins on the per-event helpers, the pooled
+   messages' event thunks, the known-load cells behind [min_load_peer],
+   and the lazily built local digest. *)
+
+open Terradir_util
+open Terradir_namespace
+open Terradir
+open Types
+module Bloom = Terradir_bloom.Bloom
+
+let tree = Build.balanced ~arity:2 ~levels:4 (* 31 nodes *)
+
+let config = { Config.default with Config.num_servers = 8; r_fact = 2.0; cache_slots = 8 }
+
+(* Bootstrap maps as [Cluster.create] builds them: [n] owned by [s], every
+   other node by [node mod 8]. *)
+let add_owned s n =
+  Server.add_owned s n ~owner_map:(fun v ->
+      let server = if v = n then s.Server.id else v mod 8 in
+      Node_map.singleton ~is_owner:true ~server ~stamp:0.0 ())
+
+let server ?(id = 0) nodes =
+  let s = Server.create ~id ~config ~tree ~rng:(Splitmix.create (id + 100)) () in
+  List.iter (add_owned s) nodes;
+  s
+
+(* ---- allocation pins ---- *)
+
+(* Minor words allocated by one call of [f], after a warm-up call (the
+   first may grow a table).  [Gc.minor_words] itself allocates nothing in
+   native code. *)
+let words_of f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  let after = Gc.minor_words () in
+  after -. before
+
+(* Bytecode boxes every float and allocates its own frames, so the pins
+   only mean something natively. *)
+let pin name f =
+  if Sys.backend_type = Sys.Native then
+    Alcotest.(check (float 0.0)) (name ^ " allocates nothing") 0.0 (words_of f)
+
+let map_of servers =
+  Node_map.of_entries ~max:8
+    (List.mapi (fun i server -> { Node_map.server; is_owner = i = 0; stamp = float_of_int i }) servers)
+
+let test_pin_mem () =
+  let m = map_of [ 4; 9; 2; 7; 11 ] in
+  pin "Node_map.mem (hit)" (fun () -> ignore (Node_map.mem m 7 : bool));
+  pin "Node_map.mem (miss)" (fun () -> ignore (Node_map.mem m 5 : bool))
+
+let test_pin_merge_subsumed () =
+  let a = map_of [ 4; 9; 2; 7; 11 ] in
+  let b = Node_map.of_entries ~max:8 [ { Node_map.server = 2; is_owner = false; stamp = 1.0 } ] in
+  let rng = Splitmix.create 1 in
+  Alcotest.(check bool) "subsumed merge returns the map itself" true (Node_map.merge ~max:8 rng a b == a);
+  pin "merge of a subsumed map" (fun () -> ignore (Node_map.merge ~max:8 rng a b : Node_map.t))
+
+let test_pin_note_peer_load () =
+  let s = server [ 1 ] in
+  Server.note_peer_load s 5 0.5;
+  pin "note_peer_load for a known peer" (fun () -> Server.note_peer_load s 5 0.25);
+  Alcotest.(check (float 0.0)) "sum tracks the cell" 0.25 (Server.peer_load_sum s)
+
+let test_pin_touch_node () =
+  let s = server [ 1; 6 ] in
+  pin "touch_node on a hosted node" (fun () -> Server.touch_node s 6 ~now:0.5);
+  match Server.find_hosted s 6 with
+  | Some h -> Alcotest.(check (float 0.0)) "last use recorded" 0.5 (Float.Array.get h.Server.h_last_used 0)
+  | None -> Alcotest.fail "node 6 not hosted"
+
+(* ---- message thunks ---- *)
+
+let cluster () = Cluster.create ~monitor:false ~config ~tree ()
+
+let alloc c = Cluster.alloc_msg c ~from:0 ~to_:1 ~load:0.0 ~digest_version:0 ~digest:None null_payload
+
+let test_recycled_thunks () =
+  let c = cluster () in
+  let m = alloc c in
+  let deliver = m.msg_deliver and served = m.msg_served in
+  Cluster.free_msg c m;
+  let m' = alloc c in
+  Alcotest.(check bool) "the pool hands the record back" true (m' == m);
+  Alcotest.(check bool) "msg_deliver is the same closure" true (m'.msg_deliver == deliver);
+  Alcotest.(check bool) "msg_served is the same closure" true (m'.msg_served == served);
+  Alcotest.(check int) "recipient set on reuse" 1 m'.msg_to
+
+let raises_invalid name f =
+  match f () with
+  | () -> Alcotest.failf "%s: fired on a freed record without raising" name
+  | exception Invalid_argument _ -> ()
+
+let test_freed_thunks_raise () =
+  let c = cluster () in
+  let m = alloc c in
+  Cluster.free_msg c m;
+  Alcotest.(check int) "freed record is scrubbed" (-1) m.msg_to;
+  raises_invalid "msg_deliver" m.msg_deliver;
+  raises_invalid "msg_served" m.msg_served
+
+(* ---- known-load cells keep min_load_peer's order ---- *)
+
+type op = Note of int * int | Forget of int
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 120)
+      (frequency
+         [
+           (4, map2 (fun p l -> Note (p, l)) (int_range 0 40) (int_range 0 4));
+           (1, map (fun p -> Forget p) (int_range 0 40));
+         ]))
+
+let print_op = function
+  | Note (p, l) -> Printf.sprintf "Note(%d,%d)" p l
+  | Forget p -> Printf.sprintf "Forget %d" p
+
+(* The historical table: a Stdlib [(int, float) Hashtbl.t] updated with
+   [replace], folded with the same tie-break. *)
+let reference_min tbl ~exclude =
+  (* bucket order on purpose: it is what the server must reproduce *)
+  Hashtbl.fold
+    (fun peer load best ->
+      if List.mem peer exclude then best
+      else match best with Some (_, l) when l <= load -> best | _ -> Some (peer, load))
+    tbl None
+
+let prop_min_load_peer =
+  QCheck.Test.make ~count:300 ~name:"min_load_peer = Stdlib (int, float) Hashtbl reference"
+    (QCheck.make ~print:(QCheck.Print.list print_op) gen_ops)
+    (fun ops ->
+      let self = 3 in
+      let s = server ~id:self [] in
+      let ref_tbl : (int, float) Hashtbl.t = Hashtbl.create 32 in
+      let same () =
+        List.for_all
+          (fun exclude -> Server.min_load_peer s ~exclude = reference_min ref_tbl ~exclude)
+          [ [ self ]; [ self; 0; 1; 2 ]; [] ]
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Note (p, l) ->
+            (* quarter steps: equal loads are common, so ties are exercised *)
+            let load = float_of_int l /. 4.0 in
+            Server.note_peer_load s p load;
+            if p <> self then Hashtbl.replace ref_tbl p load
+          | Forget p ->
+            Server.forget_peer s p;
+            Hashtbl.remove ref_tbl p);
+          same ())
+        ops)
+
+(* ---- lazy local digest ---- *)
+
+let test_digest_versions () =
+  let nodes = [ 1; 6; 9; 14; 22 ] in
+  let s = server [] in
+  List.iteri
+    (fun i n ->
+      add_owned s n;
+      Alcotest.(check int) "one version per add" (i + 1) (Digest_store.local_version s.Server.digests))
+    nodes
+
+let test_digest_matches_eager () =
+  let s = server [ 1; 6; 9; 14; 22 ] in
+  let hosted = Server.hosted_nodes s in
+  let eager =
+    Bloom.of_iter ~bits_per_element:16 ~hashes:10 ~expected:(List.length hosted) (fun add ->
+        List.iter add hosted)
+  in
+  Alcotest.(check bool) "local = Bloom.of_iter over the hosted set" true
+    (Bloom.equal (Digest_store.local s.Server.digests) eager);
+  Alcotest.(check bool) "a second read returns the same filter" true
+    (Digest_store.local s.Server.digests == Digest_store.local s.Server.digests)
+
+let rules_of s =
+  let a = Invariant.create () in
+  Invariant.check_server a ~now:1.0 s;
+  List.map (fun v -> v.Invariant.v_rule) (Invariant.violations a)
+
+let test_digest_corruption_caught () =
+  let s = server [ 1; 6 ] in
+  (* Corrupt while a build is still pending: the auditor's read builds it. *)
+  Digest_store.rebuild_local s.Server.digests ~hosted:[];
+  Alcotest.(check bool) "digest-stale fires" true (List.mem "digest-stale" (rules_of s));
+  Server.touch_node s 1 ~now:0.5;
+  Digest_store.rebuild_local s.Server.digests ~hosted:(Server.hosted_nodes s);
+  Alcotest.(check (list string)) "clean once rebuilt" [] (rules_of s)
+
+let () =
+  Alcotest.run "terradir_promotion"
+    [
+      ( "alloc-pins",
+        [
+          Alcotest.test_case "Node_map.mem" `Quick test_pin_mem;
+          Alcotest.test_case "merge subsumed" `Quick test_pin_merge_subsumed;
+          Alcotest.test_case "note_peer_load known peer" `Quick test_pin_note_peer_load;
+          Alcotest.test_case "touch_node hosted" `Quick test_pin_touch_node;
+        ] );
+      ( "msg-thunks",
+        [
+          Alcotest.test_case "recycled keeps thunks" `Quick test_recycled_thunks;
+          Alcotest.test_case "freed thunk raises" `Quick test_freed_thunks_raise;
+        ] );
+      ("known-loads", List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_min_load_peer ]);
+      ( "lazy-digest",
+        [
+          Alcotest.test_case "version per add" `Quick test_digest_versions;
+          Alcotest.test_case "local = eager build" `Quick test_digest_matches_eager;
+          Alcotest.test_case "auditor catches corruption" `Quick test_digest_corruption_caught;
+        ] );
+    ]
