@@ -1,10 +1,12 @@
 (* SIGPROF self-sampler: where does a simulation spend its CPU time?
-   And a per-store heap breakdown: what does one server's state cost?
+   A per-store heap breakdown: what does one server's state cost?  And
+   the collector's share of the run, phase by phase.
 
      prof_main.exe experiment ID [--scale S] [--duration D] [--seed N] [--hz H] [--top K]
      prof_main.exe scenario [--servers N] [--levels L] [--rate R] [--duration D]
                             [--seed N] [--hz H] [--top K]
      prof_main.exe mem [--servers N] [--duration D] [--seed N]
+     prof_main.exe gc [--servers N] [--duration D] [--seed N]
 
    [experiment] runs a registry entry (fig3 ... hetero, as
    `terradir_sim list` names them); [scenario] runs a uniform-lookup
@@ -41,7 +43,22 @@
    memory of its own in proportion to the heap it walks: at 10k servers
    this command peaks at about 570 MB RSS, where the benchmark's run of
    the same deployment peaks at about 310 MB.  Never call it inside a run
-   whose RSS or time is measured. *)
+   whose RSS or time is measured.  A message waiting in a server queue
+   holds its event thunks, which close over the whole cluster: the queue
+   row would then count the cluster, so the breakdown is taken after the
+   run has drained.
+
+   [gc] samples nothing either.  It builds the same uniform deployment
+   and run as [mem] and reads the runtime's own event ring (the
+   [runtime_events] library of OCaml 5.1): wall time inside each GC
+   phase — [minor], [minor_remembered_set] (scanning major-to-minor
+   pointers), [major_slice], [major_mark] and [major_sweep] — for set-up
+   and for the run.  Phases nest ([minor_remembered_set] inside [minor],
+   the mark and sweep work inside major slices), so the rows do not add
+   up.  An engine observer polls the ring every few thousand events, so
+   it never overflows; [lost events] says if it did.  The ring is a file
+   the runtime creates in the working directory and deletes at exit.
+   Tracing costs time of its own: never use it inside a measured run. *)
 
 module Registry = Terradir_experiments.Registry
 module Runner = Terradir_experiments.Runner
@@ -50,7 +67,7 @@ open Terradir
 let usage =
   "prof_main.exe (experiment ID [--scale S] [--duration D] | scenario [--servers N] [--levels L] \
    [--rate R] [--duration D]) [--seed N] [--hz H] [--top K]\n\
-   prof_main.exe mem [--servers N] [--duration D] [--seed N]"
+   prof_main.exe (mem | gc) [--servers N] [--duration D] [--seed N]"
 
 let max_frames = 256
 
@@ -180,9 +197,10 @@ let print_breakdown (cluster : Cluster.t) ~label =
   in
   Printf.printf "%-24s %10.1f\n" "total" (per_server total)
 
-let run_mem ~servers ~duration ~seed =
+(* The benchmark's uniform deployment at [servers], and its analytic
+   lookup rate. *)
+let uniform_deployment ~servers =
   let open Terradir_namespace in
-  let open Terradir_workload in
   let log2s = log2i servers in
   let tree = Build.balanced ~arity:2 ~levels:(max 3 (log2i (8 * servers))) in
   let config =
@@ -203,29 +221,112 @@ let run_mem ~servers ~duration ~seed =
   let rate =
     0.5 *. float_of_int servers /. (config.Config.service_mean *. ((2.0 *. mean_depth) +. 1.0))
   in
+  (config, tree, rate)
+
+let run_uniform cluster ~rate ~duration ~seed =
+  let open Terradir_workload in
+  let d = Scenario.start cluster ~phases:(Stream.unif ~rate ~duration) ~seed in
+  Cluster.run_until cluster (Scenario.stream_end d +. 2.0)
+
+let run_mem ~servers ~duration ~seed =
+  let config, tree, rate = uniform_deployment ~servers in
   let cluster = Cluster.create ~config ~tree () in
   print_breakdown cluster ~label:"after set-up";
-  let d = Scenario.start cluster ~phases:(Stream.unif ~rate ~duration) ~seed in
-  Cluster.run_until cluster (Scenario.stream_end d +. 2.0);
+  run_uniform cluster ~rate ~duration ~seed;
   print_breakdown cluster
     ~label:(Printf.sprintf "after %g s of uniform lookups at %.0f/s" duration rate)
+
+(* ---- gc: per-phase collector time from runtime_events ---- *)
+
+let gc_phases =
+  Runtime_events.
+    [
+      (EV_MINOR, "minor");
+      (EV_MINOR_REMEMBERED_SET, "minor_remembered_set");
+      (EV_MAJOR_SLICE, "major_slice");
+      (EV_MAJOR_MARK, "major_mark");
+      (EV_MAJOR_SWEEP, "major_sweep");
+    ]
+
+(* Per phase: total ns, completed spans, and the open span's start. *)
+type phase_acc = { mutable ns : int64; mutable spans : int; mutable opened : int64 }
+
+let run_gc ~servers ~duration ~seed =
+  let accs = List.map (fun (ph, name) -> (ph, name, { ns = 0L; spans = 0; opened = -1L })) gc_phases in
+  let acc_of ph = List.find_map (fun (p, _, a) -> if p = ph then Some a else None) accs in
+  let lost = ref 0 in
+  let runtime_begin _domain ts ph =
+    match acc_of ph with
+    | Some a -> a.opened <- Runtime_events.Timestamp.to_int64 ts
+    | None -> ()
+  in
+  let runtime_end _domain ts ph =
+    match acc_of ph with
+    | Some a when a.opened >= 0L ->
+      a.ns <- Int64.add a.ns (Int64.sub (Runtime_events.Timestamp.to_int64 ts) a.opened);
+      a.spans <- a.spans + 1;
+      a.opened <- -1L
+    | Some _ | None -> ()
+  in
+  let callbacks =
+    Runtime_events.Callbacks.create ~runtime_begin ~runtime_end
+      ~lost_events:(fun _domain n -> lost := !lost + n)
+      ()
+  in
+  Runtime_events.start ();
+  let cursor = Runtime_events.create_cursor None in
+  let poll () = ignore (Runtime_events.read_poll cursor callbacks None : int) in
+  (* Totals of one stage, read off the accumulators and then zeroed. *)
+  let take () =
+    poll ();
+    List.map
+      (fun (_, name, a) ->
+        let row = (name, Int64.to_float a.ns /. 1e9, a.spans) in
+        a.ns <- 0L;
+        a.spans <- 0;
+        row)
+      accs
+  in
+  let config, tree, rate = uniform_deployment ~servers in
+  ignore (take ());
+  let t0 = host_wall () in
+  let cluster = Cluster.create ~config ~tree () in
+  let setup_wall = host_wall () -. t0 in
+  let setup = take () in
+  Terradir_sim.Engine.add_observer cluster.Cluster.engine ~every:4096 poll;
+  let t1 = host_wall () in
+  run_uniform cluster ~rate ~duration ~seed;
+  let run_wall = host_wall () -. t1 in
+  let run = take () in
+  Runtime_events.free_cursor cursor;
+  Printf.printf "== GC phases (runtime_events): uniform deployment, %d servers, %g s at %.0f/s ==\n"
+    servers duration rate;
+  Printf.printf "%-22s %10s %8s %10s %8s\n" "phase" "set-up s" "spans" "run s" "spans";
+  List.iter2
+    (fun (name, s0, n0) (_, s1, n1) -> Printf.printf "%-22s %10.3f %8d %10.3f %8d\n" name s0 n0 s1 n1)
+    setup run;
+  Printf.printf "%-22s %10.3f %8s %10.3f\n" "wall" setup_wall "" run_wall;
+  Printf.printf "engine events: %d; lost events: %d\n"
+    (Terradir_sim.Engine.events_executed cluster.Cluster.engine)
+    !lost
 
 let () =
   let command = if Array.length Sys.argv >= 2 then Sys.argv.(1) else "" in
   let id = if Array.length Sys.argv >= 3 then Sys.argv.(2) else "" in
   let first = match command with "experiment" -> 3 | _ -> 2 in
   let scale = ref 0.002 and duration = ref 90.0 and seed = ref 42 and hz = ref 1000 and top = ref 30 in
-  let servers = ref (if command = "mem" then 10_000 else 1024) in
+  let uniform = command = "mem" || command = "gc" in
+  let servers = ref (if uniform then 10_000 else 1024) in
   let levels = ref 13 and rate = ref 2000.0 in
-  if command = "mem" then duration := 9.0;
+  if uniform then duration := 9.0;
   let specs =
     [
       ("--scale", Arg.Set_float scale, "S experiment scale (default 0.002)");
-      ("--duration", Arg.Set_float duration, "D simulated seconds (default 90; mem 9)");
+      ("--duration", Arg.Set_float duration, "D simulated seconds (default 90; mem, gc 9)");
       ("--seed", Arg.Set_int seed, "N seed (default 42)");
       ("--hz", Arg.Set_int hz, "H samples per CPU second (default 1000)");
       ("--top", Arg.Set_int top, "K rows per table (default 30)");
-      ("--servers", Arg.Set_int servers, "N scenario servers (default 1024; mem 10000)");
+      ("--servers", Arg.Set_int servers, "N scenario servers (default 1024; mem, gc 10000)");
       ("--levels", Arg.Set_int levels, "L scenario namespace levels (default 13)");
       ("--rate", Arg.Set_float rate, "R scenario queries per simulated second (default 2000)");
     ]
@@ -242,6 +343,10 @@ let () =
   Runner.set_engine_domains (Some 1);
   if command = "mem" then begin
     run_mem ~servers:!servers ~duration:!duration ~seed:!seed;
+    exit 0
+  end;
+  if command = "gc" then begin
+    run_gc ~servers:!servers ~duration:!duration ~seed:!seed;
     exit 0
   end;
   let work, label =
