@@ -49,7 +49,3 @@ val detail : t -> string
 val is_recovery : t -> bool
 (** Whether the action starts a time-to-reconvergence clock in the
     resilience report: [Revive]/[Revive_killed]/[Heal]/[Heal_all]. *)
-
-val ids_to_string : int list -> string
-(** Compact sorted rendering: contiguous runs as "lo..hi", otherwise
-    "+"-joined; "none" when empty. *)

@@ -45,6 +45,7 @@ let run ?scale ?(duration = 120.0) ?(seed = 42) () =
   in
   { cells }
 
+(* Distinct stream labels, sorted. *)
 let streams_in r =
   List.sort_uniq String.compare (List.map (fun c -> c.stream) r.cells)
 

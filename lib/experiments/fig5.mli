@@ -8,9 +8,6 @@ type result = { cells : cell list }
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val streams_in : result -> string list
-(** Distinct stream labels, sorted. *)
-
 val lookup : result -> stream:string -> system:string -> float
 (** Drop fraction of one cell ([Float.nan] when absent). *)
 

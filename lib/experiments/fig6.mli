@@ -18,8 +18,6 @@ type result = { duration : float; runs : series list }
 
 val paper_rates : float list
 
-val smoothing_window : int
-
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
 val print : result -> unit

@@ -19,8 +19,6 @@ type result = { rows : row list }
 
 val r_facts : float list
 
-val rate_per_server : float
-
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 (** One cell per (campaign, r_fact), fanned over {!Runner.map}.
     [duration] is accepted for registry uniformity and ignored — campaign

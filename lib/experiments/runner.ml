@@ -43,11 +43,6 @@ let forced_engine_domains = ref None (* race: bare-shared-mutable single-writer:
 
 let set_engine_domains d = forced_engine_domains := d
 
-let with_engine_domains d f =
-  let saved = !forced_engine_domains in
-  forced_engine_domains := Some d;
-  Fun.protect ~finally:(fun () -> forced_engine_domains := saved) f
-
 let engine_domains () =
   match !forced_engine_domains with
   | Some _ as d -> d
@@ -73,8 +68,6 @@ let with_engine_config config =
    its OWN fresh sink (sinks are single-cluster mutable state and must
    never be shared across domains). *)
 let forced_obs : (Terradir_obs.Obs.level * int) option ref = ref None (* race: bare-shared-mutable single-writer: pinned by the dispatching domain before fan-out, workers only read *)
-
-let set_obs v = forced_obs := v
 
 let with_obs ~level ?(probe_every = 2000) f =
   let saved = !forced_obs in

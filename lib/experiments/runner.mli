@@ -31,7 +31,7 @@ val map : ('a -> 'b) -> 'a list -> 'b list
 val engine_domains : unit -> int option
 (** Domains INSIDE each simulation's event engine — orthogonal to {!jobs},
     which fans independent cells out.  [Some d] when pinned by
-    {!set_engine_domains} / {!with_engine_domains} or set through the
+    {!set_engine_domains} or set through the
     [TERRADIR_ENGINE_DOMAINS] environment variable; [None] means "leave the
     config's own [engine_domains] alone".  The engine's determinism
     contract makes this knob observable-output-neutral: every metric, CSV
@@ -41,29 +41,22 @@ val set_engine_domains : int option -> unit
 (** Pin (or unpin, with [None]) the engine-domain override.  Main-domain
     only, like {!set_jobs}. *)
 
-val with_engine_domains : int -> (unit -> 'a) -> 'a
-(** Run a thunk with the engine-domain override pinned, restoring the
-    previous setting afterwards (also on exceptions). *)
-
 val with_engine_config : Terradir.Config.t -> Terradir.Config.t
 (** The config with {!engine_domains} applied when an override is in
     effect; the config unchanged otherwise.  {!run_phases} applies this to
     every cluster it builds; drivers that build clusters themselves (the
     capacity figure, benches) call it explicitly. *)
 
-val set_obs : (Terradir_obs.Obs.level * int) option -> unit
-(** Pin (or unpin) the observability (level, probe cadence) that
-    {!run_phases} gives every cluster it builds.  Each cell gets its own
-    fresh sink — sinks are per-cluster mutable state and are never shared
-    across domains.  The resulting sink is reachable from the returned
-    cluster ([Cluster.obs]).  Main-domain only, like {!set_jobs}; the
-    default ([None]) builds clusters on the shared null sink. *)
-
 val with_obs :
   level:Terradir_obs.Obs.level -> ?probe_every:int -> (unit -> 'a) -> 'a
-(** Run a thunk with observability pinned, restoring the previous setting
-    afterwards (also on exceptions).  [probe_every] defaults to 2000
-    engine events. *)
+(** Run a thunk with the observability (level, probe cadence) that
+    {!run_phases} gives every cluster it builds pinned, restoring the
+    previous setting afterwards (also on exceptions).  Each cell gets its
+    own fresh sink — sinks are per-cluster mutable state and are never
+    shared across domains; the sink is reachable from the returned cluster
+    ([Cluster.obs]).  Main-domain only, like {!set_jobs}; outside it,
+    clusters are built on the shared null sink.  [probe_every] defaults to
+    2000 engine events. *)
 
 val events_executed : unit -> int
 (** Total engine events executed by every {!run_phases} call so far, summed
@@ -78,18 +71,11 @@ val minor_words_allocated : unit -> int
 (** Minor-heap words allocated inside every instrumented region so far —
     the GC-pressure twin of {!events_executed}; the bench harness divides
     deltas of the two to report words per event.  Regions are
-    {!run_phases} calls plus whatever drivers wrap in {!record_alloc}. *)
+    {!run_phases} calls plus deltas folded in by {!add_alloc}. *)
 
 val promoted_words_allocated : unit -> int
 (** Words promoted from the minor to the major heap inside instrumented
     regions (same accounting as {!minor_words_allocated}). *)
-
-val record_alloc : (unit -> 'a) -> 'a
-(** Run a thunk and fold its [Gc.quick_stat] allocation delta into the
-    word counters.  Must be called from the domain doing the allocating
-    (OCaml 5 allocation counters are per-domain): {!run_phases} applies it
-    inside each worker, and engine lanes joined within the region fold in
-    at join.  Exception-safe — the delta is recorded either way. *)
 
 val add_alloc : minor:int -> promoted:int -> unit
 (** Fold externally measured word deltas into the counters — for drivers

@@ -3,8 +3,7 @@
     Values are binned into 16 sub-buckets per power-of-two octave, which
     bounds the relative error of any quantile readout by about 3% while
     [count]/[sum]/[min_value]/[max_value] stay exact.  Adding is O(1),
-    allocation-free, and — unlike the [Stats.Reservoir] path it replaces —
-    consumes no randomness, so histograms can live inside the simulation
+    allocation-free, and consumes no randomness, so histograms can live inside the simulation
     without perturbing determinism.
 
     Values [<= 0] (and NaN) all share a single underflow bucket. *)

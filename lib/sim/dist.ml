@@ -33,8 +33,6 @@ module Zipf = struct
 
   let alpha z = z.alpha
 
-  let support z = Array.length z.cdf
-
   let sample z rng =
     let u = Splitmix.float rng 1.0 in
     (* First index with cdf.(i) > u. *)

@@ -24,8 +24,6 @@ module Zipf : sig
 
   val alpha : t -> float
 
-  val support : t -> int
-
   val sample : t -> Terradir_util.Splitmix.t -> int
   (** A rank in [0 .. n-1] (0 = most popular). *)
 

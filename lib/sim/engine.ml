@@ -22,6 +22,9 @@
    exchanging cross-shard events through outboxes merged at the
    barrier. *)
 
+(* Pseudo-context of workload-driver events (arrival chains, phase
+   transitions): they read no shard-owned state and run on the
+   coordinator, possibly ahead of slower shards. *)
 let driver_ctx = -1
 
 let sync_ctx = -2

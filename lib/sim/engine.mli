@@ -34,11 +34,6 @@ val configure : t -> domains:int -> lookahead:float -> shard_of:int array -> uni
 val domains : t -> int
 (** The configured shard count K (1 until {!configure}). *)
 
-val driver_ctx : int
-(** Pseudo-context [-1]: workload-driver events (arrival chains, phase
-    transitions).  Must read no shard-owned state; executed on the
-    coordinator, possibly ahead of slower shards. *)
-
 val sync_ctx : int
 (** Pseudo-context [-2]: cross-shard readers (the load monitor).  Always
     executed solo, with every lane idle. *)
@@ -67,8 +62,10 @@ val stamp : t -> int * float * int * int
 
 val schedule : ?owner:int -> t -> delay:float -> (unit -> unit) -> unit
 (** [schedule ~owner t ~delay f] runs [f], in context [owner], at
-    [now t +. delay].  [owner] (default {!driver_ctx}) is the server id
-    whose state [f] touches; with [domains > 1] it selects the lane.
+    [now t +. delay].  [owner] is the server id whose state [f] touches
+    (default [-1], the workload-driver pseudo-context of arrival chains
+    and phase transitions: such events read no shard-owned state and run
+    on the coordinator, possibly ahead of slower shards); with [domains > 1] it selects the lane.
     Cross-lane schedules from inside a window must satisfy the lookahead
     ([delay >=] minimum network latency).
     @raise Invalid_argument if [delay] is negative or not finite, or on

@@ -15,6 +15,35 @@ let drop_label = function
   | Server_dead -> "server_dead"
   | Timed_out -> "timed_out"
 
+(* Fixed model constants (§4.1): no experiment varies them. *)
+
+(* Service time of a control message: replies, load probes and replies,
+   replicate transfers. *)
+let ctrl_service = 0.002
+
+(* Mean exponential service time of a data fetch. *)
+let data_service_mean = 0.040
+
+(* Period of each server's idle-replica scan. *)
+let eviction_scan_period = 10.0
+
+(* Random peers each server knows at bootstrap, believed idle. *)
+let bootstrap_peers = 8
+
+(* Auditor cadence, in executed engine events. *)
+let audit_every = 10_000
+
+(* Replication sessions (§3.3): destination servers tried per session, the
+   pause after an aborted session, and the pause after a successful shed
+   before the next one — it gives the shed time to divert traffic (with
+   only the one-window hysteresis adjustment, a persistently hot server
+   would otherwise open a session per load window and thrash). *)
+let max_attempts = 3
+
+let retry_delay = 1.0
+
+let success_cooldown = 1.0
+
 type fetch_outcome = Fetched of { latency : float } | Fetch_failed
 
 type request_kind =
@@ -288,7 +317,7 @@ and deliver t msg =
       Digest_store.record_remote s.Server.digests ~server:msg.msg_from
         ~version:msg.msg_digest_version bloom
     | Some _ | None -> ());
-    let queue_full () = Queue.length s.Server.queue >= t.config.Config.queue_capacity in
+    let queue_full () = Queue.length s.Server.queue >= Server.queue_capacity in
     (match msg.msg_payload with
     | Query q ->
       if queue_full () then begin
@@ -389,9 +418,9 @@ and kick t sid =
       let duration =
         (match msg.msg_payload with
         | Query _ -> Splitmix.exponential s.Server.rng t.config.Config.service_mean
-        | Data_request _ -> Splitmix.exponential s.Server.rng t.config.Config.data_service_mean
+        | Data_request _ -> Splitmix.exponential s.Server.rng data_service_mean
         | Query_reply _ | Load_probe _ | Load_reply _ | Replicate _ | Data_reply _ ->
-          t.config.Config.ctrl_service)
+          ctrl_service)
         /. s.Server.speed
       in
       msg.msg_epoch <- t.epochs.(sid);
@@ -752,7 +781,7 @@ and abort_session t s =
       (Event.Session_aborted { session = sess.Server.session_id })
   | Some _ | None -> ());
   s.Server.session <- None;
-  Server.set_session_backoff_until s (now t +. t.config.Config.retry_delay)
+  Server.set_session_backoff_until s (now t +. retry_delay)
 
 and probe_next_peer t s sess =
   match Server.min_load_peer s ~exclude:(s.Server.id :: sess.Server.tried) with
@@ -794,10 +823,10 @@ and handle_load_reply t s ~peer ~session ~peer_load =
           (Replication.adjusted_load ~l_source ~l_dest:peer_load);
         s.Server.session <- None;
         (* Let the shed divert traffic before considering another one. *)
-        Server.set_session_backoff_until s (time +. t.config.Config.success_cooldown)
+        Server.set_session_backoff_until s (time +. success_cooldown)
       end
     end
-    else if sess.Server.attempts >= t.config.Config.max_attempts then abort_session t s
+    else if sess.Server.attempts >= max_attempts then abort_session t s
     else probe_next_peer t s sess
   | Some _ | None -> () (* stale reply from an expired session *)
 
@@ -941,7 +970,7 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
       hops_stats = Array.init config.Config.num_servers (fun _ -> Stats.create ());
       data_lat_stats = Array.init config.Config.num_servers (fun _ -> Stats.create ());
       meta_lag_stats = Array.init config.Config.num_servers (fun _ -> Stats.create ());
-      hop_budget = (4 * Tree.max_depth tree) + config.Config.hop_budget_slack;
+      hop_budget = (4 * Tree.max_depth tree) + 16;
       replicas_created_per_level =
         Array.init lanes (fun _ -> Array.make (Tree.max_depth tree + 1) 0);
       data_holders;
@@ -956,7 +985,7 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
     }
   in
   (match t.audit with
-  | Some a -> Engine.add_observer t.engine ~every:config.Config.audit_every (fun () -> audit_pass t a)
+  | Some a -> Engine.add_observer t.engine ~every:audit_every (fun () -> audit_pass t a)
   | None -> ());
   (* Per-server probe series on the engine-observer cadence: raw load,
      queue depth, replica count, cache hit rate.  Pure reads — consumes no
@@ -998,7 +1027,7 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
   let s_count = Array.length servers in
   Array.iter
     (fun s ->
-      for _ = 1 to min config.Config.bootstrap_peers (s_count - 1) do
+      for _ = 1 to min bootstrap_peers (s_count - 1) do
         let peer = Splitmix.int rng s_count in
         if peer <> s.Server.id then Server.note_peer_load s peer 0.0
       done)
@@ -1029,7 +1058,6 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
     Engine.schedule ~owner:Engine.sync_ctx t.engine ~delay:0.5 sample;
     (* Soft-state decay: periodic idle-replica eviction, staggered across
        servers to avoid synchronized scan storms. *)
-    let period = config.Config.eviction_scan_period in
     Array.iter
       (fun s ->
         let rec scan () =
@@ -1039,9 +1067,9 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
             m.Metrics.replicas_evicted <-
               m.Metrics.replicas_evicted + List.length evicted
           end;
-          Engine.schedule ~owner:s.Server.id t.engine ~delay:period scan
+          Engine.schedule ~owner:s.Server.id t.engine ~delay:eviction_scan_period scan
         in
-        let phase = Splitmix.float rng period in
+        let phase = Splitmix.float rng eviction_scan_period in
         Engine.schedule ~owner:s.Server.id t.engine ~delay:phase scan)
       servers
   end;

@@ -7,7 +7,7 @@
       dropped;
     - control traffic (replies, load probes/replies, replicate transfers) is
       small and rare: it shares the server's busy time (fixed
-      [ctrl_service] cost) through a separate unbounded priority queue;
+      2 ms cost) through a separate unbounded priority queue;
     - every message traverses the {!Terradir_sim.Net} model: latency is
       sampled per message (constant by default, uniform jitter via
       [net_jitter]), messages are lost iid with probability [net_loss],
@@ -101,6 +101,8 @@ type t = {
   data_lat_stats : Terradir_util.Stats.t array;
   meta_lag_stats : Terradir_util.Stats.t array;
   hop_budget : int;
+      (** a query is dropped once its hop count exceeds [4 × max tree depth
+          + 16]; {!Trace.route} stops at the same budget *)
   replicas_created_per_level : int array array;  (** per lane, per level *)
   data_holders : server_id array array;
       (** node → servers durably holding its data (owner + static copies) *)
@@ -122,7 +124,7 @@ type t = {
   query_pool : Types.query Terradir_util.Freelist.t array;
   audit : Invariant.t option;
       (** the runtime invariant auditor, when enabled ({!Invariant.enabled}
-          at construction): checks run every [config.audit_every] engine
+          at construction): checks run every 10 000 engine
           events via the engine observer and at the end of every
           {!run_until}, which also delivers the collected report *)
 }
@@ -144,7 +146,7 @@ val create :
   t
 (** Build the deployment: validate config, place node ownership (uniform or
     round-robin per config), bootstrap each server's owned nodes and
-    neighbor contexts, give each server [bootstrap_peers] random known
+    neighbor contexts, give each server 8 random known
     peers, and (when [monitor], default true) schedule the per-second load
     sampler and the periodic replica idle scans.
 

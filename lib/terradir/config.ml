@@ -9,15 +9,12 @@ type t = {
   placement : placement;
   speed_spread : float;
   service_mean : float;
-  ctrl_service : float;
   network_delay : float;
   net_jitter : float;
   net_loss : float;
   rpc_timeout : float;
   max_retries : int;
   retry_backoff : float;
-  queue_capacity : int;
-  load_window : float;
   high_water : float;
   high_water_factor : float;
   min_delta : float;
@@ -25,20 +22,11 @@ type t = {
   r_map : int;
   cache_slots : int;
   cache_policy : cache_policy;
-  max_attempts : int;
-  retry_delay : float;
-  success_cooldown : float;
   replica_idle_timeout : float;
-  eviction_scan_period : float;
-  hop_budget_slack : int;
-  bootstrap_peers : int;
-  max_remote_digests : int;
   data_copies : int;
-  data_service_mean : float;
   features : features;
   oracle_maps : bool;
   audit : bool;
-  audit_every : int;
   engine_domains : int;
   seed : int;
 }
@@ -55,15 +43,12 @@ let default =
     placement = Uniform;
     speed_spread = 1.0;
     service_mean = 0.020;
-    ctrl_service = 0.002;
     network_delay = 0.025;
     net_jitter = 0.0;
     net_loss = 0.0;
     rpc_timeout = 0.0;
     max_retries = 3;
     retry_backoff = 2.0;
-    queue_capacity = 12;
-    load_window = 0.5;
     high_water = 0.7;
     high_water_factor = 1.6;
     min_delta = 0.2;
@@ -71,20 +56,11 @@ let default =
     r_map = 4;
     cache_slots = 24;
     cache_policy = Path_propagation;
-    max_attempts = 3;
-    retry_delay = 1.0;
-    success_cooldown = 1.0;
     replica_idle_timeout = 600.0;
-    eviction_scan_period = 10.0;
-    hop_budget_slack = 16;
-    bootstrap_peers = 8;
-    max_remote_digests = 64;
     data_copies = 1;
-    data_service_mean = 0.040;
     features = bcr;
     oracle_maps = false;
     audit = false;
-    audit_every = 10_000;
     engine_domains = 1;
     seed = 42;
   }
@@ -94,7 +70,6 @@ let validate c =
   if c.num_servers < 1 then fail "num_servers must be >= 1";
   if c.speed_spread < 1.0 then fail "speed_spread must be >= 1";
   if c.service_mean <= 0.0 then fail "service_mean must be positive";
-  if c.ctrl_service < 0.0 then fail "ctrl_service must be non-negative";
   if c.network_delay < 0.0 then fail "network_delay must be non-negative";
   if c.net_jitter < 0.0 || c.net_jitter > c.network_delay then
     fail "net_jitter must be in [0, network_delay]";
@@ -102,27 +77,12 @@ let validate c =
   if c.rpc_timeout < 0.0 then fail "rpc_timeout must be non-negative";
   if c.max_retries < 0 then fail "max_retries must be non-negative";
   if c.retry_backoff < 1.0 then fail "retry_backoff must be >= 1";
-  if c.queue_capacity < 1 then fail "queue_capacity must be >= 1";
-  if c.load_window <= 0.0 then fail "load_window must be positive";
   if not (c.high_water > 0.0 && c.high_water <= 1.0) then fail "high_water must be in (0, 1]";
   if c.high_water_factor < 0.0 then fail "high_water_factor must be non-negative";
   if not (c.min_delta > 0.0 && c.min_delta <= 1.0) then fail "min_delta must be in (0, 1]";
   if c.r_fact < 0.0 then fail "r_fact must be non-negative";
   if c.r_map < 1 then fail "r_map must be >= 1";
   if c.cache_slots < 0 then fail "cache_slots must be non-negative";
-  if c.max_attempts < 1 then fail "max_attempts must be >= 1";
-  if c.retry_delay < 0.0 then fail "retry_delay must be non-negative";
-  if c.success_cooldown < 0.0 then fail "success_cooldown must be non-negative";
   if c.replica_idle_timeout <= 0.0 then fail "replica_idle_timeout must be positive";
-  if c.eviction_scan_period <= 0.0 then fail "eviction_scan_period must be positive";
-  if c.hop_budget_slack < 0 then fail "hop_budget_slack must be non-negative";
-  if c.bootstrap_peers < 0 then fail "bootstrap_peers must be non-negative";
-  if c.max_remote_digests < 0 then fail "max_remote_digests must be non-negative";
   if c.data_copies < 1 then fail "data_copies must be >= 1";
-  if c.data_service_mean <= 0.0 then fail "data_service_mean must be positive";
-  if c.audit_every < 1 then fail "audit_every must be >= 1";
   if c.engine_domains < 1 then fail "engine_domains must be >= 1"
-
-let scaled c ~factor =
-  if factor <= 0.0 then invalid_arg "Config.scaled: factor must be positive";
-  { c with num_servers = max 2 (int_of_float (float_of_int c.num_servers *. factor)) }

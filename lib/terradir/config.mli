@@ -1,10 +1,11 @@
 (** Protocol and simulation parameters.
 
-    One record holds every tunable of the system: the methodology constants
-    of §4.1 (service time, network delay, queue bound), the replication
-    protocol knobs of §3 (high-water threshold, minimum shed delta,
-    replication factor, map size), and the feature switches that realize the
-    paper's Fig. 5 ablations (B / BC / BCR). *)
+    One record holds every tunable the experiments vary: service time and
+    network behaviour (§4.1), the replication protocol knobs of §3
+    (high-water threshold, minimum shed delta, replication factor, map
+    size), and the feature switches that realize the paper's Fig. 5
+    ablations (B / BC / BCR).  Values no caller varies are constants in the
+    module that reads them (see {!default}). *)
 
 type features = {
   caching : bool;  (** path-propagation LRU caches (§2.4) *)
@@ -35,7 +36,6 @@ type t = {
           locally-defined measure, which is how the protocol "exploits
           system heterogeneity" (§5) *)
   service_mean : float;  (** mean exponential query service time, seconds *)
-  ctrl_service : float;  (** fixed service time of a control message *)
   network_delay : float;  (** mean application-layer network time *)
   net_jitter : float;
       (** half-width of the uniform per-message latency jitter around
@@ -57,8 +57,6 @@ type t = {
   retry_backoff : float;
       (** timeout multiplier per retransmission (>= 1); attempt [k] waits
           [rpc_timeout * retry_backoff^k] *)
-  queue_capacity : int;  (** per-server request queue bound; excess dropped *)
-  load_window : float;  (** busy-fraction measurement window W *)
   high_water : float;  (** T_high floor: load that triggers replication sessions *)
   high_water_factor : float;
       (** §3.1: the threshold "can automatically be set in proportion to
@@ -73,35 +71,22 @@ type t = {
   r_map : int;  (** maximum entries in any node map *)
   cache_slots : int;  (** LRU cache capacity, entries *)
   cache_policy : cache_policy;
-  max_attempts : int;  (** destination-server attempts per session *)
-  retry_delay : float;  (** pause after an aborted replication session *)
-  success_cooldown : float;
-      (** pause after a {e successful} shed before opening another session —
-          gives the shed time to divert traffic (with only the one-window
-          hysteresis adjustment, a persistently hot server would otherwise
-          open a session per load window and thrash) *)
   replica_idle_timeout : float;  (** soft-state: evict replicas unused this long *)
-  eviction_scan_period : float;  (** period of the idle-replica scan *)
-  hop_budget_slack : int;  (** queries dropped after 4*max_depth + slack hops *)
-  bootstrap_peers : int;  (** peers each server initially knows (load table) *)
-  max_remote_digests : int;  (** bound on stored remote digests per server *)
   data_copies : int;
       (** static data replication degree: each node's data lives at its
           owner plus [data_copies − 1] fixed extra servers.  Orthogonal to
           the adaptive {e routing-state} replication (§1) — this knob is
           the "any data replication mechanism" the protocol combines with *)
-  data_service_mean : float;  (** mean service time of a data fetch *)
   features : features;
   oracle_maps : bool;
       (** route with ground-truth host maps (§4.4's optimal-information
           reference); digest shortcuts are disabled under the oracle *)
   audit : bool;
       (** run the {!Invariant} auditor: protocol invariants are checked
-          every [audit_every] engine events and at the end of every
+          every [Cluster.audit_every] engine events and at the end of every
           [Cluster.run_until]; violations collect into a report.  Also
           switched on (for any config) by the TERRADIR_AUDIT environment
           variable or the CLI's [--audit] flag *)
-  audit_every : int;  (** auditor cadence, in executed engine events *)
   engine_domains : int;
       (** OCaml domains driving the event loop: 1 (default) is the
           sequential engine; [k >= 2] shards servers across [k] domains
@@ -124,16 +109,21 @@ val base : features
 
 val default : t
 (** The paper's defaults at simulation scale: 4096 servers, 20 ms service,
-    25 ms network, queue bound 12, W = 0.5 s, T_high = 0.7, delta = 0.2,
-    r_fact = 2, r_map = 4, 24 cache slots, 600 s replica idle timeout, 1 s post-shed cooldown, features = {!bcr}, seed 42.  Network faults
-    are off (no jitter, no loss, timers disabled) — the ideal transport
-    the paper evaluates under. *)
+    25 ms network, T_high = 0.7, delta = 0.2, r_fact = 2, r_map = 4, 24
+    cache slots, 600 s replica idle timeout, features = {!bcr}, seed 42.
+    Network faults are off (no jitter, no loss, timers disabled) — the
+    ideal transport the paper evaluates under.
+
+    Fixed model constants, one per reading module, not part of [t]:
+    - {!Server}: [queue_capacity] = 12 (request queue bound, §4.1),
+      [load_window] = 0.5 s (W), [max_remote_digests] = 64;
+    - {!Cluster}: [ctrl_service] = 2 ms, [data_service_mean] = 40 ms,
+      [eviction_scan_period] = 10 s, [bootstrap_peers] = 8,
+      [audit_every] = 10 000 events, and the replication session timings
+      [max_attempts] = 3, [retry_delay] = 1 s, [success_cooldown] = 1 s;
+    - a query is dropped after [Cluster.hop_budget] = 4 × tree depth + 16
+      hops. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument with a description of the first violated
     constraint (non-positive sizes, thresholds outside (0,1], etc.). *)
-
-val scaled : t -> factor:float -> t
-(** [scaled c ~factor] shrinks the cluster for cheap runs: multiplies
-    [num_servers] by [factor] (min 2) — query rates are supplied by
-    experiments and must be scaled by the caller alongside. *)

@@ -28,7 +28,7 @@ type t = {
   mutable kept_count : int;
   mutable total : int;
   mutable passes : int;
-  (* lint: boxed-float written once per audit pass, every audit_every events *)
+  (* lint: boxed-float written once per audit pass, every Cluster.audit_every events *)
   mutable last_clock : float;
 }
 
@@ -249,11 +249,10 @@ let check_server t ~now (s : Server.t) =
   if not (adj >= 0.0 && adj <= 1.0) then
     add t ~now ~server "load-range" (Printf.sprintf "adjusted load %g outside [0, 1]" adj);
   (* Queue bound: the admission check must keep occupancy within the
-     configured capacity. *)
-  if Server.queue_length s > config.Config.queue_capacity then
+     fixed capacity. *)
+  if Server.queue_length s > Server.queue_capacity then
     add t ~now ~server "queue-bound"
-      (Printf.sprintf "query queue %d > capacity %d" (Server.queue_length s)
-         config.Config.queue_capacity)
+      (Printf.sprintf "query queue %d > capacity %d" (Server.queue_length s) Server.queue_capacity)
 
 let check_cluster t ~now ~next_event ~(servers : Server.t array) ~(owner_of : server_id array) =
   t.passes <- t.passes + 1;

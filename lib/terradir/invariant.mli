@@ -28,7 +28,7 @@
     - {b load-range}: measured busy fractions lie in [0, 1];
     - {b digest-stale} (§3.6): the local Bloom digest has no false
       negatives over the hosted set;
-    - {b queue-bound} (§4.1): query queues within [queue_capacity];
+    - {b queue-bound} (§4.1): query queues within {!Server.queue_capacity};
     - {b count-mismatch} / {b context-missing} / {b context-refs}: cached
       counters and refcounted neighbor contexts tie exactly to the hosted
       table;

@@ -29,8 +29,12 @@ let enumerate tree root ~max_nodes =
   done;
   List.rev !acc
 
-let subtree ?(max_nodes = 256) ?(filter = fun _ -> true) ?(pacing = 0.025) cluster ~src ~root
-    ~on_done =
+(* Gap between a search's injected lookups: above the mean service time,
+   so a search streams its decomposed lookups as a real client would
+   rather than trampling its own request queue. *)
+let pacing = 0.025
+
+let subtree ?(max_nodes = 256) ?(filter = fun _ -> true) cluster ~src ~root ~on_done =
   if max_nodes < 1 then invalid_arg "Search.subtree: max_nodes must be >= 1";
   let tree = cluster.Cluster.tree in
   if root < 0 || root >= Tree.size tree then invalid_arg "Search.subtree: bad root";
@@ -58,15 +62,13 @@ let subtree ?(max_nodes = 256) ?(filter = fun _ -> true) ?(pacing = 0.025) clust
           latency = Terradir_sim.Engine.now engine -. started;
         }
   in
-  (* Paced injection: a real client streams its decomposed lookups rather
-     than blasting its own queue. *)
   List.iteri
     (fun i node ->
       Terradir_sim.Engine.schedule engine ~delay:(float_of_int i *. pacing) (fun () ->
           Cluster.inject cluster ~src ~dst:node ~on_complete:(complete node)))
     targets
 
-let glob ?max_nodes ?pacing cluster ~src ~pattern ~on_done =
+let glob ?max_nodes cluster ~src ~pattern ~on_done =
   let deep, prefix =
     match (Filename.check_suffix pattern "/**", Filename.check_suffix pattern "/*") with
     | true, _ -> (true, Filename.chop_suffix pattern "/**")
@@ -89,4 +91,4 @@ let glob ?max_nodes ?pacing cluster ~src ~pattern ~on_done =
         Some (1 + Tree.num_children tree root)
       | None -> None
     in
-    subtree ?max_nodes ~filter ?pacing cluster ~src ~root ~on_done
+    subtree ?max_nodes ~filter cluster ~src ~root ~on_done

@@ -30,7 +30,6 @@ type result = {
 val subtree :
   ?max_nodes:int ->
   ?filter:(node_id -> bool) ->
-  ?pacing:float ->
   Cluster.t ->
   src:server_id ->
   root:node_id ->
@@ -39,15 +38,13 @@ val subtree :
 (** [subtree cluster ~src ~root ~on_done] resolves every node in [root]'s
     subtree (breadth-first, capped at [max_nodes], default 256) from
     client [src], keeping resolutions for which [filter] holds (default:
-    all).  Lookups are injected [pacing] seconds apart (default 25 ms, above the
-    mean service time) so a
-    search does not trample the client's own request queue.  [on_done]
+    all).  Lookups are injected 25 ms apart (above the mean service time)
+    so a search does not trample the client's own request queue.  [on_done]
     fires once, after every lookup has terminated.
     @raise Invalid_argument on a bad root or non-positive [max_nodes]. *)
 
 val glob :
   ?max_nodes:int ->
-  ?pacing:float ->
   Cluster.t ->
   src:server_id ->
   pattern:string ->

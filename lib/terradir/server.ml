@@ -17,6 +17,15 @@ type session = { session_id : int; mutable tried : server_id list; mutable attem
 
 type neighbor_ref = { mutable n_map : Node_map.t; mutable refs : int }
 
+let queue_capacity = 12
+
+(* Busy-fraction measurement window W (§4.1); also the ranking decay
+   period. *)
+let load_window = 0.5
+
+(* Bound on stored remote digests per server. *)
+let max_remote_digests = 64
+
 let max_digests_consulted = 8
 (* Bloom false positives compound across (ancestors × digests) tests, so a
    routing step consults only the most recently refreshed digests. *)
@@ -78,8 +87,8 @@ let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
     owned_count = 0;
     replica_count = 0;
     cache = Cache.create ~obs ~owner:id ~slots:config.Config.cache_slots ~r_map:config.Config.r_map ~rng ();
-    digests = Digest_store.create ~max_remote:config.Config.max_remote_digests ();
-    load = Load_meter.create ~window:config.Config.load_window;
+    digests = Digest_store.create ~max_remote:max_remote_digests ();
+    load = Load_meter.create ~window:load_window;
     ranking = Ranking.create ();
     known_loads = Hashtbl.create 32;
     queue = Queue.create ();
@@ -218,10 +227,9 @@ let touch_node t node ~now =
   | -1 -> ()
   | i -> Float.Array.set (Intmap.value_at t.hosted i).h_last_used 0 now);
   (* Periodic exponential decay keeps weights tracking recent demand. *)
-  let window = t.config.Config.load_window in
-  while now -. Float.Array.get t.floats i_last_decay >= window do
+  while now -. Float.Array.get t.floats i_last_decay >= load_window do
     Ranking.decay t.ranking;
-    Float.Array.set t.floats i_last_decay (Float.Array.get t.floats i_last_decay +. window)
+    Float.Array.set t.floats i_last_decay (Float.Array.get t.floats i_last_decay +. load_window)
   done
 
 (* [peer_load_sum] mirrors Σ known_loads incrementally: the replication

@@ -21,6 +21,10 @@
 
 open Types
 
+val queue_capacity : int
+(** Per-server request queue bound (§4.1's 12): a lookup or fetch arriving
+    at a full query queue is dropped. *)
+
 val max_digests_consulted : int
 (** Remote digests consulted per routing step (Bloom false positives
     compound across ancestors × digests, so only the most recently

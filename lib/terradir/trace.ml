@@ -24,7 +24,7 @@ let route cluster ~src ~dst =
   if src < 0 || src >= Array.length cluster.Cluster.servers then
     invalid_arg "Trace.route: bad source server";
   if dst < 0 || dst >= Tree.size tree then invalid_arg "Trace.route: bad destination";
-  let budget = (4 * Tree.max_depth tree) + 16 in
+  let budget = cluster.Cluster.hop_budget in
   (* Same monotone shortcut bound a live query would carry. *)
   let best_dist = ref max_int in
   let rec walk sid steps hops =

@@ -88,8 +88,8 @@ and payload =
           node's data from one of its data holders *)
   | Data_reply of { fetch_id : int; node : node_id }
 
+(* Bound on propagated path length; real deployments cap piggyback size. *)
 let path_cap = 32
-(** Bound on propagated path length; real deployments cap piggyback size. *)
 
 let path_store = path_cap + 1
 (* One extra slot: resolution appends the destination's own entry without

@@ -52,7 +52,7 @@ and query = {
   path_nodes : int array;  (** ring of path node ids; length [path_store] *)
   path_maps : Node_map.t array;
       (** Path propagation (§2.4): the route so far as (node, map) slots
-          parallel to [path_nodes], capped at [path_cap] in flight. *)
+          parallel to [path_nodes], capped at 32 in flight. *)
   mutable path_head : int;  (** ring index of the newest path entry *)
   mutable path_len : int;  (** live entries, newest-first from [path_head] *)
   mutable best_dist : int;
@@ -89,12 +89,10 @@ and payload =
           node's data from one of its data holders *)
   | Data_reply of { fetch_id : int; node : node_id }
 
-val path_cap : int
-(** Bound on propagated path length; real deployments cap piggyback size. *)
-
 val path_store : int
-(** Ring capacity, [path_cap + 1]: resolution appends the destination's
-    entry without truncating, exactly as the historical list did. *)
+(** Ring capacity, 33: the in-flight path bound of 32 plus one, because
+    resolution appends the destination's entry without truncating, exactly
+    as the historical list did. *)
 
 val path_reset : query -> unit
 (** Empty the path (head and length only; slots keep stale references
@@ -104,7 +102,7 @@ val path_append : query -> node_id -> Node_map.t -> unit
 (** Push a newest entry, overwriting the oldest once the ring is full. *)
 
 val path_truncate : query -> unit
-(** Drop oldest entries beyond [path_cap] (the in-flight piggyback bound). *)
+(** Drop oldest entries beyond the in-flight piggyback bound of 32. *)
 
 val path_scrub : query -> unit
 (** {!path_reset} plus clearing every map slot to [Node_map.empty], so a

@@ -78,47 +78,3 @@ let merge a b =
     set f i_sum (get a.f i_sum +. get b.f i_sum);
     { n; f }
   end
-
-module Reservoir = struct
-  type stats = t
-
-  type nonrec t = {
-    sample : float array;
-    mutable filled : int;
-    mutable seen : int;
-    rng : Splitmix.t;
-    all : stats;
-  }
-
-  let create ?(capacity = 4096) rng =
-    if capacity <= 0 then invalid_arg "Reservoir.create: capacity must be positive";
-    { sample = Array.make capacity 0.0; filled = 0; seen = 0; rng; all = create () }
-
-  let add r x =
-    add r.all x;
-    r.seen <- r.seen + 1;
-    if r.filled < Array.length r.sample then begin
-      r.sample.(r.filled) <- x;
-      r.filled <- r.filled + 1
-    end
-    else begin
-      (* Algorithm R: keep each seen sample with probability capacity/seen. *)
-      let j = Splitmix.int r.rng r.seen in
-      if j < Array.length r.sample then r.sample.(j) <- x
-    end
-
-  let count r = r.seen
-
-  let percentile r p =
-    if r.filled = 0 then invalid_arg "Reservoir.percentile: empty";
-    if p < 0.0 || p > 1.0 then invalid_arg "Reservoir.percentile: p out of range";
-    let sorted = Array.sub r.sample 0 r.filled in
-    Array.sort Float.compare sorted;
-    let pos = p *. float_of_int (r.filled - 1) in
-    let lo = max 0 (min (int_of_float pos) (r.filled - 1)) in
-    let hi = min (lo + 1) (r.filled - 1) in
-    let frac = pos -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-
-  let summary r = r.all
-end

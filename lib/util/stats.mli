@@ -1,8 +1,7 @@
-(** Online summary statistics and percentile estimation.
+(** Online summary statistics.
 
     {!t} is a Welford accumulator: O(1) memory, numerically stable mean and
-    variance.  {!Reservoir} adds percentile estimation with bounded memory
-    via uniform reservoir sampling (Vitter's algorithm R). *)
+    variance.  Quantile readouts live in the obs library's [Hist]. *)
 
 type t
 
@@ -29,24 +28,3 @@ val total : t -> float
 
 val merge : t -> t -> t
 (** Statistics of the union of the two sample streams (Chan's formula). *)
-
-module Reservoir : sig
-  type stats = t
-
-  type t
-
-  val create : ?capacity:int -> Splitmix.t -> t
-  (** Default capacity 4096 samples. *)
-
-  val add : t -> float -> unit
-
-  val count : t -> int
-
-  val percentile : t -> float -> float
-  (** [percentile r p] for [p] in [\[0,1\]], linear interpolation between
-      order statistics of the retained sample.
-      @raise Invalid_argument when empty or [p] out of range. *)
-
-  val summary : t -> stats
-  (** The exact online summary of {e all} samples seen (not just retained). *)
-end

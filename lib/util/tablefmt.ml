@@ -1,26 +1,19 @@
-type align = Left | Right
-
-let pad align width s =
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else
     let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
 
-let render ?align ~header rows =
+let render ~header rows =
   let ncols = List.fold_left (fun acc r -> max acc (List.length r)) (List.length header) rows in
   let cell row i = match List.nth_opt row i with Some c -> c | None -> "" in
   let width i =
     List.fold_left (fun acc r -> max acc (String.length (cell r i))) (String.length (cell header i)) rows
   in
   let widths = List.init ncols width in
-  let alignment i =
-    match align with
-    | Some l -> (match List.nth_opt l i with Some a -> a | None -> Right)
-    | None -> if i = 0 then Left else Right
-  in
   let line row =
-    let cells = List.mapi (fun i w -> pad (alignment i) w (cell row i)) widths in
+    let cells = List.mapi (fun i w -> pad ~left:(i = 0) w (cell row i)) widths in
     "| " ^ String.concat " | " cells ^ " |"
   in
   let rule =
@@ -30,7 +23,7 @@ let render ?align ~header rows =
   let body = List.map line rows in
   String.concat "\n" ((rule :: line header :: rule :: body) @ [ rule ]) ^ "\n"
 
-let print ?align ~header rows = print_string (render ?align ~header rows)
+let print ~header rows = print_string (render ~header rows)
 
 let float_cell ?(decimals = 4) x =
   if Float.is_nan x then "-" else Printf.sprintf "%.*f" decimals x

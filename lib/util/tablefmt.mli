@@ -3,14 +3,12 @@
     Every experiment harness prints the rows/series the paper reports through
     this module, so all output is uniform and greppable. *)
 
-type align = Left | Right
-
-val render : ?align:align list -> header:string list -> string list list -> string
+val render : header:string list -> string list list -> string
 (** [render ~header rows] lays out a boxed ASCII table.  Columns are sized to
-    content; [align] defaults to [Left] for the first column and [Right] for
-    the rest.  Ragged rows are padded with empty cells. *)
+    content; the first column is left-aligned and the rest right-aligned.
+    Ragged rows are padded with empty cells. *)
 
-val print : ?align:align list -> header:string list -> string list list -> unit
+val print : header:string list -> string list list -> unit
 (** [render] to stdout. *)
 
 val float_cell : ?decimals:int -> float -> string

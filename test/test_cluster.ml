@@ -105,6 +105,41 @@ let test_injection_validation () =
   Alcotest.check_raises "bad dst" (Invalid_argument "Cluster.inject: bad destination node")
     (fun () -> Cluster.inject cluster ~src:0 ~dst:70000)
 
+(* The request-queue bound (§4.1): lookups injected at one server in the
+   same instant queue behind the one in service, and arrivals beyond
+   [Server.queue_capacity] are dropped.  Every lookup names a node the
+   server owns, so none is forwarded and the counts are exact. *)
+let test_queue_bound () =
+  let cap = Server.queue_capacity in
+  let burst n =
+    let tree = Build.balanced ~arity:2 ~levels:6 in
+    let config = { Config.default with Config.num_servers = 8; audit = true; seed = 5 } in
+    let cluster = Cluster.create ~monitor:false ~config ~tree () in
+    let s = Cluster.server cluster 0 in
+    let dst = List.hd (Server.owned_nodes s) in
+    for _ = 1 to n do
+      Cluster.inject cluster ~src:0 ~dst
+    done;
+    Alcotest.(check int)
+      (Printf.sprintf "n=%d: queue occupancy" n)
+      (min (n - 1) cap) (Server.queue_length s);
+    let audit = Invariant.create () in
+    Invariant.check_server audit ~now:0.0 s;
+    List.iter
+      (fun v ->
+        if v.Invariant.v_rule = "queue-bound" then
+          Alcotest.failf "n=%d: %s" n (Invariant.describe v))
+      (Invariant.violations audit);
+    Cluster.run_until cluster 10.0;
+    let m = Cluster.metrics cluster in
+    Alcotest.(check int) (Printf.sprintf "n=%d: all resolved or dropped" n) n
+      (m.Metrics.resolved + Metrics.dropped_total m);
+    m.Metrics.dropped_queue
+  in
+  Alcotest.(check int) "capacity-sized burst drops none" 0 (burst cap);
+  (* One lookup in service plus [cap] queued; the rest are dropped. *)
+  Alcotest.(check int) "triple burst drops the excess" ((3 * cap) - 1 - cap) (burst (3 * cap))
+
 let test_single_query_trace () =
   let cluster = mk_cluster () in
   let dst = 37 in
@@ -589,6 +624,7 @@ let () =
           Alcotest.test_case "round robin" `Quick test_round_robin_placement;
           Alcotest.test_case "bootstrap maps shared" `Quick test_bootstrap_maps_shared;
           Alcotest.test_case "injection validation" `Quick test_injection_validation;
+          Alcotest.test_case "queue bound" `Quick test_queue_bound;
         ] );
       ( "lifecycle",
         [

@@ -76,9 +76,7 @@ let test_select_nodes_cap () =
     (List.length selected <= Replication.max_shed_nodes)
 
 let test_should_start_gates () =
-  let config =
-    { Config.default with Config.num_servers = 8; high_water = 0.7; retry_delay = 1.0 }
-  in
+  let config = { Config.default with Config.num_servers = 8; high_water = 0.7 } in
   let s = Server.create ~id:0 ~config ~tree ~rng:(Splitmix.create 5) () in
   (* Roll the meter to [now] first, then install the adjustment, so the
      windowing does not clear it before should_start reads it. *)

@@ -276,8 +276,9 @@ let prop_digest_major_shortcut =
   QCheck.Test.make ~name:"routing: digest-major shortcut = ancestor-major walk" ~count:400
     arb_shortcut_case (fun (events, dst, better_than, digests_on) ->
       let features = if digests_on then Config.bcr else Config.bc in
-      let cfg = { config with Config.max_remote_digests = shortcut_capacity; features } in
+      let cfg = { config with Config.features } in
       let s = Server.create ~id:0 ~config:cfg ~tree:shortcut_tree ~rng:(Splitmix.create 5) () in
+      let s = { s with Server.digests = Digest_store.create ~max_remote:shortcut_capacity () } in
       let mru =
         List.fold_left
           (fun mru ((srv, version, bloom) as ev) ->

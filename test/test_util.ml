@@ -279,27 +279,6 @@ let test_stats_merge_empty () =
   Alcotest.(check int) "count" 1 (Stats.count m);
   check_float "mean" 5.0 (Stats.mean m)
 
-let test_reservoir_percentiles () =
-  let rng = Splitmix.create 17 in
-  let r = Stats.Reservoir.create ~capacity:1000 rng in
-  for i = 1 to 1000 do
-    Stats.Reservoir.add r (float_of_int i)
-  done;
-  (* capacity = samples, so percentiles are exact *)
-  check_float "median" 500.5 (Stats.Reservoir.percentile r 0.5);
-  check_float "p0" 1.0 (Stats.Reservoir.percentile r 0.0);
-  check_float "p100" 1000.0 (Stats.Reservoir.percentile r 1.0)
-
-let test_reservoir_subsampling () =
-  let rng = Splitmix.create 23 in
-  let r = Stats.Reservoir.create ~capacity:512 rng in
-  for i = 1 to 100_000 do
-    Stats.Reservoir.add r (float_of_int (i mod 1000))
-  done;
-  Alcotest.(check int) "sees all" 100_000 (Stats.Reservoir.count r);
-  let median = Stats.Reservoir.percentile r 0.5 in
-  Alcotest.(check bool) "median approx 500" true (abs_float (median -. 500.0) < 60.0)
-
 let prop_stats_mean_bounded =
   QCheck.Test.make ~name:"stats: min <= mean <= max" ~count:300
     QCheck.(list_of_size (Gen.int_range 1 50) (float_bound_inclusive 100.0))
@@ -429,8 +408,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "merge" `Quick test_stats_merge;
           Alcotest.test_case "merge empty" `Quick test_stats_merge_empty;
-          Alcotest.test_case "reservoir percentiles" `Quick test_reservoir_percentiles;
-          Alcotest.test_case "reservoir subsampling" `Quick test_reservoir_subsampling;
         ] );
       qsuite "stats-props" [ prop_stats_mean_bounded ];
       ( "timeseries",
