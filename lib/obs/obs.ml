@@ -1,7 +1,7 @@
-(* The sink: a verbosity level, a flight recorder, probe storage, and a
-   clock closure the owning cluster points at its engine.  The three
-   [*_on] booleans are precomputed so hot paths pay one load + branch to
-   discover recording is off. *)
+(* The sink: a verbosity level, one flight recorder per engine lane,
+   probe storage, and the engine's stamp hook, installed by [attach].
+   The three [*_on] booleans are precomputed so hot paths pay one load +
+   branch to discover recording is off. *)
 
 type level = Off | Counters | Spans | Full
 
@@ -23,15 +23,11 @@ type t = {
   counters_on : bool;
   spans_on : bool;
   full_on : bool;
-  recorder : Recorder.t;
-  mutable recorders : Recorder.t array;
-      (* per-engine-lane recorders of a multi-domain run; [||] = the
-         single-recorder sequential path *)
-  mutable stamp : (unit -> int * float * int * int) option;
+  mutable recorders : Recorder.t array; (* one per engine lane *)
+  mutable stamp : unit -> int * float * int * int;
       (* engine stamp hook: (lane, time, tie, sub) of the running event *)
   probes : Probes.t;
   probe_every : int;
-  mutable clock : unit -> float;
 }
 
 let make ~level ~capacity ~probe_every =
@@ -40,19 +36,17 @@ let make ~level ~capacity ~probe_every =
     counters_on = level <> Off;
     spans_on = (match level with Spans | Full -> true | Off | Counters -> false);
     full_on = level = Full;
-    recorder = Recorder.create ~capacity:(if level = Off then 0 else capacity);
-    recorders = [||];
-    stamp = None;
+    recorders = [| Recorder.create ~capacity:(if level = Off then 0 else capacity) |];
+    stamp = (fun () -> (0, 0.0, 0, 0));
     probes = Probes.create ();
     probe_every;
-    clock = (fun () -> 0.0);
   }
 
 (* Shared across every cluster (and hence every domain) — but domain-safe:
-   all writes to an [Off] sink are gated out ([set_clock], [set_multi],
-   [emit] all test the level first), so [null] is immutable in practice.
-   This is a record value, not a syntactic mutable root, so the race check
-   cannot see it; lane-safety rests on this gate (DESIGN §14). *)
+   all writes to an [Off] sink are gated out ([attach] and [record] both
+   test the level first), so [null] is immutable in practice.  This is a
+   record value, not a syntactic mutable root, so the race check cannot
+   see it; lane-safety rests on this gate (DESIGN §14). *)
 let null = make ~level:Off ~capacity:0 ~probe_every:max_int
 
 let create ?(capacity = 1 lsl 18) ?(probe_every = 2000) ~level () =
@@ -68,32 +62,23 @@ let spans_on t = t.spans_on
 let full_on t = t.full_on
 
 let recorder t =
-  if Array.length t.recorders = 0 then t.recorder
-  else Recorder.merged (Array.to_list t.recorders) ~capacity:(Recorder.capacity t.recorder)
+  match t.recorders with
+  | [| r |] -> r
+  | rs -> Recorder.merged (Array.to_list rs) ~capacity:(Recorder.capacity rs.(0))
 
 let probes t = t.probes
 
 let probe_every t = t.probe_every
 
-(* Guarded so that pointing a clock at the shared [null] sink stays a
-   no-op: [null] is immutable in practice and may be shared across
-   domains (worker clusters created without a sink). *)
-let set_clock t clock = if t.level <> Off then t.clock <- clock
-
-(* Same [null]-guard as [set_clock]: switching the shared disabled sink
-   into multi-lane mode would race across domains. *)
-let set_multi t ~lanes ~stamp =
+let attach t ~lanes ~stamp =
   if t.level <> Off then begin
-    let capacity = Recorder.capacity t.recorder in
+    let capacity = Recorder.capacity t.recorders.(0) in
     t.recorders <- Array.init lanes (fun _ -> Recorder.create ~capacity);
-    t.stamp <- Some stamp
+    t.stamp <- stamp
   end
 
 let record t ~server event =
   if t.counters_on then begin
-    match t.stamp with
-    | None -> Recorder.record t.recorder ~time:(t.clock ()) ~server event
-    | Some stamp ->
-      let lane, time, tie, sub = stamp () in
-      Recorder.record_stamped t.recorders.(lane) ~time ~tie ~sub ~server event
+    let lane, time, tie, sub = t.stamp () in
+    Recorder.record t.recorders.(lane) ~time ~tie ~sub ~server event
   end

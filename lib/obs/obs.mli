@@ -7,7 +7,7 @@
     untaken branch — no event value is even allocated.  The bench suite
     pins this (< 2% on the routing micro-benches).
 
-    {b Determinism contract.}  Recording reads the clock closure and
+    {b Determinism contract.}  Recording reads the engine's stamp and
     writes sink-private arrays; it never draws randomness, schedules
     engine events, or mutates simulation state.  [test_obs] enforces this
     by byte-comparing fig3 CSVs between [Off] and [Full].
@@ -52,25 +52,20 @@ val full_on : t -> bool
 (** [level = Full]. *)
 
 val recorder : t -> Recorder.t
-(** The flight recorder.  After {!set_multi}, a freshly merged view of
-    the per-lane recorders (identical to the sequential ring — the
-    determinism contract); otherwise the backing recorder itself. *)
+(** The flight recorder: the lone lane's ring at K = 1; at K >= 2 a
+    freshly merged view of the per-lane rings, identical to the K = 1
+    ring (the determinism contract). *)
 
-val set_multi : t -> lanes:int -> stamp:(unit -> int * float * int * int) -> unit
-(** Switch to per-lane recording for a multi-domain engine: [lanes]
-    recorders are created (each with the configured capacity) and every
-    {!record} consults [stamp] — the engine hook returning the running
-    event's [(lane, time, tie, sub)] — instead of the clock closure.
-    Done by [Cluster.create] when [engine_domains > 1]; a no-op on
-    {!null}. *)
+val attach : t -> lanes:int -> stamp:(unit -> int * float * int * int) -> unit
+(** Bind the sink to its engine: one fresh recorder per engine lane (each
+    with the configured capacity), and every {!record} stamped by [stamp]
+    — [Engine.stamp], the running event's [(lane, time, tie, sub)].  Done
+    once by [Cluster.create]; a no-op on {!null}.  Before it, records go
+    to a single recorder stamped at time 0. *)
 
 val probes : t -> Probes.t
 
 val probe_every : t -> int
-
-val set_clock : t -> (unit -> float) -> unit
-(** Point the sink at the owning engine's clock ([Engine.now]).  Done by
-    [Cluster.create]; a no-op on {!null}. *)
 
 val record : t -> server:int -> Event.t -> unit
 (** Stamp and store one event.  No-op below [Counters]; finer gating

@@ -2,8 +2,10 @@
 
     Recording overwrites the oldest entry once [capacity] events have been
     stored — the recorder always retains the {e newest} [capacity] events,
-    in recording order (qcheck-enforced in [test_obs]).  Storage is three
+    in recording order (qcheck-enforced in [test_obs]).  Storage is five
     parallel arrays allocated at creation; [record] never grows anything.
+    Every entry carries the engine's canonical stamp, so the per-lane
+    recorders of a K >= 2 run merge into the K = 1 ring ({!merged}).
 
     A recorder with [capacity = 0] ignores every [record] — that is the
     disabled sink's backing store. *)
@@ -18,11 +20,7 @@ type t
 val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity < 0]. *)
 
-val record : t -> time:float -> server:int -> Event.t -> unit
-(** Record with a zero stamp — the single-recorder (sequential) path,
-    where arrival order is already the canonical order. *)
-
-val record_stamped : t -> time:float -> tie:int -> sub:int -> server:int -> Event.t -> unit
+val record : t -> time:float -> tie:int -> sub:int -> server:int -> Event.t -> unit
 (** Record with the engine's canonical stamp: [(time, tie, sub)] is
     globally unique and independent of the shard count, making per-lane
     recorders mergeable via {!merged}. *)

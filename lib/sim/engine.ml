@@ -1,3 +1,5 @@
+open Terradir_util
+
 (* The discrete-event engine, sequential or sharded-parallel.
 
    Events live in per-lane queues (Shard.t) ordered by a canonical,
@@ -11,20 +13,26 @@
    Because every event is scheduled from exactly one executing context
    and contexts are confined to one lane each, the counters advance
    identically whatever the shard count K — so the canonical order, and
-   with it every simulation output, is byte-identical for all K
-   (including K = 1, the plain sequential engine).
+   with it every simulation output, is byte-identical for all K.
 
-   K >= 2 runs conservative synchronized windows (see Par_engine and
-   DESIGN §13): driver events (context -1, cross-shard writers) and sync
-   events (context -2, cross-shard readers) each run solo when they are
-   the global minimum; shard lanes execute in parallel up to a
-   lookahead-bounded exclusive key — capped by the next solo key —
-   exchanging cross-shard events through outboxes merged at the
-   barrier. *)
+   Lanes: K = 1 is one lane, which is also the coordinator.  K >= 2 is
+   K shard lanes plus one coordinator lane (index K) holding every
+   pseudo-context event: driver events (context -1, cross-shard writers)
+   and sync events (context -2, cross-shard readers).  The run loop
+   (DESIGN §13) executes the global minimum solo when it sits on the
+   coordinator lane; otherwise it opens a conservative window: with
+   lookahead L — the minimum cross-server network latency — every
+   cross-shard effect of an event at time t lands at or after t + L, so
+   the shard lanes run in parallel up to the exclusive bound
+   min((lb + L, -1), next coordinator key, (until, max_int)), where lb is
+   the shard minimum.  Cross-lane schedules are parked in per-lane
+   outboxes and merged at the barrier; ties are globally unique, so merge
+   order is irrelevant.  At K = 1 every event is the coordinator's, so the
+   same loop runs them one by one. *)
 
 (* Pseudo-context of workload-driver events (arrival chains, phase
    transitions): they read no shard-owned state and run on the
-   coordinator, possibly ahead of slower shards. *)
+   coordinator lane. *)
 let driver_ctx = -1
 
 let sync_ctx = -2
@@ -36,27 +44,22 @@ let max_ctx = 1 lsl 19
 
 type t = {
   mutable domains : int; (* shard count K; 1 = sequential *)
-  mutable lanes : Shard.t array; (* length K *)
-  mutable driver : Shard.t; (* = lanes.(0) when K = 1 *)
-  mutable sync : Shard.t; (* = lanes.(0) when K = 1 *)
+  mutable lanes : Shard.t array; (* K shard lanes, then the coordinator; length 1 when K = 1 *)
+  mutable coord : Shard.t; (* last of [lanes]: pseudo-context events *)
   mutable shard_of : int array; (* context -> lane; unused when K = 1 *)
   (* lint: boxed-float set once, by configure *)
   mutable lookahead : float;
   mutable counters : int array; (* per-context seq counters, slot = ctx + 1 *)
   mutable observers : (int * (unit -> unit)) list;
-      (** (cadence, hook) pairs, in registration order: each hook runs
-          after every [cadence]-th event (K = 1) or at the first
-          barrier crossing a cadence multiple (K >= 2), between events —
-          never inside one *)
-  mutable obs_mark : int; (* executed count at the last barrier check *)
-  mutable active : Shard.t option; (* coordinator's lane while inside an event *)
+      (** (cadence, hook) pairs, in registration order: each hook runs at
+          the first check after a multiple of its cadence was crossed —
+          between events, never inside one *)
+  mutable obs_mark : int; (* executed count at the last observer check *)
+  mutable active : Shard.t; (* coordinator domain's lane: [coord] between events *)
   mutable window_on : bool;
   (* lint: boxed-float written once per synchronized window (K >= 2) *)
   mutable window_bound : float; (* time of the open window's bound *)
-  (* lint: boxed-float read only at K >= 2, written per window or solo event there *)
-  mutable vclock : float; (* coordinator clock between events (K >= 2) *)
   dls : Shard.t option Domain.DLS.key; (* worker domains' own lane *)
-  lane0_opt : Shard.t option; (* [Some lanes.(0)] of a sequential engine, built once *)
 }
 
 let create () =
@@ -64,79 +67,65 @@ let create () =
   {
     domains = 1;
     lanes = [| lane0 |];
-    driver = lane0;
-    sync = lane0;
+    coord = lane0;
     shard_of = [||];
     lookahead = 0.0;
     counters = Array.make 1 0;
     observers = [];
     obs_mark = 0;
-    active = None;
+    active = lane0;
     window_on = false;
     window_bound = 0.0;
-    vclock = 0.0;
     dls = Domain.DLS.new_key (fun () -> None);
-    lane0_opt = Some lane0;
   }
 
 let domains t = t.domains
 
-(* The lane whose event is running on the calling domain: lane 0 when
-   sequential; the worker's own lane (domain-local) or the coordinator's
-   current lane when parallel; [None] between events on the coordinator.
-   Called several times per event, so the sequential answer is a
-   preallocated option rather than a fresh [Some]. *)
-let cur_lane_opt t =
-  if t.domains = 1 then t.lane0_opt
-  else match Domain.DLS.get t.dls with Some _ as l -> l | None -> t.active
+(* Canonical key order: (time, tie) lexicographic. *)
+let key_lt t1 s1 t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2)
 
-let now t = match cur_lane_opt t with Some l -> Shard.clock l | None -> t.vclock
+(* The lane whose event is running on the calling domain: the worker's
+   own lane (domain-local) inside a window, otherwise the coordinator
+   domain's current lane — the coordinator lane between events. *)
+let cur_lane t =
+  if t.domains = 1 then t.active
+  else match Domain.DLS.get t.dls with Some l -> l | None -> t.active
 
-let ctx t = match cur_lane_opt t with Some l -> Shard.ctx l | None -> -1
+let now t = Shard.clock (cur_lane t)
 
-let lane_count t = if t.domains = 1 then 1 else t.domains + 1
+let ctx t = Shard.ctx (cur_lane t)
 
-let lane_index t = match cur_lane_opt t with Some l -> Shard.idx l | None -> t.domains
+let lane_count t = Array.length t.lanes
+
+let lane_index t = Shard.idx (cur_lane t)
 
 let stamp t =
-  match cur_lane_opt t with
-  | Some l -> (Shard.idx l, Shard.clock l, Shard.tie l, Shard.next_sub l)
-  | None -> (t.domains, t.vclock, 0, 0)
+  let l = cur_lane t in
+  (Shard.idx l, Shard.clock l, Shard.tie l, Shard.next_sub l)
 
-let events_executed t =
-  if t.domains = 1 then Shard.executed t.lanes.(0)
-  else begin
-    let n = ref (Shard.executed t.driver + Shard.executed t.sync) in
-    Array.iter (fun l -> n := !n + Shard.executed l) t.lanes;
-    !n
-  end
+let events_executed t = Array.fold_left (fun n l -> n + Shard.executed l) 0 t.lanes
 
-let pending t =
-  if t.domains = 1 then Shard.length t.lanes.(0)
-  else begin
-    let n = ref (Shard.length t.driver + Shard.length t.sync) in
-    Array.iter (fun l -> n := !n + Shard.length l) t.lanes;
-    !n
-  end
+let pending t = Array.fold_left (fun n l -> n + Shard.length l) 0 t.lanes
+
+(* Index of the lane holding the minimum pending key, or -1 when every
+   lane is empty. *)
+let min_lane t =
+  let best = ref (-1) in
+  for i = 0 to Array.length t.lanes - 1 do
+    let l = t.lanes.(i) in
+    if not (Shard.is_empty l) then
+      if !best < 0 then best := i
+      else begin
+        let b = t.lanes.(!best) in
+        if key_lt (Shard.top_key l) (Shard.top_tie l) (Shard.top_key b) (Shard.top_tie b) then
+          best := i
+      end
+  done;
+  !best
 
 let next_time t =
-  if t.domains = 1 then
-    if Shard.is_empty t.lanes.(0) then None else Some (Shard.top_key t.lanes.(0))
-  else begin
-    let best = ref None in
-    let consider lane =
-      if not (Shard.is_empty lane) then begin
-        let k = Shard.top_key lane and s = Shard.top_tie lane in
-        match !best with
-        | None -> best := Some (k, s)
-        | Some (bk, bs) -> if Par_engine.key_lt k s bk bs then best := Some (k, s)
-      end
-    in
-    Array.iter consider t.lanes;
-    consider t.driver;
-    consider t.sync;
-    Option.map fst !best
-  end
+  let i = min_lane t in
+  if i < 0 then None else Some (Shard.top_key t.lanes.(i))
 
 let ensure_counter t c =
   let n = Array.length t.counters in
@@ -168,10 +157,9 @@ let configure t ~domains ~lookahead ~shard_of =
     t.domains <- domains;
     t.shard_of <- Array.copy shard_of;
     t.lookahead <- lookahead;
-    let ndest = domains + 2 in
-    t.lanes <- Array.init domains (fun i -> Shard.create ~idx:i ~ndest);
-    t.driver <- Shard.create ~idx:domains ~ndest;
-    t.sync <- Shard.create ~idx:domains ~ndest
+    t.lanes <- Array.init (domains + 1) (fun i -> Shard.create ~idx:i ~ndest:(domains + 1));
+    t.coord <- t.lanes.(domains);
+    t.active <- t.coord
   end
 
 (* Allocate the canonical key for a fresh event and route it.  The seq
@@ -179,27 +167,24 @@ let configure t ~domains ~lookahead ~shard_of =
    0): each slot is only ever touched by the one lane its context lives
    on, so allocation needs no atomics and is K-independent. *)
 let schedule_key t ~owner time f =
-  let lane_opt = cur_lane_opt t in
-  let cx = match lane_opt with Some l -> Shard.ctx l | None -> -1 in
+  let lane = cur_lane t in
+  let cx = Shard.ctx lane in
   let c = if cx < 0 then 0 else cx + 1 in
   ensure_counter t c;
   let seq = t.counters.(c) in
   t.counters.(c) <- seq + 1;
   let tie = (c lsl ctx_shift) lor seq in
-  if t.domains = 1 then Shard.enqueue t.lanes.(0) ~key:time ~tie ~tag:owner f
+  if t.domains = 1 then Shard.enqueue lane ~key:time ~tie ~tag:owner f
   else begin
-    let d =
-      if owner >= 0 then t.shard_of.(owner)
-      else if owner = driver_ctx then t.domains
-      else t.domains + 1
-    in
-    let dest = if d < t.domains then t.lanes.(d) else if d = t.domains then t.driver else t.sync in
-    match lane_opt with
-    | Some lane when t.window_on && dest != lane ->
+    let d = if owner >= 0 then t.shard_of.(owner) else t.domains in
+    let dest = t.lanes.(d) in
+    if t.window_on && dest != lane then begin
       if time < t.window_bound then
-        invalid_arg "Engine.schedule: cross-shard event inside the open window (lookahead violated)";
+        invalid_arg
+          "Engine.schedule: cross-shard event inside the open window (lookahead violated)";
       Shard.outbox_push lane ~dest:d ~time ~tie ~owner f
-    | _ -> Shard.enqueue dest ~key:time ~tie ~tag:owner f
+    end
+    else Shard.enqueue dest ~key:time ~tie ~tag:owner f
   end
 
 let schedule ?(owner = driver_ctx) t ~delay f =
@@ -216,130 +201,85 @@ let add_observer t ~every f =
   if every < 1 then invalid_arg "Engine.add_observer: every must be >= 1";
   t.observers <- t.observers @ [ (every, f) ]
 
-(* ---- sequential execution (K = 1) ---- *)
-
-let step t =
-  if t.domains <> 1 then invalid_arg "Engine.step: unavailable on a multi-domain engine";
-  let lane = t.lanes.(0) in
-  if Shard.is_empty lane then false
-  else begin
-    Shard.pop_run lane;
-    (match t.observers with
-    | [] -> ()
-    | observers ->
-      List.iter (fun (every, obs) -> if Shard.executed lane mod every = 0 then obs ()) observers);
-    true
-  end
-
-let seq_run ?until t =
-  let lane = t.lanes.(0) in
-  match until with
-  | None -> while step t do () done
-  | Some stop ->
-    if stop < Shard.clock lane then invalid_arg "Engine.run: until is in the past";
-    let continue = ref true in
-    while !continue do
-      if (not (Shard.is_empty lane)) && Shard.top_key lane <= stop then ignore (step t)
-      else continue := false
-    done;
-    Shard.set_clock lane stop;
-    t.vclock <- stop
-
-(* ---- parallel execution (K >= 2) ---- *)
-
-(* Fire observers that crossed a cadence multiple since the last check.
-   Windows execute a K-independent set of events (the window schedule
-   depends only on keys and the lookahead), so these firing points are
-   identical for every K >= 2. *)
-let fire_par t =
+(* The one observer rule: fire every hook whose cadence multiple was
+   crossed since the last check.  Checks happen after each event at
+   K = 1 and after each barrier (window or solo event) at K >= 2; the
+   window schedule depends only on keys and the lookahead, so those
+   points are identical for every K >= 2. *)
+let fire_observers t =
+  let total = events_executed t in
   (match t.observers with
   | [] -> ()
   | observers ->
-    let total = events_executed t in
-    List.iter
-      (fun (every, obs) -> if total / every > t.obs_mark / every then obs ())
-      observers);
-  t.obs_mark <- events_executed t
+    List.iter (fun (every, obs) -> if total / every > t.obs_mark / every then obs ()) observers);
+  t.obs_mark <- total
 
-let par_run ?until t =
+let step t =
+  if t.domains <> 1 then invalid_arg "Engine.step: unavailable on a multi-domain engine";
+  if Shard.is_empty t.coord then false
+  else begin
+    Shard.pop_run t.coord;
+    fire_observers t;
+    true
+  end
+
+(* One synchronized window bounded exclusively by (time, tie): gang
+   worker [w] drives shard lane [w + 1], the calling domain drives lane 0
+   and then blocks at the barrier (worker exceptions re-raise there);
+   cross-lane deposits are merged after it. *)
+let run_window t gang ~time ~tie =
+  t.window_bound <- time;
+  t.window_on <- true;
+  Pool.Gang.launch gang (fun w ->
+      let lane = t.lanes.(w + 1) in
+      Domain.DLS.set t.dls (Some lane);
+      Shard.run_below lane ~time ~tie);
+  t.active <- t.lanes.(0);
+  Shard.run_below t.lanes.(0) ~time ~tie;
+  t.active <- t.coord;
+  Pool.Gang.join gang;
+  t.window_on <- false;
+  for i = 0 to t.domains - 1 do
+    Shard.drain_outboxes t.lanes.(i) ~f:(fun ~dest ~time ~tie ~owner f ->
+        Shard.enqueue t.lanes.(dest) ~key:time ~tie ~tag:owner f)
+  done;
+  Shard.set_clock t.coord time
+
+let run ?until t =
   (match until with
-  | Some s when s < t.vclock -> invalid_arg "Engine.run: until is in the past"
+  | Some s when s < now t -> invalid_arg "Engine.run: until is in the past"
   | _ -> ());
-  let in_stop k = match until with None -> true | Some s -> k <= s in
-  let gang = Par_engine.create_gang ~workers:(t.domains - 1) in
-  Fun.protect ~finally:(fun () -> Par_engine.shutdown_gang gang) @@ fun () ->
+  let stop = match until with None -> infinity | Some s -> s in
+  let gang = if t.domains > 1 then Some (Pool.Gang.create ~workers:(t.domains - 1)) else None in
+  Fun.protect ~finally:(fun () -> Option.iter Pool.Gang.shutdown gang) @@ fun () ->
+  let coord = t.coord in
   let running = ref true in
   while !running do
-    let lb = Par_engine.shard_min t.lanes in
-    (* Driver and sync pseudo-context events both touch cross-shard state
-       (injections mutate arbitrary servers' queues; the monitor reads
-       every server), so each runs SOLO, exactly at its canonical position
-       in the global order — never ahead of pending shard events whose
-       keys precede it.  The next solo key also caps the window bound. *)
-    let solo =
-      let consider lane acc =
-        if Shard.is_empty lane then acc
+    let i = min_lane t in
+    if i < 0 || not (Shard.top_key t.lanes.(i) <= stop) then running := false
+    else if t.lanes.(i) == coord then begin
+      (* Driver and sync events touch cross-shard state (injections
+         mutate arbitrary servers' queues; the monitor reads every
+         server), so each runs SOLO at its canonical position in the
+         global order, with every shard lane idle. *)
+      Shard.pop_run coord;
+      fire_observers t
+    end
+    else begin
+      let bt = Shard.top_key t.lanes.(i) +. t.lookahead in
+      let bt, btie =
+        if Shard.is_empty coord then (bt, -1)
         else begin
-          let k = Shard.top_key lane and s = Shard.top_tie lane in
-          match acc with
-          | Some (_, ak, asq) when Par_engine.key_lt ak asq k s -> acc
-          | _ -> Some (lane, k, s)
+          let ck = Shard.top_key coord and ct = Shard.top_tie coord in
+          if key_lt ck ct bt (-1) then (ck, ct) else (bt, -1)
         end
       in
-      consider t.driver (consider t.sync None)
-    in
-    match (lb, solo) with
-    | None, None -> running := false
-    | _, Some (lane, sk, ss)
-      when match lb with None -> true | Some (lk, ls) -> Par_engine.key_lt sk ss lk ls ->
-      if in_stop sk then begin
-        t.active <- Some lane;
-        Shard.pop_run lane;
-        t.active <- None;
-        t.vclock <- sk;
-        fire_par t
-      end
-      else running := false
-    | None, Some _ -> assert false (* the solo guard above always takes this case *)
-    | Some (lk, _), _ ->
-      if not (in_stop lk) then running := false
-      else begin
-        let sm = Option.map (fun (_, k, s) -> (k, s)) solo in
-        let bt, btie = Par_engine.window_bound ~lb_time:lk ~lookahead:t.lookahead ~sync:sm ~until in
-        t.window_bound <- bt;
-        t.window_on <- true;
-        Par_engine.run_window gang t.lanes ~time:bt ~tie:btie
-          ~prepare:(fun lane -> Domain.DLS.set t.dls (Some lane))
-          ~coordinate:(fun drive ->
-            t.active <- Some t.lanes.(0);
-            drive ();
-            t.active <- None);
-        t.window_on <- false;
-        Array.iter
-          (fun lane ->
-            Shard.drain_outboxes lane ~f:(fun ~dest ~time ~tie ~owner f ->
-                let dst =
-                  if dest < t.domains then t.lanes.(dest)
-                  else if dest = t.domains then t.driver
-                  else t.sync
-                in
-                Shard.enqueue dst ~key:time ~tie ~tag:owner f))
-          t.lanes;
-        t.vclock <- bt;
-        fire_par t
-      end
+      let bt, btie = if stop < bt then (stop, max_int) else (bt, btie) in
+      run_window t (Option.get gang) ~time:bt ~tie:btie;
+      fire_observers t
+    end
   done;
   match until with
-  | Some s ->
-    t.vclock <- s;
-    Array.iter (fun l -> Shard.set_clock l s) t.lanes;
-    Shard.set_clock t.driver s;
-    Shard.set_clock t.sync s
+  | Some s -> Array.iter (fun l -> Shard.set_clock l s) t.lanes
   | None ->
-    let m = ref t.vclock in
-    Array.iter (fun l -> if Shard.clock l > !m then m := Shard.clock l) t.lanes;
-    if Shard.clock t.driver > !m then m := Shard.clock t.driver;
-    if Shard.clock t.sync > !m then m := Shard.clock t.sync;
-    t.vclock <- !m
-
-let run ?until t = if t.domains = 1 then seq_run ?until t else par_run ?until t
+    Shard.set_clock coord (Array.fold_left (fun m l -> Float.max m (Shard.clock l)) 0.0 t.lanes)

@@ -12,6 +12,10 @@
     shard count [K] — byte-identical simulation outputs at K = 1, 2, 4…
     are the engine's core contract (test-enforced).
 
+    Lanes: K = 1 is one lane.  K >= 2 is K shard lanes plus one
+    coordinator lane (index K) that holds every pseudo-context event
+    (driver and sync) and runs each of them solo between windows.
+
     The engine is deliberately minimal: processes, queues, and resources
     are modeled by the TerraDir layer on top of it. *)
 
@@ -48,8 +52,8 @@ val ctx : t -> int
     a completion may run inline or must be re-scheduled to its owner. *)
 
 val lane_count : t -> int
-(** Number of metric/obs lanes: K shard lanes plus the coordinator lane
-    when K >= 2; exactly 1 when K = 1. *)
+(** Number of engine lanes, for per-lane metric and obs sinks: K shard
+    lanes plus the coordinator lane when K >= 2; exactly 1 when K = 1. *)
 
 val lane_index : t -> int
 (** Index in [0, lane_count) of the calling domain's current lane (the
@@ -58,14 +62,15 @@ val lane_index : t -> int
 val stamp : t -> int * float * int * int
 (** [(lane, time, tie, sub)] of the currently executing event, bumping
     the intra-event emission counter [sub] — a canonical, K-independent
-    sort key for merged observability records. *)
+    sort key for merged observability records.  Between events it is the
+    coordinator lane's, with [tie = 0]. *)
 
 val schedule : ?owner:int -> t -> delay:float -> (unit -> unit) -> unit
 (** [schedule ~owner t ~delay f] runs [f], in context [owner], at
     [now t +. delay].  [owner] is the server id whose state [f] touches
     (default [-1], the workload-driver pseudo-context of arrival chains
     and phase transitions: such events read no shard-owned state and run
-    on the coordinator, possibly ahead of slower shards); with [domains > 1] it selects the lane.
+    solo on the coordinator lane); with [domains > 1] it selects the lane.
     Cross-lane schedules from inside a window must satisfy the lookahead
     ([delay >=] minimum network latency).
     @raise Invalid_argument if [delay] is negative or not finite, or on
@@ -83,11 +88,12 @@ val next_time : t -> float option
 
 val add_observer : t -> every:int -> (unit -> unit) -> unit
 (** Register an observer hook, run strictly {e between} events — handlers
-    never see it mid-flight.  At K = 1 it runs after every [every]-th
-    executed event; at K >= 2 it runs at the first synchronization point
-    (window barrier or solo sync event) after each [every]-multiple is
-    crossed — the same points for every K >= 2, since the window
-    schedule is K-independent.  Hooks must not schedule events or
+    never see it mid-flight.  One rule for every K: it runs at the first
+    check after each [every]-multiple of executed events is crossed.
+    Checks happen after each event at K = 1 (so it runs after every
+    [every]-th event) and after each barrier (window or solo event) at
+    K >= 2 — the same points for every K >= 2, since the window schedule
+    is K-independent.  Hooks must not schedule events or
     otherwise perturb the simulation; they exist for auditing and
     observation (invariant checks, probes).  Observers fire in
     registration order; several may share a cadence.

@@ -133,8 +133,8 @@ let enqueue t ~key ~tie ~tag f = Pqueue.add_tagged t.queue ~key ~seq:tie ~tag f
 
 (* Execute the lane's minimum event: advance the lane clock, expose the
    event's owner as the executing context for the duration of the
-   handler, and drop back to idle (-1) after — idle-time API calls must
-   not observe a stale context. *)
+   handler, and drop back to idle (context -1, tie 0) after — idle-time
+   API calls must not observe a stale context or stamp. *)
 let pop_run t =
   let key = top_key t and tie = top_tie t and tag = top_tag t in
   let f = Pqueue.pop_exn t.queue in
@@ -147,7 +147,8 @@ let pop_run t =
   t.sub <- 0;
   t.executed <- t.executed + 1;
   f ();
-  t.ctx <- -1
+  t.ctx <- -1;
+  t.tie <- 0
 
 (* Run every event strictly below the exclusive bound (time, tie). *)
 let run_below t ~time ~tie =

@@ -38,7 +38,7 @@ val ctx : t -> int
 (** Owner of the running event; [-1] when idle. *)
 
 val tie : t -> int
-(** Tie-break of the running event (obs stamping). *)
+(** Tie-break of the running event (obs stamping); [0] when idle. *)
 
 val next_sub : t -> int
 (** Return the running event's intra-event emission counter and advance

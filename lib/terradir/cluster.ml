@@ -885,9 +885,6 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
   Config.validate config;
   let rng = Splitmix.create config.Config.seed in
   let engine = Engine.create () in
-  (* The sink reads simulation time through this closure; a null sink
-     ignores it (shared across clusters and domains). *)
-  Obs.set_clock obs (fun () -> Engine.now engine);
   let owner_of = place_owners config tree rng in
   (* Heterogeneous capacities: log-uniform speeds, normalized to mean 1 so
      the cluster's aggregate capacity does not depend on the spread. *)
@@ -945,13 +942,12 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
     let assign = match shard_of with Some f -> f | None -> fun sid -> sid mod k in
     Array.init config.Config.num_servers (fun sid -> if k = 1 then 0 else assign sid)
   in
-  if k > 1 then begin
-    Engine.configure engine ~domains:k ~lookahead:(Net.min_latency net) ~shard_of:shard_ix;
-    (* Per-lane flight recording, stamped with the engine's canonical
-       event key so the merged view matches the sequential ring. *)
-    Obs.set_multi obs ~lanes:(Engine.lane_count engine) ~stamp:(fun () -> Engine.stamp engine)
-  end;
+  Engine.configure engine ~domains:k ~lookahead:(Net.min_latency net) ~shard_of:shard_ix;
   let lanes = Engine.lane_count engine in
+  (* Per-lane flight recording, stamped with the engine's canonical event
+     key so the merged view at K >= 2 matches the K = 1 ring; a null sink
+     ignores it (shared across clusters and domains). *)
+  Obs.attach obs ~lanes ~stamp:(fun () -> Engine.stamp engine);
   (* The metrics once drew from a stream of their own; the split stays
      because removing the draw would shift every later draw from [rng]. *)
   ignore (Splitmix.split rng : Splitmix.t);

@@ -64,7 +64,7 @@ let prop_ring_overwrite_order =
     (fun (capacity, n) ->
       let r = Recorder.create ~capacity in
       for i = 0 to n - 1 do
-        Recorder.record r ~time:(float_of_int i) ~server:i
+        Recorder.record r ~time:(float_of_int i) ~tie:0 ~sub:0 ~server:i
           (Event.Query_injected { qid = i; dst = 0 })
       done;
       (* a capacity-0 recorder (the disabled sink's store) ignores records

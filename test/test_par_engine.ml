@@ -148,6 +148,52 @@ let test_fallback_to_sequential () =
   Alcotest.(check int) "domains clamped to num_servers" 16
     (Terradir_sim.Engine.domains cluster.Cluster.engine)
 
+(* Solo events — driver (-1) and sync (-2) — must run at their canonical
+   position in the global order, with every earlier event executed and no
+   later one, whatever K.  A bare engine: 8 contexts step in lockstep at
+   colliding timestamps, and some steps schedule a solo event one
+   lookahead ahead, where it collides with the next step of every
+   context and is ordered among them by its tie alone. *)
+let test_solo_positions () =
+  let module Engine = Terradir_sim.Engine in
+  let lookahead = 0.025 and contexts = 8 in
+  let logs domains =
+    let e = Engine.create () in
+    Engine.configure e ~domains ~lookahead
+      ~shard_of:(Array.init contexts (fun c -> c mod domains));
+    let solo = ref [] in
+    let per_ctx = Array.make contexts [] in
+    let log_solo () = solo := (Engine.ctx e, Engine.now e, Engine.events_executed e) :: !solo in
+    let rec chain c n () =
+      per_ctx.(c) <- Engine.now e :: per_ctx.(c);
+      if n > 0 then begin
+        Engine.schedule ~owner:c e ~delay:lookahead (chain c (n - 1));
+        if (n + c) mod 3 = 0 then Engine.schedule ~owner:(-1) e ~delay:lookahead log_solo;
+        if (n + c) mod 4 = 0 then
+          Engine.schedule ~owner:Engine.sync_ctx e ~delay:lookahead log_solo
+      end
+    in
+    for c = 0 to contexts - 1 do
+      Engine.schedule ~owner:c e ~delay:0.0 (chain c 12)
+    done;
+    Engine.run e;
+    (List.rev !solo, Array.to_list (Array.map List.rev per_ctx))
+  in
+  let show (solo, per_ctx) =
+    String.concat "\n"
+      (List.map (fun (c, t, n) -> Printf.sprintf "solo ctx=%d t=%h n=%d" c t n) solo
+      @ List.mapi
+          (fun c ts ->
+            Printf.sprintf "ctx %d: %s" c (String.concat " " (List.map (Printf.sprintf "%h") ts)))
+          per_ctx)
+  in
+  let k1 = logs 1 in
+  let solo, _ = k1 in
+  Alcotest.(check bool) "driver and sync events ran" true
+    (List.exists (fun (c, _, _) -> c = -1) solo && List.exists (fun (c, _, _) -> c = -2) solo);
+  check_equal "solo positions K=1 vs K=2" (show k1) (show (logs 2));
+  check_equal "solo positions K=1 vs K=4" (show k1) (show (logs 4))
+
 (* Randomized shard assignments: the observable outputs are a function of
    the CONFIG only, never of how servers are distributed over lanes. *)
 let prop_shard_assignment_irrelevant =
@@ -174,6 +220,8 @@ let () =
           Alcotest.test_case "flight-recorder stream K-independent" `Slow
             test_recorder_stream_k_independent;
           Alcotest.test_case "sequential fallbacks" `Quick test_fallback_to_sequential;
+          Alcotest.test_case "solo events keep their positions for K in {1,2,4}" `Quick
+            test_solo_positions;
           QCheck_alcotest.to_alcotest prop_shard_assignment_irrelevant;
         ] );
     ]

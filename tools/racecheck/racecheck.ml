@@ -21,8 +21,8 @@
          [Mutex.protect m (fun () -> ...)] body or a
          [Mutex.lock m] ... [Mutex.unlock m] span), which functions it
          references, and whether it is a shard-lane ENTRY (it lives in
-         the engine's lane machinery — shard.ml, par_engine.ml,
-         engine.ml, pool.ml — or constructs lane thunks by referencing
+         the engine's lane machinery — shard.ml, engine.ml, pool.ml —
+         or constructs lane thunks by referencing
          [Engine.schedule]/[schedule_at], [Pool.Gang.launch], [Pool.map],
          [Runner.map] or [Domain.spawn]).
 
@@ -153,7 +153,7 @@ let module_of_path path =
 
 (* Files whose every function is lane-resident: the engine's own lane
    machinery runs on worker domains by construction. *)
-let entry_files = SSet.of_list [ "shard.ml"; "par_engine.ml"; "engine.ml"; "pool.ml" ]
+let entry_files = SSet.of_list [ "shard.ml"; "engine.ml"; "pool.ml" ]
 
 (* A reference to any of these marks the containing function as a lane
    entry: it constructs thunks that later execute on a shard lane (or a
@@ -165,7 +165,7 @@ let entry_markers =
   ]
 
 (* Modules allowed to touch Shard queues/outboxes directly. *)
-let outbox_internal = SSet.of_list [ "Shard"; "Engine"; "Par_engine" ]
+let outbox_internal = SSet.of_list [ "Shard"; "Engine" ]
 
 let outbox_functions = SSet.of_list [ "enqueue"; "outbox_push"; "drain_outboxes" ]
 
