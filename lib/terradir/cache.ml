@@ -63,9 +63,8 @@ let update t ~node ~f =
     let map' = f map in
     if Node_map.is_empty map' then Lru.remove t.lru node
     else
-      (* Rewrite in place without promoting: Lru.put promotes, so go through
-         peek/remove/put only when the value changed; promotion on rewrite is
-         acceptable for pruning (it happens when the entry is in active use). *)
+      (* Lru.put promotes the rewritten entry: pruning happens when the
+         entry is in active use. *)
       Lru.put t.lru node map'
 
 let iter t ~f = Lru.iter t.lru ~f

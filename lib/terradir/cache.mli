@@ -41,8 +41,9 @@ val peek : t -> node:int -> Node_map.t option
 val remove : t -> node:int -> unit
 
 val update : t -> node:int -> f:(Node_map.t -> Node_map.t) -> unit
-(** In-place map rewrite (e.g. pruning a stale server); no LRU effect;
-    no-op when absent.  If [f] returns an empty map the entry is dropped. *)
+(** Map rewrite (e.g. pruning a stale server) that promotes the entry to
+    most-recently-used; no-op when absent.  If [f] returns an empty map
+    the entry is dropped. *)
 
 val iter : t -> f:(int -> Node_map.t -> unit) -> unit
 (** Iterate entries (MRU first) without touching them. *)

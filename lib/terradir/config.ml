@@ -67,6 +67,22 @@ let default =
 
 let validate c =
   let fail msg = invalid_arg ("Config: " ^ msg) in
+  List.iter
+    (fun (name, v) -> if not (Float.is_finite v) then fail (name ^ " must be finite"))
+    [
+      ("speed_spread", c.speed_spread);
+      ("service_mean", c.service_mean);
+      ("network_delay", c.network_delay);
+      ("net_jitter", c.net_jitter);
+      ("net_loss", c.net_loss);
+      ("rpc_timeout", c.rpc_timeout);
+      ("retry_backoff", c.retry_backoff);
+      ("high_water", c.high_water);
+      ("high_water_factor", c.high_water_factor);
+      ("min_delta", c.min_delta);
+      ("r_fact", c.r_fact);
+      ("replica_idle_timeout", c.replica_idle_timeout);
+    ];
   if c.num_servers < 1 then fail "num_servers must be >= 1";
   if c.speed_spread < 1.0 then fail "speed_spread must be >= 1";
   if c.service_mean <= 0.0 then fail "service_mean must be positive";

@@ -26,8 +26,6 @@ type 'a t = {
   mutable free : int; (* most recently freed slot; -1 = none *)
   mutable fresh : int; (* slots [fresh ..] have never been used *)
   index : Index.t;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~capacity =
@@ -44,8 +42,6 @@ let create ~capacity =
     free = -1;
     fresh = 0;
     index = Index.create ();
-    hits = 0;
-    misses = 0;
   }
 
 let capacity t = t.capacity
@@ -130,11 +126,8 @@ let take_slot t v =
 
 let find t k =
   match find_slot t k with
-  | -1 ->
-    t.misses <- t.misses + 1;
-    None
+  | -1 -> None
   | slot ->
-    t.hits <- t.hits + 1;
     promote t slot;
     Some t.vals.(slot)
 
@@ -205,15 +198,7 @@ let iter t ~f = fold t ~init:() ~f:(fun () k v -> f k v)
 
 let keys_mru_order t = List.rev (fold t ~init:[] ~f:(fun acc k _ -> k :: acc))
 
-let hits t = t.hits
-
-let misses t = t.misses
-
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
-
-(* Back to the created state, arrays released; the accounting stays. *)
+(* Back to the created state, arrays released. *)
 let clear t =
   t.keys <- [||];
   t.vals <- [||];

@@ -68,18 +68,5 @@ val iter : 'a t -> f:(int -> 'a -> unit) -> unit
 val keys_mru_order : 'a t -> int list
 (** Keys from most- to least-recently-used (for tests). *)
 
-val hits : 'a t -> int
-(** Successful {!find} lookups since creation.  Only {!find} counts —
-    {!peek} and {!mem} are inspection, not use, and leave both counters
-    (like the recency list) untouched.  Cumulative: {!clear} drops the
-    entries but keeps the accounting. *)
-
-val misses : 'a t -> int
-(** Failed {!find} lookups since creation (same counting rule). *)
-
-val hit_rate : 'a t -> float
-(** [hits / (hits + misses)]; 0 before the first counted lookup. *)
-
 val clear : 'a t -> unit
-(** Drop every entry and release the arrays; the hit/miss accounting
-    stays. *)
+(** Drop every entry and release the arrays, back to the created state. *)

@@ -44,7 +44,27 @@ let test_validation_rejects () =
   expect_invalid "r_map" (fun c -> { c with Config.r_map = 0 });
   expect_invalid "cache_slots" (fun c -> { c with Config.cache_slots = -1 });
   expect_invalid "replica_idle_timeout" (fun c -> { c with Config.replica_idle_timeout = 0.0 });
-  expect_invalid "data_copies" (fun c -> { c with Config.data_copies = 0 })
+  expect_invalid "data_copies" (fun c -> { c with Config.data_copies = 0 });
+  expect_invalid "engine_domains" (fun c -> { c with Config.engine_domains = 0 })
+
+(* Every float field must be finite: comparisons such as [x < 0.0] are
+   false for NaN, so range checks alone let it through. *)
+let test_validation_rejects_non_finite () =
+  let nan = Float.nan in
+  expect_invalid "speed_spread nan" (fun c -> { c with Config.speed_spread = nan });
+  expect_invalid "service_mean nan" (fun c -> { c with Config.service_mean = nan });
+  expect_invalid "service_mean inf" (fun c -> { c with Config.service_mean = infinity });
+  expect_invalid "network_delay nan" (fun c -> { c with Config.network_delay = nan });
+  expect_invalid "network_delay inf" (fun c -> { c with Config.network_delay = infinity });
+  expect_invalid "net_jitter nan" (fun c -> { c with Config.net_jitter = nan });
+  expect_invalid "rpc_timeout nan" (fun c -> { c with Config.rpc_timeout = nan });
+  expect_invalid "retry_backoff nan" (fun c -> { c with Config.retry_backoff = nan });
+  expect_invalid "high_water nan" (fun c -> { c with Config.high_water = nan });
+  expect_invalid "high_water_factor nan" (fun c -> { c with Config.high_water_factor = nan });
+  expect_invalid "min_delta nan" (fun c -> { c with Config.min_delta = nan });
+  expect_invalid "r_fact nan" (fun c -> { c with Config.r_fact = nan });
+  expect_invalid "replica_idle_timeout nan" (fun c ->
+      { c with Config.replica_idle_timeout = nan })
 
 let test_presets () =
   Alcotest.(check bool) "bcr all on" true
@@ -62,6 +82,8 @@ let () =
         [
           Alcotest.test_case "default valid" `Quick test_default_valid;
           Alcotest.test_case "validation rejects" `Quick test_validation_rejects;
+          Alcotest.test_case "validation rejects non-finite floats" `Quick
+            test_validation_rejects_non_finite;
           Alcotest.test_case "presets" `Quick test_presets;
         ] );
     ]

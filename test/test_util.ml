@@ -191,28 +191,6 @@ let test_lru_remove () =
   Alcotest.(check (list int)) "list intact" [ 3; 1 ] (Lru.keys_mru_order c);
   Lru.remove c 42 (* removing absent key is a no-op *)
 
-let test_lru_hit_accounting () =
-  let c = Lru.create ~capacity:2 in
-  Alcotest.(check (float 1e-9)) "empty rate" 0.0 (Lru.hit_rate c);
-  Lru.put c 1 "a";
-  ignore (Lru.find c 1);
-  ignore (Lru.find c 2);
-  ignore (Lru.find c 1);
-  Alcotest.(check int) "hits" 2 (Lru.hits c);
-  Alcotest.(check int) "misses" 1 (Lru.misses c);
-  Alcotest.(check (float 1e-9)) "rate" (2.0 /. 3.0) (Lru.hit_rate c);
-  (* peek and mem are inspection, not use *)
-  ignore (Lru.peek c 1);
-  ignore (Lru.peek c 9);
-  ignore (Lru.mem c 1);
-  Alcotest.(check int) "peek/mem do not count hits" 2 (Lru.hits c);
-  Alcotest.(check int) "peek/mem do not count misses" 1 (Lru.misses c);
-  (* clear drops entries, keeps accounting *)
-  Lru.clear c;
-  Alcotest.(check int) "hits survive clear" 2 (Lru.hits c);
-  ignore (Lru.find c 1);
-  Alcotest.(check int) "post-clear lookup is a miss" 2 (Lru.misses c)
-
 let prop_lru_capacity_respected =
   QCheck.Test.make ~name:"lru: length never exceeds capacity" ~count:200
     QCheck.(pair (int_range 1 16) (small_list (int_bound 50)))
@@ -399,7 +377,6 @@ let () =
           Alcotest.test_case "zero capacity" `Quick test_lru_zero_capacity;
           Alcotest.test_case "update existing" `Quick test_lru_update_existing;
           Alcotest.test_case "remove" `Quick test_lru_remove;
-          Alcotest.test_case "hit accounting" `Quick test_lru_hit_accounting;
         ] );
       qsuite "lru-props" [ prop_lru_capacity_respected; prop_lru_contains_recent ];
       ( "stats",
