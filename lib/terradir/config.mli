@@ -125,5 +125,6 @@ val default : t
       hops. *)
 
 val validate : t -> unit
-(** @raise Invalid_argument with a description of the first violated
-    constraint (non-positive sizes, thresholds outside (0,1], etc.). *)
+(** @raise Invalid_argument naming the field of the first violated
+    constraint (a non-finite float, non-positive sizes, thresholds
+    outside (0,1], etc.). *)
