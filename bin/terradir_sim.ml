@@ -107,7 +107,7 @@ let run_cmd =
         (String.concat " " (Experiments.Registry.ids ()));
       exit 1
     | Some _, Some dir when List.mem id Experiments.Csv_export.exportable ->
-      List.iter print_endline (Experiments.Csv_export.export ~id ~scale ~seed ~dir ())
+      List.iter print_endline (Experiments.Csv_export.export ~id ~scale ?duration ~seed ~dir ())
     | Some _, Some _ ->
       Printf.eprintf "%s has no CSV form (try: %s)\n" id
         (String.concat " " Experiments.Csv_export.exportable);

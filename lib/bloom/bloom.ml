@@ -73,30 +73,6 @@ let mem t x =
   let r = raw x in
   mem_hashed t (h1_of r) (h2_of r)
 
-let popcount_byte =
-  (* 256-entry popcount table, built once. *)
-  let table = Array.make 256 0 in
-  for i = 1 to 255 do
-    table.(i) <- table.(i lsr 1) + (i land 1)
-  done;
-  fun c -> table.(Char.code c)
-
-let count_set t =
-  let n = ref 0 in
-  for i = header to Bytes.length t - 1 do
-    n := !n + popcount_byte (Bytes.unsafe_get t i)
-  done;
-  !n
-
-let fill_ratio t = float_of_int (count_set t) /. float_of_int (num_bits t)
-
-let cardinality_estimate t =
-  let m = float_of_int (num_bits t) in
-  let x = float_of_int (count_set t) in
-  if x >= m then infinity else -.m /. float_of_int (num_hashes t) *. log (1.0 -. (x /. m))
-
-let false_positive_rate t = fill_ratio t ** float_of_int (num_hashes t)
-
 let reset t = Bytes.fill t header (Bytes.length t - header) '\000'
 
 let copy = Bytes.copy

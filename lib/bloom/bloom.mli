@@ -32,16 +32,6 @@ val hash_into : int array -> int -> int -> unit
 val mem_hashed : t -> int -> int -> bool
 (** [mem_hashed t h1 h2 = mem t x] for the pair {!hash_into} stored for [x]. *)
 
-val cardinality_estimate : t -> float
-(** Maximum-likelihood estimate of the number of distinct insertions, from
-    the fill fraction: [-m/k · ln(1 - X/m)]. *)
-
-val fill_ratio : t -> float
-(** Fraction of bits set, in [0, 1]. *)
-
-val false_positive_rate : t -> float
-(** Expected false-positive probability at the current fill: [fill^k]. *)
-
 val reset : t -> unit
 
 val copy : t -> t

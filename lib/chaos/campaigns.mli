@@ -24,18 +24,6 @@ type t = {
   spec : servers:int -> rate:float -> seed:int -> spec;
 }
 
-val rolling_restart : t
-(** Staggered graceful leaves and revives of a server subset — planned
-    maintenance; availability should barely move. *)
-
-val rack_partition : t
-(** An eighth of the servers cut off, then healed. *)
-
-val partition_flash_crowd : t
-(** A Zipf flash crowd lands while a rack partition is active — the
-    acceptance scenario (availability dips, then reconverges after the
-    heal). *)
-
 val churn_ramp : t
 (** Background loss plus two seeded kill-fraction waves, then mass
     revival and a clean network. *)

@@ -13,16 +13,6 @@ module Hist = Terradir_obs.Hist
    about to run on 1 domain or 4 (a K-dependent failure would itself be a
    determinism bug). *)
 
-let check_phases ~what phases =
-  if phases = [] then invalid_arg (Printf.sprintf "Chaos.run: %s: empty phase list" what);
-  List.iter
-    (fun p ->
-      if p.Stream.rate <= 0.0 then
-        invalid_arg (Printf.sprintf "Chaos.run: %s: rate must be positive" what);
-      if p.Stream.duration <= 0.0 then
-        invalid_arg (Printf.sprintf "Chaos.run: %s: duration must be positive" what))
-    phases
-
 let check_ids ~what ~n ids =
   if ids = [] then invalid_arg (Printf.sprintf "Chaos.run: %s: empty server list" what);
   List.iter
@@ -78,7 +68,8 @@ let validate_timeline cluster timeline =
                 lookahead budget fixed at cluster creation); raise net_jitter in the config \
                 and open the timeline with a Set_jitter at the intended starting value"
                j config.Config.net_jitter)
-      | Action.Flash_crowd { phases; _ } -> check_phases ~what:"Flash_crowd" phases
+      | Action.Flash_crowd { phases; _ } ->
+        Stream.check_phases ~context:"Chaos.run: Flash_crowd" phases
       | Action.Rate_shift f ->
         if (not (f > 0.0)) || not (Float.is_finite f) then
           invalid_arg "Chaos.run: Rate_shift: factor must be positive and finite")

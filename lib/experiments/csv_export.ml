@@ -40,18 +40,18 @@ let metrics_csv metrics =
 
 let f = Printf.sprintf
 
-let fig3 ?scale ?seed dir =
-  let r = Fig3.run ?scale ?seed () in
+let fig3 ?scale ?duration ?seed dir =
+  let r = Fig3.run ?scale ?duration ?seed () in
   [ write_file dir "fig3_drop_fraction.csv" (series_csv ~index_label:"second" r.Fig3.series) ]
 
-let fig4 ?scale ?seed dir =
-  let r = Fig4.run ?scale ?seed () in
+let fig4 ?scale ?duration ?seed dir =
+  let r = Fig4.run ?scale ?duration ?seed () in
   [
     write_file dir "fig4_replica_creation.csv" (series_csv ~index_label:"second" r.Fig4.series);
   ]
 
-let fig5 ?scale ?seed dir =
-  let r = Fig5.run ?scale ?seed () in
+let fig5 ?scale ?duration ?seed dir =
+  let r = Fig5.run ?scale ?duration ?seed () in
   let rows =
     List.map
       (fun (c : Fig5.cell) -> [ c.Fig5.stream; c.Fig5.system; f "%.6f" c.Fig5.drop_fraction ])
@@ -59,8 +59,8 @@ let fig5 ?scale ?seed dir =
   in
   [ write_file dir "fig5_drops.csv" (table_csv ~header:[ "stream"; "system"; "drop_fraction" ] rows) ]
 
-let fig6 ?scale ?seed dir =
-  let r = Fig6.run ?scale ?seed () in
+let fig6 ?scale ?duration ?seed dir =
+  let r = Fig6.run ?scale ?duration ?seed () in
   let left =
     List.concat_map
       (fun s -> [ (s.Fig6.label ^ "_avg", s.Fig6.mean_load); (s.Fig6.label ^ "_max", s.Fig6.max_load) ])
@@ -72,18 +72,18 @@ let fig6 ?scale ?seed dir =
     write_file dir "fig6_smoothed_max.csv" (series_csv ~index_label:"second" right);
   ]
 
-let fig7 ?scale ?seed dir =
-  let r = Fig7.run ?scale ?seed () in
+let fig7 ?scale ?duration ?seed dir =
+  let r = Fig7.run ?scale ?duration ?seed () in
   let columns = List.map (fun s -> (s.Fig7.label, s.Fig7.per_level)) r.Fig7.runs in
   [ write_file dir "fig7_replicas_per_level.csv" (series_csv ~index_label:"level" columns) ]
 
-let fig8 ?scale ?seed dir =
-  let r = Fig8.run ?scale ?seed () in
+let fig8 ?scale ?duration ?seed dir =
+  let r = Fig8.run ?scale ?duration ?seed () in
   let columns = List.map (fun s -> (s.Fig8.label, s.Fig8.per_minute)) r.Fig8.runs in
   [ write_file dir "fig8_replicas_per_minute.csv" (series_csv ~index_label:"minute" columns) ]
 
-let fig9 ?scale ?seed dir =
-  let r = Fig9.run ?scale ?seed () in
+let fig9 ?scale ?duration ?seed dir =
+  let r = Fig9.run ?scale ?duration ?seed () in
   let rows =
     List.map
       (fun (row : Fig9.row) ->
@@ -105,8 +105,8 @@ let fig9 ?scale ?seed dir =
          rows);
   ]
 
-let rfact ?scale ?seed dir =
-  let r = Rfact.run ?scale ?seed () in
+let rfact ?scale ?duration ?seed dir =
+  let r = Rfact.run ?scale ?duration ?seed () in
   let rows =
     List.map
       (fun (row : Rfact.row) ->
@@ -128,8 +128,8 @@ let rfact ?scale ?seed dir =
          rows);
   ]
 
-let ablations ?scale ?seed dir =
-  let r = Ablations.run ?scale ?seed () in
+let ablations ?scale ?duration ?seed dir =
+  let r = Ablations.run ?scale ?duration ?seed () in
   let keys = [ "drop_fraction"; "mean_hops"; "mean_latency_ms"; "replicas" ] in
   let rows =
     List.map
@@ -145,8 +145,8 @@ let ablations ?scale ?seed dir =
   in
   [ write_file dir "ablations.csv" (table_csv ~header:([ "dimension"; "variant" ] @ keys) rows) ]
 
-let hetero ?scale ?seed dir =
-  let r = Hetero.run ?scale ?seed () in
+let hetero ?scale ?duration ?seed dir =
+  let r = Hetero.run ?scale ?duration ?seed () in
   let rows =
     List.map
       (fun (row : Hetero.row) ->
@@ -164,7 +164,8 @@ let hetero ?scale ?seed dir =
       (table_csv ~header:[ "spread"; "system"; "drop_fraction"; "latency_s"; "mean_max_load" ] rows);
   ]
 
-let resilience ?scale ?seed dir =
+(* Campaign timelines are fixed-length: duration does not apply. *)
+let resilience ?scale ?duration:_ ?seed dir =
   let r = Resilience.run ?scale ?seed () in
   let rows =
     List.map
@@ -193,7 +194,8 @@ let resilience ?scale ?seed dir =
          rows);
   ]
 
-let capacity ?scale ?seed dir =
+(* Sized in queries, not seconds: duration does not apply. *)
+let capacity ?scale ?duration:_ ?seed dir =
   let r = Capacity.run ?scale ?seed () in
   let rows = List.map (fun (k, v) -> [ k; v ]) (Capacity.rows r) in
   [ write_file dir "capacity.csv" (table_csv ~header:[ "metric"; "value" ] rows) ]
@@ -216,7 +218,7 @@ let exporters =
 
 let exportable = List.map fst exporters
 
-let export ~id ?scale ?seed ~dir () =
+let export ~id ?scale ?duration ?seed ~dir () =
   match List.assoc_opt id exporters with
-  | Some writer -> writer ?scale ?seed dir
+  | Some writer -> writer ?scale ?duration ?seed dir
   | None -> invalid_arg ("Csv_export.export: unknown or non-exportable experiment " ^ id)

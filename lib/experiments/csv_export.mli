@@ -4,9 +4,11 @@
     friendly) with exactly the series/rows its [print] function shows. *)
 
 val export :
-  id:string -> ?scale:float -> ?seed:int -> dir:string -> unit -> string list
+  id:string -> ?scale:float -> ?duration:float -> ?seed:int -> dir:string -> unit -> string list
 (** [export ~id ~dir ()] runs the experiment and writes its CSVs under
-    [dir] (created if missing); returns the paths written.
+    [dir] (created if missing); returns the paths written.  [duration]
+    reaches every experiment whose [run] takes one; [resilience] and
+    [capacity] ignore it, as their {!Registry} entries do.
     @raise Invalid_argument on an unknown experiment id. *)
 
 val exportable : string list

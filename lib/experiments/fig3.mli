@@ -14,7 +14,4 @@ type result = {
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val summarize : result -> (string * float * float) list
-(** Per stream: (label, mean drop fraction, peak drop fraction). *)
-
 val print : result -> unit

@@ -8,7 +8,4 @@ type result = { cells : cell list }
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val lookup : result -> stream:string -> system:string -> float
-(** Drop fraction of one cell ([Float.nan] when absent). *)
-
 val print : result -> unit

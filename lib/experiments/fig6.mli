@@ -16,8 +16,6 @@ type series = {
 
 type result = { duration : float; runs : series list }
 
-val paper_rates : float list
-
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
 val print : result -> unit

@@ -6,8 +6,6 @@ type series = { label : string; per_level : float array }
 
 type result = { runs : series list }
 
-val paper_rates : float list
-
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
 val print : result -> unit

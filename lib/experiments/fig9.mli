@@ -20,10 +20,6 @@ type row = {
 
 type result = { rows : row list }
 
-val sizes : ?scale:float -> unit -> int list
-(** Scaled counterpart of the paper's 2^9..2^14 sweep: six doublings,
-    starting from 512·scale servers (so scale=1 reproduces 2^9..2^14). *)
-
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
 val print : result -> unit

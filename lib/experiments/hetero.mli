@@ -21,8 +21,6 @@ type row = {
 
 type result = { rows : row list }
 
-val spreads : float list
-
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
 val print : result -> unit

@@ -26,10 +26,6 @@ type row = {
 
 type result = { rows : row list }
 
-val r_facts : float list
-
-val modes : mode list
-
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
 val print : result -> unit

@@ -28,21 +28,16 @@ val map : ('a -> 'b) -> 'a list -> 'b list
     exception-propagating.  Cells must be self-contained closures (see the
     concurrency model above). *)
 
-val engine_domains : unit -> int option
-(** Domains INSIDE each simulation's event engine — orthogonal to {!jobs},
-    which fans independent cells out.  [Some d] when pinned by
-    {!set_engine_domains} or set through the
-    [TERRADIR_ENGINE_DOMAINS] environment variable; [None] means "leave the
-    config's own [engine_domains] alone".  The engine's determinism
-    contract makes this knob observable-output-neutral: every metric, CSV
-    and trace is byte-identical for any value. *)
-
 val set_engine_domains : int option -> unit
-(** Pin (or unpin, with [None]) the engine-domain override.  Main-domain
-    only, like {!set_jobs}. *)
+(** Pin (or unpin, with [None]) the engine-domain override: domains
+    INSIDE each simulation's event engine, orthogonal to {!jobs}.
+    Unpinned, the [TERRADIR_ENGINE_DOMAINS] environment variable sets
+    it; unset, each config keeps its own [engine_domains].  Every metric,
+    CSV and trace is byte-identical for any value.  Main-domain only,
+    like {!set_jobs}. *)
 
 val with_engine_config : Terradir.Config.t -> Terradir.Config.t
-(** The config with {!engine_domains} applied when an override is in
+(** The config with the engine-domain override applied when an override is in
     effect; the config unchanged otherwise.  {!run_phases} applies this to
     every cluster it builds; drivers that build clusters themselves (the
     capacity figure, benches) call it explicitly. *)

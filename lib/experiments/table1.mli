@@ -6,9 +6,6 @@
     relationship kind actually maintains exactly the state the table
     claims. *)
 
-val canonical : (string * bool list) list
-(** The paper's table: kind → (name, map, data, meta, context) presence. *)
-
 type result = { kinds_seen : string list; verified : bool }
 
 val run : ?scale:float -> ?seed:int -> unit -> result

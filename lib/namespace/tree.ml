@@ -257,13 +257,6 @@ let anchored_ancestor t a d =
   if d < 0 || d > a.a_depth then invalid_arg "Tree.anchored_ancestor: bad depth";
   a.a_path.((3 * d) + 2)
 
-let route_path t src dst =
-  let l = lca t src dst in
-  let rec up acc v = if v = l then List.rev (v :: acc) else up (v :: acc) (parent_of t v) in
-  let upward = up [] src in
-  let rec down acc v = if v = l then acc else down (v :: acc) (parent_of t v) in
-  upward @ down [] dst
-
 let level_sizes t =
   let levels = Array.make (t.max_depth + 1) 0 in
   for v = 0 to size t - 1 do

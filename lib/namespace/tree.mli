@@ -108,10 +108,6 @@ val anchored_distance : t -> anchor -> node -> int
 val anchored_ancestor : t -> anchor -> int -> node
 (** [anchored_ancestor t a d = ancestor_at_depth t dst d], in O(1). *)
 
-val route_path : t -> node -> node -> node list
-(** The straightforward route: up from [src] to the LCA, then down to [dst];
-    both endpoints included.  Length is [distance + 1]. *)
-
 val level_sizes : t -> int array
 (** [level_sizes t].(d) = number of nodes at depth [d]. *)
 

@@ -38,20 +38,12 @@ let set_min t v = Float.Array.set t.moments i_min v
 
 let set_max t v = Float.Array.set t.moments i_max v
 
-let reset_moments t =
-  set_sum t 0.0;
-  set_min t infinity;
-  set_max t neg_infinity
-
 let create () =
   let t = { counts = Array.make nbuckets 0; count = 0; moments = Float.Array.create 3 } in
-  reset_moments t;
+  set_sum t 0.0;
+  set_min t infinity;
+  set_max t neg_infinity;
   t
-
-let reset t =
-  Array.fill t.counts 0 nbuckets 0;
-  t.count <- 0;
-  reset_moments t
 
 let index v =
   if v <= 0.0 || Float.is_nan v then 0
@@ -130,8 +122,6 @@ let set_moments t ~sum ~vmin ~vmax =
   end
 
 let count t = t.count
-
-let sum t = get_sum t
 
 let mean t = if t.count = 0 then 0.0 else get_sum t /. float_of_int t.count
 

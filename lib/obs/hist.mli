@@ -2,7 +2,7 @@
 
     Values are binned into 16 sub-buckets per power-of-two octave, which
     bounds the relative error of any quantile readout by about 3% while
-    [count]/[sum]/[min_value]/[max_value] stay exact.  Adding is O(1),
+    the count, mean, [min_value] and [max_value] stay exact.  Adding is O(1),
     allocation-free, and consumes no randomness, so histograms can live inside the simulation
     without perturbing determinism.
 
@@ -11,8 +11,6 @@
 type t
 
 val create : unit -> t
-
-val reset : t -> unit
 
 val add : t -> float -> unit
 
@@ -40,11 +38,6 @@ val set_moments : t -> sum:float -> vmin:float -> vmax:float -> unit
 
 val count : t -> int
 
-val sum : t -> float
-
-val mean : t -> float
-(** 0 when empty. *)
-
 val min_value : t -> float
 (** Exact smallest added value; 0 when empty. *)
 
@@ -59,4 +52,4 @@ val percentile : t -> float -> float
 
 val summary_fields : t -> (string * float) list
 (** [("count", _); ("mean", _); ("p50", _); ("p95", _); ("p99", _);
-    ("max", _)] — the report/bench readout. *)
+    ("max", _)] — the report/bench readout; the mean is 0 when empty. *)

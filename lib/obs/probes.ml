@@ -33,10 +33,6 @@ let add t ~server sample =
 
 let samples t = t.samples
 
-let series t server =
-  if server < 0 || server >= Array.length t.series then []
-  else List.rev t.series.(server)
-
 let iter t f =
   for server = 0 to Array.length t.series - 1 do
     List.iter (fun s -> f ~server s) (List.rev t.series.(server))

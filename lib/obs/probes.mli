@@ -24,8 +24,5 @@ val add : t -> server:int -> sample -> unit
 val samples : t -> int
 (** Total samples across all servers. *)
 
-val series : t -> int -> sample list
-(** Chronological samples for one server; [] if never probed. *)
-
 val iter : t -> (server:int -> sample -> unit) -> unit
 (** All samples, grouped by server id ascending, chronological within. *)

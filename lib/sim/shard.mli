@@ -52,11 +52,9 @@ val length : t -> int
 val is_empty : t -> bool
 
 val top_key : t -> float
-(** Undefined when empty (as are {!top_tie} and {!top_tag}). *)
+(** Undefined when empty (as is {!top_tie}). *)
 
 val top_tie : t -> int
-
-val top_tag : t -> int
 
 val enqueue : t -> key:float -> tie:int -> tag:int -> (unit -> unit) -> unit
 

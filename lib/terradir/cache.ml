@@ -54,8 +54,6 @@ let use t ~node = count t ~node (Lru.find t.lru node)
 
 let peek t ~node = count t ~node (Lru.peek t.lru node)
 
-let remove t ~node = Lru.remove t.lru node
-
 let update t ~node ~f =
   match Lru.peek t.lru node with
   | None -> ()

@@ -38,8 +38,6 @@ val use : t -> node:int -> Node_map.t option
 val peek : t -> node:int -> Node_map.t option
 (** Lookup without touching — call when scanning candidates. *)
 
-val remove : t -> node:int -> unit
-
 val update : t -> node:int -> f:(Node_map.t -> Node_map.t) -> unit
 (** Map rewrite (e.g. pruning a stale server) that promotes the entry to
     most-recently-used; no-op when absent.  If [f] returns an empty map

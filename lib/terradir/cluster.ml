@@ -977,7 +977,7 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
       epochs = Array.make config.Config.num_servers 0;
       msg_pool = Array.init lanes (fun _ -> Freelist.create ());
       query_pool = Array.init lanes (fun _ -> Freelist.create ());
-      audit = (if Invariant.enabled config then Some (Invariant.create ()) else None);
+      audit = (if Invariant.enabled () then Some (Invariant.create ()) else None);
     }
   in
   (match t.audit with

@@ -26,7 +26,6 @@ type t = {
   data_copies : int;
   features : features;
   oracle_maps : bool;
-  audit : bool;
   engine_domains : int;
   seed : int;
 }
@@ -60,7 +59,6 @@ let default =
     data_copies = 1;
     features = bcr;
     oracle_maps = false;
-    audit = false;
     engine_domains = 1;
     seed = 42;
   }

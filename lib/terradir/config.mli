@@ -81,12 +81,6 @@ type t = {
   oracle_maps : bool;
       (** route with ground-truth host maps (§4.4's optimal-information
           reference); digest shortcuts are disabled under the oracle *)
-  audit : bool;
-      (** run the {!Invariant} auditor: protocol invariants are checked
-          every [Cluster.audit_every] engine events and at the end of every
-          [Cluster.run_until]; violations collect into a report.  Also
-          switched on (for any config) by the TERRADIR_AUDIT environment
-          variable or the CLI's [--audit] flag *)
   engine_domains : int;
       (** OCaml domains driving the event loop: 1 (default) is the
           sequential engine; [k >= 2] shards servers across [k] domains

@@ -50,8 +50,6 @@ let violations t = List.rev t.kept
 
 let total_violations t = t.total
 
-let passes t = t.passes
-
 let describe v =
   let where = match v.v_server with Some s -> Printf.sprintf "server %d" s | None -> "cluster" in
   Printf.sprintf "t=%.3f %s [%s] %s" v.v_time where v.v_rule v.v_detail
@@ -89,7 +87,7 @@ let env_enabled () =
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-let enabled (config : Config.t) = config.Config.audit || !forced || env_enabled ()
+let enabled () = !forced || env_enabled ()
 
 let collector_mutex = Mutex.create ()
 

@@ -85,13 +85,7 @@ val violations : t -> violation list
 
 val total_violations : t -> int
 
-val passes : t -> int
-(** Completed {!check_cluster} passes. *)
-
 val describe : violation -> string
-
-val report : t -> string
-(** Human-readable summary of everything collected. *)
 
 val deliver : t -> label:string -> unit
 (** End-of-run delivery: no-op if nothing was collected; otherwise raises
@@ -101,9 +95,12 @@ val deliver : t -> label:string -> unit
 
 (** {2 Enabling} *)
 
-val enabled : Config.t -> bool
-(** True when [config.audit], {!force_enable} or the TERRADIR_AUDIT
-    environment variable (any value but "" and "0") asks for auditing. *)
+val enabled : unit -> bool
+(** True when {!force_enable} or the TERRADIR_AUDIT environment variable
+    (any value but "" and "0") asks for auditing: protocol invariants are
+    then checked every [Cluster.audit_every] engine events and at the end
+    of every [Cluster.run_until], with violations collected into a
+    report. *)
 
 val force_enable : unit -> unit
 (** Process-wide switch used by the CLI's [--audit]; call before creating

@@ -30,8 +30,6 @@ let create ~window =
   set t i_busy_since Float.nan;
   t
 
-let window t = get t i_window
-
 (* Roll completed windows up to [now].  Busy intervals spanning a boundary
    are split at the boundary. *)
 let advance t now =

@@ -13,8 +13,6 @@ type t
 val create : window:float -> t
 (** @raise Invalid_argument if [window <= 0]. *)
 
-val window : t -> float
-
 val begin_busy : t -> float -> unit
 (** The server starts serving at the given time.
     @raise Invalid_argument if already busy or time regresses. *)

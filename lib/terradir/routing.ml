@@ -10,26 +10,6 @@ type decision =
   | Forward of { via_node : node_id; to_server : server_id; shortcut : bool }
   | Dead_end
 
-type candidate = { c_node : node_id; c_dist : int; c_from_cache : bool }
-
-(* Scan the knowledge set, collecting candidates sorted by distance.  The
-   scan covers tree-neighbors of hosted nodes (the neighbor_maps table is
-   exactly that set) and cached nodes.  Hosted nodes themselves need no
-   entry: for any hosted [n] other than [dst], some tree-neighbor of [n] is
-   strictly closer to [dst], and all such neighbors are in the table. *)
-let candidates (s : Server.t) ~dst =
-  let acc = ref [] in
-  Intmap.iter s.neighbor_maps ~f:(fun node (r : Server.neighbor_ref) ->
-      if not (Node_map.is_empty r.n_map) then
-        acc := { c_node = node; c_dist = Tree.distance s.tree node dst; c_from_cache = false } :: !acc);
-  Cache.iter s.cache ~f:(fun node map ->
-      if not (Node_map.is_empty map) then
-        acc := { c_node = node; c_dist = Tree.distance s.tree node dst; c_from_cache = true } :: !acc);
-  List.sort
-    (fun a b ->
-      match Int.compare a.c_dist b.c_dist with 0 -> Int.compare a.c_node b.c_node | c -> c)
-    !acc
-
 (* Per-domain workspace of one routing decision.  A decision runs start to
    finish inside one event on one domain, so a domain-local record is never
    shared, and servers carry no routing scratch of their own. *)
@@ -114,8 +94,6 @@ let best_candidate (s : Server.t) sc ~dst =
     end
   done
 
-let best_distance cands = match cands with [] -> None | c :: _ -> Some c.c_dist
-
 (* §3.6.1: among dst and its ancestors up to the walk bound — and strictly
    nearer than the best conventional candidate, beyond which a digest hit
    cannot improve the route — find the nearest name some consulted digest
@@ -186,6 +164,54 @@ let forward_via ?oracle (s : Server.t) ~node ~from_cache =
     | Some to_server -> Some (Forward { via_node = node; to_server; shortcut = false })
     | None -> None)
 
+(* The fallback when the nearest candidate yields no server: try every
+   candidate nearest first until one does.  The candidates are every
+   non-empty neighbor context and every cache entry (tree-neighbors of
+   hosted nodes stand in for the hosted nodes: for hosted [n] ≠ [dst],
+   some tree-neighbor of [n] is strictly closer to [dst]), in (distance,
+   node) order with a node's cache entry before its neighbor context —
+   keys (d, n, rank) with rank 0 for the cache and 1 for a neighbor
+   context.  Each step is a successor scan over both stores for the least
+   key above the last one tried, leaving it in the scratch's [best_*]
+   fields, so nothing is allocated; the first step finds the nearest
+   candidate, which retries the fast path's.  Rare enough that the
+   quadratic cost does not matter. *)
+let key_lt d n r d' n' r' = d < d' || (d = d' && (n < n' || (n = n' && r < r')))
+
+let consider sc ~dist ~node ~rank d n r =
+  if
+    key_lt dist node rank d n r
+    && (sc.best_node < 0
+       || key_lt d n r sc.best_dist sc.best_node (if sc.best_cache then 0 else 1))
+  then begin
+    sc.best_node <- n;
+    sc.best_dist <- d;
+    sc.best_cache <- r = 0
+  end
+
+let rec fallback ?oracle (s : Server.t) sc ~cached ~dist ~node ~rank =
+  let tree = s.tree and a = sc.anchor in
+  sc.best_node <- -1;
+  sc.best_dist <- max_int;
+  sc.best_cache <- false;
+  for i = 0 to cached - 1 do
+    let n = sc.cached.(i) in
+    consider sc ~dist ~node ~rank (Tree.anchored_distance tree a n) n 0
+  done;
+  for i = 0 to Intmap.length s.neighbor_maps - 1 do
+    if not (Node_map.is_empty (Intmap.value_at s.neighbor_maps i).Server.n_map) then begin
+      let n = Intmap.key_at s.neighbor_maps i in
+      consider sc ~dist ~node ~rank (Tree.anchored_distance tree a n) n 1
+    end
+  done;
+  if sc.best_node < 0 then Dead_end
+  else begin
+    let dist = sc.best_dist and node = sc.best_node and from_cache = sc.best_cache in
+    match forward_via ?oracle s ~node ~from_cache with
+    | Some decision -> decision
+    | None -> fallback ?oracle s sc ~cached ~dist ~node ~rank:(if from_cache then 0 else 1)
+  end
+
 let decide ?(shortcut_bound = max_int) ?oracle (s : Server.t) ~dst =
   if Server.hosts s dst then Resolve
   else begin
@@ -212,16 +238,7 @@ let decide ?(shortcut_bound = max_int) ?oracle (s : Server.t) ~dst =
       match fast with
       | Some decision -> decision
       | None ->
-        let rec attempt = function
-          | [] -> Dead_end
-          | c :: rest -> (
-            match forward_via ?oracle s ~node:c.c_node ~from_cache:c.c_from_cache with
-            | Some decision -> decision
-            | None -> attempt rest)
-        in
-        attempt (candidates s ~dst)
-      )
+        Tree.anchor_at s.tree sc.anchor dst;
+        let cached = Cache.keys_into s.cache sc.cached in
+        fallback ?oracle s sc ~cached ~dist:(-1) ~node:(-1) ~rank:0)
   end
-
-let closest_known_distance s ~dst =
-  if Server.hosts s dst then Some 0 else best_distance (candidates s ~dst)

@@ -54,7 +54,3 @@ val digest_shortcut :
     (this server's own excluded) claims, ties going to the more recent
     digest; [None] without a hit or with the digest feature off.  Exposed
     for its equivalence test. *)
-
-val closest_known_distance : Server.t -> dst:node_id -> int option
-(** Distance of the best non-digest candidate (diagnostics/tests); [None]
-    when the server knows nothing relevant. *)

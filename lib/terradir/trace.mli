@@ -36,8 +36,4 @@ val route : Cluster.t -> src:server_id -> dst:node_id -> t
 (** Trace from [src]'s viewpoint to [dst].  Read-mostly: the only state
     touched is cache recency (exactly as a real query would touch it). *)
 
-val pp : Format.formatter -> Cluster.t -> t -> unit
-(** Human-readable rendering with full node names, in the style of the
-    paper's Fig. 1 step annotations. *)
-
 val to_string : Cluster.t -> t -> string

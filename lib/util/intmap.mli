@@ -86,9 +86,6 @@ module Index : sig
   val remove : t -> int -> int -> unit
   (** [remove ix k slot] tombstones the entry for [k], which is in [slot]. *)
 
-  val move : t -> int -> from:int -> to_:int -> unit
-  (** Re-point [k]'s entry from slot [from] to slot [to_]. *)
-
   val grown : t -> live:int -> int
   (** The size that holds [live] entries at most half full: the current
       size (at least 8), doubled as often as needed. *)

@@ -133,8 +133,6 @@ let find t k =
 
 let peek t k = match find_slot t k with -1 -> None | slot -> Some t.vals.(slot)
 
-let mem t k = find_slot t k >= 0
-
 let remove t k =
   match find_slot t k with
   | -1 -> ()

@@ -24,17 +24,11 @@ val find : 'a t -> int -> 'a option
 val peek : 'a t -> int -> 'a option
 (** Like {!find} but without promoting. *)
 
-val mem : 'a t -> int -> bool
-(** Membership without promotion. *)
-
 val put : 'a t -> int -> 'a -> unit
 (** [put t k v] binds [k] to [v] as most-recently-used, evicting the
     least-recently-used entry if the cache is full. *)
 
 val remove : 'a t -> int -> unit
-
-val fold : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
-(** Fold over entries from most- to least-recently used. *)
 
 val keys_into : 'a t -> int array -> int
 (** [keys_into t dst] writes every key into [dst] (length ≥ [length t]), in

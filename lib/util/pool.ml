@@ -64,8 +64,6 @@ module Gang = struct
     t.domains <- Array.init workers (fun i -> Domain.spawn (fun () -> worker t i));
     t
 
-  let size t = Array.length t.domains
-
   let launch t f =
     Mutex.lock t.m;
     if t.stop then begin

@@ -41,9 +41,6 @@ module Gang : sig
   (** Spawn [workers] parked domains.  @raise Invalid_argument if
       [workers < 1]. *)
 
-  val size : t -> int
-  (** Number of worker domains. *)
-
   val launch : t -> (int -> unit) -> unit
   (** Start one job round: every worker [i] in [0, size) runs [f i]
       concurrently with the caller.  The caller may do its own share of

@@ -39,8 +39,5 @@ val float : t -> float -> float
 val exponential : t -> float -> float
 (** [exponential g mean] draws from Exp with the given mean (inverse-CDF). *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val permutation : t -> int -> int array
 (** [permutation g n] is a uniformly random permutation of [0..n-1]. *)

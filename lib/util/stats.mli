@@ -1,7 +1,8 @@
 (** Online summary statistics.
 
-    {!t} is a Welford accumulator: O(1) memory, numerically stable mean and
-    variance.  Quantile readouts live in the obs library's [Hist]. *)
+    {!t} is a running accumulator: O(1) memory, a numerically stable
+    mean, extremes and total.  Quantile readouts live in the obs
+    library's [Hist]. *)
 
 type t
 
@@ -14,9 +15,6 @@ val count : t -> int
 val mean : t -> float
 (** 0.0 when empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; 0.0 with fewer than two samples. *)
-
 val min_value : t -> float
 (** @raise Invalid_argument when empty. *)
 
@@ -27,4 +25,4 @@ val total : t -> float
 (** Sum of all samples. *)
 
 val merge : t -> t -> t
-(** Statistics of the union of the two sample streams (Chan's formula). *)
+(** Statistics of the union of the two sample streams. *)

@@ -2,14 +2,6 @@ open Terradir_util
 open Terradir_sim
 open Terradir
 
-let check_phases phases =
-  if phases = [] then invalid_arg "Scenario.run: empty phase list";
-  List.iter
-    (fun p ->
-      if p.Stream.rate <= 0.0 then invalid_arg "Scenario.run: rate must be positive";
-      if p.Stream.duration <= 0.0 then invalid_arg "Scenario.run: duration must be positive")
-    phases
-
 type driver = {
   d_end : float;
   d_factor : float ref;
@@ -25,7 +17,7 @@ type driver = {
    the golden CSVs pin that order.  [x *. 1.0 = x] exactly in IEEE for
    any finite rate, so the multiplier is free until someone shifts it. *)
 let start ?(fetch_probability = 0.0) ?(on_phase = fun _ _ -> ()) cluster ~phases ~seed =
-  check_phases phases;
+  Stream.check_phases ~context:"Scenario.run" phases;
   let engine = cluster.Cluster.engine in
   let sampler = Stream.sampler ~tree:cluster.Cluster.tree ~seed in
   let arrival_rng = Splitmix.create (seed lxor 0x5ca1ab1e) in
@@ -83,14 +75,3 @@ let set_rate_factor d f =
 let run ?(drain = 2.0) ?on_phase ?fetch_probability cluster ~phases ~seed =
   let d = start ?fetch_probability ?on_phase cluster ~phases ~seed in
   Cluster.run_until cluster (d.d_end +. drain)
-
-let run_interleaved ?(drain = 2.0) ?on_phase ?fetch_probability cluster ~streams =
-  if streams = [] then invalid_arg "Scenario.run_interleaved: no streams";
-  let ends =
-    List.map
-      (fun (phases, seed) ->
-        let d = start ?fetch_probability ?on_phase cluster ~phases ~seed in
-        d.d_end)
-      streams
-  in
-  Cluster.run_until cluster (List.fold_left Float.max 0.0 ends +. drain)

@@ -26,7 +26,7 @@ val start :
     With the rate factor left at 1.0 the stream is byte-identical to the
     one {!run} has always scheduled (the multiplier is exact: [x *. 1.0
     = x]).
-    @raise Invalid_argument on an empty phase list or non-positive rates. *)
+    @raise Invalid_argument as {!Stream.check_phases} does. *)
 
 val stream_end : driver -> float
 (** Simulation time of the last possible arrival (stream start + total
@@ -54,18 +54,4 @@ val run :
     makes that fraction of resolved lookups proceed to step two — a data
     fetch from the resolved map's hosts ("few of the objects looked up
     ... are effectively retrieved", §1).
-    @raise Invalid_argument on an empty phase list or non-positive rates. *)
-
-val run_interleaved :
-  ?drain:float ->
-  ?on_phase:(int -> Stream.phase -> unit) ->
-  ?fetch_probability:float ->
-  Terradir.Cluster.t ->
-  streams:(Stream.phase list * int) list ->
-  unit
-(** Several independent streams (phases, seed) injected concurrently into
-    one cluster — e.g. a background uniform trickle plus a flash crowd.
-    [on_phase] and [fetch_probability] apply to {e every} stream
-    ([on_phase] receives the phase index within its own stream), so a
-    single-stream call is byte-identical to {!run} with the same
-    arguments. *)
+    @raise Invalid_argument as {!Stream.check_phases} does. *)

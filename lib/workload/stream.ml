@@ -14,6 +14,15 @@ let uzipf ~rate ~warmup ~alpha ~shift_every ~shifts =
 
 let total_duration phases = List.fold_left (fun acc p -> acc +. p.duration) 0.0 phases
 
+let check_phases ~context phases =
+  let fail what = invalid_arg (context ^ ": " ^ what) in
+  if phases = [] then fail "empty phase list";
+  List.iter
+    (fun p ->
+      if not (p.rate > 0.0 && Float.is_finite p.rate) then fail "rate must be positive";
+      if not (p.duration > 0.0 && Float.is_finite p.duration) then fail "duration must be positive")
+    phases
+
 type sampler = {
   tree_size : int;
   rng : Splitmix.t;

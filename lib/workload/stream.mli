@@ -29,6 +29,14 @@ val unif : rate:float -> duration:float -> phase list
 
 val total_duration : phase list -> float
 
+val check_phases : context:string -> phase list -> unit
+(** Reject a phase list no stream can run: empty, or with a rate or
+    duration that is not positive and finite (an infinite rate makes
+    every arrival gap 0, a NaN one injects nothing).
+    @raise Invalid_argument ["<context>: empty phase list"],
+    ["<context>: rate must be positive"] or
+    ["<context>: duration must be positive"]. *)
+
 (** Mutable destination sampler. *)
 type sampler
 

@@ -40,35 +40,17 @@ let test_bigger_filter_fewer_fps () =
     Bloom.add small i;
     Bloom.add large i
   done;
-  Alcotest.(check bool) "predicted fp ordering" true
-    (Bloom.false_positive_rate large < Bloom.false_positive_rate small)
-
-let test_cardinality_estimate () =
-  let n = 2000 in
-  let b = Bloom.create ~expected:n () in
-  for i = 0 to n - 1 do
-    Bloom.add b (i * 31)
-  done;
-  let est = Bloom.cardinality_estimate b in
-  Alcotest.(check bool)
-    (Printf.sprintf "estimate %.0f within 10%% of %d" est n)
-    true
-    (abs_float (est -. float_of_int n) < 0.1 *. float_of_int n)
-
-let test_fill_ratio_monotone () =
-  let b = Bloom.create ~expected:100 () in
-  let before = Bloom.fill_ratio b in
-  Bloom.add b 42;
-  let after = Bloom.fill_ratio b in
-  Alcotest.(check bool) "fill grows" true (after > before);
-  Alcotest.(check (float 1e-9)) "starts empty" 0.0 before
+  let false_positives b =
+    List.length (List.filter (Bloom.mem b) (List.init 20_000 (fun i -> 1_000_000 + (i * 13))))
+  in
+  Alcotest.(check bool) "measured fp ordering" true
+    (false_positives large < false_positives small)
 
 let test_reset () =
   let b = Bloom.create ~expected:10 () in
   Bloom.add b 1;
   Bloom.reset b;
-  Alcotest.(check bool) "reset clears" false (Bloom.mem b 1);
-  Alcotest.(check (float 1e-9)) "fill zero" 0.0 (Bloom.fill_ratio b)
+  Alcotest.(check bool) "reset clears" false (Bloom.mem b 1)
 
 let test_copy_independent () =
   let a = Bloom.create ~expected:10 () in
@@ -171,8 +153,6 @@ let () =
           Alcotest.test_case "empty rejects" `Quick test_empty_filter_rejects;
           Alcotest.test_case "false positive rate" `Quick test_false_positive_rate;
           Alcotest.test_case "sizing reduces fps" `Quick test_bigger_filter_fewer_fps;
-          Alcotest.test_case "cardinality estimate" `Quick test_cardinality_estimate;
-          Alcotest.test_case "fill ratio" `Quick test_fill_ratio_monotone;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "mem_hashed" `Quick test_mem_hashed_agrees;

@@ -222,6 +222,18 @@ let test_timeline_validation () =
   raises "fraction of one" (fun () ->
       Chaos.Timeline.make [ (1.0, Chaos.Action.Kill_fraction { fraction = 1.0; salt = 0 }) ]);
   raises "negative time" (fun () -> Chaos.Timeline.make [ (-1.0, Chaos.Action.Heal_all) ]);
+  let crowd ~rate ~duration () =
+    Chaos.Timeline.make
+      [
+        ( 1.0,
+          Chaos.Action.Flash_crowd
+            { phases = [ { Stream.duration; rate; dist = Stream.Uniform } ]; seed = 3 } );
+      ]
+  in
+  raises "flash crowd at a NaN rate" (crowd ~rate:Float.nan ~duration:1.0);
+  raises "flash crowd at an infinite rate" (crowd ~rate:Float.infinity ~duration:1.0);
+  raises "flash crowd for a NaN duration" (crowd ~rate:10.0 ~duration:Float.nan);
+  raises "flash crowd for an infinite duration" (crowd ~rate:10.0 ~duration:Float.infinity);
   (* a valid timeline with every remaining action kind goes through *)
   run_with
     (Chaos.Timeline.make

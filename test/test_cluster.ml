@@ -113,7 +113,7 @@ let test_queue_bound () =
   let cap = Server.queue_capacity in
   let burst n =
     let tree = Build.balanced ~arity:2 ~levels:6 in
-    let config = { Config.default with Config.num_servers = 8; audit = true; seed = 5 } in
+    let config = { Config.default with Config.num_servers = 8; seed = 5 } in
     let cluster = Cluster.create ~monitor:false ~config ~tree () in
     let s = Cluster.server cluster 0 in
     let dst = List.hd (Server.owned_nodes s) in

@@ -248,6 +248,16 @@ let test_csv_export () =
     (Invalid_argument "Csv_export.export: unknown or non-exportable experiment nope") (fun () ->
       ignore (E.Csv_export.export ~id:"nope" ~dir ()))
 
+let test_csv_export_duration () =
+  (* [duration] reaches the figure: one data row per simulated second.
+     75 s clears fig3's longest uniform warmup (70 s). *)
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "terradir_csv_duration_test" in
+  match E.Csv_export.export ~id:"fig3" ~scale ~duration:75.0 ~seed:42 ~dir () with
+  | [ path ] ->
+    let lines = In_channel.with_open_text path In_channel.input_lines in
+    Alcotest.(check int) "75 data rows" 75 (List.length lines - 1)
+  | files -> Alcotest.failf "fig3 wrote %d files" (List.length files)
+
 (* The tentpole guarantee: fanning cells over domains changes wall-clock
    only.  Run the same figure sequentially and at jobs=4 and require
    structurally identical results, then byte-compare a CSV export. *)
@@ -312,6 +322,7 @@ let () =
           Alcotest.test_case "ablations" `Slow test_ablations;
           Alcotest.test_case "hetero" `Slow test_hetero;
           Alcotest.test_case "csv export" `Slow test_csv_export;
+          Alcotest.test_case "csv export honours duration" `Slow test_csv_export_duration;
         ] );
       ( "parallelism",
         [

@@ -35,8 +35,6 @@ module Model = struct
 
   let peek m k = List.assoc_opt k m.items
 
-  let mem m k = List.mem_assoc k m.items
-
   let put m k v =
     let without = List.remove_assoc k m.items in
     let without =
@@ -54,7 +52,7 @@ module Model = struct
   let keys m = List.map fst m.items
 end
 
-type lru_op = Put of int * int | Find of int | Peek of int | Mem of int | Remove of int | Clear
+type lru_op = Put of int * int | Find of int | Peek of int | Remove of int | Clear
 
 (* Keys range a little past the capacity, so a table both fills (and
    evicts) and runs below capacity; [Clear] is rare, and the refill after
@@ -66,7 +64,6 @@ let lru_op_gen ~keys =
         (8, map2 (fun k v -> Put (k, v)) (int_bound keys) (int_bound 1000));
         (6, map (fun k -> Find k) (int_bound keys));
         (2, map (fun k -> Peek k) (int_bound keys));
-        (2, map (fun k -> Mem k) (int_bound keys));
         (2, map (fun k -> Remove k) (int_bound keys));
         (1, return Clear);
       ])
@@ -75,7 +72,6 @@ let show_op = function
   | Put (k, v) -> Printf.sprintf "Put(%d,%d)" k v
   | Find k -> Printf.sprintf "Find %d" k
   | Peek k -> Printf.sprintf "Peek %d" k
-  | Mem k -> Printf.sprintf "Mem %d" k
   | Remove k -> Printf.sprintf "Remove %d" k
   | Clear -> "Clear"
 
@@ -131,7 +127,6 @@ let prop_lru_model =
             true
           | Find k -> Lru.find lru k = Model.find model k
           | Peek k -> Lru.peek lru k = Model.peek model k
-          | Mem k -> Lru.mem lru k = Model.mem model k
           | Remove k ->
             Lru.remove lru k;
             Model.remove model k;
@@ -152,7 +147,7 @@ let test_lru_eviction_order () =
   (* 1 promoted: inserting 4 must evict 2, the LRU *)
   Lru.put lru 4 40;
   Alcotest.(check (list int)) "MRU order after eviction" [ 4; 1; 3 ] (Lru.keys_mru_order lru);
-  Alcotest.(check bool) "evicted key gone" false (Lru.mem lru 2);
+  Alcotest.(check bool) "evicted key gone" false (Option.is_some (Lru.peek lru 2));
   (* tombstone reuse: remove then reinsert keeps the index consistent *)
   Lru.remove lru 3;
   Lru.put lru 3 30;

@@ -141,19 +141,7 @@ let test_tree_lca_distance_route () =
   let lisa = id "/university/private/people/students/Lisa" in
   let john = id "/university/public/people/faculty/John" in
   Alcotest.(check int) "lca is root child" (id "/university") (Tree.lca t lisa john);
-  Alcotest.(check int) "distance" 8 (Tree.distance t lisa john);
-  let path = Tree.route_path t lisa john in
-  Alcotest.(check int) "route length = distance + 1" 9 (List.length path);
-  Alcotest.(check int) "route starts at src" lisa (List.hd path);
-  Alcotest.(check int) "route ends at dst" john (List.nth path 8);
-  (* consecutive route nodes are tree-adjacent *)
-  let rec adjacent = function
-    | a :: (b :: _ as rest) ->
-      Alcotest.(check int) "adjacent step" 1 (Tree.distance t a b);
-      adjacent rest
-    | _ -> ()
-  in
-  adjacent path
+  Alcotest.(check int) "distance" 8 (Tree.distance t lisa john)
 
 let test_tree_ancestor_ops () =
   let t = sample_tree () in
@@ -345,20 +333,6 @@ let prop_tree_distance_equals_name_distance =
       let t = Build.balanced ~arity:2 ~levels:5 in
       Tree.distance t a b = Name.distance (Tree.name t a) (Tree.name t b))
 
-let prop_route_path_adjacency =
-  QCheck.Test.make ~name:"tree: route paths step by unit distance" ~count:100
-    QCheck.(pair (int_bound 62) (int_bound 62))
-    (fun (a, b) ->
-      let t = Build.balanced ~arity:2 ~levels:5 in
-      let path = Tree.route_path t a b in
-      List.length path = Tree.distance t a b + 1
-      &&
-      let rec ok = function
-        | x :: (y :: _ as rest) -> Tree.distance t x y = 1 && ok rest
-        | _ -> true
-      in
-      ok path)
-
 let () =
   Alcotest.run "terradir_namespace"
     [
@@ -397,7 +371,6 @@ let () =
         List.map (QCheck_alcotest.to_alcotest ~long:false)
           [
             prop_tree_distance_equals_name_distance;
-            prop_route_path_adjacency;
             prop_spans_match_lift_walk;
           ] );
     ]

@@ -182,17 +182,21 @@ let test_prune_noop_without_digests () =
   Alcotest.(check bool) "feature off: untouched" true
     (Server.prune_map_with_digests s 9 map == map)
 
-let test_closest_known_distance () =
-  let cluster = pristine () in
-  let s =
-    Array.to_list cluster.Cluster.servers |> List.find (fun s -> Server.hosted_nodes s <> [])
-  in
-  let hosted = List.hd (Server.hosted_nodes s) in
-  Alcotest.(check (option int)) "hosted is 0" (Some 0)
-    (Routing.closest_known_distance s ~dst:hosted);
-  let empty = Server.create ~id:1 ~config ~tree ~rng:(Splitmix.create 2) () in
-  Alcotest.(check (option int)) "empty server knows nothing" None
-    (Routing.closest_known_distance empty ~dst:3)
+let test_fallback_past_serverless_candidate () =
+  (* The nearest candidate's map lists only the routing server itself, so
+     it yields no server to forward to; the decision must fall through to
+     the next candidate in distance order. *)
+  let s = Server.create ~id:0 ~config ~tree ~rng:(Splitmix.create 3) () in
+  let dst = 30 in
+  let parent = 14 and grandparent = 6 in
+  Cache.insert s.Server.cache ~node:parent (Node_map.singleton ~server:0 ~stamp:1.0 ());
+  Cache.insert s.Server.cache ~node:grandparent (Node_map.singleton ~server:5 ~stamp:1.0 ());
+  match Routing.decide s ~dst with
+  | Routing.Forward { via_node; to_server; shortcut } ->
+    Alcotest.(check int) "via the farther entry" grandparent via_node;
+    Alcotest.(check int) "to its server" 5 to_server;
+    Alcotest.(check bool) "not a digest shortcut" false shortcut
+  | Routing.Resolve | Routing.Dead_end -> Alcotest.fail "expected a forward via the fallback"
 
 (* Property: on random pristine clusters (varying seed), the full routing
    walk reaches the destination from any of the first few servers. *)
@@ -306,7 +310,8 @@ let () =
           Alcotest.test_case "dead end" `Quick test_dead_end_without_knowledge;
           Alcotest.test_case "map pruning" `Quick test_prune_map_with_digests;
           Alcotest.test_case "pruning gated" `Quick test_prune_noop_without_digests;
-          Alcotest.test_case "closest known distance" `Quick test_closest_known_distance;
+          Alcotest.test_case "fallback past a serverless candidate" `Quick
+            test_fallback_past_serverless_candidate;
         ] );
       ( "routing-props",
         List.map (QCheck_alcotest.to_alcotest ~long:false)

@@ -141,50 +141,22 @@ let test_scenario_validation () =
   let cluster = mk_cluster () in
   Alcotest.check_raises "empty" (Invalid_argument "Scenario.run: empty phase list") (fun () ->
       Scenario.run cluster ~phases:[] ~seed:1);
-  Alcotest.check_raises "bad rate" (Invalid_argument "Scenario.run: rate must be positive")
-    (fun () ->
-      Scenario.run cluster
-        ~phases:[ { Stream.duration = 1.0; rate = 0.0; dist = Stream.Uniform } ]
-        ~seed:1)
-
-let test_interleaved_single_stream_matches_run () =
-  (* A single interleaved stream must be byte-identical to [run] with the
-     same arguments — including the optional fetch and phase-callback
-     machinery.  Any trajectory difference is a byte diff in the full
-     metrics CSV. *)
-  let phases = Stream.uzipf ~rate:150.0 ~warmup:4.0 ~alpha:1.1 ~shift_every:4.0 ~shifts:2 in
-  let csv_of ~phases_seen driver =
-    let cluster = mk_cluster () in
-    driver cluster ~fetch_probability:0.3 ~on_phase:(fun i _ -> phases_seen := i :: !phases_seen);
-    Terradir_experiments.Csv_export.metrics_csv (Cluster.metrics cluster)
-  in
-  let seen_run = ref [] and seen_inter = ref [] in
-  let via_run =
-    csv_of ~phases_seen:seen_run (fun cluster ~fetch_probability ~on_phase ->
-        Scenario.run cluster ~phases ~seed:9 ~fetch_probability ~on_phase)
-  in
-  let via_interleaved =
-    csv_of ~phases_seen:seen_inter (fun cluster ~fetch_probability ~on_phase ->
-        Scenario.run_interleaved cluster ~streams:[ (phases, 9) ] ~fetch_probability ~on_phase)
-  in
-  Alcotest.(check string) "single interleaved stream == run, byte for byte" via_run
-    via_interleaved;
-  Alcotest.(check (list int)) "same phase callbacks in the same order" !seen_run !seen_inter
-
-let test_scenario_interleaved () =
-  let cluster = mk_cluster () in
-  Scenario.run_interleaved cluster
-    ~streams:
-      [
-        (Stream.unif ~rate:50.0 ~duration:10.0, 1);
-        ([ { Stream.duration = 10.0; rate = 50.0; dist = Stream.Zipf { alpha = 1.0; reshuffle = true } } ], 2);
-      ];
-  let injected = (Cluster.metrics cluster).Metrics.injected in
-  (* two Poisson(500) streams *)
-  Alcotest.(check bool)
-    (Printf.sprintf "both streams injected (%d)" injected)
-    true
-    (injected > 800 && injected < 1200)
+  (* Non-finite values are rejected by [start], before anything is
+     scheduled: an infinite rate makes every arrival gap 0 and would hang
+     the run at its start, a NaN one injects nothing, and an infinite
+     duration never ends. *)
+  List.iter
+    (fun (label, rate, duration, msg) ->
+      Alcotest.check_raises label (Invalid_argument ("Scenario.run: " ^ msg)) (fun () ->
+          let phases = [ { Stream.duration; rate; dist = Stream.Uniform } ] in
+          ignore (Scenario.start cluster ~phases ~seed:1 : Scenario.driver)))
+    [
+      ("bad rate", 0.0, 1.0, "rate must be positive");
+      ("nan rate", Float.nan, 1.0, "rate must be positive");
+      ("infinite rate", Float.infinity, 1.0, "rate must be positive");
+      ("nan duration", 10.0, Float.nan, "duration must be positive");
+      ("infinite duration", 10.0, Float.infinity, "duration must be positive");
+    ]
 
 let () =
   Alcotest.run "terradir_workload"
@@ -204,8 +176,5 @@ let () =
           Alcotest.test_case "phase rates" `Slow test_scenario_phase_rates;
           Alcotest.test_case "phase callback" `Quick test_scenario_on_phase_callback;
           Alcotest.test_case "validation" `Quick test_scenario_validation;
-          Alcotest.test_case "interleaved" `Slow test_scenario_interleaved;
-          Alcotest.test_case "interleaved single stream == run" `Slow
-            test_interleaved_single_stream_matches_run;
         ] );
     ]

@@ -156,15 +156,18 @@ let path_matches ~scanned ~allow =
       && scanned.[ls - la - 1] = '/')
 
 (* Drop findings matched by the allowlist; append malformed-line and
-   unused-entry errors attributed to the allowlist file itself. *)
-let apply_allowlist ~allowlist findings =
+   unused-entry errors attributed to the allowlist file itself.  An
+   entry's first column matches [subject f], the finding's file unless
+   the tool keys its findings otherwise (the unused-export check keys
+   them by qualified val name). *)
+let apply_allowlist ?(subject = fun f -> f.file) ~allowlist findings =
   let allow = match allowlist with None -> [] | Some f -> parse_allowlist f in
   let surviving =
     List.filter
       (fun f ->
         match
           List.find_opt
-            (fun a -> a.a_rule = f.rule && path_matches ~scanned:f.file ~allow:a.a_path)
+            (fun a -> a.a_rule = f.rule && path_matches ~scanned:(subject f) ~allow:a.a_path)
             allow
         with
         | Some a ->

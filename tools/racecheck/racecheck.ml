@@ -525,6 +525,16 @@ let parse_intf ~path source =
   Location.init lexbuf path;
   Parse.interface lexbuf
 
+let parse_error ~msg path exn =
+  let line, col =
+    match exn with
+    | Syntaxerr.Error e ->
+      let p = (Syntaxerr.location_of_error e).Location.loc_start in
+      (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)
+    | _ -> (1, 0)
+  in
+  { file = path; line; col; rule = rule_parse_error; msg }
+
 let analyze files =
   let impls = List.filter (fun (p, _) -> Filename.check_suffix p ".ml") files in
   let intfs = List.filter (fun (p, _) -> Filename.check_suffix p ".mli") files in
@@ -535,16 +545,9 @@ let analyze files =
         match parse_impl ~path source with
         | ast -> Some (path, source, ast)
         | exception exn ->
-          let line, col =
-            match exn with
-            | Syntaxerr.Error e ->
-              let p = (Syntaxerr.location_of_error e).Location.loc_start in
-              (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)
-            | _ -> (1, 0)
-          in
           parse_errors :=
-            { file = path; line; col; rule = rule_parse_error;
-              msg = "file does not parse as an OCaml implementation" } :: !parse_errors;
+            parse_error ~msg:"file does not parse as an OCaml implementation" path exn
+            :: !parse_errors;
           None)
       impls
   in
@@ -915,10 +918,14 @@ let summaries a =
 
 (* ---- driving ---- *)
 
-let rec ocaml_files_under path =
+(* Every .ml/.mli under [path]; directories named "fixtures" below the
+   root hold deliberately violating inputs for the tools and are skipped. *)
+let rec ocaml_files_under ?(root = true) path =
   if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.concat_map (fun entry -> ocaml_files_under (Filename.concat path entry))
+    if (not root) && Filename.basename path = "fixtures" then []
+    else
+      Sys.readdir path |> Array.to_list |> List.sort String.compare
+      |> List.concat_map (fun entry -> ocaml_files_under ~root:false (Filename.concat path entry))
   else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli" then [ path ]
   else []
 
@@ -928,7 +935,7 @@ let pp_finding = Suppress.pp_finding
 
 let run ?allowlist ?summaries_out ~paths () =
   let files =
-    List.concat_map ocaml_files_under paths
+    List.concat_map (fun p -> ocaml_files_under p) paths
     |> List.map (fun p -> (p, In_channel.with_open_text p In_channel.input_all))
   in
   let a = analyze files in
