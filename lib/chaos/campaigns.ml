@@ -160,7 +160,7 @@ let log2i n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
   go 0 n
 
-let run_campaign ?obs ?(config = Config.default) campaign ~servers ~rate ~seed =
+let run_campaign ?(on_cluster = ignore) ?obs ?(config = Config.default) campaign ~servers ~rate ~seed =
   if servers < 2 then invalid_arg "Campaigns.run_campaign: need at least 2 servers";
   if rate <= 0.0 then invalid_arg "Campaigns.run_campaign: rate must be positive";
   let spec = campaign.spec ~servers ~rate ~seed in
@@ -169,5 +169,9 @@ let run_campaign ?obs ?(config = Config.default) campaign ~servers ~rate ~seed =
   let tree = Build.balanced ~arity:2 ~levels in
   let config = spec.config_tweak { config with Config.num_servers = servers; seed } in
   let cluster = Cluster.create ?obs ~config ~tree () in
-  Chaos.run ~drain:spec.drain ~window:spec.window ~slo:spec.slo ~scenario:campaign.name ~seed
-    cluster ~workload:spec.workload ~workload_seed:spec.workload_seed ~timeline:spec.timeline ()
+  let report =
+    Chaos.run ~drain:spec.drain ~window:spec.window ~slo:spec.slo ~scenario:campaign.name ~seed
+      cluster ~workload:spec.workload ~workload_seed:spec.workload_seed ~timeline:spec.timeline ()
+  in
+  on_cluster cluster;
+  report

@@ -33,6 +33,7 @@ val all : t list
 val find : string -> t option
 
 val run_campaign :
+  ?on_cluster:(Terradir.Cluster.t -> unit) ->
   ?obs:Terradir_obs.Obs.t ->
   ?config:Terradir.Config.t ->
   t ->
@@ -43,5 +44,6 @@ val run_campaign :
 (** Build a balanced namespace (~8 nodes per server, the experiment
     suite's shape), a cluster from [config] (default [Config.default])
     with [servers]/[seed] applied and the campaign's tweak on top, and
-    run the campaign's spec at the given query [rate].
+    run the campaign's spec at the given query [rate].  [on_cluster] sees
+    the cluster once the run is over (default: nothing).
     @raise Invalid_argument when [servers < 2] or [rate <= 0]. *)

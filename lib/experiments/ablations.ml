@@ -40,6 +40,7 @@ let measure cluster =
 
 let run_one ?scale ?(features = Config.bcr) ?(stream = `Zipf) ~seed ~duration ~dimension
     ~variant tweak prep =
+  Runner.record_alloc @@ fun () ->
   let setup = Common.make ?scale ~features ~seed ~config_tweak:tweak Common.NS in
   let cluster = Common.cluster setup in
   prep cluster;

@@ -46,8 +46,10 @@ let run ?(scale = 1.0 /. 16.0) ?duration ?(seed = 42) () =
   let rows =
     Runner.map
       (fun (campaign, r_fact) ->
+        Runner.record_alloc @@ fun () ->
         let config = Runner.with_engine_config { Config.default with Config.r_fact } in
-        let report = Chaos.Campaigns.run_campaign ~config campaign ~servers ~rate ~seed in
+        let on_cluster = Runner.record_events in
+        let report = Chaos.Campaigns.run_campaign ~on_cluster ~config campaign ~servers ~rate ~seed in
         let recovered =
           List.length
             (List.filter

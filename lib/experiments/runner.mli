@@ -77,6 +77,11 @@ val add_alloc : minor:int -> promoted:int -> unit
     (the capacity figure) that take their own phase-resolved
     [Gc.quick_stat] deltas. *)
 
+val record_alloc : (unit -> 'a) -> 'a
+(** Run a thunk as an instrumented region: the words it allocates on the
+    calling domain are folded into the counters — for drivers that build
+    and run their clusters themselves instead of through {!run_phases}. *)
+
 val run_phases :
   ?workload_seed:int ->
   Common.setup ->

@@ -36,10 +36,11 @@ let run ?scale ?(seed = 42) () =
   in
   let cluster = Cluster.create ~config ~tree () in
   let rate = 250.0 in
-  Scenario.run cluster
-    ~phases:
-      [ { Stream.duration = 30.0; rate; dist = Stream.Zipf { alpha = 1.2; reshuffle = true } } ]
-    ~seed:(seed + 1);
+  Runner.record_alloc (fun () ->
+      Scenario.run cluster
+        ~phases:
+          [ { Stream.duration = 30.0; rate; dist = Stream.Zipf { alpha = 1.2; reshuffle = true } } ]
+        ~seed:(seed + 1));
   Runner.record_events cluster;
   let kinds =
     Array.to_list cluster.Cluster.servers

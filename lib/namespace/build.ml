@@ -12,11 +12,11 @@ let balanced ~arity ~levels =
   let b = Tree.Builder.create () in
   (* Breadth-first: the previous level's ids are contiguous, so we can expand
      level by level without extra bookkeeping. *)
-  let current = ref [ Tree.root ] in
+  let current = ref [ Tree.root ] and labels = Array.init arity string_of_int in
   for _ = 1 to levels do
     let next =
       List.concat_map
-        (fun parent -> List.init arity (fun i -> Tree.Builder.add_child b parent (string_of_int i)))
+        (fun parent -> List.init arity (fun i -> Tree.Builder.add_child b parent labels.(i)))
         !current
     in
     current := next

@@ -34,8 +34,11 @@ let published =
 
 let lock = Mutex.create ()
 
-(* (parent id, component) -> id; only touched under [lock]. *)
-let child_ids : (int * string, int) Hashtbl.t = Hashtbl.create 1024
+(* (parent id, component) -> id: open addressing over a power-of-two int
+   array kept at most half full, -1 marking an empty slot.  A slot holds
+   only the id; its key is read back from the published [parents] and
+   [components].  Only touched under [lock]. *)
+let child_ids = ref (Array.make 1024 (-1))
 
 let interned_count () = (Atomic.get published).count
 
@@ -43,29 +46,32 @@ let check_component c =
   if c = "" then invalid_arg "Name: empty component";
   if String.contains c '/' then invalid_arg "Name: component contains '/'"
 
+(* The slot of [ids] holding (parent, c)'s id, else the empty slot where
+   it belongs: linear probing from the key's hash. *)
+let probe tbl ids parent c =
+  let mask = Array.length ids - 1 in
+  let rec go i =
+    let id = ids.(i) in
+    if id < 0 || (tbl.parents.(id) = parent && String.equal tbl.components.(id) c) then i
+    else go ((i + 1) land mask)
+  in
+  go ((Hashtbl.hash c + (parent * 65599)) land mask)
+
 (* Must be called with [lock] held. *)
 let intern_child parent c =
-  match Hashtbl.find_opt child_ids (parent, c) with
-  | Some id -> id
-  | None ->
-    let tbl = Atomic.get published in
-    let id = tbl.count in
-    let capacity = Array.length tbl.parents in
+  let tbl = Atomic.get published in
+  let slot = probe tbl !child_ids parent c in
+  if !child_ids.(slot) >= 0 then !child_ids.(slot)
+  else begin
+    let id = tbl.count and capacity = Array.length tbl.parents in
+    let grow a fill = if id < capacity then a else Array.append a (Array.make capacity fill) in
     let tbl =
-      if id < capacity then tbl
-      else begin
-        let grow a fill =
-          let fresh = Array.make (2 * capacity) fill in
-          Array.blit a 0 fresh 0 capacity;
-          fresh
-        in
-        {
-          parents = grow tbl.parents (-1);
-          components = grow tbl.components "";
-          depths = grow tbl.depths 0;
-          count = tbl.count;
-        }
-      end
+      {
+        parents = grow tbl.parents (-1);
+        components = grow tbl.components "";
+        depths = grow tbl.depths 0;
+        count = id + 1;
+      }
     in
     (* Write the slot, then publish: a reader can only hold id [n] after
        the intern that produced it returned, which ordered these writes
@@ -73,17 +79,23 @@ let intern_child parent c =
     tbl.parents.(id) <- parent;
     tbl.components.(id) <- c;
     tbl.depths.(id) <- tbl.depths.(parent) + 1;
-    Atomic.set published { tbl with count = id + 1 };
-    Hashtbl.add child_ids (parent, c) id;
+    Atomic.set published tbl;
+    !child_ids.(slot) <- id;
+    if 2 * tbl.count > Array.length !child_ids then begin
+      let ids = Array.make (2 * Array.length !child_ids) (-1) in
+      for v = 1 to id do
+        ids.(probe tbl ids tbl.parents.(v) tbl.components.(v)) <- v
+      done;
+      child_ids := ids
+    end;
     id
+  end
 
 let of_components cs =
   List.iter check_component cs;
   Mutex.protect lock (fun () -> List.fold_left intern_child root cs)
 
-let of_string s =
-  let cs = String.split_on_char '/' s |> List.filter (fun c -> c <> "") in
-  Mutex.protect lock (fun () -> List.fold_left intern_child root cs)
+let of_string s = of_components (List.filter (fun c -> c <> "") (String.split_on_char '/' s))
 
 let child t c =
   check_component c;

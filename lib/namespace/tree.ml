@@ -2,16 +2,13 @@ type node = int
 
 type t = {
   uid : int; (* distinguishes trees, so an anchor never serves another tree's path *)
-  component : string array; (* id -> last name component; "" for root *)
   children : int array array;
-  neighbors : int list array; (* id -> parent :: children, precomputed *)
   span : int array;
       (* id v -> at 4v its preorder rank, at 4v+1 the last rank in its
          subtree, at 4v+2 its depth, at 4v+3 its parent (-1 for the root):
          one step up a parent chain, with its "is this above w" test, reads
          one node's four adjacent ints *)
   name_of : Name.t array; (* id -> interned name, O(1) lookup *)
-  by_name : (int, int) Hashtbl.t; (* Name.id -> id; lookup only, never iterated *)
   max_depth : int;
 }
 
@@ -23,48 +20,36 @@ module Builder = struct
   type tree = t
 
   type t = {
-    mutable comps : string array;
     mutable parents : int array;
     mutable kids : int list array; (* reverse insertion order *)
-    mutable depths : int array;
     mutable names : Name.t array; (* interned name per node *)
     mutable count : int;
-    by_name : (int, int) Hashtbl.t; (* Name.id -> node id *)
     mutable sealed : bool;
   }
 
   let create () =
-    let b =
-      {
-        comps = Array.make 16 "";
-        parents = Array.make 16 (-1);
-        kids = Array.make 16 [];
-        depths = Array.make 16 0;
-        names = Array.make 16 Name.root;
-        count = 1;
-        by_name = Hashtbl.create 256;
-        sealed = false;
-      }
-    in
-    Hashtbl.add b.by_name (Name.id Name.root) 0;
-    b
+    {
+      parents = Array.make 16 (-1);
+      kids = Array.make 16 [];
+      names = Array.make 16 Name.root;
+      count = 1;
+      sealed = false;
+    }
 
   let check_alive b op = if b.sealed then invalid_arg ("Tree.Builder." ^ op ^ ": builder is sealed")
 
   let size b = b.count
 
   let ensure b =
-    let cap = Array.length b.comps in
+    let cap = Array.length b.parents in
     if b.count = cap then begin
       let grow a fill =
         let fresh = Array.make (2 * cap) fill in
         Array.blit a 0 fresh 0 cap;
         fresh
       in
-      b.comps <- grow b.comps "";
       b.parents <- grow b.parents (-1);
       b.kids <- grow b.kids [];
-      b.depths <- grow b.depths 0;
       b.names <- grow b.names Name.root
     end
 
@@ -74,16 +59,14 @@ module Builder = struct
     if component = "" || String.contains component '/' then
       invalid_arg "Tree.Builder.add_child: invalid component";
     let name = Name.child b.names.(parent) component in
-    if Hashtbl.mem b.by_name (Name.id name) then invalid_arg "Tree.Builder.add_child: duplicate child";
+    if List.exists (fun k -> Name.equal b.names.(k) name) b.kids.(parent) then
+      invalid_arg "Tree.Builder.add_child: duplicate child";
     ensure b;
     let id = b.count in
     b.count <- id + 1;
-    b.comps.(id) <- component;
     b.parents.(id) <- parent;
-    b.depths.(id) <- b.depths.(parent) + 1;
     b.names.(id) <- name;
     b.kids.(parent) <- id :: b.kids.(parent);
-    Hashtbl.add b.by_name (Name.id name) id;
     id
 
   let freeze b =
@@ -91,21 +74,23 @@ module Builder = struct
     b.sealed <- true;
     let n = b.count in
     let children = Array.init n (fun i -> Array.of_list (List.rev b.kids.(i))) in
-    let max_depth = Array.fold_left max 0 (Array.sub b.depths 0 n) in
     (* Preorder spans without a traversal stack: a parent's id is always
        smaller than its children's, so subtree sizes accumulate in one
-       downward id sweep and ranks are handed out in one upward sweep. *)
+       downward id sweep, and ranks and depths are handed out in one
+       upward sweep. *)
     let sizes = Array.make n 1 in
     for v = n - 1 downto 1 do
       let p = b.parents.(v) in
       sizes.(p) <- sizes.(p) + sizes.(v)
     done;
-    let span = Array.make (4 * n) 0 in
+    let span = Array.make (4 * n) 0 and max_depth = ref 0 in
     for v = 0 to n - 1 do
-      let pre = span.(4 * v) in
+      let pre = span.(4 * v) and p = b.parents.(v) in
+      let d = if v = 0 then 0 else span.((4 * p) + 2) + 1 in
+      max_depth := max !max_depth d;
       span.((4 * v) + 1) <- pre + sizes.(v) - 1;
-      span.((4 * v) + 2) <- b.depths.(v);
-      span.((4 * v) + 3) <- b.parents.(v);
+      span.((4 * v) + 2) <- d;
+      span.((4 * v) + 3) <- p;
       let next = ref (pre + 1) in
       Array.iter
         (fun c ->
@@ -113,27 +98,16 @@ module Builder = struct
           next := !next + sizes.(c))
         children.(v)
     done;
-    (* Neighbor lists are read on every replica install/evict and every
-       context assembly; the tree is immutable once frozen, so build them
-       once here instead of re-allocating parent :: children per call. *)
-    let neighbors =
-      Array.init n (fun v ->
-          let kids = Array.to_list children.(v) in
-          if v = 0 then kids else b.parents.(v) :: kids)
-    in
     {
       uid = Atomic.fetch_and_add next_uid 1;
-      component = Array.sub b.comps 0 n;
       children;
-      neighbors;
       span;
       name_of = Array.sub b.names 0 n;
-      by_name = b.by_name;
-      max_depth;
+      max_depth = !max_depth;
     }
 end
 
-let size t = Array.length t.component
+let size t = Array.length t.name_of
 
 let check_node t v op =
   if v < 0 || v >= size t then invalid_arg ("Tree." ^ op ^ ": node id out of range")
@@ -169,12 +143,18 @@ let depth t v =
 let max_depth t = t.max_depth
 
 let neighbors t v =
-  check_node t v "neighbors";
-  t.neighbors.(v)
+  let kids = Array.to_list (children t v) in
+  if v = 0 then kids else parent_of t v :: kids
 
-let find t n = Hashtbl.find_opt t.by_name (Name.id n)
+(* Walk root-first components down through [children], matching each
+   child's last component: nothing is interned. *)
+let find_components t cs =
+  let step c v = Array.find_opt (fun k -> Name.basename t.name_of.(k) = Some c) t.children.(v) in
+  List.fold_left (fun v c -> Option.bind v (step c)) (Some root) cs
 
-let find_string t s = find t (Name.of_string s)
+let find t n = find_components t (Name.components n)
+
+let find_string t s = find_components t (List.filter (( <> ) "") (String.split_on_char '/' s))
 
 (* [v]'s subtree holds the node of preorder rank [p] iff [p] falls inside
    [v]'s span.  The chain walks below index [span] directly, unchecked:

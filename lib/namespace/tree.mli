@@ -38,7 +38,7 @@ val size : t -> int
 val root : node
 
 val name : t -> node -> Name.t
-(** Full name of a node (reconstructed; O(depth)). *)
+(** Full name of a node; O(1). *)
 
 val name_string : t -> node -> string
 
@@ -57,13 +57,16 @@ val max_depth : t -> int
 
 val neighbors : t -> node -> node list
 (** Parent (if any) followed by children — the node's routing context.
-    Precomputed at freeze time: O(1), and callers on hot paths may rely on
-    repeated calls returning the same (immutable) list without allocating. *)
+    Built on each call from the parent and {!children}: one fresh list of
+    [1 + num_children] cells. *)
 
 val find : t -> Name.t -> node option
-(** Name lookup; O(depth) hash probes. *)
+(** Name lookup: walks the name's components down from the root, scanning
+    each level's children; O(depth × fan-out), no table. *)
 
 val find_string : t -> string -> node option
+(** [find] of the path as {!Name.of_string} would parse it, but interning
+    nothing: looking up an absent path leaves the intern table as it was. *)
 
 val lca : t -> node -> node -> node
 (** Walks the shallower node's parent chain, testing each step in O(1)

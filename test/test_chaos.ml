@@ -301,7 +301,11 @@ let test_report_check_totals_consistency () =
 
 let test_resilience_experiment_smoke () =
   let module R = Terradir_experiments.Resilience in
+  let module Runner = Terradir_experiments.Runner in
+  let events = Runner.events_executed () and words = Runner.minor_words_allocated () in
   let r = R.run ~scale:0.002 ~seed:5 () in
+  Alcotest.(check bool) "events counted" true (Runner.events_executed () > events);
+  Alcotest.(check bool) "allocation counted" true (Runner.minor_words_allocated () > words);
   Alcotest.(check int) "campaigns x r_facts" 12 (List.length r.R.rows);
   List.iter
     (fun (row : R.row) ->

@@ -48,8 +48,18 @@ let test_warmups_staggered () =
   let w = List.map E.Common.warmup_for [ 0.75; 1.00; 1.25; 1.50 ] in
   Alcotest.(check (list (float 1e-9))) "10s increments" [ 40.0; 50.0; 60.0; 70.0 ] w
 
+(* [f ()], checked to have moved Runner's event and minor-word counters:
+   what BENCH_results.json divides into words per event. *)
+let counted label f =
+  let events = E.Runner.events_executed () and words = E.Runner.minor_words_allocated () in
+  let r = f () in
+  Alcotest.(check bool) (label ^ " counts its events") true (E.Runner.events_executed () > events);
+  Alcotest.(check bool) (label ^ " counts its allocation") true
+    (E.Runner.minor_words_allocated () > words);
+  r
+
 let test_table1 () =
-  let r = E.Table1.run ~seed:42 () in
+  let r = counted "table1" (fun () -> E.Table1.run ~seed:42 ()) in
   Alcotest.(check bool) "all four kinds live" true r.E.Table1.verified;
   Alcotest.(check int) "kinds" 4 (List.length r.E.Table1.kinds_seen)
 
@@ -183,7 +193,7 @@ let test_rfact () =
     (avg E.Rfact.Digests >= avg E.Rfact.No_digests -. 0.02)
 
 let test_ablations () =
-  let r = E.Ablations.run ~scale:scale_mid ~duration:90.0 ~seed:42 () in
+  let r = counted "ablations" (fun () -> E.Ablations.run ~scale:scale_mid ~duration:90.0 ~seed:42 ()) in
   Alcotest.(check int) "all variants ran" 15 (List.length r.E.Ablations.rows);
   let metric row key = List.assoc key row.E.Ablations.metrics in
   let find dim variant =

@@ -134,7 +134,26 @@ let tree_roundtrip () =
     | Some v' -> Alcotest.(check int) "find_string roundtrip" v v'
     | None -> Alcotest.failf "vertex %d not found by its path string" v
   done;
-  Alcotest.(check (option int)) "unknown path" None (Tree.find_string tree "/no/such/node")
+  let interned = Name.interned_count () in
+  Alcotest.(check (option int)) "unknown path" None (Tree.find_string tree "/no/such/node");
+  Alcotest.(check int) "lookups intern nothing" interned (Name.interned_count ())
+
+(* The (parent, component) -> id table starts at 1024 slots and doubles
+   whenever it passes half full, so it has at most max(1024, ~4 x
+   interned) slots when this test starts: 16 x (interned + 1024) fresh
+   names grow it at least three times.  Re-interning every one of them
+   afterwards must return its original id. *)
+let flat_table_growth () =
+  let n = 16 * (Name.interned_count () + 1024) in
+  let parents = Array.init 64 (fun i -> Name.of_components [ "growth"; string_of_int i ]) in
+  let key i = (parents.(i mod 64), Printf.sprintf "g%d" i) in
+  let ids = Array.init n (fun i -> Name.id (Name.child (fst (key i)) (snd (key i)))) in
+  Array.iteri
+    (fun i id ->
+      let parent, c = key i in
+      if Name.id (Name.child parent c) <> id then
+        Alcotest.failf "(%s, %s) re-interned to a new id" (Name.to_string parent) c)
+    ids
 
 (* ------------------------------------------------------------------ *)
 (* Pqueue (SoA heap) vs a stable-sorted list reference                 *)
@@ -413,7 +432,10 @@ let () =
             prop_name_hash_consing;
             prop_name_child;
           ]
-        @ [ Alcotest.test_case "tree name/find roundtrip" `Quick tree_roundtrip ] );
+        @ [
+            Alcotest.test_case "tree name/find roundtrip" `Quick tree_roundtrip;
+            Alcotest.test_case "flat child table survives growth" `Quick flat_table_growth;
+          ] );
       ("scheduler", q [ prop_heap_matches_reference ]);
       ("meters", q [ prop_load_meter_matches ]);
       ( "rng",

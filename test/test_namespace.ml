@@ -175,6 +175,53 @@ let test_builder_validation () =
   Alcotest.check_raises "sealed" (Invalid_argument "Tree.Builder.add_child: builder is sealed")
     (fun () -> ignore (Tree.Builder.add_child b Tree.root "z"))
 
+(* [find] and [find_string] walk the tree down from the root; the
+   reference is a linear scan for the node whose rendered name is the
+   path.  Trees come from [of_paths] over a small alphabet (so siblings
+   share components with cousins) and from [coda_like]; queries mix the
+   tree's own names with random, mostly absent, paths. *)
+let linear_find t cs =
+  let path = "/" ^ String.concat "/" cs in
+  Tree.fold t ~init:None ~f:(fun acc v ->
+      if Option.is_none acc && String.equal (Tree.name_string t v) path then Some v else acc)
+
+let prop_find_matches_linear =
+  let comps = QCheck.Gen.(list_size (int_bound 5) (map (Printf.sprintf "c%d") (int_bound 3))) in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneof
+           [
+             map (fun ps -> `Paths ps) (list_size (int_range 1 30) comps);
+             map (fun seed -> `Coda seed) (int_bound 1000);
+           ])
+        (list_size (int_bound 20) comps)
+        (list_size (int_bound 20) (int_bound 10_000)))
+  in
+  QCheck.Test.make ~name:"tree: find/find_string = linear scan" ~count:100 (QCheck.make gen)
+    (fun (shape, absent, picks) ->
+      let t =
+        match shape with
+        | `Paths ps -> Build.of_paths (List.map (fun cs -> "/" ^ String.concat "/" cs) ps)
+        | `Coda seed -> Build.coda_like ~seed ~target:300 ()
+      in
+      let own = List.map (fun i -> Name.components (Tree.name t (i mod Tree.size t))) picks in
+      List.for_all
+        (fun cs ->
+          let expected = linear_find t cs in
+          Tree.find t (Name.of_components cs) = expected
+          && Tree.find_string t ("/" ^ String.concat "/" cs) = expected
+          && Tree.find_string t (String.concat "//" cs ^ "/") = expected)
+        (absent @ own))
+
+(* The shared tree is paid for per node at every scale: spans, name ids
+   and children arrays, nothing per-node besides. *)
+let test_tree_words_per_node () =
+  let t = Build.balanced ~arity:2 ~levels:14 in
+  let words = Obj.reachable_words (Obj.repr t) in
+  let per_node = float_of_int words /. float_of_int (Tree.size t) in
+  if per_node > 8.0 then Alcotest.failf "%.2f words per node (at most 8)" per_node
+
 (* ------------------------------------------------------------------ *)
 (* Build                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -358,6 +405,7 @@ let () =
           Alcotest.test_case "builder validation" `Quick test_builder_validation;
           Alcotest.test_case "spans = lift walk, all pairs" `Quick test_spans_exhaustive_small;
           Alcotest.test_case "anchor not stale across trees" `Quick test_anchor_not_stale_across_trees;
+          Alcotest.test_case "at most 8 words per node" `Quick test_tree_words_per_node;
         ] );
       ( "build",
         [
@@ -372,5 +420,6 @@ let () =
           [
             prop_tree_distance_equals_name_distance;
             prop_spans_match_lift_walk;
+            prop_find_matches_linear;
           ] );
     ]

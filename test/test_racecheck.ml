@@ -66,6 +66,12 @@ let test_inconsistent_guard () =
      let guarded k = Mutex.protect lock (fun () -> Hashtbl.replace table k k)\n\
      let peek () = Hashtbl.length table\n\
      let install e = Engine.schedule e ~delay:1.0 (fun () -> guarded 1; ignore (peek ()))";
+  check "a write through a deref writes the ref's root" [ "inconsistent-guard" ]
+    "let lock = Mutex.create ()\n\
+     let slots = ref (Array.make 8 0)\n\
+     let guarded i = Mutex.protect lock (fun () -> !slots.(i) <- 1)\n\
+     let bare i = !slots.(i) <- 2\n\
+     let install e = Engine.schedule e ~delay:1.0 (fun () -> guarded 1; bare 2)";
   check "suppression silences it" []
     "let lock = Mutex.create ()\n\
      let table = Hashtbl.create 8\n\

@@ -39,14 +39,19 @@
    config and observability sink first, then each field of every server
    in turn — so a block reachable from several fields counts once, in the
    first row that reaches it, and the rows sum to the total, which is the
-   benchmark's [mem.bytes_per_server].  [Obj.reachable_words] needs
-   memory of its own in proportion to the heap it walks: at 10k servers
-   this command peaks at about 570 MB RSS, where the benchmark's run of
-   the same deployment peaks at about 310 MB.  Never call it inside a run
-   whose RSS or time is measured.  A message waiting in a server queue
-   holds its event thunks, which close over the whole cluster: the queue
-   row would then count the cluster, so the breakdown is taken after the
-   run has drained.
+   benchmark's [mem.bytes_per_server].  Below the total, [names
+   (process-wide)] is what building the tree added to the live heap
+   besides the tree itself (the intern table, which no root reaches),
+   and [other live] is the rest of the live heap (engine, cluster
+   arrays, metrics), so total, names and other live sum to the live
+   heap.  [Obj.reachable_words] needs memory of its own in proportion to
+   the heap it walks: at 10k servers this command peaks at about 370 MB
+   RSS (VmHWM), where the benchmark's run of the same deployment peaks at
+   about 230 MB ([peak_rss_mb], 2-core Intel Xeon container).  Never
+   call it inside a run whose RSS or time is measured.  A message
+   waiting in a server queue holds its event thunks, which close over
+   the whole cluster: the queue row would then count the cluster, so the
+   breakdown is taken after the run has drained.
 
    [gc] samples nothing either.  It builds the same uniform deployment
    and run as [mem] and reads the runtime's own event ring (the
@@ -169,9 +174,13 @@ let server_fields : (string * (Server.t -> Obj.t)) list =
 (* Words reachable from [roots], without the array that holds them. *)
 let reachable roots = Obj.reachable_words (Obj.repr (Array.of_list roots)) - (List.length roots + 1)
 
-let print_breakdown (cluster : Cluster.t) ~label =
+let live_words () =
   Gc.full_major ();
-  let live_mb = float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8)) /. 1e6 in
+  (Gc.stat ()).Gc.live_words
+
+let print_breakdown (cluster : Cluster.t) ~names ~label =
+  let live = live_words () in
+  let live_mb = float_of_int (live * (Sys.word_size / 8)) /. 1e6 in
   let servers = Array.to_list cluster.Cluster.servers in
   let n = List.length servers in
   let per_server words = float_of_int (words * (Sys.word_size / 8)) /. float_of_int n in
@@ -195,14 +204,20 @@ let print_breakdown (cluster : Cluster.t) ~label =
         (roots, words))
       ([], 0) rows
   in
-  Printf.printf "%-24s %10.1f\n" "total" (per_server total)
+  Printf.printf "%-24s %10.1f\n" "total" (per_server total);
+  Printf.printf "%-24s %10.1f\n" "names (process-wide)" (per_server names);
+  Printf.printf "%-24s %10.1f\n" "other live" (per_server (live - total - names));
+  Printf.printf "%-24s %10.1f\n" "live heap" (per_server live)
 
-(* The benchmark's uniform deployment at [servers], and its analytic
-   lookup rate. *)
-let uniform_deployment ~servers =
+(* The benchmark's namespace at [servers]. *)
+let uniform_tree ~servers =
+  Terradir_namespace.Build.balanced ~arity:2 ~levels:(max 3 (log2i (8 * servers)))
+
+(* The benchmark's uniform deployment config over [tree], and its
+   analytic lookup rate. *)
+let uniform_deployment ~servers tree =
   let open Terradir_namespace in
   let log2s = log2i servers in
-  let tree = Build.balanced ~arity:2 ~levels:(max 3 (log2i (8 * servers))) in
   let config =
     {
       Config.default with
@@ -221,7 +236,7 @@ let uniform_deployment ~servers =
   let rate =
     0.5 *. float_of_int servers /. (config.Config.service_mean *. ((2.0 *. mean_depth) +. 1.0))
   in
-  (config, tree, rate)
+  (config, rate)
 
 let run_uniform cluster ~rate ~duration ~seed =
   let open Terradir_workload in
@@ -229,11 +244,14 @@ let run_uniform cluster ~rate ~duration ~seed =
   Cluster.run_until cluster (Scenario.stream_end d +. 2.0)
 
 let run_mem ~servers ~duration ~seed =
-  let config, tree, rate = uniform_deployment ~servers in
+  let before = live_words () in
+  let tree = uniform_tree ~servers in
+  let names = live_words () - before - reachable [ Obj.repr tree ] in
+  let config, rate = uniform_deployment ~servers tree in
   let cluster = Cluster.create ~config ~tree () in
-  print_breakdown cluster ~label:"after set-up";
+  print_breakdown cluster ~names ~label:"after set-up";
   run_uniform cluster ~rate ~duration ~seed;
-  print_breakdown cluster
+  print_breakdown cluster ~names
     ~label:(Printf.sprintf "after %g s of uniform lookups at %.0f/s" duration rate)
 
 (* ---- gc: per-phase collector time from runtime_events ---- *)
@@ -287,7 +305,8 @@ let run_gc ~servers ~duration ~seed =
         row)
       accs
   in
-  let config, tree, rate = uniform_deployment ~servers in
+  let tree = uniform_tree ~servers in
+  let config, rate = uniform_deployment ~servers tree in
   ignore (take ());
   let t0 = host_wall () in
   let cluster = Cluster.create ~config ~tree () in

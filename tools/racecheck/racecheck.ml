@@ -377,9 +377,13 @@ let summarize_module ~mods ~scope_module str ~funcs ~outbox_sites =
     and apply loc lid args =
       let parts = flatten lid in
       let nolabel = List.filter_map (function (Asttypes.Nolabel, a) -> Some a | _ -> None) args in
-      let root_of_arg (a : Parsetree.expression) =
+      (* A write into [!r] writes what root [r] holds: a ref to an array
+         swapped out on growth is written through its deref. *)
+      let rec root_of_arg (a : Parsetree.expression) =
         match (peel a).pexp_desc with
         | Pexp_ident { txt; _ } -> resolve_root (flatten txt)
+        | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Longident.Lident "!"; _ }; _ }, [ (_, r) ]) ->
+          root_of_arg r
         | _ -> None
       in
       let visit_rest skip =
