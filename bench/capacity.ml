@@ -86,8 +86,8 @@ let phase_json (pg : E.Capacity.phase_gc) =
           pg.E.Capacity.pg_minor_words /. float_of_int pg.E.Capacity.pg_events
         else 0.0))
 
-let write_report (r : E.Capacity.result) ~(phases : E.Capacity.phase_gc list) ~wall_s
-    ~events_per_sec ~rss_kb ~(gc : Gc.stat) =
+let write_report (r : E.Capacity.result) ~wall_s ~events_per_sec ~rss_kb ~(gc : Gc.stat) =
+  let phases = r.E.Capacity.phases in
   (* The headline words-per-event numbers are steady-state only: warmup
      allocation (bootstrap churn, stores growing to size) is real but
      amortized, and gating on it would hide hot-path regressions behind
@@ -177,12 +177,12 @@ let () =
   Printf.printf "TerraDir capacity benchmark: %d servers, ~%d queries, seed %d\n%!" servers
     queries seed;
   let t0 = Unix.gettimeofday () in
-  let r, phases = E.Capacity.run_instrumented ~servers ~queries ~seed () in
+  let r = E.Capacity.run ~servers ~queries ~seed () in
   let wall_s = Unix.gettimeofday () -. t0 in
   let gc = Gc.quick_stat () in
   let rss_kb = peak_rss_kb () in
   let events_per_sec = if wall_s > 0.0 then float_of_int r.E.Capacity.events /. wall_s else 0.0 in
-  E.Capacity.print r;
+  List.iter Terradir_util.Tablefmt.print_table (E.Capacity.tables r);
   Printf.printf "engine domains: %d\n" r.E.Capacity.domains;
   Printf.printf "wall: %.1fs   events/sec: %.0f   peak RSS: %s\n" wall_s events_per_sec
     (match rss_kb with Some kb -> Printf.sprintf "%d kB" kb | None -> "unavailable");
@@ -194,7 +194,7 @@ let () =
            p.E.Capacity.pg_minor_words /. float_of_int p.E.Capacity.pg_events
          else 0.0)
         p.E.Capacity.pg_events p.E.Capacity.pg_minor_collections)
-    phases;
+    r.E.Capacity.phases;
   flush stdout;
-  write_report r ~phases ~wall_s ~events_per_sec ~rss_kb ~gc;
-  write_gc_summary phases
+  write_report r ~wall_s ~events_per_sec ~rss_kb ~gc;
+  write_gc_summary r.E.Capacity.phases

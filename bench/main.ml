@@ -170,8 +170,8 @@ let () =
         let minor_before = E.Runner.minor_words_allocated () in
         let promoted_before = E.Runner.promoted_words_allocated () in
         let start = Unix.gettimeofday () in
-        Printf.printf "\n===== %s =====\n%!" id;
-        entry.E.Registry.run ~scale ?duration ~seed ();
+        print_newline ();
+        E.Registry.print entry ~scale ?duration ~seed ();
         let wall_s = Unix.gettimeofday () -. start in
         let events = E.Runner.events_executed () - events_before in
         (* Figures run sequentially, so the counter deltas attribute

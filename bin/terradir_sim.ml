@@ -90,7 +90,7 @@ let run_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id (see list)")
   in
   let csv_arg =
-    let doc = "Write plot-ready CSV files to $(docv) instead of printing tables." in
+    let doc = "Write the tables as plot-ready CSV files to $(docv) instead of printing them." in
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
   in
   let duration_arg =
@@ -106,13 +106,9 @@ let run_cmd =
       Printf.eprintf "unknown experiment %S; try: %s\n" id
         (String.concat " " (Experiments.Registry.ids ()));
       exit 1
-    | Some _, Some dir when List.mem id Experiments.Csv_export.exportable ->
+    | Some _, Some dir ->
       List.iter print_endline (Experiments.Csv_export.export ~id ~scale ?duration ~seed ~dir ())
-    | Some _, Some _ ->
-      Printf.eprintf "%s has no CSV form (try: %s)\n" id
-        (String.concat " " Experiments.Csv_export.exportable);
-      exit 1
-    | Some e, None -> e.Experiments.Registry.run ~scale ?duration ~seed ());
+    | Some e, None -> Experiments.Registry.print e ~scale ?duration ~seed ());
     report_audit audit
   in
   Cmd.v
@@ -130,9 +126,8 @@ let all_cmd =
     apply_audit audit;
     List.iter
       (fun e ->
-        Printf.printf "\n===== %s — %s =====\n" e.Experiments.Registry.id
-          e.Experiments.Registry.title;
-        e.Experiments.Registry.run ~scale ~seed ())
+        print_newline ();
+        Experiments.Registry.print e ~scale ~seed ())
       Experiments.Registry.all;
     report_audit audit
   in

@@ -73,10 +73,6 @@ let mem t x =
   let r = raw x in
   mem_hashed t (h1_of r) (h2_of r)
 
-let reset t = Bytes.fill t header (Bytes.length t - header) '\000'
-
-let copy = Bytes.copy
-
 (* The header carries m and k, so equal blocks are equal filters. *)
 let equal = Bytes.equal
 

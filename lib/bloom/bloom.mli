@@ -32,10 +32,6 @@ val hash_into : int array -> int -> int -> unit
 val mem_hashed : t -> int -> int -> bool
 (** [mem_hashed t h1 h2 = mem t x] for the pair {!hash_into} stored for [x]. *)
 
-val reset : t -> unit
-
-val copy : t -> t
-
 val equal : t -> t -> bool
 
 val num_bits : t -> int

@@ -125,25 +125,22 @@ let run ?scale ?(duration = 120.0) ?(seed = 42) () =
   let cells = cache_policy @ cache_size @ map_size @ static in
   { rows = Runner.map (fun cell -> cell ()) cells }
 
-let print r =
-  print_endline "Ablations — design choices under uzipf1.25 with shifts (N_S)";
-  let header = [ "dimension"; "variant"; "drop fraction"; "hops"; "latency(ms)"; "replicas" ] in
-  let cell row key =
-    match List.assoc_opt key row.metrics with
-    | Some v -> Tablefmt.float_cell ~decimals:(if key = "mean_hops" then 2 else 4) v
-    | None -> "-"
-  in
-  Tablefmt.print ~header
-    (List.map
-       (fun row ->
-         [
-           row.dimension;
-           row.variant;
-           cell row "drop_fraction";
-           cell row "mean_hops";
-           cell row "mean_latency_ms";
-           (match List.assoc_opt "replicas" row.metrics with
-           | Some v -> Printf.sprintf "%.0f" v
-           | None -> "-");
-         ])
-       r.rows)
+let tables r =
+  let keys = [ "drop_fraction"; "mean_hops"; "mean_latency_ms"; "replicas" ] in
+  [
+    {
+      Tablefmt.name = "ablations";
+      header = [ "dimension"; "variant" ] @ keys;
+      rows =
+        List.map
+          (fun row ->
+            row.dimension :: row.variant
+            :: List.map
+                 (fun k ->
+                   match List.assoc_opt k row.metrics with
+                   | Some v -> Printf.sprintf "%.6f" v
+                   | None -> "")
+                 keys)
+          r.rows;
+    };
+  ]

@@ -17,4 +17,6 @@ type result = { rows : row list }
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [ablations]: one row per variant; a metric a variant lacks is an
+    empty cell. *)

@@ -23,6 +23,16 @@ open Terradir_workload
    not a mis-sized rate — the benchmark measures engine throughput
    (events/sec), which drops do not distort. *)
 
+type phase_gc = {
+  pg_phase : string;
+  pg_events : int;
+  pg_minor_words : float;
+  pg_promoted_words : float;
+  pg_major_words : float;
+  pg_minor_collections : int;
+  pg_major_collections : int;
+}
+
 type result = {
   servers : int;
   domains : int;  (** engine domains the run executed on *)
@@ -37,16 +47,7 @@ type result = {
   mean_hops : float;
   mean_latency : float;
   replicas_created : int;
-}
-
-type phase_gc = {
-  pg_phase : string;
-  pg_events : int;
-  pg_minor_words : float;
-  pg_promoted_words : float;
-  pg_major_words : float;
-  pg_minor_collections : int;
-  pg_major_collections : int;
+  phases : phase_gc list;
 }
 
 let reference_servers = 100_000
@@ -81,7 +82,7 @@ let config_for ~servers ~seed =
    path's own (the quantity the zero-allocation work gates). *)
 let warmup_fraction = 0.25
 
-let run_instrumented ?servers ?queries ?domains ?(scale = 1.0 /. 16.0) ?(seed = 42) () =
+let run ?servers ?queries ?domains ?(scale = 1.0 /. 16.0) ?(seed = 42) () =
   if scale <= 0.0 || scale > 1.0 then invalid_arg "Capacity.run: scale must be in (0, 1]";
   let servers =
     match servers with
@@ -152,46 +153,46 @@ let run_instrumented ?servers ?queries ?domains ?(scale = 1.0 /. 16.0) ?(seed = 
         ~promoted:(int_of_float pg.pg_promoted_words))
     [ warmup; steady ];
   let m = Cluster.metrics cluster in
-  ( {
-      servers;
-      domains = Terradir_sim.Engine.domains cluster.Cluster.engine;
-      nodes = Tree.size tree;
-      rate;
-      sim_duration;
-      events = Terradir_sim.Engine.events_executed cluster.Cluster.engine;
-      injected = m.Metrics.injected;
-      resolved = m.Metrics.resolved;
-      dropped = Metrics.dropped_total m;
-      drop_fraction = Metrics.drop_fraction m;
-      mean_hops = Terradir_util.Stats.mean m.Metrics.hops;
-      mean_latency = Terradir_util.Stats.mean m.Metrics.latency;
-      replicas_created = m.Metrics.replicas_created;
-    },
-    [ warmup; steady ] )
+  {
+    servers;
+    domains = Terradir_sim.Engine.domains cluster.Cluster.engine;
+    nodes = Tree.size tree;
+    rate;
+    sim_duration;
+    events = Terradir_sim.Engine.events_executed cluster.Cluster.engine;
+    injected = m.Metrics.injected;
+    resolved = m.Metrics.resolved;
+    dropped = Metrics.dropped_total m;
+    drop_fraction = Metrics.drop_fraction m;
+    mean_hops = Terradir_util.Stats.mean m.Metrics.hops;
+    mean_latency = Terradir_util.Stats.mean m.Metrics.latency;
+    replicas_created = m.Metrics.replicas_created;
+    phases = [ warmup; steady ];
+  }
 
-let run ?servers ?queries ?domains ?scale ?seed () =
-  fst (run_instrumented ?servers ?queries ?domains ?scale ?seed ())
-
-(* [domains] is deliberately absent: rows feed the golden CSV, which must
-   stay byte-identical for any engine-domain count.  The bench harness
-   reports the domain count alongside wall-clock in its own JSON. *)
-let rows r =
+(* [domains] and [phases] are deliberately absent: the table feeds the
+   golden CSV, which must stay byte-identical for any engine-domain count.
+   The bench harness reports both alongside wall-clock in its own JSON. *)
+let tables r =
+  let f = Printf.sprintf in
   [
-    ("servers", string_of_int r.servers);
-    ("nodes", string_of_int r.nodes);
-    ("rate_qps", Printf.sprintf "%.4f" r.rate);
-    ("sim_duration_s", Printf.sprintf "%.4f" r.sim_duration);
-    ("events", string_of_int r.events);
-    ("injected", string_of_int r.injected);
-    ("resolved", string_of_int r.resolved);
-    ("dropped", string_of_int r.dropped);
-    ("drop_fraction", Printf.sprintf "%.6f" r.drop_fraction);
-    ("mean_hops", Printf.sprintf "%.4f" r.mean_hops);
-    ("mean_latency_s", Printf.sprintf "%.6f" r.mean_latency);
-    ("replicas_created", string_of_int r.replicas_created);
+    {
+      Terradir_util.Tablefmt.name = "capacity";
+      header = [ "metric"; "value" ];
+      rows =
+        [
+          [ "servers"; string_of_int r.servers ];
+          [ "nodes"; string_of_int r.nodes ];
+          [ "rate_qps"; f "%.4f" r.rate ];
+          [ "sim_duration_s"; f "%.4f" r.sim_duration ];
+          [ "events"; string_of_int r.events ];
+          [ "injected"; string_of_int r.injected ];
+          [ "resolved"; string_of_int r.resolved ];
+          [ "dropped"; string_of_int r.dropped ];
+          [ "drop_fraction"; f "%.6f" r.drop_fraction ];
+          [ "mean_hops"; f "%.4f" r.mean_hops ];
+          [ "mean_latency_s"; f "%.6f" r.mean_latency ];
+          [ "replicas_created"; string_of_int r.replicas_created ];
+        ];
+    };
   ]
-
-let print r =
-  print_endline "Capacity — macro throughput scenario (unif stream, analytic rate)";
-  Terradir_util.Tablefmt.print ~header:[ "metric"; "value" ]
-    (List.map (fun (k, v) -> [ k; v ]) (rows r))

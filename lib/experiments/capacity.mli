@@ -19,12 +19,26 @@
     Every reported field is deterministic for a given (servers, queries,
     seed) — wall-clock and memory measurement live in the caller. *)
 
+(** One measured slice of the run — warmup (cold caches, stores still
+    growing) versus steady state (the hot path the zero-allocation work
+    gates).  GC words are process-level measurements, not simulation
+    outputs: they stay out of {!tables} and the golden CSV. *)
+type phase_gc = {
+  pg_phase : string;  (** ["warmup"] or ["steady_state"] *)
+  pg_events : int;  (** engine events executed in the slice *)
+  pg_minor_words : float;
+  pg_promoted_words : float;
+  pg_major_words : float;
+  pg_minor_collections : int;
+  pg_major_collections : int;
+}
+
 type result = {
   servers : int;
   domains : int;
       (** engine domains the run actually executed on (after the engine's
           fallback/clamp rules) — reported for the bench harness, and
-          deliberately absent from {!rows}: the golden CSV must stay
+          deliberately absent from {!tables}: the golden CSV must stay
           byte-identical for any domain count *)
   nodes : int;
   rate : float;  (** analytic injection rate, queries/s *)
@@ -37,20 +51,13 @@ type result = {
   mean_hops : float;
   mean_latency : float;
   replicas_created : int;
-}
-
-(** One measured slice of the run — warmup (cold caches, stores still
-    growing) versus steady state (the hot path the zero-allocation work
-    gates).  GC words are process-level measurements, not simulation
-    outputs: they stay out of {!rows} and the golden CSV. *)
-type phase_gc = {
-  pg_phase : string;  (** ["warmup"] or ["steady_state"] *)
-  pg_events : int;  (** engine events executed in the slice *)
-  pg_minor_words : float;
-  pg_promoted_words : float;
-  pg_major_words : float;
-  pg_minor_collections : int;
-  pg_major_collections : int;
+  phases : phase_gc list;
+      (** [[warmup; steady_state]]: the run is driven in two [run_until]
+          slices split at a quarter of the stream duration, with a
+          [Gc.quick_stat] delta around each.  The engine is time-ordered,
+          so the split replays the same events.  Word deltas are exact for
+          the driving domain; engine lanes of a K >= 2 run fold in only as
+          they are joined. *)
 }
 
 val reference_servers : int
@@ -75,28 +82,10 @@ val run :
     [domains] pins the engine-domain count for this run; when absent the
     {!Runner.engine_domains} override (CLI / [TERRADIR_ENGINE_DOMAINS])
     applies, else the config default.  Every reported field except
-    [domains] is byte-identical for any domain count.
+    [domains] and [phases] is byte-identical for any domain count.
     @raise Invalid_argument on scale outside (0,1], servers < 8,
     queries < 1, or domains < 1. *)
 
-val run_instrumented :
-  ?servers:int ->
-  ?queries:int ->
-  ?domains:int ->
-  ?scale:float ->
-  ?seed:int ->
-  unit ->
-  result * phase_gc list
-(** {!run} plus the per-phase GC accounting: the same trajectory is driven
-    in two [run_until] slices split at {e warmup_fraction} (¼) of the
-    stream duration, with a [Gc.quick_stat] delta around each.  The result
-    is byte-identical to {!run}'s (the engine is time-ordered — an
-    intermediate stop replays the same events); the phase list is always
-    [[warmup; steady_state]].  Word deltas are exact for the driving
-    domain; engine lanes of a K ≥ 2 run fold in only as they are joined
-    (the K = 1 reference run CI gates on is exact). *)
-
-val rows : result -> (string * string) list
-(** Stable (metric, value) rows — the CSV export and the report feed. *)
-
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [capacity]: (metric, value) rows of every field but [domains] and
+    [phases]. *)

@@ -1,4 +1,3 @@
-open Terradir_util
 open Terradir_namespace
 open Terradir
 open Terradir_workload
@@ -115,9 +114,5 @@ let uzipf_stream setup ~paper_rate ~alpha ~duration =
 
 let unif_stream setup ~paper_rate ~duration =
   Stream.unif ~rate:(setup.rate paper_rate) ~duration
-
-let per_second_fraction ts ~rate ~bins =
-  let sums = Timeseries.sums ts in
-  Array.init bins (fun i -> if i < Array.length sums then sums.(i) /. rate else 0.0)
 
 let log10_or_zero x = if x <= 0.0 then 0.0 else log10 x

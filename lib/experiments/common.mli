@@ -64,10 +64,6 @@ val uzipf_stream : setup -> paper_rate:float -> alpha:float -> duration:float ->
 
 val unif_stream : setup -> paper_rate:float -> duration:float -> Terradir_workload.Stream.phase list
 
-val per_second_fraction : Terradir_util.Timeseries.t -> rate:float -> bins:int -> float array
-(** Per-second event counts divided by [rate] (the paper's "fraction of λ"
-    series), padded/truncated to [bins]. *)
-
 val mean_depth : Terradir_namespace.Tree.t -> float
 
 val log10_or_zero : float -> float

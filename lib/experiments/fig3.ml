@@ -16,39 +16,25 @@ type result = {
 }
 
 let run ?scale ?(duration = 250.0) ?(seed = 42) () =
-  (* One pool cell per stream; each builds its own setup and cluster. *)
-  let series =
-    Runner.map
-      (fun (label, phases) ->
-        let setup = Common.make ?scale ~seed Common.NS in
-        let cluster = Runner.run_phases setup phases in
-        let fractions =
-          Common.per_second_fraction (Cluster.metrics cluster).Metrics.drops_ts
-            ~rate:(setup.Common.rate Common.paper_lambda_fig3)
-            ~bins:(int_of_float duration)
-        in
-        (label, fractions))
-      (Runner.named_streams
-         (Common.make ?scale ~seed Common.NS)
-         ~paper_rate:Common.paper_lambda_fig3 ~duration)
+  let scaled_rate, series =
+    Runner.per_second_streams ?scale ~seed Common.NS ~paper_rate:Common.paper_lambda_fig3
+      ~duration (fun m -> m.Metrics.drops_ts)
   in
-  let setup = Common.make ?scale ~seed Common.NS in
-  { duration; scaled_rate = setup.Common.rate Common.paper_lambda_fig3; series }
+  { duration; scaled_rate; series }
 
-let summarize r =
-  List.map
-    (fun (label, fr) ->
-      let total = Array.fold_left ( +. ) 0.0 fr in
-      let peak = Array.fold_left Float.max 0.0 fr in
-      (label, total /. float_of_int (Array.length fr), peak))
-    r.series
-
-let print r =
-  Printf.printf "Figure 3 — dropped queries per second / lambda (N_S, lambda=%.0f scaled)\n"
-    r.scaled_rate;
-  Tablefmt.series ~title:"fig3: drop fraction per second" ~time_label:"t(s)" ~columns:r.series;
-  Tablefmt.print ~header:[ "stream"; "mean drop fraction"; "peak drop fraction" ]
-    (List.map
-       (fun (label, mean, peak) ->
-         [ label; Tablefmt.float_cell mean; Tablefmt.float_cell peak ])
-       (summarize r))
+let tables r =
+  let f = Printf.sprintf "%.6f" in
+  [
+    Tablefmt.of_series ~name:"fig3_drop_fraction" ~index_label:"second" r.series;
+    {
+      Tablefmt.name = "fig3_summary";
+      header = [ "stream"; "lambda_scaled"; "mean_drop_fraction"; "peak_drop_fraction" ];
+      rows =
+        List.map
+          (fun (label, fr) ->
+            let total = Array.fold_left ( +. ) 0.0 fr in
+            let peak = Array.fold_left Float.max 0.0 fr in
+            [ label; f r.scaled_rate; f (total /. float_of_int (Array.length fr)); f peak ])
+          r.series;
+    };
+  ]

@@ -14,4 +14,6 @@ type result = {
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [fig3_drop_fraction] (the series) and [fig3_summary] (scaled λ, mean
+    and peak drop fraction per stream). *)

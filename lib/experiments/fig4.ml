@@ -16,33 +16,23 @@ type result = {
 }
 
 let run ?scale ?(duration = 250.0) ?(seed = 42) () =
-  (* One pool cell per stream; each builds its own setup and cluster. *)
-  let series =
-    Runner.map
-      (fun (label, phases) ->
-        let setup = Common.make ?scale ~seed Common.NC in
-        let cluster = Runner.run_phases setup phases in
-        let fractions =
-          Common.per_second_fraction (Cluster.metrics cluster).Metrics.replicas_ts
-            ~rate:(setup.Common.rate Common.paper_lambda_fig4)
-            ~bins:(int_of_float duration)
-        in
-        (label, fractions))
-      (Runner.named_streams
-         (Common.make ?scale ~seed Common.NC)
-         ~paper_rate:Common.paper_lambda_fig4 ~duration)
+  let scaled_rate, series =
+    Runner.per_second_streams ?scale ~seed Common.NC ~paper_rate:Common.paper_lambda_fig4
+      ~duration (fun m -> m.Metrics.replicas_ts)
   in
-  let setup = Common.make ?scale ~seed Common.NC in
-  { duration; scaled_rate = setup.Common.rate Common.paper_lambda_fig4; series }
+  { duration; scaled_rate; series }
 
-let print r =
-  Printf.printf "Figure 4 — replicas created per second / lambda (N_C, lambda=%.0f scaled)\n"
-    r.scaled_rate;
-  Tablefmt.series ~title:"fig4: replica creation fraction per second" ~time_label:"t(s)"
-    ~columns:r.series;
-  Tablefmt.print ~header:[ "stream"; "total replicas created" ]
-    (List.map
-       (fun (label, fr) ->
-         let total = Array.fold_left ( +. ) 0.0 fr *. r.scaled_rate in
-         [ label; Printf.sprintf "%.0f" total ])
-       r.series)
+let tables r =
+  let f = Printf.sprintf in
+  [
+    Tablefmt.of_series ~name:"fig4_replica_creation" ~index_label:"second" r.series;
+    {
+      Tablefmt.name = "fig4_summary";
+      header = [ "stream"; "lambda_scaled"; "replicas_created" ];
+      rows =
+        List.map
+          (fun (label, fr) ->
+            [ label; f "%.6f" r.scaled_rate; f "%.0f" (Array.fold_left ( +. ) 0.0 fr *. r.scaled_rate) ])
+          r.series;
+    };
+  ]

@@ -14,4 +14,6 @@ type result = {
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [fig4_replica_creation] (the series) and [fig4_summary] (scaled λ and
+    total replicas created per stream). *)

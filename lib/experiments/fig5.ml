@@ -45,23 +45,12 @@ let run ?scale ?(duration = 120.0) ?(seed = 42) () =
   in
   { cells }
 
-(* Distinct stream labels, sorted. *)
-let streams_in r =
-  List.sort_uniq String.compare (List.map (fun c -> c.stream) r.cells)
-
-let lookup r ~stream ~system =
-  match List.find_opt (fun c -> c.stream = stream && c.system = system) r.cells with
-  | Some c -> c.drop_fraction
-  | None -> Float.nan
-
-let print r =
-  print_endline "Figure 5 — fraction of dropped queries: B vs BC vs BCR";
-  let header = "stream" :: List.map fst systems in
-  let rows =
-    List.map
-      (fun stream ->
-        stream
-        :: List.map (fun (system, _) -> Tablefmt.float_cell (lookup r ~stream ~system)) systems)
-      (streams_in r)
-  in
-  Tablefmt.print ~header rows
+let tables r =
+  [
+    {
+      Tablefmt.name = "fig5_drops";
+      header = [ "stream"; "system"; "drop_fraction" ];
+      rows =
+        List.map (fun c -> [ c.stream; c.system; Printf.sprintf "%.6f" c.drop_fraction ]) r.cells;
+    };
+  ]

@@ -8,4 +8,5 @@ type result = { cells : cell list }
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [fig5_drops]: one (stream, system, drop fraction) row per cell. *)

@@ -44,28 +44,22 @@ let run ?scale ?(duration = 250.0) ?(seed = 42) () =
   in
   { duration; runs }
 
-let print r =
-  print_endline "Figure 6 — average and maximum server load (N_S, uzipf1.00 with shifts)";
-  let columns =
-    List.concat_map
-      (fun s -> [ (s.label ^ " avg", s.mean_load); (s.label ^ " max", s.max_load) ])
-      r.runs
+let tables r =
+  let mean a =
+    if Array.length a = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
   in
-  Tablefmt.series ~title:"fig6 left: per-second load" ~time_label:"t(s)" ~columns;
-  let columns11 = List.map (fun s -> (s.label ^ " max11", s.smoothed_max)) r.runs in
-  Tablefmt.series ~title:"fig6 right: max load averaged over 11 s" ~time_label:"t(s)"
-    ~columns:columns11;
-  Tablefmt.print ~header:[ "run"; "mean of mean load"; "mean of max"; "mean of max11" ]
-    (List.map
-       (fun s ->
-         let avg a =
-           if Array.length a = 0 then 0.0
-           else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
-         in
-         [
-           s.label;
-           Tablefmt.float_cell (avg s.mean_load);
-           Tablefmt.float_cell (avg s.max_load);
-           Tablefmt.float_cell (avg s.smoothed_max);
-         ])
-       r.runs)
+  let f x = Printf.sprintf "%.6f" (mean x) in
+  [
+    Tablefmt.of_series ~name:"fig6_load" ~index_label:"second"
+      (List.concat_map
+         (fun s -> [ (s.label ^ "_avg", s.mean_load); (s.label ^ "_max", s.max_load) ])
+         r.runs);
+    Tablefmt.of_series ~name:"fig6_smoothed_max" ~index_label:"second"
+      (List.map (fun s -> (s.label ^ "_max11", s.smoothed_max)) r.runs);
+    {
+      Tablefmt.name = "fig6_summary";
+      header = [ "run"; "mean_of_mean_load"; "mean_of_max"; "mean_of_max11" ];
+      rows =
+        List.map (fun s -> [ s.label; f s.mean_load; f s.max_load; f s.smoothed_max ]) r.runs;
+    };
+  ]

@@ -18,4 +18,6 @@ type result = { duration : float; runs : series list }
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [fig6_load] (left panel), [fig6_smoothed_max] (right panel) and
+    [fig6_summary] (per-run time-averages of the three). *)

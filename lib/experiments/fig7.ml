@@ -40,7 +40,8 @@ let run ?scale ?(duration = 150.0) ?(seed = 42) () =
   in
   { runs }
 
-let print r =
-  print_endline "Figure 7 — average replicas created per node, by namespace level (N_S)";
-  let columns = List.map (fun s -> (s.label, s.per_level)) r.runs in
-  Tablefmt.series ~title:"fig7: replicas per level" ~time_label:"level" ~columns
+let tables r =
+  [
+    Tablefmt.of_series ~name:"fig7_replicas_per_level" ~index_label:"level"
+      (List.map (fun s -> (s.label, s.per_level)) r.runs);
+  ]

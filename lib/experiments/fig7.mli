@@ -8,4 +8,5 @@ type result = { runs : series list }
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [fig7_replicas_per_level]: one column per run, one row per level. *)

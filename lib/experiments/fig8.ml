@@ -64,16 +64,22 @@ let run ?scale ?(duration = 1200.0) ?(seed = 42) () =
   in
   { duration; runs }
 
-let print r =
-  print_endline "Figure 8 — replicas created per minute over a long run";
-  let columns = List.map (fun s -> (s.label, s.per_minute)) r.runs in
-  Tablefmt.series ~title:"fig8: replicas per minute" ~time_label:"minute" ~columns;
-  Tablefmt.print ~header:[ "stream"; "first-minute"; "final-minute" ]
-    (List.map
-       (fun s ->
-         [
-           s.label;
-           Tablefmt.float_cell ~decimals:1 (if Array.length s.per_minute > 0 then s.per_minute.(0) else 0.0);
-           Tablefmt.float_cell ~decimals:1 s.final_rate;
-         ])
-       r.runs)
+let tables r =
+  let f = Printf.sprintf "%.6f" in
+  [
+    Tablefmt.of_series ~name:"fig8_replicas_per_minute" ~index_label:"minute"
+      (List.map (fun s -> (s.label, s.per_minute)) r.runs);
+    {
+      Tablefmt.name = "fig8_rates";
+      header = [ "stream"; "first_minute"; "final_minute" ];
+      rows =
+        List.map
+          (fun s ->
+            [
+              s.label;
+              f (if Array.length s.per_minute > 0 then s.per_minute.(0) else 0.0);
+              f s.final_rate;
+            ])
+          r.runs;
+    };
+  ]

@@ -13,4 +13,6 @@ type result = { duration : float; runs : series list }
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [fig8_replicas_per_minute] and [fig8_rates] (first- and final-minute
+    counts per stream). *)

@@ -65,20 +65,31 @@ let run ?scale ?(duration = 90.0) ?(seed = 42) () =
   in
   { rows }
 
-let print r =
-  print_endline "Figure 9 — scalability with system size (uzipf1.00, lambda proportional to S)";
-  Tablefmt.print
-    ~header:
-      [ "servers"; "nodes"; "mean hops"; "latency(s)"; "log10(replications)"; "log10(drops)"; "resolved" ]
-    (List.map
-       (fun row ->
-         [
-           string_of_int row.servers;
-           string_of_int row.nodes;
-           Tablefmt.float_cell ~decimals:2 row.mean_hops;
-           Tablefmt.float_cell row.mean_latency;
-           Tablefmt.float_cell ~decimals:2 (Common.log10_or_zero (float_of_int row.replications));
-           Tablefmt.float_cell ~decimals:2 (Common.log10_or_zero (float_of_int row.drops));
-           string_of_int row.resolved;
-         ])
-       r.rows)
+let tables r =
+  let f = Printf.sprintf in
+  let log10 n = f "%.6f" (Common.log10_or_zero (float_of_int n)) in
+  [
+    {
+      Tablefmt.name = "fig9_scalability";
+      header =
+        [
+          "servers"; "nodes"; "mean_hops"; "latency_s"; "replications"; "drops"; "resolved";
+          "log10_replications"; "log10_drops";
+        ];
+      rows =
+        List.map
+          (fun row ->
+            [
+              string_of_int row.servers;
+              string_of_int row.nodes;
+              f "%.4f" row.mean_hops;
+              f "%.6f" row.mean_latency;
+              string_of_int row.replications;
+              string_of_int row.drops;
+              string_of_int row.resolved;
+              log10 row.replications;
+              log10 row.drops;
+            ])
+          r.rows;
+    };
+  ]

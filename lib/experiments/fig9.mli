@@ -22,4 +22,6 @@ type result = { rows : row list }
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [fig9_scalability]: one row per size, with the log10 columns the
+    paper plots appended. *)

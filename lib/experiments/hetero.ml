@@ -59,17 +59,22 @@ let run ?scale ?(duration = 120.0) ?(seed = 42) () =
   in
   { rows }
 
-let print r =
-  print_endline "Heterogeneity — adaptive replication under unequal server capacities (par. 5)";
-  Tablefmt.print
-    ~header:[ "speed spread"; "system"; "drop fraction"; "latency(s)"; "mean max-load" ]
-    (List.map
-       (fun row ->
-         [
-           Printf.sprintf "%.0fx" row.spread;
-           row.system;
-           Tablefmt.float_cell row.drop_fraction;
-           Tablefmt.float_cell row.mean_latency;
-           Tablefmt.float_cell row.mean_load_of_max;
-         ])
-       r.rows)
+let tables r =
+  let f = Printf.sprintf in
+  [
+    {
+      Tablefmt.name = "hetero";
+      header = [ "spread"; "system"; "drop_fraction"; "latency_s"; "mean_max_load" ];
+      rows =
+        List.map
+          (fun row ->
+            [
+              f "%.1f" row.spread;
+              row.system;
+              f "%.6f" row.drop_fraction;
+              f "%.6f" row.mean_latency;
+              f "%.6f" row.mean_load_of_max;
+            ])
+          r.rows;
+    };
+  ]

@@ -23,4 +23,5 @@ type result = { rows : row list }
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [hetero]: one row per (spread, system) cell. *)

@@ -1,7 +1,7 @@
 type entry = {
   id : string;
   title : string;
-  run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> unit;
+  tables : ?scale:float -> ?duration:float -> ?seed:int -> unit -> Terradir_util.Tablefmt.table list;
 }
 
 let all =
@@ -9,76 +9,78 @@ let all =
     {
       id = "table1";
       title = "Table 1: server-node relationships";
-      run = (fun ?scale ?duration:_ ?seed () -> Table1.print (Table1.run ?scale ?seed ()));
+      tables = (fun ?scale ?duration:_ ?seed () -> Table1.tables (Table1.run ?scale ?seed ()));
     };
     {
       id = "fig3";
       title = "Fig 3: dropped queries over time (N_S)";
-      run = (fun ?scale ?duration ?seed () -> Fig3.print (Fig3.run ?scale ?duration ?seed ()));
+      tables = (fun ?scale ?duration ?seed () -> Fig3.tables (Fig3.run ?scale ?duration ?seed ()));
     };
     {
       id = "fig4";
       title = "Fig 4: replicas created over time (N_C)";
-      run = (fun ?scale ?duration ?seed () -> Fig4.print (Fig4.run ?scale ?duration ?seed ()));
+      tables = (fun ?scale ?duration ?seed () -> Fig4.tables (Fig4.run ?scale ?duration ?seed ()));
     };
     {
       id = "fig5";
       title = "Fig 5: drop fraction, B vs BC vs BCR";
-      run = (fun ?scale ?duration ?seed () -> Fig5.print (Fig5.run ?scale ?duration ?seed ()));
+      tables = (fun ?scale ?duration ?seed () -> Fig5.tables (Fig5.run ?scale ?duration ?seed ()));
     };
     {
       id = "fig6";
       title = "Fig 6: utilization and load balance";
-      run = (fun ?scale ?duration ?seed () -> Fig6.print (Fig6.run ?scale ?duration ?seed ()));
+      tables = (fun ?scale ?duration ?seed () -> Fig6.tables (Fig6.run ?scale ?duration ?seed ()));
     };
     {
       id = "fig7";
       title = "Fig 7: replicas per namespace level";
-      run = (fun ?scale ?duration ?seed () -> Fig7.print (Fig7.run ?scale ?duration ?seed ()));
+      tables = (fun ?scale ?duration ?seed () -> Fig7.tables (Fig7.run ?scale ?duration ?seed ()));
     };
     {
       id = "fig8";
       title = "Fig 8: stabilization over long runs";
-      run = (fun ?scale ?duration ?seed () -> Fig8.print (Fig8.run ?scale ?duration ?seed ()));
+      tables = (fun ?scale ?duration ?seed () -> Fig8.tables (Fig8.run ?scale ?duration ?seed ()));
     };
     {
       id = "fig9";
       title = "Fig 9: scalability with system size";
-      run = (fun ?scale ?duration ?seed () -> Fig9.print (Fig9.run ?scale ?duration ?seed ()));
+      tables = (fun ?scale ?duration ?seed () -> Fig9.tables (Fig9.run ?scale ?duration ?seed ()));
     };
     {
       id = "rfact";
       title = "par. 4.4 ablation: replication factor, digests, oracle";
-      run = (fun ?scale ?duration ?seed () -> Rfact.print (Rfact.run ?scale ?duration ?seed ()));
+      tables = (fun ?scale ?duration ?seed () -> Rfact.tables (Rfact.run ?scale ?duration ?seed ()));
     };
     {
       id = "ablations";
       title = "design-choice ablations: cache policy/size, r_map, static replication";
-      run =
+      tables =
         (fun ?scale ?duration ?seed () ->
-          Ablations.print (Ablations.run ?scale ?duration ?seed ()));
+          Ablations.tables (Ablations.run ?scale ?duration ?seed ()));
     };
     {
       id = "hetero";
       title = "par. 5 claim: exploiting server heterogeneity";
-      run = (fun ?scale ?duration ?seed () -> Hetero.print (Hetero.run ?scale ?duration ?seed ()));
+      tables =
+        (fun ?scale ?duration ?seed () -> Hetero.tables (Hetero.run ?scale ?duration ?seed ()));
     };
     {
       id = "resilience";
       title = "resilience: chaos campaigns vs replication factor";
-      (* Campaign timelines are fixed-length — duration does not apply. *)
-      run =
-        (fun ?scale ?duration:_ ?seed () ->
-          Resilience.print (Resilience.run ?scale ?seed ()));
+      tables =
+        (fun ?scale ?duration:_ ?seed () -> Resilience.tables (Resilience.run ?scale ?seed ()));
     };
     {
       id = "capacity";
       title = "capacity: macro throughput at scale (analytic rate)";
-      (* Sized in queries, not seconds — duration does not apply. *)
-      run = (fun ?scale ?duration:_ ?seed () -> Capacity.print (Capacity.run ?scale ?seed ()));
+      tables = (fun ?scale ?duration:_ ?seed () -> Capacity.tables (Capacity.run ?scale ?seed ()));
     };
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
 
 let ids () = List.map (fun e -> e.id) all
+
+let print e ?scale ?duration ?seed () =
+  Printf.printf "===== %s — %s =====\n" e.id e.title;
+  List.iter Terradir_util.Tablefmt.print_table (e.tables ?scale ?duration ?seed ())

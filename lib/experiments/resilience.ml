@@ -33,8 +33,7 @@ let r_facts = [ 0.5; 1.0; 2.0 ]
    available while leaving headroom for the fault era to hurt. *)
 let rate_per_server = 4.0
 
-let run ?(scale = 1.0 /. 16.0) ?duration ?(seed = 42) () =
-  ignore (duration : float option) (* campaign timelines are fixed-length *);
+let run ?(scale = 1.0 /. 16.0) ?(seed = 42) () =
   if scale <= 0.0 || scale > 1.0 then invalid_arg "Resilience.run: scale must be in (0, 1]";
   let servers = max 8 (int_of_float (Float.round (float_of_int Common.paper_servers *. scale))) in
   let rate = rate_per_server *. float_of_int servers in
@@ -79,26 +78,30 @@ let run ?(scale = 1.0 /. 16.0) ?duration ?(seed = 42) () =
   in
   { rows }
 
-let ttr_cell = function None -> "-" | Some t -> Printf.sprintf "%.1f" t
-
-let print r =
-  print_endline "resilience under chaos campaigns: availability floor and reconvergence by r_fact";
-  Tablefmt.print
-    ~header:
-      [
-        "campaign"; "r_fact"; "base avail"; "min avail"; "drop frac"; "unresolved"; "recovered";
-        "mean ttr (s)";
-      ]
-    (List.map
-       (fun row ->
-         [
-           row.campaign;
-           Printf.sprintf "%.2f" row.r_fact;
-           Printf.sprintf "%.4f" row.baseline_availability;
-           Printf.sprintf "%.4f" row.min_availability;
-           Printf.sprintf "%.4f" row.drop_fraction;
-           string_of_int row.unresolved;
-           Printf.sprintf "%d/%d" row.recovered row.recoveries;
-           ttr_cell row.mean_ttr;
-         ])
-       r.rows)
+let tables r =
+  let f = Printf.sprintf in
+  [
+    {
+      Tablefmt.name = "resilience";
+      header =
+        [
+          "campaign"; "r_fact"; "baseline_availability"; "min_availability"; "drop_fraction";
+          "unresolved"; "recovered"; "recoveries"; "mean_ttr_s";
+        ];
+      rows =
+        List.map
+          (fun row ->
+            [
+              row.campaign;
+              f "%.2f" row.r_fact;
+              f "%.6f" row.baseline_availability;
+              f "%.6f" row.min_availability;
+              f "%.6f" row.drop_fraction;
+              string_of_int row.unresolved;
+              string_of_int row.recovered;
+              string_of_int row.recoveries;
+              (match row.mean_ttr with None -> "" | Some t -> f "%.6f" t);
+            ])
+          r.rows;
+    };
+  ]

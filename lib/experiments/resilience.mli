@@ -17,9 +17,9 @@ type row = {
 
 type result = { rows : row list }
 
-val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
-(** One cell per (campaign, r_fact), fanned over {!Runner.map}.
-    [duration] is accepted for registry uniformity and ignored — campaign
-    timelines are fixed-length. *)
+val run : ?scale:float -> ?seed:int -> unit -> result
+(** One cell per (campaign, r_fact), fanned over {!Runner.map}. *)
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [resilience]: one row per (campaign, r_fact) cell; no reconvergence
+    leaves [mean_ttr_s] empty. *)

@@ -68,21 +68,24 @@ let run ?scale ?(duration = 150.0) ?(seed = 42) () =
   in
   { rows }
 
-let print r =
-  print_endline
-    "rfact ablation (par. 4.4) — replica churn vs routing accuracy, uzipf1.50 shifts";
-  Tablefmt.print
-    ~header:
-      [ "r_fact"; "maps"; "drop fraction"; "created"; "evicted"; "accuracy"; "shortcut share" ]
-    (List.map
-       (fun row ->
-         [
-           Printf.sprintf "%.3f" row.r_fact;
-           mode_label row.mode;
-           Tablefmt.float_cell row.drop_fraction;
-           string_of_int row.replicas_created;
-           string_of_int row.replicas_evicted;
-           Tablefmt.float_cell row.accuracy;
-           Tablefmt.float_cell row.shortcut_share;
-         ])
-       r.rows)
+let tables r =
+  let f = Printf.sprintf in
+  [
+    {
+      Tablefmt.name = "rfact_ablation";
+      header = [ "r_fact"; "maps"; "drop_fraction"; "created"; "evicted"; "accuracy"; "shortcut_share" ];
+      rows =
+        List.map
+          (fun row ->
+            [
+              f "%.3f" row.r_fact;
+              mode_label row.mode;
+              f "%.6f" row.drop_fraction;
+              string_of_int row.replicas_created;
+              string_of_int row.replicas_evicted;
+              f "%.6f" row.accuracy;
+              f "%.6f" row.shortcut_share;
+            ])
+          r.rows;
+    };
+  ]

@@ -12,8 +12,6 @@
 
 type mode = Oracle | Digests | No_digests
 
-val mode_label : mode -> string
-
 type row = {
   r_fact : float;
   mode : mode;
@@ -28,4 +26,5 @@ type result = { rows : row list }
 
 val run : ?scale:float -> ?duration:float -> ?seed:int -> unit -> result
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [rfact_ablation]: one row per (r_fact, maps) cell. *)

@@ -143,3 +143,20 @@ let named_streams setup ~paper_rate ~duration =
          ( Printf.sprintf "uzipf%.2f" alpha,
            Common.uzipf_stream setup ~paper_rate ~alpha ~duration ))
        Common.zipf_orders
+
+let per_second_streams ?scale ~seed ns ~paper_rate ~duration series =
+  let setup = Common.make ?scale ~seed ns in
+  let streams = named_streams setup ~paper_rate ~duration in
+  let rate = setup.Common.rate paper_rate in
+  (* One pool cell per stream; each builds its own setup and cluster. *)
+  let fractions =
+    map
+      (fun (label, phases) ->
+        let cluster = run_phases (Common.make ?scale ~seed ns) phases in
+        let sums = Timeseries.sums (series (Cluster.metrics cluster)) in
+        ( label,
+          Array.init (int_of_float duration) (fun i ->
+              if i < Array.length sums then sums.(i) /. rate else 0.0) ))
+      streams
+  in
+  (rate, fractions)

@@ -97,3 +97,16 @@ val named_streams :
   (string * Terradir_workload.Stream.phase list) list
 (** The paper's five standard streams: [unif] plus [uzipf] at each order in
     {!Common.zipf_orders}, labelled "unif", "uzipf0.75", …. *)
+
+val per_second_streams :
+  ?scale:float ->
+  seed:int ->
+  Common.namespace ->
+  paper_rate:float ->
+  duration:float ->
+  (Terradir.Metrics.t -> Terradir_util.Timeseries.t) ->
+  float * (string * float array) list
+(** The {!named_streams} on a namespace, one pool cell each, reported as
+    the chosen metrics series per second over the scaled rate: one bin per
+    simulated second of [duration], empty bins [0].  Returns the scaled
+    rate with the per-stream fractions (Figs. 3 and 4). *)

@@ -56,12 +56,17 @@ let run ?scale ?(seed = 42) () =
   in
   { kinds_seen = kinds; verified }
 
-let print r =
-  print_endline "Table 1 — server-node relationships (derived from live state)";
-  let mark b = if b then "x" else "" in
-  Tablefmt.print
-    ~header:[ "Node state"; "Name"; "Map"; "Data"; "Meta"; "Context" ]
-    (List.map (fun (kind, cols) -> kind :: List.map mark cols) canonical);
-  Printf.printf "state kinds observed in a live cluster: [%s]\n"
-    (String.concat "; " r.kinds_seen);
-  Printf.printf "verified against implementation: %b\n" r.verified
+let tables r =
+  [
+    {
+      Tablefmt.name = "table1_state";
+      header = [ "node_state"; "name"; "map"; "data"; "meta"; "context" ];
+      rows =
+        List.map (fun (kind, cols) -> kind :: List.map (fun b -> if b then "x" else "") cols) canonical;
+    };
+    {
+      Tablefmt.name = "table1_verified";
+      header = [ "kinds_observed"; "verified" ];
+      rows = [ [ String.concat ";" r.kinds_seen; string_of_bool r.verified ] ];
+    };
+  ]

@@ -10,4 +10,6 @@ type result = { kinds_seen : string list; verified : bool }
 
 val run : ?scale:float -> ?seed:int -> unit -> result
 
-val print : result -> unit
+val tables : result -> Terradir_util.Tablefmt.table list
+(** [table1_state] (the canonical state matrix) and [table1_verified]
+    (the kinds seen in the live cluster, and [verified]). *)

@@ -1,3 +1,16 @@
+type table = { name : string; header : string list; rows : string list list }
+
+let of_series ~name ~index_label columns =
+  let n = List.fold_left (fun acc (_, a) -> max acc (Array.length a)) 0 columns in
+  let rows =
+    List.init n (fun i ->
+        string_of_int i
+        :: List.map
+             (fun (_, a) -> if i < Array.length a then Printf.sprintf "%.6f" a.(i) else "")
+             columns)
+  in
+  { name; header = index_label :: List.map fst columns; rows }
+
 let pad ~left width s =
   let n = String.length s in
   if n >= width then s
@@ -25,21 +38,9 @@ let render ~header rows =
 
 let print ~header rows = print_string (render ~header rows)
 
-let float_cell ?(decimals = 4) x =
-  if Float.is_nan x then "-" else Printf.sprintf "%.*f" decimals x
-
-let series ~title ~time_label ~columns =
-  let n = List.fold_left (fun acc (_, a) -> max acc (Array.length a)) 0 columns in
-  let header = time_label :: List.map fst columns in
-  let row i =
-    string_of_int i
-    :: List.map
-         (fun (_, a) -> if i < Array.length a then float_cell a.(i) else "-")
-         columns
-  in
-  let rows = List.init n row in
-  Printf.printf "== %s ==\n" title;
-  print ~header rows
+let print_table t =
+  Printf.printf "== %s ==\n" t.name;
+  print ~header:t.header t.rows
 
 let csv ~header rows =
   let check cell =

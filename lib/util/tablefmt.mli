@@ -1,7 +1,19 @@
-(** Plain-text table and series rendering for experiment reports.
+(** Plain-text and CSV rendering of experiment results.
 
-    Every experiment harness prints the rows/series the paper reports through
-    this module, so all output is uniform and greppable. *)
+    Every experiment reports its results as a list of named {!table}s;
+    the terminal ({!print_table}) and the CSV export ({!csv}) render the
+    same cells, so the two forms cannot drift apart. *)
+
+type table = {
+  name : string;  (** CSV file stem, e.g. ["fig3_drop_fraction"] *)
+  header : string list;
+  rows : string list list;
+}
+
+val of_series : name:string -> index_label:string -> (string * float array) list -> table
+(** Named series as columns, one row per index: the index, then each
+    column's value as [%.6f].  Columns may have different lengths; missing
+    points are empty cells. *)
 
 val render : header:string list -> string list list -> string
 (** [render ~header rows] lays out a boxed ASCII table.  Columns are sized to
@@ -11,14 +23,8 @@ val render : header:string list -> string list list -> string
 val print : header:string list -> string list list -> unit
 (** [render] to stdout. *)
 
-val float_cell : ?decimals:int -> float -> string
-(** Fixed-point formatting, default 4 decimals; NaN prints as ["-"]. *)
-
-val series :
-  title:string -> time_label:string -> columns:(string * float array) list -> unit
-(** Print aligned per-bin series (one row per bin index) — the harness's
-    rendition of the paper's line plots.  Columns may have different lengths;
-    missing points print as ["-"]. *)
+val print_table : table -> unit
+(** A [== name ==] line, then the table {!render}ed to stdout. *)
 
 val csv : header:string list -> string list list -> string
 (** The same data as comma-separated values (no quoting: cells must not

@@ -46,21 +46,6 @@ let test_bigger_filter_fewer_fps () =
   Alcotest.(check bool) "measured fp ordering" true
     (false_positives large < false_positives small)
 
-let test_reset () =
-  let b = Bloom.create ~expected:10 () in
-  Bloom.add b 1;
-  Bloom.reset b;
-  Alcotest.(check bool) "reset clears" false (Bloom.mem b 1)
-
-let test_copy_independent () =
-  let a = Bloom.create ~expected:10 () in
-  Bloom.add a 1;
-  let b = Bloom.copy a in
-  Alcotest.(check bool) "copies equal" true (Bloom.equal a b);
-  Bloom.add b 2;
-  Alcotest.(check bool) "copy diverges" false (Bloom.equal a b);
-  Alcotest.(check bool) "original unaffected" false (Bloom.mem a 2)
-
 let test_mem_hashed_agrees () =
   let b = Bloom.create ~expected:50 () in
   List.iter (Bloom.add b) (List.init 50 (fun i -> i * 3));
@@ -153,8 +138,6 @@ let () =
           Alcotest.test_case "empty rejects" `Quick test_empty_filter_rejects;
           Alcotest.test_case "false positive rate" `Quick test_false_positive_rate;
           Alcotest.test_case "sizing reduces fps" `Quick test_bigger_filter_fewer_fps;
-          Alcotest.test_case "reset" `Quick test_reset;
-          Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "mem_hashed" `Quick test_mem_hashed_agrees;
           Alcotest.test_case "membership = reference hashing" `Quick test_membership_pinned;
           Alcotest.test_case "of_list" `Quick test_of_list;

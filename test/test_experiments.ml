@@ -250,23 +250,57 @@ let test_csv_export () =
       | Some h -> Alcotest.(check bool) "has csv header" true (String.contains h ',')
       | None -> Alcotest.fail "empty csv")
     files;
-  Alcotest.(check bool) "every figure is exportable" true
-    (List.for_all
-       (fun id -> List.mem id E.Csv_export.exportable)
-       [ "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "rfact"; "ablations"; "hetero" ]);
   Alcotest.check_raises "unknown id"
-    (Invalid_argument "Csv_export.export: unknown or non-exportable experiment nope") (fun () ->
+    (Invalid_argument "Csv_export.export: unknown experiment nope") (fun () ->
       ignore (E.Csv_export.export ~id:"nope" ~dir ()))
+
+(* Every registry id exports, table1 included, and no two tables share a
+   CSV name.  75 s clears the longest uzipf warmup (70 s); fig8 needs more
+   than its 100 s uniform prefix. *)
+let test_registry_exports () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "terradir_csv_registry_test" in
+  let names =
+    List.concat_map
+      (fun id ->
+        let duration = if id = "fig8" then 110.0 else 75.0 in
+        let files = E.Csv_export.export ~id ~scale ~duration ~seed:42 ~dir () in
+        Alcotest.(check bool) (id ^ " exports") true (files <> []);
+        List.map Filename.basename files)
+      (E.Registry.ids ())
+  in
+  Alcotest.(check int) "distinct CSV names" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
+
+(* The terminal and the CSV export render the same tables: the files equal
+   the CSV encoding of what the entry's [tables] returns. *)
+let test_export_matches_tables () =
+  let module T = Terradir_util.Tablefmt in
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "terradir_csv_tables_test" in
+  List.iter
+    (fun id ->
+      let e = Option.get (E.Registry.find id) in
+      let tables = e.E.Registry.tables ~scale ~seed:42 () in
+      let files = E.Csv_export.export ~id ~scale ~seed:42 ~dir () in
+      Alcotest.(check (list string)) (id ^ " file per table")
+        (List.map (fun (t : T.table) -> t.name ^ ".csv") tables)
+        (List.map Filename.basename files);
+      List.iter2
+        (fun (t : T.table) path ->
+          Alcotest.(check string) (t.name ^ " bytes") (T.csv ~header:t.header t.rows)
+            (In_channel.with_open_bin path In_channel.input_all))
+        tables files)
+    [ "table1"; "fig7"; "capacity" ]
 
 let test_csv_export_duration () =
   (* [duration] reaches the figure: one data row per simulated second.
      75 s clears fig3's longest uniform warmup (70 s). *)
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "terradir_csv_duration_test" in
-  match E.Csv_export.export ~id:"fig3" ~scale ~duration:75.0 ~seed:42 ~dir () with
-  | [ path ] ->
+  let files = E.Csv_export.export ~id:"fig3" ~scale ~duration:75.0 ~seed:42 ~dir () in
+  match List.find_opt (fun p -> Filename.basename p = "fig3_drop_fraction.csv") files with
+  | Some path ->
     let lines = In_channel.with_open_text path In_channel.input_lines in
     Alcotest.(check int) "75 data rows" 75 (List.length lines - 1)
-  | files -> Alcotest.failf "fig3 wrote %d files" (List.length files)
+  | None -> Alcotest.fail "fig3 wrote no fig3_drop_fraction.csv"
 
 (* The tentpole guarantee: fanning cells over domains changes wall-clock
    only.  Run the same figure sequentially and at jobs=4 and require
@@ -333,6 +367,8 @@ let () =
           Alcotest.test_case "hetero" `Slow test_hetero;
           Alcotest.test_case "csv export" `Slow test_csv_export;
           Alcotest.test_case "csv export honours duration" `Slow test_csv_export_duration;
+          Alcotest.test_case "every registry id exports" `Slow test_registry_exports;
+          Alcotest.test_case "csv export equals the printed tables" `Slow test_export_matches_tables;
         ] );
       ( "parallelism",
         [

@@ -46,9 +46,9 @@ let check_golden name content =
     end
 
 let fig3_golden () =
-  let r = Fig3.run ~scale ~duration:90.0 ~seed () in
-  check_golden "fig3_drop_fraction.csv"
-    (Csv_export.series_csv ~index_label:"second" r.Fig3.series)
+  let paths = Csv_export.export ~id:"fig3" ~scale ~duration:90.0 ~seed ~dir:"_golden_out" () in
+  let name = "fig3_drop_fraction.csv" in
+  check_golden name (read_file (List.find (fun p -> Filename.basename p = name) paths))
 
 let fig7_golden () =
   let dir = "_golden_out" in

@@ -197,7 +197,10 @@ let test_metrics_csv_exact_once () =
 
 let fig3_csv () =
   let r = E.Fig3.run ~scale:0.002 ~duration:90.0 ~seed:42 () in
-  E.Csv_export.series_csv ~index_label:"second" r.E.Fig3.series
+  String.concat ""
+    (List.map
+       (fun (t : Terradir_util.Tablefmt.table) -> Terradir_util.Tablefmt.csv ~header:t.header t.rows)
+       (E.Fig3.tables r))
 
 let test_fig3_off_vs_full () =
   E.Runner.set_jobs (Some 1);

@@ -329,11 +329,6 @@ let test_tablefmt_ragged_rows () =
   let out = Tablefmt.render ~header:[ "a"; "b"; "c" ] [ [ "1" ]; [ "1"; "2"; "3"; "4" ] ] in
   Alcotest.(check bool) "renders" true (String.length out > 0)
 
-let test_tablefmt_float_cell () =
-  Alcotest.(check string) "fixed point" "1.2346" (Tablefmt.float_cell 1.23456);
-  Alcotest.(check string) "decimals" "1.2" (Tablefmt.float_cell ~decimals:1 1.23456);
-  Alcotest.(check string) "nan" "-" (Tablefmt.float_cell Float.nan)
-
 let test_tablefmt_csv () =
   let out = Tablefmt.csv ~header:[ "x"; "y" ] [ [ "1"; "2" ] ] in
   Alcotest.(check string) "csv" "x,y\n1,2\n" out;
@@ -397,7 +392,6 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_tablefmt_render;
           Alcotest.test_case "ragged rows" `Quick test_tablefmt_ragged_rows;
-          Alcotest.test_case "float cell" `Quick test_tablefmt_float_cell;
           Alcotest.test_case "csv" `Quick test_tablefmt_csv;
         ] );
     ]

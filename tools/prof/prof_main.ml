@@ -373,7 +373,7 @@ let () =
     | "experiment" -> (
       match Registry.find id with
       | Some e ->
-        ( (fun () -> e.Registry.run ~scale:!scale ~duration:!duration ~seed:!seed ()),
+        ( (fun () -> Registry.print e ~scale:!scale ~duration:!duration ~seed:!seed ()),
           Printf.sprintf "experiment %s, scale %g, %g s, seed %d" id !scale !duration !seed )
       | None ->
         Printf.eprintf "unknown experiment %S; one of: %s\n" id (String.concat " " (Registry.ids ()));
