@@ -25,148 +25,108 @@ type t = {
 let resilient_config c =
   { c with Config.rpc_timeout = 0.5; max_retries = 3; retry_backoff = 2.0 }
 
-let zipf alpha = Stream.Zipf { alpha; reshuffle = false }
+(* The fields every canned campaign shares: a uniform base stream of
+   [duration] seconds, 2 s report windows and drain, the default SLO and
+   the retransmission machinery armed. *)
+let campaign ~name ~title ~duration ~workload_seed timeline =
+  {
+    name;
+    title;
+    spec =
+      (fun ~servers ~rate ~seed ->
+        {
+          workload = Stream.unif ~rate ~duration;
+          workload_seed;
+          timeline = Timeline.make (timeline ~servers ~rate ~seed);
+          window = 2.0;
+          slo = Report.default_slo;
+          drain = 2.0;
+          config_tweak = resilient_config;
+        });
+  }
+
+(* An eighth of the servers (a "rack", at least one) cut off from the
+   rest, symmetrically. *)
+let cut_rack ~servers =
+  let rack_size = max 1 (servers / 8) in
+  Action.Partition
+    {
+      tag = "rack";
+      a = List.init rack_size Fun.id;
+      b = List.init (servers - rack_size) (fun i -> i + rack_size);
+      directed = false;
+    }
 
 (* Planned maintenance: a rolling restart of a server subset — graceful
    leave (owned nodes handed off), a repair pause, revive.  Queries must
    ride the handoffs; availability should barely move. *)
 let rolling_restart =
-  {
-    name = "rolling-restart";
-    title = "rolling restart: staggered graceful leaves and revives";
-    spec =
-      (fun ~servers ~rate ~seed ->
-        ignore seed;
-        let nrest = max 2 (servers / 32) in
-        let victim k = (k + 1) * servers / (nrest + 1) in
-        let timeline =
-          List.concat
-            (List.init nrest (fun k ->
-                 let t0 = 16.0 +. (3.0 *. float_of_int k) in
-                 [
-                   (t0, Action.Graceful_leave [ victim k ]);
-                   (t0 +. 6.0, Action.Revive [ victim k ]);
-                 ]))
-        in
-        {
-          workload = Stream.unif ~rate ~duration:60.0;
-          workload_seed = 1000;
-          timeline = Timeline.make timeline;
-          window = 2.0;
-          slo = Report.default_slo;
-          drain = 2.0;
-          config_tweak = resilient_config;
-        });
-  }
+  campaign ~name:"rolling-restart" ~title:"rolling restart: staggered graceful leaves and revives"
+    ~duration:60.0 ~workload_seed:1000 (fun ~servers ~rate:_ ~seed:_ ->
+      let nrest = max 2 (servers / 32) in
+      let victim k = (k + 1) * servers / (nrest + 1) in
+      List.concat
+        (List.init nrest (fun k ->
+             let t0 = 16.0 +. (3.0 *. float_of_int k) in
+             [
+               (t0, Action.Graceful_leave [ victim k ]); (t0 +. 6.0, Action.Revive [ victim k ]);
+             ])))
 
-(* Correlated failure: an eighth of the servers (a "rack") cut off from
-   the rest, then healed.  Availability dips while queries that must
-   cross the cut time out; reconvergence starts at the heal. *)
+(* Correlated failure: a rack cut off from the rest, then healed.
+   Availability dips while queries that must cross the cut time out;
+   reconvergence starts at the heal. *)
 let rack_partition =
-  {
-    name = "rack-partition";
-    title = "correlated rack partition and heal";
-    spec =
-      (fun ~servers ~rate ~seed ->
-        ignore seed;
-        let rack_size = max 1 (servers / 8) in
-        let rack = List.init rack_size Fun.id in
-        let rest = List.init (servers - rack_size) (fun i -> i + rack_size) in
-        {
-          workload = Stream.unif ~rate ~duration:60.0;
-          workload_seed = 2000;
-          timeline =
-            Timeline.make
-              [
-                (20.0, Action.Partition { tag = "rack"; a = rack; b = rest; directed = false });
-                (38.0, Action.Heal "rack");
-              ];
-          window = 2.0;
-          slo = Report.default_slo;
-          drain = 2.0;
-          config_tweak = resilient_config;
-        });
-  }
+  campaign ~name:"rack-partition" ~title:"correlated rack partition and heal" ~duration:60.0
+    ~workload_seed:2000 (fun ~servers ~rate:_ ~seed:_ ->
+      [ (20.0, cut_rack ~servers); (38.0, Action.Heal "rack") ])
 
 (* The compound stress of §4: a partition is live when a flash crowd
    lands on a hot subtree — replication must shed the surge while the
    cut steals capacity.  The acceptance scenario. *)
 let partition_flash_crowd =
-  {
-    name = "partition-flash-crowd";
-    title = "flash crowd during an active partition";
-    spec =
-      (fun ~servers ~rate ~seed ->
-        ignore seed;
-        let rack_size = max 1 (servers / 8) in
-        let rack = List.init rack_size Fun.id in
-        let rest = List.init (servers - rack_size) (fun i -> i + rack_size) in
-        {
-          workload = Stream.unif ~rate ~duration:62.0;
-          workload_seed = 3000;
-          timeline =
-            Timeline.make
-              [
-                (18.0, Action.Partition { tag = "rack"; a = rack; b = rest; directed = false });
-                ( 22.0,
-                  Action.Flash_crowd
-                    {
-                      phases = [ { Stream.duration = 12.0; rate; dist = zipf 1.25 } ];
-                      seed = 3001;
-                    } );
-                (40.0, Action.Heal "rack");
-              ];
-          window = 2.0;
-          slo = Report.default_slo;
-          drain = 2.0;
-          config_tweak = resilient_config;
-        });
-  }
+  campaign ~name:"partition-flash-crowd" ~title:"flash crowd during an active partition"
+    ~duration:62.0 ~workload_seed:3000 (fun ~servers ~rate ~seed:_ ->
+      [
+        (18.0, cut_rack ~servers);
+        ( 22.0,
+          Action.Flash_crowd
+            {
+              phases =
+                [
+                  {
+                    Stream.duration = 12.0;
+                    rate;
+                    dist = Stream.Zipf { alpha = 1.25; reshuffle = false };
+                  };
+                ];
+              seed = 3001;
+            } );
+        (40.0, Action.Heal "rack");
+      ])
 
 (* Escalating churn: background loss, then two deterministic
    kill-fraction waves, then mass revival and a clean network — the
    survival-under-churn sweep from the replication literature. *)
 let churn_ramp =
-  {
-    name = "churn-ramp";
-    title = "churn ramp: loss + kill-fraction waves, then mass revival";
-    spec =
-      (fun ~servers ~rate ~seed ->
-        ignore servers;
-        {
-          workload = Stream.unif ~rate ~duration:64.0;
-          workload_seed = 4000;
-          timeline =
-            Timeline.make
-              [
-                (10.0, Action.Set_loss 0.02);
-                (18.0, Action.Kill_fraction { fraction = 0.08; salt = seed });
-                (26.0, Action.Kill_fraction { fraction = 0.08; salt = seed + 1 });
-                (42.0, Action.Revive_killed);
-                (46.0, Action.Set_loss 0.0);
-              ];
-          window = 2.0;
-          slo = Report.default_slo;
-          drain = 2.0;
-          config_tweak = resilient_config;
-        });
-  }
+  campaign ~name:"churn-ramp" ~title:"churn ramp: loss + kill-fraction waves, then mass revival"
+    ~duration:64.0 ~workload_seed:4000 (fun ~servers:_ ~rate:_ ~seed ->
+      [
+        (10.0, Action.Set_loss 0.02);
+        (18.0, Action.Kill_fraction { fraction = 0.08; salt = seed });
+        (26.0, Action.Kill_fraction { fraction = 0.08; salt = seed + 1 });
+        (42.0, Action.Revive_killed);
+        (46.0, Action.Set_loss 0.0);
+      ])
 
 let all = [ rolling_restart; rack_partition; partition_flash_crowd; churn_ramp ]
 
 let find name = List.find_opt (fun c -> String.equal c.name name) all
 
-let log2i n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
-  go 0 n
-
 let run_campaign ?(on_cluster = ignore) ?obs ?(config = Config.default) campaign ~servers ~rate ~seed =
   if servers < 2 then invalid_arg "Campaigns.run_campaign: need at least 2 servers";
   if rate <= 0.0 then invalid_arg "Campaigns.run_campaign: rate must be positive";
   let spec = campaign.spec ~servers ~rate ~seed in
-  (* Same shape the experiment suite uses: ~8 nodes per server. *)
-  let levels = max 3 (log2i (8 * servers)) in
-  let tree = Build.balanced ~arity:2 ~levels in
+  let tree = Build.balanced_for ~servers in
   let config = spec.config_tweak { config with Config.num_servers = servers; seed } in
   let cluster = Cluster.create ?obs ~config ~tree () in
   let report =

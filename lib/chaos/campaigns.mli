@@ -41,8 +41,8 @@ val run_campaign :
   rate:float ->
   seed:int ->
   Report.t
-(** Build a balanced namespace (~8 nodes per server, the experiment
-    suite's shape), a cluster from [config] (default [Config.default])
+(** Build the namespace {!Terradir_namespace.Build.balanced_for} (the
+    experiment suite's N_S shape), a cluster from [config] (default [Config.default])
     with [servers]/[seed] applied and the campaign's tweak on top, and
     run the campaign's spec at the given query [rate].  [on_cluster] sees
     the cluster once the run is over (default: nothing).

@@ -84,6 +84,31 @@ type snapshot = {
 
 let snap cluster = { s_metrics = Cluster.metrics cluster; s_alive = Cluster.alive_servers cluster }
 
+(* What happened between two snapshots, as a report window: the counts,
+   availability (1.0 when nothing was issued) and the p99 of the
+   resolutions in between (0 when none).  The baseline and the totals are
+   the same arithmetic over longer spans. *)
+let between ~w_start ~w_end a b =
+  let a = a.s_metrics and m = b.s_metrics in
+  let issued = m.Metrics.injected - a.Metrics.injected in
+  let resolved = m.Metrics.resolved - a.Metrics.resolved in
+  {
+    Report.w_start;
+    w_end;
+    issued;
+    resolved;
+    dropped = Metrics.dropped_total m - Metrics.dropped_total a;
+    availability =
+      (if issued <= 0 then 1.0 else Float.min 1.0 (float_of_int resolved /. float_of_int issued));
+    p99_latency =
+      (if resolved <= 0 then 0.0
+       else Hist.percentile (Hist.diff m.Metrics.latency_hist ~since:a.Metrics.latency_hist) 0.99);
+    replicas_created = m.Metrics.replicas_created - a.Metrics.replicas_created;
+    net_lost = m.Metrics.net_lost - a.Metrics.net_lost;
+    net_blocked = m.Metrics.net_blocked - a.Metrics.net_blocked;
+    alive = b.s_alive;
+  }
+
 let apply cluster ~killed ~partitions ~base_driver action =
   let net = cluster.Cluster.net in
   let config = cluster.Cluster.config in
@@ -224,37 +249,11 @@ let run ?(drain = 2.0) ?(window = 1.0) ?(slo = Report.default_slo) ?(scenario = 
     | Some s -> s
     | None -> invalid_arg (Printf.sprintf "Chaos.run: window %d snapshot never ran" k)
   in
-  let m0 = (snap_at 0).s_metrics in
-  let diff_win k =
-    let a = (snap_at k).s_metrics and bs = snap_at (k + 1) in
-    let b = bs.s_metrics in
-    let issued = b.Metrics.injected - a.Metrics.injected in
-    let resolved = b.Metrics.resolved - a.Metrics.resolved in
-    let dropped = Metrics.dropped_total b - Metrics.dropped_total a in
-    let availability =
-      if issued <= 0 then 1.0
-      else Float.min 1.0 (float_of_int resolved /. float_of_int issued)
-    in
-    let p99 =
-      if resolved <= 0 then 0.0
-      else
-        Hist.percentile (Hist.diff b.Metrics.latency_hist ~since:a.Metrics.latency_hist) 0.99
-    in
-    {
-      Report.w_start = start_t +. (float_of_int k *. window);
-      w_end = start_t +. (float_of_int (k + 1) *. window);
-      issued;
-      resolved;
-      dropped;
-      availability;
-      p99_latency = p99;
-      replicas_created = b.Metrics.replicas_created - a.Metrics.replicas_created;
-      net_lost = b.Metrics.net_lost - a.Metrics.net_lost;
-      net_blocked = b.Metrics.net_blocked - a.Metrics.net_blocked;
-      alive = bs.s_alive;
-    }
+  let at k = start_t +. (float_of_int k *. window) in
+  let windows =
+    List.init nwin (fun k ->
+        between ~w_start:(at k) ~w_end:(at (k + 1)) (snap_at k) (snap_at (k + 1)))
   in
-  let windows = List.init nwin diff_win in
   let baseline =
     match Timeline.first_time timeline with
     | None -> None
@@ -262,19 +261,9 @@ let run ?(drain = 2.0) ?(window = 1.0) ?(slo = Report.default_slo) ?(scenario = 
       let b_windows = min nwin (int_of_float (Float.floor (first /. window))) in
       if b_windows <= 0 then None
       else begin
-        let mb = (snap_at b_windows).s_metrics in
-        let issued = mb.Metrics.injected - m0.Metrics.injected in
-        let resolved = mb.Metrics.resolved - m0.Metrics.resolved in
-        let availability =
-          if issued <= 0 then 1.0
-          else Float.min 1.0 (float_of_int resolved /. float_of_int issued)
-        in
-        let p99 =
-          if resolved <= 0 then 0.0
-          else
-            Hist.percentile (Hist.diff mb.Metrics.latency_hist ~since:m0.Metrics.latency_hist) 0.99
-        in
-        Some { Report.b_windows; b_availability = availability; b_p99 = p99 }
+        let w = between ~w_start:start_t ~w_end:(at b_windows) (snap_at 0) (snap_at b_windows) in
+        Some
+          { Report.b_windows; b_availability = w.Report.availability; b_p99 = w.Report.p99_latency }
       end
   in
   let events = List.rev !fired in
@@ -302,10 +291,9 @@ let run ?(drain = 2.0) ?(window = 1.0) ?(slo = Report.default_slo) ?(scenario = 
           Some { Report.r_time = e.Report.e_time; r_kind = e.Report.e_kind; r_reconverged = reconverged })
       events
   in
-  let mf = (snap_at nwin).s_metrics in
-  let injected = mf.Metrics.injected - m0.Metrics.injected in
-  let resolved_total = mf.Metrics.resolved - m0.Metrics.resolved in
-  let dropped_total = Metrics.dropped_total mf - Metrics.dropped_total m0 in
+  let { Report.issued; resolved; dropped; replicas_created; net_lost; net_blocked; _ } =
+    between ~w_start:start_t ~w_end:end_t (snap_at 0) (snap_at nwin)
+  in
   {
     Report.scenario;
     seed;
@@ -321,12 +309,12 @@ let run ?(drain = 2.0) ?(window = 1.0) ?(slo = Report.default_slo) ?(scenario = 
     recoveries;
     totals =
       {
-        Report.injected;
-        resolved_total;
-        dropped_total;
-        unresolved = injected - resolved_total - dropped_total;
-        replicas_total = mf.Metrics.replicas_created - m0.Metrics.replicas_created;
-        net_lost_total = mf.Metrics.net_lost - m0.Metrics.net_lost;
-        net_blocked_total = mf.Metrics.net_blocked - m0.Metrics.net_blocked;
+        Report.injected = issued;
+        resolved_total = resolved;
+        dropped_total = dropped;
+        unresolved = issued - resolved - dropped;
+        replicas_total = replicas_created;
+        net_lost_total = net_lost;
+        net_blocked_total = net_blocked;
       };
   }

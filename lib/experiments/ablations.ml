@@ -13,7 +13,6 @@
 
 open Terradir
 open Terradir_util
-open Terradir_workload
 
 type row = { dimension : string; variant : string; metrics : (string * float) list }
 
@@ -38,22 +37,20 @@ let measure cluster =
     ("replicas", float_of_int m.Metrics.replicas_created);
   ]
 
-let run_one ?scale ?(features = Config.bcr) ?(stream = `Zipf) ~seed ~duration ~dimension
-    ~variant tweak prep =
-  Runner.record_alloc @@ fun () ->
-  let setup = Common.make ?scale ~features ~seed ~config_tweak:tweak Common.NS in
-  let cluster = Common.cluster setup in
-  prep cluster;
+(* One ablation cell: its own setup (the tweaks below reach the
+   calibration probe), then [Runner.run_phases] with [prep] applied to the
+   fresh cluster. *)
+let run_one ?scale ?(features = Config.bcr) ?(stream = `Zipf) ?prep ~seed ~duration ~dimension
+    ~variant tweak =
+  let config_tweak c = tweak { c with Config.features } in
+  let setup = Common.make ?scale ~seed ~config_tweak Common.NS in
   let phases =
     match stream with
     | `Zipf -> zipf_phases setup ~duration
     | `Unif -> unif_phases setup ~duration
   in
-  Scenario.run cluster ~phases ~seed:(seed + 7);
-  Runner.record_events cluster;
+  let cluster = Runner.run_phases ~workload_seed:(seed + 7) ?prep setup phases in
   { dimension; variant; metrics = measure cluster }
-
-let no_prep (_ : Cluster.t) = ()
 
 (* Digest shortcuts discover routes independently of the cache, masking
    cache-policy and cache-size differences; those two dimensions therefore
@@ -69,13 +66,11 @@ let run ?scale ?(duration = 120.0) ?(seed = 42) () =
       (fun () ->
         one ~features:no_digests ~stream:`Unif ~dimension:"cache-policy"
           ~variant:"path-propagation"
-          (fun c -> { c with Config.cache_policy = Config.Path_propagation })
-          no_prep);
+          (fun c -> { c with Config.cache_policy = Config.Path_propagation }));
       (fun () ->
         one ~features:no_digests ~stream:`Unif ~dimension:"cache-policy"
           ~variant:"endpoints-only"
-          (fun c -> { c with Config.cache_policy = Config.Endpoints_only })
-          no_prep);
+          (fun c -> { c with Config.cache_policy = Config.Endpoints_only }));
     ]
   in
   let cache_size =
@@ -83,43 +78,31 @@ let run ?scale ?(duration = 120.0) ?(seed = 42) () =
       (fun slots () ->
         one ~features:no_digests ~stream:`Unif ~dimension:"cache-size"
           ~variant:(string_of_int slots)
-          (fun c -> { c with Config.cache_slots = slots })
-          no_prep)
+          (fun c -> { c with Config.cache_slots = slots }))
       [ 0; 6; 12; 24; 48 ]
   in
   let map_size =
     List.map
       (fun r_map () ->
         one ~dimension:"r-map" ~variant:(string_of_int r_map)
-          (fun c -> { c with Config.r_map = r_map })
-          no_prep)
+          (fun c -> { c with Config.r_map = r_map }))
       [ 1; 2; 4; 8 ]
   in
-  let static_levels = 4 and static_copies = 3 in
+  let static_prep cluster = ignore (Static_replication.apply cluster ~levels:4 ~copies:3 : int) in
   let static =
     [
-      (fun () -> one ~dimension:"replication" ~variant:"adaptive" Fun.id no_prep);
+      (fun () -> one ~dimension:"replication" ~variant:"adaptive" Fun.id);
       (fun () ->
-        one ~dimension:"replication" ~variant:"static-top-levels"
-          (fun c ->
+        one ~prep:static_prep ~dimension:"replication" ~variant:"static-top-levels" (fun c ->
             {
               c with
               Config.features = Config.bc (* no adaptive replication *);
               replica_idle_timeout = 1.0e6 (* static copies must persist *);
-            })
-          (fun cluster ->
-            ignore
-              (Static_replication.apply cluster ~levels:static_levels ~copies:static_copies)));
+            }));
+      (fun () -> one ~prep:static_prep ~dimension:"replication" ~variant:"static+adaptive" Fun.id);
       (fun () ->
-        one ~dimension:"replication" ~variant:"static+adaptive"
-          (fun c -> c)
-          (fun cluster ->
-            ignore
-              (Static_replication.apply cluster ~levels:static_levels ~copies:static_copies)));
-      (fun () ->
-        one ~dimension:"replication" ~variant:"none"
-          (fun c -> { c with Config.features = Config.bc })
-          no_prep);
+        one ~dimension:"replication" ~variant:"none" (fun c ->
+            { c with Config.features = Config.bc }));
     ]
   in
   let cells = cache_policy @ cache_size @ map_size @ static in

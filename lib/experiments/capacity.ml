@@ -5,23 +5,14 @@ open Terradir_workload
 (* Capacity macro-benchmark: how large a deployment the simulator sustains.
 
    Unlike the figure experiments, the scenario is sized in queries rather
-   than simulated seconds, and the injection rate is ANALYTIC — no
-   calibration probe.  A probe at 100k servers would cost as much as the
-   measurement itself; instead the rate is derived from the quantities the
-   probe would estimate: each resolved query occupies roughly
-   [est_hops × service_mean] seconds of aggregate server time, so
-
-     rate = ρ · S / (service_mean · est_hops)
-
-   targets per-server utilization ρ directly.  [est_hops] is the
-   ascend-plus-descend routing bound [2·mean_depth + 1] — a deliberate
-   overestimate once caches warm, which keeps the realized MEAN
-   utilization under the target.  The hierarchy is still a hierarchy: at
-   full scale the handful of servers owning the top of the tree saturate
-   transiently until path caches and soft-state replicas absorb them, so
-   a visible drop fraction at 100k servers is expected protocol behavior,
-   not a mis-sized rate — the benchmark measures engine throughput
-   (events/sec), which drops do not distort. *)
+   than simulated seconds, and the injection rate is ANALYTIC
+   ({!Common.analytic_rate}) — no calibration probe.  A probe at 100k
+   servers would cost as much as the measurement itself.  The hierarchy
+   is still a hierarchy: at full scale the handful of servers owning the
+   top of the tree saturate transiently until path caches and soft-state
+   replicas absorb them, so a visible drop fraction at 100k servers is
+   expected protocol behavior, not a mis-sized rate — the benchmark
+   measures engine throughput (events/sec), which drops do not distort. *)
 
 type phase_gc = {
   pg_phase : string;
@@ -59,23 +50,6 @@ let reference_queries = 2_100_000
 
 let target_utilization = 0.5
 
-let log2i n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
-  go 0 n
-
-(* Fig. 9's size-dependent knobs: cache and map sizes grow
-   logarithmically. *)
-let config_for ~servers ~seed =
-  let log2s = log2i servers in
-  {
-    Config.default with
-    Config.num_servers = servers;
-    placement = Config.Round_robin;
-    cache_slots = max 4 ((2 * log2s) - 2);
-    r_map = max 2 (log2s - 2);
-    seed;
-  }
-
 (* Warmup/steady split point, as a fraction of the stream duration.  The
    first quarter covers the transient the module comment describes — cold
    caches, unreplicated tree top — after which allocation is the hot
@@ -97,19 +71,17 @@ let run ?servers ?queries ?domains ?(scale = 1.0 /. 16.0) ?(seed = 42) () =
     | None -> max 1000 (int_of_float (Float.round (float_of_int reference_queries *. scale)))
   in
   let config =
-    let c = Runner.with_engine_config (config_for ~servers ~seed) in
+    let c =
+      Runner.with_engine_config
+        (Common.fig9_sizing { Config.default with Config.num_servers = servers; seed })
+    in
     match domains with
     | None -> c
     | Some d when d >= 1 -> { c with Config.engine_domains = d }
     | Some _ -> invalid_arg "Capacity.run: domains must be >= 1"
   in
-  (* ~8 nodes per server, as in the N_S experiments. *)
-  let levels = max 3 (log2i (8 * servers)) in
-  let tree = Build.balanced ~arity:2 ~levels in
-  let est_hops = (2.0 *. Common.mean_depth tree) +. 1.0 in
-  let rate =
-    target_utilization *. float_of_int servers /. (config.Config.service_mean *. est_hops)
-  in
+  let tree = Build.balanced_for ~servers in
+  let rate = Common.analytic_rate ~rho:target_utilization config tree in
   let sim_duration = float_of_int queries /. rate in
   let cluster = Cluster.create ~config ~tree () in
   (* Same trajectory as the historical [Scenario.run] call (drain 2 s):

@@ -3,11 +3,9 @@
     injection rate in place of the usual calibration probe (a probe at
     100k servers would cost as much as the measurement).
 
-    The rate targets per-server utilization ρ = 0.5 via
-    [ρ·S / (service_mean · est_hops)] with [est_hops = 2·mean_depth + 1]
-    (the ascend-plus-descend routing bound — an overestimate once caches
-    warm, so realized utilization stays below the target).  The config is
-    Fig. 9's size-scaled knobs.
+    The rate is {!Common.analytic_rate} at ρ = 0.5, the namespace
+    {!Terradir_namespace.Build.balanced_for} and the config
+    {!Common.fig9_sizing}.
 
     At reference scale ([scale = 1.0], or [bench/capacity.ml]'s defaults)
     the scenario is 100 000 servers and an expected 2 100 000 queries.

@@ -12,11 +12,9 @@ let paper_lambda_fig4 = 40000.0
 
 let zipf_orders = [ 0.75; 1.00; 1.25; 1.50 ]
 
-let _paper_ns_levels = 14 (* 32767 nodes: Fig. 7 shows levels 0..14 *)
-
 let paper_nc_nodes = 40342
 
-type setup = { config : Config.t; tree : Tree.t; rate : float -> float; scale : float }
+type setup = { config : Config.t; tree : Tree.t; rate : float -> float }
 
 let mean_depth tree =
   let total = Tree.fold tree ~init:0 ~f:(fun acc v -> acc + Tree.depth tree v) in
@@ -25,6 +23,24 @@ let mean_depth tree =
 let log2i n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
   go 0 n
+
+let fig9_sizing c =
+  let log2s = log2i c.Config.num_servers in
+  {
+    c with
+    Config.placement = Config.Round_robin;
+    cache_slots = max 4 ((2 * log2s) - 2);
+    r_map = max 2 (log2s - 2);
+  }
+
+(* Each resolved query occupies about [est_hops × service_mean] seconds
+   of aggregate server time, with [est_hops] the ascend-plus-descend bound
+   [2·mean_depth + 1]. *)
+let analytic_rate ~rho config tree =
+  let est_hops = (2.0 *. mean_depth tree) +. 1.0 in
+  rho *. float_of_int config.Config.num_servers /. (config.Config.service_mean *. est_hops)
+
+let servers_at ~scale = max 8 (int_of_float (Float.round (float_of_int paper_servers *. scale)))
 
 (* The paper's λ values are utilization targets in disguise: on N_S,
    λ ∈ {2000..20000} spans ρ ≈ {0.08..0.8}; on N_C the paper doubles λ "to
@@ -37,9 +53,9 @@ let target_utilization ns paper_lambda =
 (* Empirical λ→ρ calibration: run the canonical full system briefly at a
    low probe rate and measure busy time per unit of arrival rate.  Busy
    time is linear in λ below saturation, so the target utilization divides
-   out.  Calibrating against BCR (not the setup's own feature set) keeps
-   ablation comparisons honest: the paper drives every system at the same
-   absolute λ. *)
+   out.  The probe masks [features] (always BCR) and [oracle_maps] (always
+   off), so systems that differ only there share one λ→ρ factor; every
+   other field of [config], [config_tweak]'s included, reaches the probe. *)
 let calibrate ~config ~tree ~seed =
   (* The probe is tiny and runs while the experiment suite may already be
      saturating the machine's domains — force the sequential engine. *)
@@ -72,45 +88,32 @@ let calibrate ~config ~tree ~seed =
   let rho = busy /. (servers *. 8.0) in
   Float.max 1e-9 (rho /. probe_rate)
 
-let make ?(scale = 1.0 /. 16.0) ?(features = Config.bcr) ?(seed = 42)
-    ?(config_tweak = fun c -> c) ns =
+let make ?(scale = 1.0 /. 16.0) ?(seed = 42) ?(config_tweak = fun c -> c) ns =
   if scale <= 0.0 || scale > 1.0 then invalid_arg "Common.make: scale must be in (0, 1]";
-  let servers = max 8 (int_of_float (Float.round (float_of_int paper_servers *. scale))) in
+  let servers = servers_at ~scale in
   let tree =
     match ns with
-    | NS ->
-      (* Keep ~8 nodes per server: levels L with 2^(L+1)-1 ≈ 8·servers. *)
-      let levels = max 3 (log2i (8 * servers)) in
-      Build.balanced ~arity:2 ~levels
+    | NS -> Build.balanced_for ~servers
     | NC ->
       let target = max 64 (paper_nc_nodes * servers / paper_servers) in
       Build.coda_like ~target ()
   in
-  let config =
-    config_tweak { Config.default with Config.num_servers = servers; features; seed }
-  in
-  let rho_per_lambda = lazy (calibrate ~config ~tree ~seed) in
-  let rate paper_lambda =
-    target_utilization ns paper_lambda /. Lazy.force rho_per_lambda
-  in
-  { config; tree; rate; scale }
-
-let cluster ?obs setup = Cluster.create ?obs ~config:setup.config ~tree:setup.tree ()
+  let config = config_tweak { Config.default with Config.num_servers = servers; seed } in
+  let rho_per_lambda = calibrate ~config ~tree ~seed in
+  let rate paper_lambda = target_utilization ns paper_lambda /. rho_per_lambda in
+  { config; tree; rate }
 
 let warmup_for alpha = 40.0 +. (Float.max 0.0 (alpha -. 0.75) /. 0.25 *. 10.0)
 
 let shift_every = 45.0
 
 let uzipf_stream setup ~paper_rate ~alpha ~duration =
-  let rate = setup.rate paper_rate in
   let warmup = warmup_for alpha in
   let remaining = duration -. warmup in
   if remaining <= 0.0 then invalid_arg "Common.uzipf_stream: duration shorter than warmup";
   let shifts = max 1 (int_of_float (Float.round (remaining /. shift_every))) in
-  let seg = remaining /. float_of_int shifts in
-  { Stream.duration = warmup; rate; dist = Stream.Uniform }
-  :: List.init shifts (fun _ ->
-         { Stream.duration = seg; rate; dist = Stream.Zipf { alpha; reshuffle = true } })
+  Stream.uzipf ~rate:(setup.rate paper_rate) ~warmup ~alpha
+    ~shift_every:(remaining /. float_of_int shifts) ~shifts
 
 let unif_stream setup ~paper_rate ~duration =
   Stream.unif ~rate:(setup.rate paper_rate) ~duration

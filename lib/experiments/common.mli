@@ -16,7 +16,11 @@
     approximately the same utilization"), and [rate] inverts a short probe
     measurement of busy-time-per-λ on the scaled system — so per-server
     utilization, the quantity that drives drops, replication and load
-    balance, is preserved exactly rather than approximated. *)
+    balance, is preserved exactly rather than approximated.
+
+    {b Sharing.}  A setup is an immutable value: {!make} runs its probe
+    before returning, so one setup can serve every cell of a figure, on
+    any domain, each cell building only its own cluster. *)
 
 type namespace = NS  (** balanced binary tree *) | NC  (** Coda-like file system *)
 
@@ -35,23 +39,39 @@ type setup = {
   config : Terradir.Config.t;
   tree : Terradir_namespace.Tree.t;
   rate : float -> float;  (** paper-scale λ → this setup's λ *)
-  scale : float;
 }
+
+val servers_at : scale:float -> int
+(** Servers at a scale: [paper_servers · scale], rounded, at least 8. *)
 
 val make :
   ?scale:float ->
-  ?features:Terradir.Config.features ->
   ?seed:int ->
   ?config_tweak:(Terradir.Config.t -> Terradir.Config.t) ->
   namespace ->
   setup
-(** Build a config + namespace at the given scale.  [config_tweak] runs last
-    (after sizing), for per-experiment knob changes.
+(** Build a config + namespace at the given scale ([N_S] is
+    {!Terradir_namespace.Build.balanced_for}), then run the calibration
+    probe that fixes [rate].  [config_tweak] runs last (after sizing), for
+    per-experiment knob changes.  The probe always runs BCR without oracle
+    maps, so a cell may override [features] and [oracle_maps] on a shared
+    setup's config and keep its [rate]; every other field the tweak sets
+    ([r_fact], [speed_spread], [cache_slots], …) reaches the probe and
+    needs a setup of its own.
     @raise Invalid_argument if [scale] is outside (0, 1]. *)
 
-val cluster : ?obs:Terradir_obs.Obs.t -> setup -> Terradir.Cluster.t
-(** Fresh cluster for the setup; [obs] (default the null sink) is passed
-    straight to {!Terradir.Cluster.create}. *)
+val fig9_sizing : Terradir.Config.t -> Terradir.Config.t
+(** Fig. 9's size-dependent knobs for the config's [num_servers] [S]:
+    round-robin placement, [cache_slots = max 4 (2·log2 S − 2)] and
+    [r_map = max 2 (log2 S − 2)]. *)
+
+val analytic_rate :
+  rho:float -> Terradir.Config.t -> Terradir_namespace.Tree.t -> float
+(** The arrival rate that targets per-server utilization [rho] with no
+    calibration probe: [rho · S / (service_mean · est_hops)] with
+    [est_hops = 2·mean_depth + 1], the ascend-plus-descend routing bound
+    (an overestimate once caches warm, so realized utilization stays
+    below [rho]). *)
 
 val warmup_for : float -> float
 (** Staggered uniform warmup before a Zipf stream, per order (§4.2: the
@@ -63,8 +83,6 @@ val uzipf_stream : setup -> paper_rate:float -> alpha:float -> duration:float ->
     [duration] seconds. *)
 
 val unif_stream : setup -> paper_rate:float -> duration:float -> Terradir_workload.Stream.phase list
-
-val mean_depth : Terradir_namespace.Tree.t -> float
 
 val log10_or_zero : float -> float
 (** log10, with 0 mapped to 0 (for the paper's log-scale columns). *)

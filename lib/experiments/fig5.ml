@@ -20,25 +20,27 @@ let stream_specs =
   [ ("S", Common.NS, Common.paper_lambda_fig3); ("C", Common.NC, Common.paper_lambda_fig4) ]
 
 let run ?scale ?(duration = 120.0) ?(seed = 42) () =
-  (* Enumerate all 30 (namespace x stream x system) cells up front, then
-     run each as a self-contained pool cell. *)
+  (* Enumerate all 30 (namespace x stream x system) cells up front, one
+     setup per namespace, then run each cell in the pool.  The systems
+     differ only in [features], which the calibration probe masks. *)
   let specs =
     List.concat_map
       (fun (suffix, ns, paper_rate) ->
-        let base_setup = Common.make ?scale ~seed ns in
-        let streams = Runner.named_streams base_setup ~paper_rate ~duration in
+        let setup = Common.make ?scale ~seed ns in
+        let streams = Runner.named_streams setup ~paper_rate ~duration in
         List.concat_map
           (fun (stream_label, phases) ->
             List.map
-              (fun (system, features) -> (ns, stream_label ^ suffix, phases, system, features))
+              (fun (system, features) ->
+                let config = { setup.Common.config with Config.features } in
+                ({ setup with Common.config }, stream_label ^ suffix, phases, system))
               systems)
           streams)
       stream_specs
   in
   let cells =
     Runner.map
-      (fun (ns, stream, phases, system, features) ->
-        let setup = Common.make ?scale ~features ~seed ns in
+      (fun (setup, stream, phases, system) ->
         let cluster = Runner.run_phases setup phases in
         { stream; system; drop_fraction = Metrics.drop_fraction (Cluster.metrics cluster) })
       specs

@@ -24,14 +24,12 @@ let paper_rates = [ 4000.0; 10000.0; 20000.0 ]
 let smoothing_window = 11
 
 let run ?scale ?(duration = 250.0) ?(seed = 42) () =
-  (* One pool cell per arrival rate. *)
+  (* One setup; one pool cell per arrival rate. *)
+  let setup = Common.make ?scale ~seed Common.NS in
   let runs =
     Runner.map
       (fun paper_rate ->
-        let setup = Common.make ?scale ~seed Common.NS in
-        let phases =
-          Common.uzipf_stream setup ~paper_rate ~alpha:1.00 ~duration
-        in
+        let phases = Common.uzipf_stream setup ~paper_rate ~alpha:1.00 ~duration in
         let cluster = Runner.run_phases setup phases in
         let m = Cluster.metrics cluster in
         {

@@ -16,15 +16,14 @@ type result = { runs : series list }
 let paper_rates = [ 2000.0; 4000.0; 8000.0 ]
 
 let run ?scale ?(duration = 150.0) ?(seed = 42) () =
-  (* One pool cell per (stream kind, rate); setups are built inside the
-     cell so no state crosses domains. *)
+  (* One setup; one pool cell per (stream kind, rate). *)
+  let setup = Common.make ?scale ~seed Common.NS in
   let specs =
     List.concat_map (fun rate -> [ (`Unif, rate); (`Uzipf, rate) ]) paper_rates
   in
   let runs =
     Runner.map
       (fun (kind, paper_rate) ->
-        let setup = Common.make ?scale ~seed Common.NS in
         let label, phases =
           match kind with
           | `Unif ->

@@ -16,20 +16,20 @@ type series = { label : string; per_minute : float array; final_rate : float }
 type result = { duration : float; runs : series list }
 
 let run ?scale ?(duration = 1200.0) ?(seed = 42) () =
+  let ns = Common.make ?scale ~seed Common.NS and nc = Common.make ?scale ~seed Common.NC in
   let specs =
     [
-      ("unifS", Common.NS, Common.paper_lambda_fig3, None);
-      ("uzipfS1.00", Common.NS, Common.paper_lambda_fig3, Some 1.00);
-      ("unifC", Common.NC, Common.paper_lambda_fig4, None);
-      ("uzipfC1.00", Common.NC, Common.paper_lambda_fig4, Some 1.00);
+      ("unifS", ns, Common.paper_lambda_fig3, None);
+      ("uzipfS1.00", ns, Common.paper_lambda_fig3, Some 1.00);
+      ("unifC", nc, Common.paper_lambda_fig4, None);
+      ("uzipfC1.00", nc, Common.paper_lambda_fig4, Some 1.00);
     ]
   in
   (* One pool cell per (namespace, stream) spec — fig8 runs are the
      longest in the suite, so this is where fan-out pays the most. *)
   let runs =
     Runner.map
-      (fun (label, ns, paper_rate, alpha) ->
-        let setup = Common.make ?scale ~seed ns in
+      (fun (label, setup, paper_rate, alpha) ->
         let rate = setup.Common.rate paper_rate in
         let phases =
           match alpha with
@@ -37,12 +37,7 @@ let run ?scale ?(duration = 1200.0) ?(seed = 42) () =
           | Some alpha ->
             (* §4.4: uniform component of 100 s, then one unshifted Zipf
                phase for the rest of the run. *)
-            {
-              Stream.duration = 100.0;
-              rate;
-              dist = Stream.Uniform;
-            }
-            :: [ { Stream.duration = duration -. 100.0; rate; dist = Stream.Zipf { alpha; reshuffle = true } } ]
+            Stream.uzipf ~rate ~warmup:100.0 ~alpha ~shift_every:(duration -. 100.0) ~shifts:1
         in
         let cluster = Runner.run_phases setup phases in
         let per_second = Timeseries.sums (Cluster.metrics cluster).Metrics.replicas_ts in

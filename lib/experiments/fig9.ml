@@ -35,19 +35,7 @@ let run ?scale ?(duration = 90.0) ?(seed = 42) () =
     Runner.map
       (fun servers ->
         let scale_for = float_of_int servers /. float_of_int Common.paper_servers in
-        let tweak c =
-          let log2s =
-            let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
-            go 0 servers
-          in
-          {
-            c with
-            Config.placement = Config.Round_robin;
-            cache_slots = max 4 ((2 * log2s) - 2);
-            r_map = max 2 (log2s - 2);
-          }
-        in
-        let setup = Common.make ~scale:scale_for ~seed ~config_tweak:tweak Common.NS in
+        let setup = Common.make ~scale:scale_for ~seed ~config_tweak:Common.fig9_sizing Common.NS in
         let paper_rate = 5.0 *. float_of_int Common.paper_servers (* λ ∝ S *) in
         let phases = Common.uzipf_stream setup ~paper_rate ~alpha:1.00 ~duration in
         let cluster = Runner.run_phases setup phases in

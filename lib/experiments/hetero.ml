@@ -29,32 +29,39 @@ let spreads = [ 1.0; 4.0; 16.0 ]
 let systems = [ ("BC", Config.bc); ("BCR", Config.bcr) ]
 
 let run ?scale ?(duration = 120.0) ?(seed = 42) () =
-  (* One pool cell per (spread, system) pair. *)
+  (* One setup per spread, built in the pool; one cell per (spread,
+     system) pair, the systems differing only in [features], which the
+     calibration probe masks. *)
+  let setups =
+    Runner.map
+      (fun speed_spread ->
+        Common.make ?scale ~seed ~config_tweak:(fun c -> { c with Config.speed_spread }) Common.NS)
+      spreads
+  in
   let specs =
-    List.concat_map (fun spread -> List.map (fun sys -> (spread, sys)) systems) spreads
+    List.concat
+      (List.map2
+         (fun spread setup -> List.map (fun sys -> (spread, setup, sys)) systems)
+         spreads setups)
   in
   let rows =
     Runner.map
-      (fun (spread, (system, features)) ->
-            let tweak c = { c with Config.speed_spread = spread } in
-            let setup = Common.make ?scale ~features ~seed ~config_tweak:tweak Common.NS in
-            let phases =
-              Common.uzipf_stream setup ~paper_rate:10000.0 ~alpha:1.00 ~duration
-            in
-            let cluster = Runner.run_phases setup phases in
-            let m = Cluster.metrics cluster in
-            let maxima = Timeseries.maxima m.Metrics.load_max_ts in
-            let mean_of_max =
-              if Array.length maxima = 0 then 0.0
-              else Array.fold_left ( +. ) 0.0 maxima /. float_of_int (Array.length maxima)
-            in
-            {
-              spread;
-              system;
-              drop_fraction = Metrics.drop_fraction m;
-              mean_latency = Stats.mean m.Metrics.latency;
-              mean_load_of_max = mean_of_max;
-            })
+      (fun (spread, (setup : Common.setup), (system, features)) ->
+        let setup = { setup with config = { setup.config with Config.features } } in
+        let phases = Common.uzipf_stream setup ~paper_rate:10000.0 ~alpha:1.00 ~duration in
+        let m = Cluster.metrics (Runner.run_phases setup phases) in
+        let maxima = Timeseries.maxima m.Metrics.load_max_ts in
+        let mean_of_max =
+          if Array.length maxima = 0 then 0.0
+          else Array.fold_left ( +. ) 0.0 maxima /. float_of_int (Array.length maxima)
+        in
+        {
+          spread;
+          system;
+          drop_fraction = Metrics.drop_fraction m;
+          mean_latency = Stats.mean m.Metrics.latency;
+          mean_load_of_max = mean_of_max;
+        })
       specs
   in
   { rows }

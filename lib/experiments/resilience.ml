@@ -35,7 +35,7 @@ let rate_per_server = 4.0
 
 let run ?(scale = 1.0 /. 16.0) ?(seed = 42) () =
   if scale <= 0.0 || scale > 1.0 then invalid_arg "Resilience.run: scale must be in (0, 1]";
-  let servers = max 8 (int_of_float (Float.round (float_of_int Common.paper_servers *. scale))) in
+  let servers = Common.servers_at ~scale in
   let rate = rate_per_server *. float_of_int servers in
   let specs =
     List.concat_map

@@ -34,36 +34,43 @@ let r_facts = [ 0.125; 0.25; 0.5; 2.0 ]
 let modes = [ Oracle; Digests; No_digests ]
 
 let run ?scale ?(duration = 150.0) ?(seed = 42) () =
-  (* One pool cell per (r_fact, mode) pair. *)
-  let specs = List.concat_map (fun r -> List.map (fun m -> (r, m)) modes) r_facts in
+  (* One setup per r_fact, built in the pool; one cell per (r_fact, mode)
+     pair, the modes differing only in fields the calibration probe
+     masks. *)
+  let setups =
+    Runner.map
+      (fun r_fact ->
+        Common.make ?scale ~seed ~config_tweak:(fun c -> { c with Config.r_fact }) Common.NS)
+      r_facts
+  in
+  let specs =
+    List.concat (List.map2 (fun r setup -> List.map (fun m -> (r, setup, m)) modes) r_facts setups)
+  in
   let rows =
     Runner.map
-      (fun (r_fact, mode) ->
-            let features =
-              { Config.bcr with Config.digests = (mode = Digests) }
-            in
-            let tweak c =
-              { c with Config.r_fact; oracle_maps = (mode = Oracle) }
-            in
-            let setup = Common.make ?scale ~features ~seed ~config_tweak:tweak Common.NS in
-            let phases =
-              Common.uzipf_stream setup ~paper_rate:Common.paper_lambda_fig3 ~alpha:1.50
-                ~duration
-            in
-            let cluster = Runner.run_phases setup phases in
-            let m = Cluster.metrics cluster in
-            let forwards = max 1 m.Metrics.query_forwards in
-            {
-              r_fact;
-              mode;
-              drop_fraction = Metrics.drop_fraction m;
-              replicas_created = m.Metrics.replicas_created;
-              replicas_evicted = m.Metrics.replicas_evicted;
-              accuracy =
-                1.0 -. (float_of_int m.Metrics.stale_forwards /. float_of_int forwards);
-              shortcut_share =
-                float_of_int m.Metrics.shortcut_forwards /. float_of_int forwards;
-            })
+      (fun (r_fact, (setup : Common.setup), mode) ->
+        let config =
+          {
+            setup.config with
+            Config.features = { Config.bcr with Config.digests = mode = Digests };
+            oracle_maps = mode = Oracle;
+          }
+        in
+        let setup = { setup with config } in
+        let phases =
+          Common.uzipf_stream setup ~paper_rate:Common.paper_lambda_fig3 ~alpha:1.50 ~duration
+        in
+        let m = Cluster.metrics (Runner.run_phases setup phases) in
+        let forwards = max 1 m.Metrics.query_forwards in
+        {
+          r_fact;
+          mode;
+          drop_fraction = Metrics.drop_fraction m;
+          replicas_created = m.Metrics.replicas_created;
+          replicas_evicted = m.Metrics.replicas_evicted;
+          accuracy = 1.0 -. (float_of_int m.Metrics.stale_forwards /. float_of_int forwards);
+          shortcut_share = float_of_int m.Metrics.shortcut_forwards /. float_of_int forwards;
+        })
       specs
   in
   { rows }

@@ -127,10 +127,11 @@ let record_alloc f =
 (* Per-cell driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_phases ?(workload_seed = 1009) setup phases =
+let run_phases ?(workload_seed = 1009) ?(prep = ignore) setup phases =
   record_alloc (fun () ->
-      let setup = { setup with Common.config = with_engine_config setup.Common.config } in
-      let cluster = Common.cluster ?obs:(fresh_obs ()) setup in
+      let config = with_engine_config setup.Common.config in
+      let cluster = Cluster.create ?obs:(fresh_obs ()) ~config ~tree:setup.Common.tree () in
+      prep cluster;
       Scenario.run cluster ~phases ~seed:workload_seed;
       record_events cluster;
       cluster)
@@ -146,17 +147,15 @@ let named_streams setup ~paper_rate ~duration =
 
 let per_second_streams ?scale ~seed ns ~paper_rate ~duration series =
   let setup = Common.make ?scale ~seed ns in
-  let streams = named_streams setup ~paper_rate ~duration in
   let rate = setup.Common.rate paper_rate in
-  (* One pool cell per stream; each builds its own setup and cluster. *)
+  (* One pool cell per stream, each building its own cluster. *)
   let fractions =
     map
       (fun (label, phases) ->
-        let cluster = run_phases (Common.make ?scale ~seed ns) phases in
-        let sums = Timeseries.sums (series (Cluster.metrics cluster)) in
+        let sums = Timeseries.sums (series (Cluster.metrics (run_phases setup phases))) in
         ( label,
           Array.init (int_of_float duration) (fun i ->
               if i < Array.length sums then sums.(i) /. rate else 0.0) ))
-      streams
+      (named_streams setup ~paper_rate ~duration)
   in
   (rate, fractions)

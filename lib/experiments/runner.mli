@@ -2,11 +2,14 @@
     hand back the cluster for measurement — plus the multicore fan-out that
     dispatches independent (figure, stream, seed) cells over a domain pool.
 
-    {b Concurrency model.}  Every cell is a self-contained closure: it
-    builds its own {!Common.setup} (fresh tree, fresh calibration), its own
-    [Cluster] (fresh engine, fresh [Splitmix] streams), and touches no
-    state shared with any other cell.  Results are therefore bit-identical
-    for any jobs count; parallelism only changes wall-clock. *)
+    {b Concurrency model.}  A figure builds one {!Common.setup} per
+    distinct configuration before its fan-out (its tree and its
+    calibrated rate are immutable once {!Common.make} returns) and hands
+    it to every cell that runs on it.  Each cell builds only its own
+    [Cluster] (fresh engine, fresh [Splitmix] streams) and touches no
+    mutable state shared with any other cell.  Results are therefore
+    bit-identical for any jobs count; parallelism only changes
+    wall-clock. *)
 
 val jobs : unit -> int
 (** Fan-out width used by {!map}: the value pinned by {!set_jobs} /
@@ -25,8 +28,8 @@ val with_jobs : int -> (unit -> 'a) -> 'a
 
 val map : ('a -> 'b) -> 'a list -> 'b list
 (** [Terradir_util.Pool.map] at {!jobs} domains: order-preserving,
-    exception-propagating.  Cells must be self-contained closures (see the
-    concurrency model above). *)
+    exception-propagating.  Cells may share immutable values such as a
+    setup, never mutable state (see the concurrency model above). *)
 
 val set_engine_domains : int option -> unit
 (** Pin (or unpin, with [None]) the engine-domain override: domains
@@ -84,11 +87,14 @@ val record_alloc : (unit -> 'a) -> 'a
 
 val run_phases :
   ?workload_seed:int ->
+  ?prep:(Terradir.Cluster.t -> unit) ->
   Common.setup ->
   Terradir_workload.Stream.phase list ->
   Terradir.Cluster.t
-(** Fresh cluster from the setup, driven through the phases to completion
-    (2 s drain). *)
+(** Fresh cluster from the setup (with {!with_engine_config} and the
+    {!with_obs} sink applied), handed to [prep] (default: nothing), then
+    driven through the phases to completion (2 s drain) with workload
+    seed [workload_seed] (default 1009). *)
 
 val named_streams :
   Common.setup ->
@@ -106,7 +112,7 @@ val per_second_streams :
   duration:float ->
   (Terradir.Metrics.t -> Terradir_util.Timeseries.t) ->
   float * (string * float array) list
-(** The {!named_streams} on a namespace, one pool cell each, reported as
-    the chosen metrics series per second over the scaled rate: one bin per
-    simulated second of [duration], empty bins [0].  Returns the scaled
+(** The {!named_streams} on one setup of the namespace, one pool cell
+    each, reported as the chosen metrics series per second over the scaled
+    rate: one bin per simulated second of [duration], empty bins [0].  Returns the scaled
     rate with the per-stream fractions (Figs. 3 and 4). *)

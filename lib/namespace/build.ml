@@ -23,6 +23,13 @@ let balanced ~arity ~levels =
   done;
   Tree.Builder.freeze b
 
+let log2i n =
+  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
+  go 0 n
+
+(* Levels L with 2^(L+1) - 1 ≈ 8·servers. *)
+let balanced_for ~servers = balanced ~arity:2 ~levels:(max 3 (log2i (8 * servers)))
+
 (* Coda-like generator.  A weighted growth process over "directories":
    - each step adds one node under some open directory;
    - the new node is itself a directory with probability [p_dir];

@@ -20,6 +20,12 @@ val balanced : arity:int -> levels:int -> Tree.t
 val balanced_node_count : arity:int -> levels:int -> int
 (** Number of nodes {!balanced} will produce. *)
 
+val balanced_for : servers:int -> Tree.t
+(** The binary {!balanced} namespace a deployment of [servers] servers
+    runs on: about 8 nodes per server, and never fewer than levels 0..3.
+    The experiments' [N_S], the capacity run, the chaos campaigns and
+    the profiler all build this shape. *)
+
 val coda_like : ?seed:int -> target:int -> unit -> Tree.t
 (** Filesystem-shaped namespace of approximately [target] nodes (always
     within 1%, typically exact).  Deterministic in [seed] (default 1993,

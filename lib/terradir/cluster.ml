@@ -527,7 +527,6 @@ and append_path_entry t s q =
 
 and process_query ?from t s q =
   let time = now t in
-  s.Server.queries_processed <- s.Server.queries_processed + 1;
   absorb_path t s q;
   if q.hops > 0 && not (Server.hosts s q.target) then begin
     let m = met t in

@@ -53,8 +53,6 @@ type t = {
   mutable session : session option;
   floats : floatarray;
   mutable alive : bool;
-  mutable queries_processed : int;
-  mutable replicas_installed : int;
   mutable replicas_evicted : int;
 }
 
@@ -98,8 +96,6 @@ let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
     session = None;
     floats = Float.Array.make 3 0.0;
     alive = true;
-    queries_processed = 0;
-    replicas_installed = 0;
     replicas_evicted = 0;
   }
 
@@ -372,7 +368,6 @@ let install_replica t payload ~now =
         install_hosted t node Replicated ~map ~meta_version:payload.rp_meta_version
           ~context:payload.rp_context ~now;
         Ranking.seed t.ranking node payload.rp_weight_hint;
-        t.replicas_installed <- t.replicas_installed + 1;
         `Installed
       end
     end

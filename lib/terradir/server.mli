@@ -80,8 +80,6 @@ type t = {
           and {!session_backoff_until} *)
   mutable alive : bool;
   (* counters *)
-  mutable queries_processed : int;
-  mutable replicas_installed : int;
   mutable replicas_evicted : int;
 }
 

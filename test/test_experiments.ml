@@ -317,7 +317,15 @@ let test_parallel_determinism () =
     seq.E.Fig3.series par.E.Fig3.series;
   let r5_seq = E.Fig5.run ~scale ~duration:80.0 ~seed:42 () in
   let r5_par = E.Runner.with_jobs 4 (fun () -> E.Fig5.run ~scale ~duration:80.0 ~seed:42 ()) in
-  Alcotest.(check bool) "fig5 cells bit-identical" true (r5_seq = r5_par)
+  Alcotest.(check bool) "fig5 cells bit-identical" true (r5_seq = r5_par);
+  (* rfact and hetero cells share one setup (tree and calibrated rate)
+     per r_fact or spread across domains. *)
+  let rf_seq = E.Rfact.run ~scale ~duration:100.0 ~seed:42 () in
+  let rf_par = E.Runner.with_jobs 4 (fun () -> E.Rfact.run ~scale ~duration:100.0 ~seed:42 ()) in
+  Alcotest.(check bool) "rfact rows bit-identical" true (rf_seq = rf_par);
+  let h_seq = E.Hetero.run ~scale ~duration:90.0 ~seed:42 () in
+  let h_par = E.Runner.with_jobs 4 (fun () -> E.Hetero.run ~scale ~duration:90.0 ~seed:42 ()) in
+  Alcotest.(check bool) "hetero rows bit-identical" true (h_seq = h_par)
 
 let test_parallel_csv_identical () =
   let tmp = Filename.get_temp_dir_name () in

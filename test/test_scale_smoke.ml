@@ -16,27 +16,13 @@ let servers = 10_000
 
 let seed = 42
 
-let log2i n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
-  go 0 n
-
-let config =
-  let log2s = log2i servers in
-  {
-    Config.default with
-    Config.num_servers = servers;
-    placement = Config.Round_robin;
-    cache_slots = max 4 ((2 * log2s) - 2);
-    r_map = max 2 (log2s - 2);
-    seed;
-  }
+let config = Common.fig9_sizing { Config.default with Config.num_servers = servers; seed }
 
 (* Analytic rate at utilization 0.5, as in Experiments.Capacity; ~20k
    expected queries keep the smoke in test-suite time. *)
 let run ?obs () =
-  let tree = Build.balanced ~arity:2 ~levels:(max 3 (log2i (8 * servers))) in
-  let est_hops = (2.0 *. Common.mean_depth tree) +. 1.0 in
-  let rate = 0.5 *. float_of_int servers /. (config.Config.service_mean *. est_hops) in
+  let tree = Build.balanced_for ~servers in
+  let rate = Common.analytic_rate ~rho:0.5 config tree in
   let duration = 20_000.0 /. rate in
   let cluster = Cluster.create ?obs ~config ~tree () in
   Scenario.run cluster ~phases:(Stream.unif ~rate ~duration) ~seed:(seed + 1009);

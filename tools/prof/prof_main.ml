@@ -67,6 +67,7 @@
 
 module Registry = Terradir_experiments.Registry
 module Runner = Terradir_experiments.Runner
+module Common = Terradir_experiments.Common
 open Terradir
 
 let usage =
@@ -152,10 +153,6 @@ let run_scenario ~servers ~levels ~rate ~duration ~seed =
 
 (* ---- mem: per-store heap breakdown ---- *)
 
-let log2i n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
-  go 0 n
-
 (* Per-server rows: name and the field's value.  Scalar fields, the
    records themselves and boxed floats land in the last row. *)
 let server_fields : (string * (Server.t -> Obj.t)) list =
@@ -209,34 +206,13 @@ let print_breakdown (cluster : Cluster.t) ~names ~label =
   Printf.printf "%-24s %10.1f\n" "other live" (per_server (live - total - names));
   Printf.printf "%-24s %10.1f\n" "live heap" (per_server live)
 
-(* The benchmark's namespace at [servers]. *)
-let uniform_tree ~servers =
-  Terradir_namespace.Build.balanced ~arity:2 ~levels:(max 3 (log2i (8 * servers)))
-
-(* The benchmark's uniform deployment config over [tree], and its
-   analytic lookup rate. *)
-let uniform_deployment ~servers tree =
-  let open Terradir_namespace in
-  let log2s = log2i servers in
-  let config =
-    {
-      Config.default with
-      Config.num_servers = servers;
-      seed = 42;
-      engine_domains = 1;
-      placement = Config.Round_robin;
-      cache_slots = max 4 ((2 * log2s) - 2);
-      r_map = max 2 (log2s - 2);
-    }
-  in
-  let mean_depth =
-    float_of_int (Tree.fold tree ~init:0 ~f:(fun acc v -> acc + Tree.depth tree v))
-    /. float_of_int (Tree.size tree)
-  in
-  let rate =
-    0.5 *. float_of_int servers /. (config.Config.service_mean *. ((2.0 *. mean_depth) +. 1.0))
-  in
-  (config, rate)
+(* The benchmark's uniform deployment: Fig. 9 sizing on one engine
+   domain, over [Build.balanced_for], at the analytic rate for ρ = 0.5. *)
+let uniform_config ~servers =
+  {
+    (Common.fig9_sizing { Config.default with Config.num_servers = servers; seed = 42 }) with
+    Config.engine_domains = 1;
+  }
 
 let run_uniform cluster ~rate ~duration ~seed =
   let open Terradir_workload in
@@ -245,9 +221,10 @@ let run_uniform cluster ~rate ~duration ~seed =
 
 let run_mem ~servers ~duration ~seed =
   let before = live_words () in
-  let tree = uniform_tree ~servers in
+  let tree = Terradir_namespace.Build.balanced_for ~servers in
   let names = live_words () - before - reachable [ Obj.repr tree ] in
-  let config, rate = uniform_deployment ~servers tree in
+  let config = uniform_config ~servers in
+  let rate = Common.analytic_rate ~rho:0.5 config tree in
   let cluster = Cluster.create ~config ~tree () in
   print_breakdown cluster ~names ~label:"after set-up";
   run_uniform cluster ~rate ~duration ~seed;
@@ -305,8 +282,9 @@ let run_gc ~servers ~duration ~seed =
         row)
       accs
   in
-  let tree = uniform_tree ~servers in
-  let config, rate = uniform_deployment ~servers tree in
+  let tree = Terradir_namespace.Build.balanced_for ~servers in
+  let config = uniform_config ~servers in
+  let rate = Common.analytic_rate ~rho:0.5 config tree in
   ignore (take ());
   let t0 = host_wall () in
   let cluster = Cluster.create ~config ~tree () in
