@@ -56,18 +56,13 @@ let target_utilization ns paper_lambda =
    out.  The probe masks [features] (always BCR) and [oracle_maps] (always
    off), so systems that differ only there share one λ→ρ factor; every
    other field of [config], [config_tweak]'s included, reaches the probe. *)
-let calibrate ~config ~tree ~seed =
+let probe_view config =
   (* The probe is tiny and runs while the experiment suite may already be
      saturating the machine's domains — force the sequential engine. *)
-  let probe_config =
-    {
-      config with
-      Config.features = Config.bcr;
-      oracle_maps = false;
-      engine_domains = 1;
-      seed = seed + 9001;
-    }
-  in
+  { config with Config.features = Config.bcr; oracle_maps = false; engine_domains = 1 }
+
+let calibrate ~config ~tree ~seed =
+  let probe_config = { (probe_view config) with Config.seed = seed + 9001 } in
   let cluster = Cluster.create ~config:probe_config ~tree () in
   let servers = float_of_int probe_config.Config.num_servers in
   (* aim near ρ ≈ 0.1 assuming ~5 hops/query *)

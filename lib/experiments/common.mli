@@ -60,6 +60,12 @@ val make :
     needs a setup of its own.
     @raise Invalid_argument if [scale] is outside (0, 1]. *)
 
+val probe_view : Terradir.Config.t -> Terradir.Config.t
+(** The config as the calibration probe sees it: [features], [oracle_maps]
+    and [engine_domains] masked.  Two tweaks whose configs have equal
+    views calibrate to the same [rate], so their cells can share one
+    setup. *)
+
 val fig9_sizing : Terradir.Config.t -> Terradir.Config.t
 (** Fig. 9's size-dependent knobs for the config's [num_servers] [S]:
     round-robin placement, [cache_slots = max 4 (2·log2 S − 2)] and

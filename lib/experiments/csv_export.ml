@@ -18,11 +18,18 @@ let metrics_csv metrics =
     @ hist_rows "latency" metrics.M.latency_hist
     @ hist_rows "hops" metrics.M.hops_hist)
 
+(* [mkdir -p]: a directory made meanwhile by someone else is no error. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
+  end
+
 let export ~id ?scale ?duration ?seed ~dir () =
   match Registry.find id with
   | None -> invalid_arg ("Csv_export.export: unknown experiment " ^ id)
   | Some e ->
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    mkdir_p dir;
     List.map
       (fun (t : Tablefmt.table) ->
         let path = Filename.concat dir (t.name ^ ".csv") in

@@ -4,7 +4,7 @@
 val export :
   id:string -> ?scale:float -> ?duration:float -> ?seed:int -> dir:string -> unit -> string list
 (** [export ~id ~dir ()] runs the {!Registry} entry [id] and writes each of
-    its tables to [dir/<name>.csv] (the directory is created if missing),
+    its tables to [dir/<name>.csv] (the directory and its missing parents are created),
     returning the paths written.  The files hold exactly the cells the
     terminal prints for that entry; [duration] reaches the entry as
     {!Registry.entry} describes.

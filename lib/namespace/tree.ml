@@ -222,15 +222,15 @@ let anchored_distance t a v =
   check_anchor t a "anchored_distance";
   check_node t v "anchored_distance";
   (* The path's spans are nested, so "holds v" is true from the root down
-     to lca(v, dst) and false below it: binary-search that boundary.
-     Invariant: depth [lo] holds v, depth [hi] does not (or is past dst). *)
+     to lca(v, dst) and false below it: scan down from the root to that
+     boundary.  Most candidates a routing decision scores share only a
+     shallow ancestor with the destination, so the scan stops early. *)
   let path = a.a_path and p = pre_of t v in
-  let lo = ref 0 and hi = ref (a.a_depth + 1) in
-  while !hi - !lo > 1 do
-    let mid = (!lo + !hi) lsr 1 in
-    if path.(3 * mid) <= p && p <= path.((3 * mid) + 1) then lo := mid else hi := mid
+  let d = ref 0 in
+  while !d < a.a_depth && path.(3 * (!d + 1)) <= p && p <= path.((3 * (!d + 1)) + 1) do
+    incr d
   done;
-  depth_of t v + a.a_depth - (2 * !lo)
+  depth_of t v + a.a_depth - (2 * !d)
 
 let anchored_ancestor t a d =
   check_anchor t a "anchored_ancestor";

@@ -89,8 +89,8 @@ val distance : t -> node -> node -> int
 
     Many distances to one fixed node — a routing decision scores every
     known node against the same destination — are cheaper against that
-    node's root path written out once: each distance is then a binary
-    search over the path's nested subtree spans, O(log depth) with no
+    node's root path written out once: each distance is then a scan down
+    the path's nested subtree spans to the lowest common ancestor, with no
     parent-chain walk.  An anchor is caller-owned scratch (single-owner:
     share one per domain, never across domains). *)
 

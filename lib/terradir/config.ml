@@ -82,6 +82,9 @@ let validate c =
       ("replica_idle_timeout", c.replica_idle_timeout);
     ];
   if c.num_servers < 1 then fail "num_servers must be >= 1";
+  (* Peer stores pack [peer + 1] into a key of [Packed_table.key_bits]. *)
+  let max_servers = (1 lsl Terradir_util.Packed_table.key_bits) - 1 in
+  if c.num_servers > max_servers then fail (Printf.sprintf "num_servers must be <= %d" max_servers);
   if c.speed_spread < 1.0 then fail "speed_spread must be >= 1";
   if c.service_mean <= 0.0 then fail "service_mean must be positive";
   if c.network_delay < 0.0 then fail "network_delay must be non-negative";

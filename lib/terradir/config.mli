@@ -121,4 +121,5 @@ val default : t
 val validate : t -> unit
 (** @raise Invalid_argument naming the field of the first violated
     constraint (a non-finite float, non-positive sizes, thresholds
-    outside (0,1], etc.). *)
+    outside (0,1], more servers than the peer stores' packed keys hold
+    ([2{^24} − 1]), etc.). *)

@@ -8,7 +8,7 @@ type t = {
   mutable pending_iter : (int -> unit) -> unit;
   remotes : Bloom.t Lru.t;
   mutable versions : int array; (* LRU slot -> version of its digest; grows with the slots *)
-  sent : (int, int) Hashtbl.t; (* peer -> last local version piggybacked *)
+  sent : Packed_table.t; (* peer -> last local version piggybacked, one int each *)
 }
 
 let create ~max_remote () =
@@ -19,7 +19,7 @@ let create ~max_remote () =
     pending_iter = ignore;
     remotes = Lru.create ~capacity:max_remote;
     versions = [||];
-    sent = Hashtbl.create 64;
+    sent = Packed_table.create ();
   }
 
 let local_version t = t.local_version
@@ -49,7 +49,9 @@ let local t =
 let rebuild_local_from t ~count ~iter =
   t.pending_count <- count;
   t.pending_iter <- iter;
-  t.local_version <- t.local_version + 1
+  t.local_version <- t.local_version + 1;
+  (* [sent] packs versions into [Packed_table.payload_bits] bits. *)
+  assert (t.local_version lsr Packed_table.payload_bits = 0)
 
 let rebuild_local t ~hosted =
   rebuild_local_from t ~count:(List.length hosted) ~iter:(fun add -> List.iter add hosted)
@@ -98,6 +100,10 @@ let collect_mru t ~skip ~servers ~blooms =
 
 let remote_count t = Lru.length t.remotes
 
-let last_version_sent t ~peer = Option.value ~default:0 (Hashtbl.find_opt t.sent peer)
+let last_version_sent t ~peer =
+  match Packed_table.find t.sent peer with -1 -> 0 | i -> Packed_table.payload_at t.sent i
 
-let note_version_sent t ~peer version = Hashtbl.replace t.sent peer version
+let note_version_sent t ~peer version =
+  match Packed_table.find t.sent peer with
+  | -1 -> ignore (Packed_table.add t.sent peer version : int)
+  | i -> Packed_table.set_payload_at t.sent i version

@@ -2,30 +2,42 @@ open Terradir_util
 
 type entry = { server : int; is_owner : bool; stamp : float }
 
-(* Flat struct-of-arrays map: row [i] packs the server id and owner flag
-   into [ns.(i) = server lsl 1 lor owner] with the stamp unboxed in a
-   [floatarray] — no per-entry record, no boxed float, no list spine.  The
-   row order is the historical one: owners first, then newest-first,
-   server id as the tie-break ([order] below is total with a unique
-   tie-break, so a deduped entry set has exactly one sorted form).  Maps
-   remain immutable values; operations build fresh row arrays, assembling
-   intermediate states in a per-domain {!scratch} so the hot merge path
-   allocates only its result. *)
-type t = { ns : int array; stamp : floatarray }
+(* One flat block per map: row [i] keeps the server id and owner flag
+   packed as [server lsl 1 lor owner] at index [2i] of a [floatarray] —
+   exact, since it is below 2^53 — and the stamp at [2i + 1].  No record,
+   no per-entry block, no boxed float.  The row order is the historical
+   one: owners first, then newest-first, server id as the tie-break
+   ([insert_pos] below is total with a unique tie-break, so a deduped
+   entry set has exactly one sorted form).  Maps remain immutable values;
+   operations build fresh blocks, assembling intermediate states in a
+   per-domain {!scratch} so the hot merge path allocates only its
+   result. *)
+type t = floatarray
 
-let empty = { ns = [||]; stamp = Float.Array.create 0 }
+let empty = Float.Array.create 0
 
-let size t = Array.length t.ns
+let size t = Float.Array.length t lsr 1
 
-let is_empty t = Array.length t.ns = 0
+let is_empty t = Float.Array.length t = 0
 
-let row_server t i = t.ns.(i) lsr 1
+(* Inlined: a float returned from a call is boxed, and the pinned
+   lookups ([mem], a subsumed [merge]) allocate nothing. *)
+let[@inline] row_packed t i = int_of_float (Float.Array.get t (2 * i))
 
-let row_owner t i = t.ns.(i) land 1 <> 0
+let[@inline] row_server t i = row_packed t i lsr 1
 
-let row_stamp t i = Float.Array.unsafe_get t.stamp i
+let[@inline] row_owner t i = row_packed t i land 1 <> 0
+
+let[@inline] row_stamp t i = Float.Array.get t ((2 * i) + 1)
 
 let pack ~server ~is_owner = (server lsl 1) lor (if is_owner then 1 else 0)
+
+(* A fresh map of [n] rows, filled by [set_row]. *)
+let make_rows n = Float.Array.create (2 * n)
+
+let[@inline] set_row t i packed stamp =
+  Float.Array.set t (2 * i) (float_of_int packed);
+  Float.Array.set t ((2 * i) + 1) stamp
 
 let entries t =
   List.init (size t) (fun i ->
@@ -141,16 +153,20 @@ let insert_row sc len nrow srow =
 let of_scratch sc n =
   if n = 0 then empty
   else begin
-    let ns = Array.sub sc.sc_ns 0 n and stamp = Float.Array.create n in
-    Float.Array.blit sc.sc_stamp 0 stamp 0 n;
-    { ns; stamp }
+    let t = make_rows n in
+    for i = 0 to n - 1 do
+      set_row t i sc.sc_ns.(i) (Float.Array.get sc.sc_stamp i)
+    done;
+    t
   end
 
 let load_scratch sc t =
   let n = size t in
   ensure sc n;
-  Array.blit t.ns 0 sc.sc_ns 0 n;
-  Float.Array.blit t.stamp 0 sc.sc_stamp 0 n;
+  for i = 0 to n - 1 do
+    sc.sc_ns.(i) <- row_packed t i;
+    Float.Array.set sc.sc_stamp i (row_stamp t i)
+  done;
   n
 
 (* ------------------------------------------------------------------ *)
@@ -158,7 +174,9 @@ let load_scratch sc t =
 (* ------------------------------------------------------------------ *)
 
 let singleton ?(is_owner = false) ~server ~stamp () =
-  { ns = [| pack ~server ~is_owner |]; stamp = Float.Array.make 1 stamp }
+  let t = make_rows 1 in
+  set_row t 0 (pack ~server ~is_owner) stamp;
+  t
 
 let of_entries ~max entries =
   if max < 1 then invalid_arg "Node_map.of_entries: max must be >= 1";
@@ -172,8 +190,7 @@ let of_entries ~max entries =
 
 let truncate ~max t =
   if max < 1 then invalid_arg "Node_map.truncate: max must be >= 1";
-  if size t <= max then t
-  else { ns = Array.sub t.ns 0 max; stamp = Float.Array.sub t.stamp 0 max }
+  if size t <= max then t else Float.Array.sub t 0 (2 * max)
 
 (* [t] already satisfies the sorted/deduped invariant: one insertion pass
    suffices.  (The historical error message is [of_entries]'s — kept
@@ -221,16 +238,15 @@ let remove t s =
   if not (mem t s) then t
   else begin
     let n = size t in
-    let ns = Array.make (n - 1) 0 and stamp = Float.Array.create (n - 1) in
+    let out = make_rows (n - 1) in
     let j = ref 0 in
     for i = 0 to n - 1 do
       if row_server t i <> s then begin
-        ns.(!j) <- t.ns.(i);
-        Float.Array.set stamp !j (row_stamp t i);
+        set_row out !j (row_packed t i) (row_stamp t i);
         incr j
       end
     done;
-    if !j = 0 then empty else { ns; stamp }
+    if !j = 0 then empty else out
   end
 
 (* ------------------------------------------------------------------ *)
@@ -264,7 +280,7 @@ let merge ?scratch ~max rng a b =
        order — owners form a prefix, the rest is newest-first. *)
     let len = ref (load_scratch sc a) in
     for i = 0 to size b - 1 do
-      insert_row sc len b.ns.(i) (row_stamp b i)
+      insert_row sc len (row_packed b i) (row_stamp b i)
     done;
     let total = !len in
     let owners_total =
@@ -309,12 +325,10 @@ let merge ?scratch ~max rng a b =
           incr picked
         done
       end;
-      let out = owners + newest + !picked in
-      let ns = Array.make out 0 and stamp = Float.Array.create out in
+      let out = make_rows (owners + newest + !picked) in
       let j = ref 0 in
       let emit i =
-        ns.(!j) <- sc.sc_ns.(i);
-        Float.Array.set stamp !j (Float.Array.get sc.sc_stamp i);
+        set_row out !j sc.sc_ns.(i) (Float.Array.get sc.sc_stamp i);
         incr j
       in
       for i = 0 to owners - 1 do
@@ -326,7 +340,7 @@ let merge ?scratch ~max rng a b =
       for i = rem_start to total - 1 do
         if sc.sc_keep.(i) then emit i
       done;
-      { ns; stamp }
+      out
     end
   end
 
@@ -347,16 +361,15 @@ let filter t ~f =
   if !kept = n then t
   else if !kept = 0 then empty
   else begin
-    let ns = Array.make !kept 0 and stamp = Float.Array.create !kept in
+    let out = make_rows !kept in
     let j = ref 0 in
     for i = 0 to n - 1 do
       if row_owner t i || f (row_server t i) then begin
-        ns.(!j) <- t.ns.(i);
-        Float.Array.set stamp !j (row_stamp t i);
+        set_row out !j (row_packed t i) (row_stamp t i);
         incr j
       end
     done;
-    { ns; stamp }
+    out
   end
 
 (* Count-then-walk: one draw on the eligible count, none when empty, so

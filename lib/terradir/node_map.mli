@@ -12,11 +12,10 @@
     - {b random fill}: remaining slots are chosen at random from what is
       left, so different servers end up with decorrelated maps.
 
-    Maps are immutable values; all operations return new maps.  The
-    representation is a flat struct-of-arrays (packed server/owner ints,
-    unboxed stamps): operations assemble intermediate states in a
-    per-domain workspace, so hot-path callers allocate only the result
-    map. *)
+    Maps are immutable values; all operations return new maps.  A map is
+    one flat block (a packed server/owner row and an unboxed stamp per
+    entry): operations assemble intermediate states in a per-domain
+    workspace, so hot-path callers allocate only the result map. *)
 
 type entry = { server : int; is_owner : bool; stamp : float }
 (** [stamp] is the simulation time this entry was (last) created/refreshed. *)

@@ -14,7 +14,7 @@ let effective_high_water (s : Server.t) ~now =
        last measurement.  Raw (not adjusted) own load: the threshold should
        track reality, not the post-shed hysteresis value. *)
     let sum = Load_meter.raw_load s.load now +. Server.peer_load_sum s in
-    let n = 1 + Hashtbl.length s.Server.known_loads in
+    let n = 1 + Terradir_util.Packed_table.length s.Server.known_loads in
     let mean = sum /. float_of_int n in
     Float.max floor_threshold (Float.min 0.95 (factor *. mean))
   end

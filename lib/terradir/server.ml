@@ -45,7 +45,9 @@ type t = {
   digests : Digest_store.t;
   load : Load_meter.t;
   ranking : Ranking.t;
-  known_loads : (server_id, floatarray) Hashtbl.t;
+  known_loads : Packed_table.t;
+  mutable peer_seq : int;
+  mutable peer_buckets : int;
   queue : message Queue.t;
   ctrl_queue : message Queue.t;
   mutable serving : bool;
@@ -71,6 +73,10 @@ let session_backoff_until t = Float.Array.get t.floats i_session_backoff_until
 
 let set_session_backoff_until t time = Float.Array.set t.floats i_session_backoff_until time
 
+(* The bucket count a Stdlib [Hashtbl.create 32] starts (and resets) at:
+   [min_load_peer] replays that table's order. *)
+let initial_peer_buckets = 32
+
 let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
   if speed <= 0.0 then invalid_arg "Server.create: speed must be positive";
   {
@@ -88,7 +94,9 @@ let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
     digests = Digest_store.create ~max_remote:max_remote_digests ();
     load = Load_meter.create ~window:load_window;
     ranking = Ranking.create ();
-    known_loads = Hashtbl.create 32;
+    known_loads = Packed_table.create ~floats:true ();
+    peer_seq = 0;
+    peer_buckets = initial_peer_buckets;
     queue = Queue.create ();
     ctrl_queue = Queue.create ();
     serving = false;
@@ -233,38 +241,59 @@ let touch_node t node ~now =
    and a fresh fold there is O(peers) — the per-event cost that made large
    deployments (fig9's upper sizes) collapse.  Drift from the running
    subtract/add is deterministic (per-server update order is fixed for any
-   engine-domain count) and re-zeroed whenever the table empties. *)
+   engine-domain count) and re-zeroed whenever the table empties.
+
+   A new peer's payload is its insertion sequence, and [peer_buckets]
+   follows the Stdlib [Hashtbl] this table once was: it doubles when the
+   peer count exceeds twice the buckets and never shrinks before a reset.
+   Together they give [min_load_peer] that table's visit order. *)
 let note_peer_load t peer load =
   if peer <> t.id then begin
-    (* A known peer's cell is updated in place: the table is not touched,
-       so its bucket order — [min_load_peer]'s visit order — is exactly
-       what replacing the binding kept it as. *)
-    match Hashtbl.find t.known_loads peer with
-    | cell ->
-      Float.Array.set t.floats i_peer_load_sum
-        (Float.Array.get t.floats i_peer_load_sum -. Float.Array.get cell 0 +. load);
-      Float.Array.set cell 0 load
-    | exception Not_found ->
+    let kl = t.known_loads in
+    match Packed_table.find kl peer with
+    | -1 ->
       Float.Array.set t.floats i_peer_load_sum (Float.Array.get t.floats i_peer_load_sum +. load);
-      Hashtbl.replace t.known_loads peer (Float.Array.make 1 load)
+      let i = Packed_table.add kl peer t.peer_seq in
+      Float.Array.set (Packed_table.floats kl) i load;
+      t.peer_seq <- t.peer_seq + 1;
+      assert (t.peer_seq lsr Packed_table.payload_bits = 0);
+      if Packed_table.length kl > 2 * t.peer_buckets then t.peer_buckets <- 2 * t.peer_buckets
+    | i ->
+      let loads = Packed_table.floats kl in
+      Float.Array.set t.floats i_peer_load_sum
+        (Float.Array.get t.floats i_peer_load_sum -. Float.Array.get loads i +. load);
+      Float.Array.set loads i load
   end
 
+(* The least load, ties to the least [(bucket, -seq)]: the order in which
+   [Hashtbl.fold] visited the table this replays — buckets ascending
+   ([Hashtbl.hash peer] over the replayed bucket count), the newest entry
+   first within a bucket (a resize keeps that order) — so the peer picked
+   is the first-visited of the least loaded, which the fold's [l <= load]
+   rule kept.  Ties are everywhere at bootstrap, when every peer is
+   believed idle, and every published figure bakes this choice in. *)
 let min_load_peer t ~exclude =
-  (* The [l <= load] tie-break keeps the earliest-visited of equally-loaded
-     peers — ubiquitous at bootstrap, when every peer is believed idle.
-     Visit order over a fixed insertion history is deterministic, and every
-     published figure bakes this choice in; a total-order tie-break would be
-     prettier but shifts all golden CSVs. *)
-  (* lint: ordered deliberate historical tie-break; see comment above — changing it moves every figure *)
-  Hashtbl.fold
-    (fun peer cell best ->
-      if List.mem peer exclude then best
-      else
-        let load = Float.Array.get cell 0 in
-        match best with
-        | Some (_, l) when l <= load -> best
-        | _ -> Some (peer, load))
-    t.known_loads None
+  let kl = t.known_loads and mask = t.peer_buckets - 1 in
+  let loads = Packed_table.floats kl in
+  let best = ref (-1) and best_bucket = ref 0 and best_seq = ref 0 in
+  for i = 0 to Packed_table.capacity kl - 1 do
+    let peer = Packed_table.key_at kl i in
+    if peer >= 0 && not (List.mem peer exclude) then begin
+      let bucket = Hashtbl.hash peer land mask and seq = Packed_table.payload_at kl i in
+      let load = Float.Array.get loads i in
+      if
+        !best < 0
+        ||
+        let l = Float.Array.get loads !best in
+        load < l || (load = l && (bucket < !best_bucket || (bucket = !best_bucket && seq > !best_seq)))
+      then begin
+        best := i;
+        best_bucket := bucket;
+        best_seq := seq
+      end
+    end
+  done;
+  if !best < 0 then None else Some (Packed_table.key_at kl !best, Float.Array.get loads !best)
 
 let replica_budget t =
   int_of_float (t.config.Config.r_fact *. float_of_int t.owned_count) - t.replica_count
@@ -433,16 +462,19 @@ let forget_server t node server =
       Cache.update t.cache ~node ~f:(fun map -> Node_map.remove map server))
 
 let forget_peer t peer =
-  match Hashtbl.find_opt t.known_loads peer with
-  | None -> ()
-  | Some cell ->
-    Hashtbl.remove t.known_loads peer;
+  let kl = t.known_loads in
+  match Packed_table.find kl peer with
+  | -1 -> ()
+  | i ->
+    let load = Float.Array.get (Packed_table.floats kl) i in
+    Packed_table.remove kl peer;
     Float.Array.set t.floats i_peer_load_sum
-      (if Hashtbl.length t.known_loads = 0 then 0.0
-       else Float.Array.get t.floats i_peer_load_sum -. Float.Array.get cell 0)
+      (if Packed_table.length kl = 0 then 0.0 else Float.Array.get t.floats i_peer_load_sum -. load)
 
 let forget_all_peers t =
-  Hashtbl.reset t.known_loads;
+  Packed_table.clear t.known_loads;
+  t.peer_seq <- 0;
+  t.peer_buckets <- initial_peer_buckets;
   Float.Array.set t.floats i_peer_load_sum 0.0
 
 let record_new_replica t node target ~now =

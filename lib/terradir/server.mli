@@ -66,8 +66,13 @@ type t = {
   digests : Digest_store.t;
   load : Load_meter.t;
   ranking : Ranking.t;
-  known_loads : (server_id, floatarray) Hashtbl.t;
-      (** believed load per peer, one cell each, updated in place *)
+  known_loads : Terradir_util.Packed_table.t;
+      (** believed load per peer, in the slot's float, updated in place;
+          the payload is the peer's insertion sequence *)
+  mutable peer_seq : int;  (** insertion sequence of the next new peer *)
+  mutable peer_buckets : int;
+      (** bucket count of the Stdlib [Hashtbl] that [known_loads] once was,
+          replayed for {!min_load_peer}'s order *)
   queue : message Queue.t;  (** bounded query-class FIFO *)
   ctrl_queue : message Queue.t;  (** unbounded, served with priority *)
   mutable serving : bool;
@@ -146,7 +151,9 @@ val touch_node : t -> node_id -> now:float -> unit
 val note_peer_load : t -> server_id -> float -> unit
 
 val min_load_peer : t -> exclude:server_id list -> (server_id * float) option
-(** Least-loaded peer by believed load (the basis of §3.3 step 2). *)
+(** Least-loaded peer by believed load (the basis of §3.3 step 2); among
+    equal loads, the first a [Hashtbl.fold] over a [Hashtbl.create 32]
+    with the same insertion and removal history would visit. *)
 
 val replica_budget : t -> int
 (** floor(r_fact × owned) − replicas currently hosted (may be negative). *)

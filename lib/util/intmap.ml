@@ -11,10 +11,10 @@ module Index = struct
 
   let size ix = Array.length ix.tbl
 
-  (* Fibonacci-style multiplicative scramble of an int key; keys here are
+  (* Fibonacci-style multiplicative hash of an int key; keys here are
      dense interned ids, which linear probing over the raw low bits would
      cluster badly. *)
-  let scramble k =
+  let hash k =
     let h = k lxor (k lsr 33) in
     let h = h * 0x27220A95FE220589 in
     (h lxor (h lsr 29)) land max_int
@@ -30,7 +30,7 @@ module Index = struct
   let find ix keys k =
     let tbl = ix.tbl in
     let mask = Array.length tbl - 1 in
-    if mask < 0 then -1 else find_from tbl mask keys k (scramble k land mask)
+    if mask < 0 then -1 else find_from tbl mask keys k (hash k land mask)
 
   let rec vacant_from tbl mask i =
     if tbl.(i) <= 0 then i else vacant_from tbl mask ((i + 1) land mask)
@@ -38,7 +38,7 @@ module Index = struct
   let insert ix k slot =
     let tbl = ix.tbl in
     let mask = Array.length tbl - 1 in
-    let i = vacant_from tbl mask (scramble k land mask) in
+    let i = vacant_from tbl mask (hash k land mask) in
     if tbl.(i) < 0 then ix.tombs <- ix.tombs - 1;
     tbl.(i) <- slot + 1
 
@@ -49,7 +49,7 @@ module Index = struct
   let position ix k from =
     let tbl = ix.tbl in
     let mask = Array.length tbl - 1 in
-    holding_from tbl mask (from + 1) (scramble k land mask)
+    holding_from tbl mask (from + 1) (hash k land mask)
 
   let remove ix k slot =
     ix.tbl.(position ix k slot) <- -1;

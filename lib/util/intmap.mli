@@ -72,6 +72,11 @@ val set_key_unchecked : 'a t -> int -> int -> unit
 module Index : sig
   type t
 
+  val hash : int -> int
+  (** The non-negative scramble of a key that probing starts from (keys
+      are dense ids, which the raw low bits would cluster); {!Packed_table}
+      probes from it too. *)
+
   val create : unit -> t
   (** Size 0: {!find} answers [-1] and no insertion is possible. *)
 

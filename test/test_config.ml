@@ -24,6 +24,9 @@ let test_default_valid () = Config.validate Config.default
 
 let test_validation_rejects () =
   expect_invalid "num_servers" (fun c -> { c with Config.num_servers = 0 });
+  (* Peer tables pack [peer + 1] into 24 bits: 2^24 − 1 servers fit. *)
+  expect_invalid "num_servers packed" (fun c -> { c with Config.num_servers = 1 lsl 24 });
+  Config.validate { Config.default with Config.num_servers = (1 lsl 24) - 1 };
   expect_invalid "speed_spread" (fun c -> { c with Config.speed_spread = 0.5 });
   expect_invalid "service_mean" (fun c -> { c with Config.service_mean = 0.0 });
   expect_invalid "network_delay" (fun c -> { c with Config.network_delay = -0.1 });

@@ -254,6 +254,15 @@ let test_csv_export () =
     (Invalid_argument "Csv_export.export: unknown experiment nope") (fun () ->
       ignore (E.Csv_export.export ~id:"nope" ~dir ()))
 
+(* A directory that does not exist yet, parents included, is created. *)
+let test_csv_export_nested_dir () =
+  let base = Filename.temp_file "terradir_csv_nested" "" in
+  Sys.remove base;
+  let dir = Filename.concat (Filename.concat base "a") "b" in
+  let files = E.Csv_export.export ~id:"table1" ~scale ~seed:42 ~dir () in
+  Alcotest.(check bool) "files written" true (files <> []);
+  List.iter (fun path -> Alcotest.(check bool) (path ^ " exists") true (Sys.file_exists path)) files
+
 (* Every registry id exports, table1 included, and no two tables share a
    CSV name.  75 s clears the longest uzipf warmup (70 s); fig8 needs more
    than its 100 s uniform prefix. *)
@@ -375,6 +384,7 @@ let () =
           Alcotest.test_case "hetero" `Slow test_hetero;
           Alcotest.test_case "csv export" `Slow test_csv_export;
           Alcotest.test_case "csv export honours duration" `Slow test_csv_export_duration;
+          Alcotest.test_case "csv export creates a nested directory" `Slow test_csv_export_nested_dir;
           Alcotest.test_case "every registry id exports" `Slow test_registry_exports;
           Alcotest.test_case "csv export equals the printed tables" `Slow test_export_matches_tables;
         ] );

@@ -1,7 +1,9 @@
 (* Equivalence suites for the flat hot-path stores introduced by the
    zero-allocation work: the index-linked LRU against a reference list
-   model, the iteration-driven Bloom digest rebuild against the historical
-   list-based one, scratch-buffer and RNG-draw parity on Node_map merges —
+   model, the packed peer table and the digest store's sent versions
+   against Stdlib [Hashtbl]s, the iteration-driven Bloom digest rebuild
+   against the historical list-based one, scratch-buffer and RNG-draw
+   parity on Node_map merges —
    and two end-to-end locks: fig3 with observability Off vs Full, and a
    pooled-hot-path workload byte-compared across engine-domain counts
    (free lists, ring paths and SoA outboxes must all be trajectory
@@ -278,6 +280,141 @@ let test_intmap_downward_removal () =
 (* ------------------------------------------------------------------ *)
 (* Digest rebuild: list path vs iteration path                         *)
 (* ------------------------------------------------------------------ *)
+(* Packed_table vs Hashtbl                                             *)
+(* ------------------------------------------------------------------ *)
+
+type packed_op =
+  | P_add of int * int * float
+  | P_set of int * int
+  | P_remove of int
+  | P_find of int
+  | P_clear
+
+let show_packed_op = function
+  | P_add (k, p, f) -> Printf.sprintf "Add(%d,%d,%g)" k p f
+  | P_set (k, p) -> Printf.sprintf "Set(%d,%d)" k p
+  | P_remove k -> Printf.sprintf "Remove %d" k
+  | P_find k -> Printf.sprintf "Find %d" k
+  | P_clear -> "Clear"
+
+let max_payload = (1 lsl Packed_table.payload_bits) - 1
+
+let max_packed_key = (1 lsl Packed_table.key_bits) - 2
+
+(* Keys from a range of [keys] plus the extreme ones; payloads up to the
+   largest.  Long runs of adds grow the table; removes shift probe runs
+   back, across the array's wrap-around too. *)
+let packed_op_gen ~keys =
+  QCheck.Gen.(
+    let key = frequency [ (19, int_bound keys); (1, oneofl [ 0; max_packed_key ]) ] in
+    let payload = frequency [ (9, int_bound 1000); (1, return max_payload) ] in
+    frequency
+      [
+        (40, map3 (fun k p f -> P_add (k, p, float_of_int f /. 8.0)) key payload (int_bound 100));
+        (10, map2 (fun k p -> P_set (k, p)) key payload);
+        (16, map (fun k -> P_remove k) key);
+        (10, map (fun k -> P_find k) key);
+        (1, return P_clear);
+      ])
+
+(* Every model key resolves to a slot holding its payload and float, and
+   a sweep of the slots finds exactly the model's keys. *)
+let packed_agrees t (model : (int, int * float) Hashtbl.t) =
+  let swept = ref [] in
+  for i = 0 to Packed_table.capacity t - 1 do
+    let k = Packed_table.key_at t i in
+    if k >= 0 then swept := k :: !swept
+  done;
+  Packed_table.length t = Hashtbl.length model
+  && List.sort compare !swept = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) model [])
+  && Hashtbl.fold
+       (fun k (p, f) ok ->
+         ok
+         &&
+         let i = Packed_table.find t k in
+         i >= 0 && Packed_table.payload_at t i = p && Float.Array.get (Packed_table.floats t) i = f)
+       model true
+
+let prop_packed_model =
+  QCheck.Test.make ~name:"packed table ≡ Hashtbl (add/set/remove/find/clear, floats)" ~count:300
+    (QCheck.make
+       ~print:(fun (keys, l) ->
+         Printf.sprintf "keys %d: %s" keys (String.concat "; " (List.map show_packed_op l)))
+       QCheck.Gen.(
+         oneofl [ 4; 40; 300 ] >>= fun keys ->
+         map (fun ops -> (keys, ops)) (list_size (int_bound 600) (packed_op_gen ~keys))))
+    (fun (_, ops) ->
+      let t = Packed_table.create ~floats:true () in
+      let model = Hashtbl.create 16 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | P_add (k, p, f) -> (
+            match Packed_table.add t k p with
+            | i ->
+              Float.Array.set (Packed_table.floats t) i f;
+              let fresh = not (Hashtbl.mem model k) in
+              Hashtbl.replace model k (p, f);
+              fresh
+            | exception Invalid_argument _ -> Hashtbl.mem model k)
+          | P_set (k, p) -> (
+            match (Packed_table.find t k, Hashtbl.find_opt model k) with
+            | -1, None -> true
+            | i, Some (_, f) when i >= 0 ->
+              Packed_table.set_payload_at t i p;
+              Hashtbl.replace model k (p, f);
+              true
+            | _ -> false)
+          | P_remove k ->
+            Packed_table.remove t k;
+            Hashtbl.remove model k;
+            true
+          | P_find k -> (Packed_table.find t k >= 0) = Hashtbl.mem model k
+          | P_clear ->
+            Packed_table.clear t;
+            Hashtbl.reset model;
+            true)
+          && packed_agrees t model)
+        ops)
+
+let test_packed_bounds () =
+  let t = Packed_table.create () in
+  let rejects name f =
+    match f () with
+    | (_ : int) -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "negative key" (fun () -> Packed_table.add t (-1) 0);
+  rejects "key past 24 bits" (fun () -> Packed_table.add t (max_packed_key + 1) 0);
+  rejects "payload past 39 bits" (fun () -> Packed_table.add t 1 (max_payload + 1));
+  let i = Packed_table.add t max_packed_key max_payload in
+  Alcotest.(check int) "largest key round-trips" max_packed_key (Packed_table.key_at t i);
+  Alcotest.(check int) "largest payload round-trips" max_payload (Packed_table.payload_at t i)
+
+(* [Digest_store]'s sent versions, one packed int per peer, against the
+   [(int, int) Hashtbl.t] they were. *)
+let prop_sent_model =
+  QCheck.Test.make ~name:"digest sent versions ≡ Hashtbl" ~count:200
+    QCheck.(
+      make
+        ~print:Print.(list (pair int int))
+        Gen.(list_size (int_bound 1500) (pair (int_bound 700) (frequency [ (9, int_bound 50); (1, return max_payload) ]))))
+    (fun notes ->
+      let d = Digest_store.create ~max_remote:4 () in
+      let model = Hashtbl.create 64 in
+      let last peer = Option.value ~default:0 (Hashtbl.find_opt model peer) in
+      List.for_all
+        (fun (peer, version) ->
+          let before = Digest_store.last_version_sent d ~peer = last peer in
+          Digest_store.note_version_sent d ~peer version;
+          Hashtbl.replace model peer version;
+          before && Digest_store.last_version_sent d ~peer = version)
+        notes
+      && List.for_all
+           (fun peer -> Digest_store.last_version_sent d ~peer = last peer)
+           (List.init 701 Fun.id))
+
+(* ------------------------------------------------------------------ *)
 
 (* [rebuild_local_from] over a hash table's arbitrary iteration order
    must build the SAME filter as [rebuild_local] over the sorted list the
@@ -420,7 +557,11 @@ let () =
       ( "intmap",
         Alcotest.test_case "downward removal" `Quick test_intmap_downward_removal
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_intmap_model ] );
-      ("digests", List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_digest_rebuild ]);
+      ( "packed",
+        Alcotest.test_case "key and payload bounds" `Quick test_packed_bounds
+        :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_packed_model ] );
+      ( "digests",
+        List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_digest_rebuild; prop_sent_model ] );
       ( "node_map",
         List.map
           (QCheck_alcotest.to_alcotest ~long:false)

@@ -242,6 +242,29 @@ let prop_merge_matches_reference =
       (* both sides drew the same number of randoms iff the streams agree *)
       && Splitmix.int rng 1_000_000 = Splitmix.int ref_rng 1_000_000)
 
+(* A map keeps each row's packed server/owner and its stamp as floats:
+   stamps come back bit for bit (0.0, subnormal and huge ones included),
+   and so does the largest server id the packed peer keys allow, through
+   construction, add, merge, filter, remove and truncation. *)
+let test_stamps_round_trip () =
+  let big = (1 lsl 24) - 2 in
+  let stamps = [ 0.0; 4.9e-324; 1e-300; 0.1; 123456789.123456789; 2.0 ** 60.0; 1e300; Float.max_float ] in
+  let given = List.mapi (fun i stamp -> entry ~owner:(i = 3) (if i = 0 then big else i) stamp) stamps in
+  let row e = (e.Node_map.server, e.Node_map.is_owner, Int64.bits_of_float e.Node_map.stamp) in
+  let rows es = List.sort compare (List.map row es) in
+  let check name expect m = Alcotest.(check (list (triple int bool int64))) name expect (rows (Node_map.entries m)) in
+  let expect = rows given in
+  let m = Node_map.of_entries ~max:16 given in
+  check "of_entries" expect m;
+  check "add" expect (List.fold_left (fun m e -> Node_map.add ~max:16 m e) Node_map.empty given);
+  let evens, odds = List.partition (fun e -> e.Node_map.server mod 2 = 0) given in
+  check "merge" expect
+    (Node_map.merge ~max:16 (Splitmix.create 3) (Node_map.of_entries ~max:16 evens)
+       (Node_map.of_entries ~max:16 odds));
+  check "filter" (List.filter (fun (s, _, _) -> s <> 1) expect) (Node_map.filter m ~f:(fun s -> s <> 1));
+  check "remove" (List.filter (fun (s, _, _) -> s <> big) expect) (Node_map.remove m big);
+  check "truncate" (rows (List.filteri (fun i _ -> i < 3) (Node_map.entries m))) (Node_map.truncate ~max:3 m)
+
 let () =
   Alcotest.run "terradir_node_map"
     [
@@ -258,6 +281,7 @@ let () =
           Alcotest.test_case "filter owner exempt" `Quick test_filter_owner_exempt;
           Alcotest.test_case "random server" `Quick test_random_server;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "stamps round-trip bit for bit" `Quick test_stamps_round_trip;
         ] );
       ( "node_map-props",
         List.map (QCheck_alcotest.to_alcotest ~long:false)

@@ -1,7 +1,7 @@
 (* Tests for the promotion budget (DESIGN §16): the steady-state message
    path may keep nothing past a minor collection that the protocol does
    not keep.  Native allocation pins on the per-event helpers, the pooled
-   messages' event thunks, the known-load cells behind [min_load_peer],
+   messages' event thunks, the known-load table behind [min_load_peer],
    and the lazily built local digest. *)
 
 open Terradir_util
@@ -156,6 +156,67 @@ let prop_min_load_peer =
           same ())
         ops)
 
+(* The order [Hashtbl.fold] visits the reference in, and the order the
+   server's replay claims for it: buckets ascending under the replayed
+   bucket count, newest insertion first within a bucket. *)
+let reference_order tbl = List.rev (Hashtbl.fold (fun p l acc -> (p, l) :: acc) tbl [])
+
+let replayed_order s =
+  let kl = s.Server.known_loads in
+  let loads = Packed_table.floats kl in
+  let rows = ref [] in
+  for i = 0 to Packed_table.capacity kl - 1 do
+    let peer = Packed_table.key_at kl i in
+    if peer >= 0 then
+      rows :=
+        ( Hashtbl.hash peer land (s.Server.peer_buckets - 1),
+          -Packed_table.payload_at kl i,
+          peer,
+          Float.Array.get loads i )
+        :: !rows
+  done;
+  List.map (fun (_, _, p, l) -> (p, l)) (List.sort compare !rows)
+
+(* Long random histories over 700 peers against a real [Hashtbl.create
+   32]: notes of new and known peers, forgets, re-adds and resets.  Enough
+   peers are live at once for the table to resize past 64, 128 and 256
+   buckets, and quarter-step loads make ties common. *)
+let test_peer_table_replay () =
+  let self = 3 in
+  let max_buckets = ref 0 and resets = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Splitmix.create seed in
+      let s = server ~id:self [] in
+      let tbl : (int, float) Hashtbl.t = Hashtbl.create 32 in
+      for step = 1 to 4000 do
+        let p = Splitmix.int rng 700 in
+        (match Splitmix.int rng 10_000 with
+        | r when r < 8000 ->
+          let load = float_of_int (Splitmix.int rng 5) /. 4.0 in
+          Server.note_peer_load s p load;
+          if p <> self then Hashtbl.replace tbl p load
+        | r when r < 9995 ->
+          Server.forget_peer s p;
+          Hashtbl.remove tbl p
+        | _ ->
+          Server.forget_all_peers s;
+          Hashtbl.reset tbl;
+          incr resets);
+        max_buckets := max !max_buckets s.Server.peer_buckets;
+        if replayed_order s <> reference_order tbl then
+          Alcotest.failf "seed %d step %d: visit order differs" seed step;
+        let winner = Option.map fst (reference_min tbl ~exclude:[]) in
+        List.iter
+          (fun exclude ->
+            if Server.min_load_peer s ~exclude <> reference_min tbl ~exclude then
+              Alcotest.failf "seed %d step %d: min_load_peer differs" seed step)
+          [ []; [ self ]; Option.to_list winner; [ p; Splitmix.int rng 700; Splitmix.int rng 700 ] ]
+      done)
+    [ 1; 2; 3; 4 ];
+  Alcotest.(check bool) "resized past 256 buckets" true (!max_buckets >= 512);
+  Alcotest.(check bool) "reset at least once" true (!resets >= 1)
+
 (* ---- lazy local digest ---- *)
 
 let test_digest_versions () =
@@ -208,7 +269,10 @@ let () =
           Alcotest.test_case "recycled keeps thunks" `Quick test_recycled_thunks;
           Alcotest.test_case "freed thunk raises" `Quick test_freed_thunks_raise;
         ] );
-      ("known-loads", List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_min_load_peer ]);
+      ( "known-loads",
+        Alcotest.test_case "replays Hashtbl.create 32 through resizes and resets" `Quick
+          test_peer_table_replay
+        :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_min_load_peer ] );
       ( "lazy-digest",
         [
           Alcotest.test_case "version per add" `Quick test_digest_versions;
