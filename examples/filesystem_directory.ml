@@ -75,10 +75,10 @@ let () =
       (1000.0 *. r.Search.latency)
   | None -> print_endline "listing did not complete");
   (match !fetched with
-  | Some (Cluster.Fetched { latency }) ->
+  | Some (Types.Fetched { latency }) ->
     Printf.printf "cat %s -> data fetched in %.0f ms\n" (Tree.name_string tree deep)
       (1000.0 *. latency)
-  | Some Cluster.Fetch_failed -> print_endline "fetch failed"
+  | Some Types.Fetch_failed -> print_endline "fetch failed"
   | None -> print_endline "fetch did not complete");
 
   (* And the route a lookup for that file would take right now (Fig. 1). *)

@@ -1,16 +1,3 @@
-(** Ablations of the design choices the paper asserts but does not plot.
-
-    - {b Cache policy} (§2.4): "This mixture of close and far nodes
-      [path propagation] performs significantly better than caching the
-      query endpoints."
-    - {b Cache size}: caches add O(log-ish) state per server and claim
-      large latency wins even without locality.
-    - {b Map size} (§3.7): maps are bounded at r_map entries "for
-      scalability reasons" — how much accuracy does a tiny map cost?
-    - {b Static vs. adaptive replication} (§2.3): "hierarchical bottlenecks
-      can be addressed by static replication mechanisms, [but hot-spots
-      and failures] call for an adaptive scheme." *)
-
 open Terradir
 open Terradir_util
 

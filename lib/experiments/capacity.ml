@@ -28,9 +28,9 @@ type result = {
   servers : int;
   domains : int;  (** engine domains the run executed on *)
   nodes : int;
-  rate : float;  (** analytic injection rate, queries/s *)
-  sim_duration : float;  (** simulated seconds driven *)
-  events : int;  (** engine events executed *)
+  rate : float;
+  sim_duration : float;
+  events : int;
   injected : int;
   resolved : int;
   dropped : int;

@@ -20,12 +20,8 @@ let mean_depth tree =
   let total = Tree.fold tree ~init:0 ~f:(fun acc v -> acc + Tree.depth tree v) in
   float_of_int total /. float_of_int (Tree.size tree)
 
-let log2i n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
-  go 0 n
-
 let fig9_sizing c =
-  let log2s = log2i c.Config.num_servers in
+  let log2s = Build.log2i c.Config.num_servers in
   {
     c with
     Config.placement = Config.Round_robin;

@@ -1,18 +1,10 @@
-(** Figure 3: fraction of queries dropped every second (relative to λ) over
-    time, namespace N_S, λ = 20000 q/s paper scale.
-
-    Five curves: unif and uzipf at orders 0.75–1.50.  The uzipf streams
-    begin with staggered uniform warmups; each Zipf segment re-ranks node
-    popularity instantly, producing the paper's drop spikes that the
-    replication protocol then flattens. *)
-
 open Terradir
 open Terradir_util
 
 type result = {
   duration : float;
   scaled_rate : float;
-  series : (string * float array) list;  (** per-second drop fraction *)
+  series : (string * float array) list;
 }
 
 let run ?scale ?(duration = 250.0) ?(seed = 42) () =

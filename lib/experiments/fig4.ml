@@ -1,18 +1,10 @@
-(** Figure 4: fraction of replicas created every second (relative to λ) over
-    time, namespace N_C (Coda-like), λ = 40000 q/s paper scale (the paper
-    doubles the rate on N_C to hold utilization roughly constant).
-
-    Spikes align with warmup (hierarchical stabilization) and with each
-    instantaneous popularity re-ranking; between shifts the creation rate
-    decays as the configuration adapts. *)
-
 open Terradir
 open Terradir_util
 
 type result = {
   duration : float;
   scaled_rate : float;
-  series : (string * float array) list;  (** per-second replica-creation fraction *)
+  series : (string * float array) list;
 }
 
 let run ?scale ?(duration = 250.0) ?(seed = 42) () =

@@ -1,12 +1,3 @@
-(** Figure 6: utilization and load balance.  N_S under uzipf1.00 with
-    instant re-rankings, at three arrival rates (paper λ = 4000, 10000,
-    20000 ≈ utilizations 0.15 / 0.4 / 0.8).
-
-    Left panel: per-second mean and maximum server load — peaks follow each
-    popularity shift, and the maximum sinks back toward T_high given time.
-    Right panel: the maximum averaged over an 11-second window, showing the
-    transiency of highly-loaded conditions. *)
-
 open Terradir
 open Terradir_util
 
@@ -14,7 +5,7 @@ type series = {
   label : string;
   mean_load : float array;
   max_load : float array;
-  smoothed_max : float array;  (** 11-second trailing average of the max *)
+  smoothed_max : float array;
 }
 
 type result = { duration : float; runs : series list }

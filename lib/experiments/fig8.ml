@@ -1,12 +1,3 @@
-(** Figure 8: stabilization and long-term behavior — replicas created per
-    minute over a long run, for unif and uzipf1.00 on both namespaces.
-
-    With no change in the input pattern after the (single) Zipf onset, the
-    creation rate decays like an exponential toward quiescence: the paper
-    reaches ~2.x replicas/minute after 10000 s (≈ one replica per several
-    hundred thousand queries).  The uzipf streams here use a 100 s uniform
-    prefix and {e no} re-rankings. *)
-
 open Terradir
 open Terradir_util
 open Terradir_workload

@@ -1,13 +1,3 @@
-(** Figure 9: scalability.  System size doubles step by step; nodes per
-    server stay constant (~8, balanced binary namespace), λ grows
-    proportionally, cache slots grow logarithmically (2·log2 S − 2) and
-    r_map grows logarithmically.
-
-    Reported per size: average query latency (hops and seconds — the paper
-    plots a logarithmically growing latency), log10 of replication events,
-    and log10 of dropped queries (both roughly linear in system size,
-    hence straight lines on the log scale). *)
-
 open Terradir
 open Terradir_util
 

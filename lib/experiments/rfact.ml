@@ -1,15 +1,3 @@
-(** §4.4 ablation (summarized in the paper without a figure): low
-    replication factors under repeatedly shifting high-order hot-spots
-    (uzipf1.50), with inverse-mapping digests, without them, and against
-    the oracle (routing with perfectly accurate host maps).
-
-    Low r_fact + shifting hot-spots force constant replica churn, which is
-    exactly when stale maps hurt; the paper's claim is that digests keep
-    routing accuracy "within the optimal range".  Accuracy here is
-    1 − stale-forward fraction (a stale forward is an arrival at a server
-    that no longer hosts the forwarding target — zero by construction
-    under the oracle). *)
-
 open Terradir
 open Terradir_util
 

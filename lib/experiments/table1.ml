@@ -1,11 +1,3 @@
-(** Table 1: server–node relationships and the state kept for each.
-
-    The table itself is a design artifact; here we re-derive it from the
-    live implementation: build a small cluster, induce replication and
-    caching through traffic, and check that a server holding each
-    relationship kind actually maintains exactly the state the table
-    claims. *)
-
 open Terradir
 open Terradir_util
 open Terradir_namespace

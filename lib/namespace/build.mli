@@ -20,6 +20,9 @@ val balanced : arity:int -> levels:int -> Tree.t
 val balanced_node_count : arity:int -> levels:int -> int
 (** Number of nodes {!balanced} will produce. *)
 
+val log2i : int -> int
+(** [floor (log2 n)] for [n >= 1]; 0 for smaller [n]. *)
+
 val balanced_for : servers:int -> Tree.t
 (** The binary {!balanced} namespace a deployment of [servers] servers
     runs on: about 8 nodes per server, and never fewer than levels 0..3.

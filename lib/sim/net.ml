@@ -159,9 +159,3 @@ let delivered t = sum t.n_delivered
 let lost t = sum t.n_lost
 
 let blocked_count t = sum t.n_blocked
-
-let backoff ~base ~factor ~attempt =
-  if base < 0.0 then invalid_arg "Net.backoff: base must be non-negative";
-  if factor < 1.0 then invalid_arg "Net.backoff: factor must be >= 1";
-  if attempt < 0 then invalid_arg "Net.backoff: attempt must be non-negative";
-  base *. (factor ** float_of_int attempt)

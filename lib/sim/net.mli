@@ -105,10 +105,3 @@ val delivered : t -> int
 val lost : t -> int
 
 val blocked_count : t -> int
-
-val backoff : base:float -> factor:float -> attempt:int -> float
-(** The retransmission backoff schedule: [backoff ~base ~factor ~attempt]
-    is [base *. factor ^ attempt] — the timeout granted to attempt number
-    [attempt] (0 = the initial transmission).
-    @raise Invalid_argument if [base < 0], [factor < 1] or
-    [attempt < 0]. *)

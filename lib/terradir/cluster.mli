@@ -21,60 +21,18 @@
       server bounce back after one network delay, letting the sender prune
       the dead host from its maps and retry — queries thus survive host
       failures when an alternative replica is known;
-    - staleness decay: three durable-knowledge fallbacks keep routing live
-      under churn.  A stale forward (the receiver no longer hosts the
-      target) corrects the sender's map after one network delay, the dual
-      of the bounce for {e alive} hosts; a context map that bounce-pruning
-      would leave empty is re-seeded with the node's current owner (the
-      delegation is configuration, like a DNS NS record, never truly
-      forgotten); and a server left with no usable candidate — or only
-      sideways ones on a stale forward — falls back on the well-known root
-      contact and lets the query descend the owner chain;
-    - requests and timeouts: a lookup and a data fetch are both a
-      {!request} with one lifecycle.  {!inject} and {!fetch} register it
-      in its issuer's shard of [pending] and start attempt 0.  When
-      [rpc_timeout] is positive, a per-request timer at the issuer
-      retransmits an attempt that produced no outcome in time (some
-      message of it was silently lost), with exponentially backed-off
-      timeouts, up to [max_retries] times; a fetch asks a holder it has
-      not tried yet, and starts over across all of them once every one
-      was tried.  The first outcome of any attempt finalizes the request,
-      exactly once; duplicate results are discarded (counted as
-      [late_replies]).  A request that cannot complete — a lookup's
-      terminal drop, a fetch with no holder left, the last timer expiry —
-      gives up through one path: a lookup counts a drop and reports
-      [Dropped], a fetch counts [data_dropped] and reports
-      [Fetch_failed]. *)
+    - the protocol itself — routing and its staleness fallbacks, the
+      request lifecycle, replication sessions — is {!Protocol}'s; this
+      module is its transport (pools, network, service queues). *)
 
 open Types
 
-(** Outcome of a data fetch (step two of lookup-then-retrieve). *)
-type fetch_outcome =
-  | Fetched of { latency : float }
-  | Fetch_failed
-
-(** What a request is for, with its kind-specific state. *)
-type request_kind =
-  | Lookup of (outcome -> unit) option  (** the [on_complete] callback *)
-  | Fetch of {
-      tried : (server_id, unit) Hashtbl.t;
-          (** holders already asked this failover round (constant-time
-              membership; cleared when every holder has been tried) *)
-      on_done : (fetch_outcome -> unit) option;
-    }
-
-(** Issuer state for an in-flight lookup or fetch: survives across
-    retransmitted attempts; removed exactly once, on finalization. *)
-type request = {
-  issuer : server_id;  (** the lookup's source, the fetch's client *)
-  node : node_id;  (** the lookup's destination, the fetched node *)
-  born : float;  (** issue time; latencies are measured from it *)
-  mutable attempt : int;
-      (** newest attempt number (0 = original), advanced only by the
-          request's timer; drops reported by older lookup attempts are
-          discarded, while a result from any attempt finalizes *)
-  kind : request_kind;
-}
+type wire
+(** The transport's own state: per-lane message and query pools, server
+    epochs (bumped on kill/revive, they cancel stale service events), and
+    the runtime invariant auditor when enabled ({!Invariant.enabled} at
+    construction: checks every 10 000 engine events and at the end of
+    every {!run_until}, which also delivers the collected report). *)
 
 type t = {
   engine : Terradir_sim.Engine.t;
@@ -89,44 +47,15 @@ type t = {
   obs : Terradir_obs.Obs.t;
       (** the observability sink every layer records into; the null sink
           (the default) makes every hook a single dead branch *)
-  lane_metrics : Metrics.t array;
-      (** one metrics part per engine lane (exactly one on a sequential
-          engine); every counter bump lands in the executing lane's part.
-          Read results through {!metrics}, which folds the parts *)
-  lat_stats : Terradir_util.Stats.t array;
-      (** per-issuer resolution-latency accumulators; folded in server-id
-          order by {!metrics}, so the merged moments are independent of
-          the shard layout *)
-  hops_stats : Terradir_util.Stats.t array;
-  data_lat_stats : Terradir_util.Stats.t array;
-  meta_lag_stats : Terradir_util.Stats.t array;
   hop_budget : int;
       (** a query is dropped once its hop count exceeds [4 × max tree depth
           + 16]; {!Trace.route} stops at the same budget *)
-  replicas_created_per_level : int array array;  (** per lane, per level *)
   data_holders : server_id array array;
       (** node → servers durably holding its data (owner + static copies) *)
-  shard_ix : int array;  (** server → engine shard lane (all 0 when K = 1) *)
-  pending : (int, request) Hashtbl.t array;
+  pending : (int, Protocol.request) Hashtbl.t array;
       (** per shard: every unfinalized lookup and fetch, by request id *)
-  id_seq : int array;
-      (** per-server counter behind request and replication-session ids;
-          ids are [(issuer + 1) lsl 32 lor seq], so issuer and shard are
-          recoverable from any context *)
-  meta_version : int array;
-      (** per-node authoritative meta-data version — the owner's truth,
-          mirrored here so resolution-time staleness measurement reads no
-          other shard's server records *)
-  epochs : int array;  (** bumped on kill/revive; cancels stale events *)
-  msg_pool : Types.message Terradir_util.Freelist.t array;
-      (** per-lane recycled message records; a lane frees only into its own
-          pool (records migrate across pools with cross-lane traffic) *)
-  query_pool : Types.query Terradir_util.Freelist.t array;
-  audit : Invariant.t option;
-      (** the runtime invariant auditor, when enabled ({!Invariant.enabled}
-          at construction): checks run every 10 000 engine
-          events via the engine observer and at the end of every
-          {!run_until}, which also delivers the collected report *)
+  core : Protocol.t;  (** the protocol core, over the same servers *)
+  wire : wire;
 }
 
 val metrics : t -> Metrics.t
@@ -146,9 +75,10 @@ val create :
   t
 (** Build the deployment: validate config, place node ownership (uniform or
     round-robin per config), bootstrap each server's owned nodes and
-    neighbor contexts, give each server 8 random known
-    peers, and (when [monitor], default true) schedule the per-second load
-    sampler and the periodic replica idle scans.
+    neighbor contexts, let each server draw [min 8 (S − 1)] random known
+    peers (draws of itself are skipped and repeats collapse, so a server
+    may start with fewer), and (when [monitor], default true) schedule the
+    per-second load sampler and the periodic replica idle scans.
 
     When [config.engine_domains >= 2] (and the run admits a safe lookahead:
     no [oracle_maps], positive latency floor) the engine is switched to the
@@ -246,7 +176,7 @@ val alloc_msg :
   payload ->
   message
 (** Take a message record from the calling lane's pool, or build one with
-    its two event thunks when the pool is empty.  The protocol calls it
+    its two event thunks when the pool is empty.  The transport calls it
     for every delivery; exported for the pooling tests. *)
 
 val free_msg : t -> message -> unit

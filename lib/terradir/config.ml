@@ -103,3 +103,5 @@ let validate c =
   if c.replica_idle_timeout <= 0.0 then fail "replica_idle_timeout must be positive";
   if c.data_copies < 1 then fail "data_copies must be >= 1";
   if c.engine_domains < 1 then fail "engine_domains must be >= 1"
+
+let attempt_timeout c ~attempt = c.rpc_timeout *. (c.retry_backoff ** float_of_int attempt)

@@ -113,8 +113,9 @@ val default : t
       [load_window] = 0.5 s (W), [max_remote_digests] = 64;
     - {!Cluster}: [ctrl_service] = 2 ms, [data_service_mean] = 40 ms,
       [eviction_scan_period] = 10 s, [bootstrap_peers] = 8,
-      [audit_every] = 10 000 events, and the replication session timings
-      [max_attempts] = 3, [retry_delay] = 1 s, [success_cooldown] = 1 s;
+      [audit_every] = 10 000 events;
+    - {!Protocol}: the replication session timings [max_attempts] = 3,
+      [retry_delay] = 1 s, [success_cooldown] = 1 s;
     - a query is dropped after [Cluster.hop_budget] = 4 × tree depth + 16
       hops. *)
 
@@ -123,3 +124,7 @@ val validate : t -> unit
     constraint (a non-finite float, non-positive sizes, thresholds
     outside (0,1], more servers than the peer stores' packed keys hold
     ([2{^24} − 1]), etc.). *)
+
+val attempt_timeout : t -> attempt:int -> float
+(** [rpc_timeout × retry_backoff{^attempt}]: the timer an issuer grants
+    attempt number [attempt] (0 = the original transmission). *)

@@ -18,7 +18,7 @@ module Bloom = Terradir_bloom.Bloom
 
 type violation = {
   v_time : float;
-  v_server : server_id option;  (** [None] for cluster-wide properties *)
+  v_server : server_id option;
   v_rule : string;
   v_detail : string;
 }

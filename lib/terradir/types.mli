@@ -8,6 +8,9 @@ type server_id = int
 
 type node_id = int
 
+(** Outcome of a data fetch (step two of lookup-then-retrieve). *)
+type fetch_outcome = Fetched of { latency : float } | Fetch_failed
+
 (** Terminal outcome of a lookup, delivered to the issuer's callback. *)
 type outcome =
   | Resolved of {

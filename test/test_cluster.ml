@@ -388,8 +388,8 @@ let test_owner_lost_mid_fetch_fails_over () =
   Cluster.kill cluster owner;
   Cluster.run_until cluster (Cluster.now cluster +. 20.0);
   (match !outcome with
-  | Some (Cluster.Fetched _) -> ()
-  | Some Cluster.Fetch_failed -> Alcotest.fail "fetch must fail over to the surviving holder"
+  | Some (Types.Fetched _) -> ()
+  | Some Types.Fetch_failed -> Alcotest.fail "fetch must fail over to the surviving holder"
   | None -> Alcotest.fail "fetch never completed");
   Cluster.revive cluster owner;
   (* timer-driven: the owner is alive but silently unreachable *)
@@ -401,8 +401,8 @@ let test_owner_lost_mid_fetch_fails_over () =
   Cluster.fetch cluster ~client:client2 ~node:node2 ~on_done:(fun o -> outcome2 := Some o);
   Cluster.run_until cluster (Cluster.now cluster +. 20.0);
   (match !outcome2 with
-  | Some (Cluster.Fetched _) -> ()
-  | Some Cluster.Fetch_failed -> Alcotest.fail "fetch must time out onto the other holder"
+  | Some (Types.Fetched _) -> ()
+  | Some Types.Fetch_failed -> Alcotest.fail "fetch must time out onto the other holder"
   | None -> Alcotest.fail "partitioned fetch never finalized");
   Alcotest.(check int) "no fetch left pending" 0
     (Array.fold_left (fun a h -> a + Hashtbl.length h) 0 cluster.Cluster.pending)
@@ -443,8 +443,8 @@ let test_fetch_failover_many_holders () =
   Cluster.fetch cluster ~client ~node ~on_done:(fun o -> outcome := Some o);
   Cluster.run_until cluster (Cluster.now cluster +. 30.0);
   (match !outcome with
-  | Some (Cluster.Fetched _) -> ()
-  | Some Cluster.Fetch_failed ->
+  | Some (Types.Fetched _) -> ()
+  | Some Types.Fetch_failed ->
     Alcotest.fail "fetch must fail over across 11 dead holders to the survivor"
   | None -> Alcotest.fail "fetch never completed");
   (* with the survivor also gone, the chain exhausts and fails cleanly *)
@@ -453,8 +453,8 @@ let test_fetch_failover_many_holders () =
   Cluster.fetch cluster ~client ~node ~on_done:(fun o -> outcome2 := Some o);
   Cluster.run_until cluster (Cluster.now cluster +. 60.0);
   (match !outcome2 with
-  | Some Cluster.Fetch_failed -> ()
-  | Some (Cluster.Fetched _) -> Alcotest.fail "no holder is alive; fetch cannot succeed"
+  | Some Types.Fetch_failed -> ()
+  | Some (Types.Fetched _) -> Alcotest.fail "no holder is alive; fetch cannot succeed"
   | None -> Alcotest.fail "exhausted fetch never finalized");
   Alcotest.(check int) "no fetch left pending" 0
     (Array.fold_left (fun a h -> a + Hashtbl.length h) 0 cluster.Cluster.pending)

@@ -78,6 +78,22 @@ let test_presets () =
     Config.(
       (not base.caching) && (not base.replication) && not base.digests)
 
+(* The retransmission timers' schedule: attempt [k] waits
+   [rpc_timeout × retry_backoff^k]; [validate] keeps both in range. *)
+let test_backoff_schedule () =
+  let c = { Config.default with Config.rpc_timeout = 0.1; retry_backoff = 2.0 } in
+  List.iteri
+    (fun attempt expected ->
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "attempt %d" attempt)
+        expected
+        (Config.attempt_timeout c ~attempt))
+    [ 0.1; 0.2; 0.4; 0.8; 1.6 ];
+  Alcotest.(check (float 1e-12)) "factor 1 is flat" 0.5
+    (Config.attempt_timeout { c with Config.rpc_timeout = 0.5; retry_backoff = 1.0 } ~attempt:7);
+  expect_invalid "rpc_timeout negative" (fun c -> { c with Config.rpc_timeout = -1.0 });
+  expect_invalid "retry_backoff below 1" (fun c -> { c with Config.retry_backoff = 0.5 })
+
 let () =
   Alcotest.run "terradir_config"
     [
@@ -89,4 +105,5 @@ let () =
             test_validation_rejects_non_finite;
           Alcotest.test_case "presets" `Quick test_presets;
         ] );
+      ("backoff", [ Alcotest.test_case "schedule" `Quick test_backoff_schedule ]);
     ]

@@ -68,10 +68,10 @@ let test_fetch_basic () =
   Cluster.fetch cluster ~client:1 ~node:9 ~on_done:(fun o -> got := Some o);
   Cluster.run_until cluster 5.0;
   (match !got with
-  | Some (Cluster.Fetched { latency }) ->
+  | Some (Types.Fetched { latency }) ->
     (* request + reply: at least two network hops *)
     Alcotest.(check bool) "latency >= 2 network hops" true (latency >= 0.05)
-  | Some Cluster.Fetch_failed -> Alcotest.fail "fetch failed on healthy cluster"
+  | Some Types.Fetch_failed -> Alcotest.fail "fetch failed on healthy cluster"
   | None -> Alcotest.fail "no outcome");
   let m = Cluster.metrics cluster in
   Alcotest.(check int) "counted" 1 m.Metrics.data_requests;
@@ -93,8 +93,8 @@ let test_fetch_failover_to_data_copy () =
   Cluster.fetch cluster ~client ~node ~on_done:(fun o -> got := Some o);
   Cluster.run_until cluster 10.0;
   match !got with
-  | Some (Cluster.Fetched _) -> ()
-  | Some Cluster.Fetch_failed -> Alcotest.fail "failover should reach the live copy"
+  | Some (Types.Fetched _) -> ()
+  | Some Types.Fetch_failed -> Alcotest.fail "failover should reach the live copy"
   | None -> Alcotest.fail "no outcome"
 
 let test_fetch_fails_when_all_holders_dead () =
@@ -111,8 +111,8 @@ let test_fetch_fails_when_all_holders_dead () =
   Cluster.fetch cluster ~client ~node ~on_done:(fun o -> got := Some o);
   Cluster.run_until cluster 10.0;
   (match !got with
-  | Some Cluster.Fetch_failed -> ()
-  | Some (Cluster.Fetched _) -> Alcotest.fail "all holders are dead"
+  | Some Types.Fetch_failed -> ()
+  | Some (Types.Fetched _) -> Alcotest.fail "all holders are dead"
   | None -> Alcotest.fail "no outcome");
   Alcotest.(check int) "drop counted" 1 (Cluster.metrics cluster).Metrics.data_dropped
 

@@ -184,28 +184,6 @@ let test_latency_validation () =
       Net.set_latency net (Net.Uniform { base = 0.0; jitter = 0.1 }))
 
 (* ------------------------------------------------------------------ *)
-(* Backoff schedule                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_backoff_schedule () =
-  List.iteri
-    (fun attempt expected ->
-      Alcotest.(check (float 1e-12))
-        (Printf.sprintf "attempt %d" attempt)
-        expected
-        (Net.backoff ~base:0.1 ~factor:2.0 ~attempt))
-    [ 0.1; 0.2; 0.4; 0.8; 1.6 ];
-  Alcotest.(check (float 1e-12)) "factor 1 is flat" 0.5
-    (Net.backoff ~base:0.5 ~factor:1.0 ~attempt:7);
-  Alcotest.check_raises "negative base" (Invalid_argument "Net.backoff: base must be non-negative")
-    (fun () -> ignore (Net.backoff ~base:(-1.0) ~factor:2.0 ~attempt:0));
-  Alcotest.check_raises "factor < 1" (Invalid_argument "Net.backoff: factor must be >= 1")
-    (fun () -> ignore (Net.backoff ~base:1.0 ~factor:0.5 ~attempt:0));
-  Alcotest.check_raises "negative attempt"
-    (Invalid_argument "Net.backoff: attempt must be non-negative") (fun () ->
-      ignore (Net.backoff ~base:1.0 ~factor:2.0 ~attempt:(-1)))
-
-(* ------------------------------------------------------------------ *)
 (* Determinism properties                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -323,7 +301,6 @@ let () =
           Alcotest.test_case "lognormal" `Quick test_latency_lognormal;
           Alcotest.test_case "validation" `Quick test_latency_validation;
         ] );
-      ("backoff", [ Alcotest.test_case "schedule" `Quick test_backoff_schedule ]);
       ( "determinism",
         [
           Alcotest.test_case "seeds diverge" `Slow test_faulty_runs_diverge_across_seeds;
