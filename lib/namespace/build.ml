@@ -10,16 +10,17 @@ let balanced ~arity ~levels =
   if arity < 1 then invalid_arg "Build.balanced: arity must be >= 1";
   if levels < 0 then invalid_arg "Build.balanced: levels must be >= 0";
   let b = Tree.Builder.create () in
-  (* Breadth-first: the previous level's ids are contiguous, so we can expand
-     level by level without extra bookkeeping. *)
-  let current = ref [ Tree.root ] and labels = Array.init arity string_of_int in
+  (* Breadth-first: each level's ids are contiguous, [first, size), so we
+     can expand level by level without extra bookkeeping. *)
+  let first = ref Tree.root and labels = Array.init arity string_of_int in
   for _ = 1 to levels do
-    let next =
-      List.concat_map
-        (fun parent -> List.init arity (fun i -> Tree.Builder.add_child b parent labels.(i)))
-        !current
-    in
-    current := next
+    let next = Tree.Builder.size b in
+    for parent = !first to next - 1 do
+      for i = 0 to arity - 1 do
+        ignore (Tree.Builder.add_child b parent labels.(i) : Tree.node)
+      done
+    done;
+    first := next
   done;
   Tree.Builder.freeze b
 

@@ -21,7 +21,8 @@ module Builder = struct
 
   type t = {
     mutable parents : int array;
-    mutable kids : int list array; (* reverse insertion order *)
+    mutable last_kid : int array; (* the newest child, -1 for none *)
+    mutable prev_sib : int array; (* the sibling added just before, -1 for none *)
     mutable names : Name.t array; (* interned name per node *)
     mutable count : int;
     mutable sealed : bool;
@@ -30,7 +31,8 @@ module Builder = struct
   let create () =
     {
       parents = Array.make 16 (-1);
-      kids = Array.make 16 [];
+      last_kid = Array.make 16 (-1);
+      prev_sib = Array.make 16 (-1);
       names = Array.make 16 Name.root;
       count = 1;
       sealed = false;
@@ -49,9 +51,14 @@ module Builder = struct
         fresh
       in
       b.parents <- grow b.parents (-1);
-      b.kids <- grow b.kids [];
+      b.last_kid <- grow b.last_kid (-1);
+      b.prev_sib <- grow b.prev_sib (-1);
       b.names <- grow b.names Name.root
     end
+
+  (* Children are chained newest first through [prev_sib], in int arrays,
+     so adding one allocates nothing for the minor collector to promote. *)
+  let rec named b name k = k >= 0 && (Name.equal b.names.(k) name || named b name b.prev_sib.(k))
 
   let add_child b parent component =
     check_alive b "add_child";
@@ -59,21 +66,26 @@ module Builder = struct
     if component = "" || String.contains component '/' then
       invalid_arg "Tree.Builder.add_child: invalid component";
     let name = Name.child b.names.(parent) component in
-    if List.exists (fun k -> Name.equal b.names.(k) name) b.kids.(parent) then
-      invalid_arg "Tree.Builder.add_child: duplicate child";
+    if named b name b.last_kid.(parent) then invalid_arg "Tree.Builder.add_child: duplicate child";
     ensure b;
     let id = b.count in
     b.count <- id + 1;
     b.parents.(id) <- parent;
     b.names.(id) <- name;
-    b.kids.(parent) <- id :: b.kids.(parent);
+    b.prev_sib.(id) <- b.last_kid.(parent);
+    b.last_kid.(parent) <- id;
     id
+
+  (* A node's children in insertion order: its sibling chain, read back. *)
+  let kids_of b v =
+    let rec collect k acc = if k < 0 then acc else collect b.prev_sib.(k) (k :: acc) in
+    Array.of_list (collect b.last_kid.(v) [])
 
   let freeze b =
     check_alive b "freeze";
     b.sealed <- true;
     let n = b.count in
-    let children = Array.init n (fun i -> Array.of_list (List.rev b.kids.(i))) in
+    let children = Array.init n (kids_of b) in
     (* Preorder spans without a traversal stack: a parent's id is always
        smaller than its children's, so subtree sizes accumulate in one
        downward id sweep, and ranks and depths are handed out in one

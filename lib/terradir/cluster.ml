@@ -350,6 +350,23 @@ let place_owners config tree rng =
     Array.iteri (fun rank node -> owners.(node) <- rank mod s) order;
     owners
 
+(* Nodes grouped by owner, ascending ids within a group: server [s] owns
+   [by_owner.(first.(s))] to [by_owner.(first.(s + 1) - 1)].  A counting
+   sort: one pass counts, one places. *)
+let group_by_owner owner_of ~servers =
+  let first = Array.make (servers + 1) 0 in
+  Array.iter (fun owner -> first.(owner + 1) <- first.(owner + 1) + 1) owner_of;
+  for s = 1 to servers do
+    first.(s) <- first.(s) + first.(s - 1)
+  done;
+  let by_owner = Array.make (Array.length owner_of) 0 and fill = Array.sub first 0 servers in
+  Array.iteri
+    (fun node owner ->
+      by_owner.(fill.(owner)) <- node;
+      fill.(owner) <- fill.(owner) + 1)
+    owner_of;
+  (first, by_owner)
+
 let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
   Config.validate config;
   let rng = Splitmix.create config.Config.seed in
@@ -369,21 +386,44 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
       Array.map (fun v -> v /. mean) raw
     end
   in
+  (* Bootstrap ownership and per-node routing contexts.  One owner
+     singleton per node serves as its owner's hosted map and as every
+     tree-neighbor's context for it: maps are immutable, and merging a map
+     into itself returns it, drawing nothing.  So a server's stores depend
+     only on its own node order, not on when it is visited: nodes are
+     counting-sorted by owner (ascending ids within a server), and each
+     server hosts its nodes as soon as it is created, while its stores are
+     young and in cache.  A walk in node order under spread placement
+     would land every step on a different, cold server. *)
+  let owner_maps =
+    Array.map (fun owner -> Node_map.singleton ~is_owner:true ~server:owner ~stamp:0.0 ()) owner_of
+  in
+  let s_count = config.Config.num_servers in
+  let first, by_owner = group_by_owner owner_of ~servers:s_count in
+  let owner_map = Array.get owner_maps in
   let servers =
-    Array.init config.Config.num_servers (fun id ->
-        Server.create ~speed:speeds.(id) ~id ~config ~tree ~obs ~rng:(Splitmix.split rng) ())
+    Array.init s_count (fun id ->
+        let s = Server.create ~speed:speeds.(id) ~id ~config ~tree ~obs ~rng:(Splitmix.split rng) () in
+        for i = first.(id) to first.(id + 1) - 1 do
+          Server.add_owned s by_owner.(i) ~owner_map
+        done;
+        s)
   in
   (* Static data placement: owner first, then distinct extra holders. *)
   let data_holders =
-    Array.mapi
-      (fun _node owner ->
-        let extras = min (config.Config.data_copies - 1) (config.Config.num_servers - 1) in
-        let holders = ref [ owner ] in
-        while List.length !holders < extras + 1 do
-          let candidate = Splitmix.int rng config.Config.num_servers in
-          if not (List.mem candidate !holders) then holders := candidate :: !holders
+    let extras = min (config.Config.data_copies - 1) (s_count - 1) in
+    Array.map
+      (fun owner ->
+        let holders = Array.make (extras + 1) owner and held = ref 1 in
+        while !held <= extras do
+          let candidate = Splitmix.int rng s_count in
+          let rec fresh i = i = !held || (holders.(i) <> candidate && fresh (i + 1)) in
+          if fresh 0 then begin
+            holders.(!held) <- candidate;
+            incr held
+          end
         done;
-        Array.of_list (List.rev !holders))
+        holders)
       owner_of
   in
   (* The network gets its own seed-derived stream (not a [split] of the
@@ -507,16 +547,6 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
                   p_hit_rate = Cache.hit_rate s.Server.cache;
                 })
           t.servers);
-  (* Bootstrap ownership and per-node routing contexts.  One owner
-     singleton per node serves as its owner's hosted map and as every
-     tree-neighbor's context for it: maps are immutable, and merging a map
-     into itself returns it. *)
-  let owner_maps =
-    Array.map (fun owner -> Node_map.singleton ~is_owner:true ~server:owner ~stamp:0.0 ()) owner_of
-  in
-  Array.iteri
-    (fun node owner -> Server.add_owned servers.(owner) node ~owner_map:(Array.get owner_maps))
-    owner_of;
   (* Bootstrap contact: under uniform placement a server can own zero
      nodes and would otherwise know nothing at all — queries injected
      there would dead-end.  Like DNS root hints, such a server joins
@@ -526,7 +556,6 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
   (* Each server starts off knowing a few random peers (believed idle), so
      replication sessions have somewhere to look before traffic teaches
      them real loads. *)
-  let s_count = Array.length servers in
   Array.iter
     (fun s ->
       for _ = 1 to min bootstrap_peers (s_count - 1) do

@@ -151,11 +151,12 @@ let r_map t = t.config.Config.r_map
 (* Reference one tree-neighbor context, merging in [map] as the initial or
    additional view. *)
 let ref_neighbor t node map =
-  match Intmap.find_opt t.neighbor_maps node with
-  | Some r ->
+  match Intmap.slot t.neighbor_maps node with
+  | -1 -> Intmap.add t.neighbor_maps node { n_map = map; refs = 1 }
+  | i ->
+    let r = Intmap.value_at t.neighbor_maps i in
     r.refs <- r.refs + 1;
     if not (Node_map.is_empty map) then r.n_map <- Node_map.merge ~max:(r_map t) t.rng r.n_map map
-  | None -> Intmap.add t.neighbor_maps node { n_map = map; refs = 1 }
 
 let unref_neighbor t node =
   match Intmap.find_opt t.neighbor_maps node with
@@ -164,7 +165,7 @@ let unref_neighbor t node =
     r.refs <- r.refs - 1;
     if r.refs <= 0 then Intmap.remove t.neighbor_maps node
 
-let install_hosted t node kind ~map ~meta_version ~context ~now =
+let host t node kind ~map ~meta_version ~now =
   Intmap.add t.hosted node
     {
       h_kind = kind;
@@ -172,9 +173,12 @@ let install_hosted t node kind ~map ~meta_version ~context ~now =
       h_meta_version = meta_version;
       h_last_used = Float.Array.make 1 now;
     };
-  (match kind with
+  match kind with
   | Owned -> t.owned_count <- t.owned_count + 1
-  | Replicated -> t.replica_count <- t.replica_count + 1);
+  | Replicated -> t.replica_count <- t.replica_count + 1
+
+let install_hosted t node kind ~map ~meta_version ~context ~now =
+  host t node kind ~map ~meta_version ~now;
   (* Every producer of a context assembles it by mapping over
      [Tree.neighbors], so the common case is both lists in lockstep — walk
      them together and only fall back to an assoc scan for a sender that
@@ -196,13 +200,18 @@ let install_hosted t node kind ~map ~meta_version ~context ~now =
   walk (Tree.neighbors t.tree node) context;
   rebuild_digest t
 
+(* [install_hosted] with the context [owner_map nb] for each neighbor,
+   parent first: no neighbor or context list is built. *)
 let add_owned t node ~owner_map =
   if hosts t node then invalid_arg "Server.add_owned: already hosted";
   let map = owner_map node in
-  if Node_map.owner map <> Some t.id then
-    invalid_arg "Server.add_owned: owner map names another server";
-  let context = List.map (fun nb -> (nb, owner_map nb)) (Tree.neighbors t.tree node) in
-  install_hosted t node Owned ~map ~meta_version:0 ~context ~now:0.0
+  (match Node_map.owner map with
+  | Some owner when owner = t.id -> ()
+  | Some _ | None -> invalid_arg "Server.add_owned: owner map names another server");
+  host t node Owned ~map ~meta_version:0 ~now:0.0;
+  (match Tree.parent t.tree node with Some p -> ref_neighbor t p (owner_map p) | None -> ());
+  Array.iter (fun c -> ref_neighbor t c (owner_map c)) (Tree.children t.tree node);
+  rebuild_digest t
 
 (* Bounded merges can push a replica host's own (non-owner) entry out of its
    hosted node's map; the map a host advertises must always include itself. *)

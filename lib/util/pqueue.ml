@@ -24,9 +24,6 @@ let length q = q.size
 
 let is_empty q = q.size = 0
 
-(* Entry ordering: key first, then sequence number. *)
-let before q i kj sj = q.keys.(i) < kj || (q.keys.(i) = kj && q.seqs.(i) < sj)
-
 let grow q value =
   let capacity = Array.length q.keys in
   if q.size = capacity then begin
@@ -50,7 +47,9 @@ let grow q value =
 (* Both sifts use the hole technique: the moving entry lives in locals,
    displaced entries shift once, and the entry is written exactly once at
    its final slot — half the array traffic of a swap per level, which the
-   four parallel arrays would otherwise quadruple. *)
+   four parallel arrays would otherwise quadruple.  They compare keys in
+   their own bodies: handing the moving key to a comparison function that
+   is not inlined would box it at every call. *)
 
 let add_tagged q ~key ~seq ~tag value =
   grow q value;
@@ -81,43 +80,39 @@ let top_seq q = q.seqs.(0)
 let top_tag q = q.tags.(0)
 
 (* Sift the last entry down from the root hole. *)
-let sift_down q key seq tag value =
-  let n = q.size in
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    (* The hole at [i] holds stale data; the moving entry's (key, seq)
-       stands in for it, tracked in locals as the running minimum. *)
-    let smallest = ref !i and sk = ref key and ss = ref seq in
-    if l < n && before q l !sk !ss then begin
-      smallest := l;
-      sk := q.keys.(l);
-      ss := q.seqs.(l)
-    end;
-    if r < n && before q r !sk !ss then smallest := r;
-    if !smallest <> !i then begin
-      q.keys.(!i) <- q.keys.(!smallest);
-      q.seqs.(!i) <- q.seqs.(!smallest);
-      q.tags.(!i) <- q.tags.(!smallest);
-      q.vals.(!i) <- q.vals.(!smallest);
-      i := !smallest
-    end
-    else continue := false
-  done;
-  q.keys.(!i) <- key;
-  q.seqs.(!i) <- seq;
-  q.tags.(!i) <- tag;
-  q.vals.(!i) <- value
-
 let pop_exn q =
   if q.size = 0 then invalid_arg "Pqueue.pop_exn: empty";
   let top = q.vals.(0) in
-  q.size <- q.size - 1;
-  if q.size > 0 then begin
-    let last = q.size in
-    let k = q.keys.(last) and s = q.seqs.(last) and g = q.tags.(last) and v = q.vals.(last) in
-    q.vals.(last) <- top (* keep slot initialized; avoids space leak concerns *);
-    sift_down q k s g v
+  let n = q.size - 1 in
+  q.size <- n;
+  if n > 0 then begin
+    let keys = q.keys and seqs = q.seqs and tags = q.tags and vals = q.vals in
+    let key = keys.(n) and seq = seqs.(n) and tag = tags.(n) and value = vals.(n) in
+    vals.(n) <- top (* keep slot initialized; avoids space leak concerns *);
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        (* The smaller child; ties go left. *)
+        let r = l + 1 in
+        let c =
+          if r < n && (keys.(r) < keys.(l) || (keys.(r) = keys.(l) && seqs.(r) < seqs.(l))) then r
+          else l
+        in
+        if keys.(c) < key || (keys.(c) = key && seqs.(c) < seq) then begin
+          keys.(!i) <- keys.(c);
+          seqs.(!i) <- seqs.(c);
+          tags.(!i) <- tags.(c);
+          vals.(!i) <- vals.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    keys.(!i) <- key;
+    seqs.(!i) <- seq;
+    tags.(!i) <- tag;
+    vals.(!i) <- value
   end;
   top

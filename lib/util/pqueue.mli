@@ -5,7 +5,9 @@
     number, so a caller that numbers entries in insertion order gets FIFO
     ties, which makes simulations deterministic even when many events share
     a timestamp.  Keys, sequence numbers, tags and values live in parallel
-    arrays, so steady-state add/pop allocates nothing. *)
+    arrays, so add and pop allocate nothing but the arrays' amortized
+    growth: no record per entry and no boxed key (test_promotion pins a
+    pop + add at 4096 entries at zero minor words). *)
 
 type 'a t
 

@@ -67,6 +67,114 @@ let test_round_robin_placement () =
         (s.Server.owned_count = 7 || s.Server.owned_count = 8))
     cluster.Cluster.servers
 
+(* [Cluster.create] hosts each server's nodes in one pass per server.  The
+   reference is the node-order loop it replaced: [Server.add_owned] node
+   by node in id order, with each node's map taken from its owner in the
+   cluster.  Every server must come out the same: hosted entries and
+   neighbor contexts in the same dense order with the same maps (the
+   owner singletons themselves), ref counts, owned count, local digest
+   version and rng draws. *)
+let node_order_bootstrap (c : Cluster.t) =
+  let config = c.Cluster.config and tree = c.Cluster.tree in
+  let owner_map v =
+    let owner = c.Cluster.owner_of.(v) in
+    match Server.find_hosted c.Cluster.servers.(owner) v with
+    | Some h when Node_map.size h.Server.h_map = 1 && Node_map.owner h.Server.h_map = Some owner ->
+      h.Server.h_map
+    | Some _ -> Alcotest.failf "node %d: its owner's map is not the owner singleton" v
+    | None -> Alcotest.failf "node %d is not hosted by its owner" v
+  in
+  let servers =
+    Array.map
+      (fun (s : Server.t) -> Server.create ~id:s.Server.id ~config ~tree ~rng:(Splitmix.create 0) ())
+      c.Cluster.servers
+  in
+  Array.iteri (fun node owner -> Server.add_owned servers.(owner) node ~owner_map) c.Cluster.owner_of;
+  servers
+
+let dense m = List.rev (Intmap.fold m ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+
+(* A server's neighbor contexts as [Tree.neighbors] (parent, then
+   children) over its hosted nodes in dense order gives them: first
+   reference first, with a ref count per hosted neighbor. *)
+let expected_contexts tree hosted =
+  let refs = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (fun (node, _) ->
+      List.iter
+        (fun nb ->
+          match Hashtbl.find_opt refs nb with
+          | Some r -> incr r
+          | None ->
+            Hashtbl.add refs nb (ref 1);
+            order := nb :: !order)
+        (Tree.neighbors tree node))
+    hosted;
+  List.rev_map (fun nb -> (nb, !(Hashtbl.find refs nb))) !order
+
+let check_same_bootstrap label (c : Cluster.t) =
+  let reference = node_order_bootstrap c in
+  Array.iteri
+    (fun id (s : Server.t) ->
+      let r = reference.(id) in
+      let fail what = Alcotest.failf "%s, server %d: %s differs from the node-order loop" label id what in
+      let hosted = dense s.Server.hosted and hosted_ref = dense r.Server.hosted in
+      if List.map fst hosted <> List.map fst hosted_ref then fail "hosted key order";
+      List.iter2
+        (fun (_, (h : Server.hosted)) (_, (h_ref : Server.hosted)) ->
+          if
+            not
+              (h.Server.h_map == h_ref.Server.h_map
+              && h.Server.h_kind = h_ref.Server.h_kind
+              && h.Server.h_meta_version = h_ref.Server.h_meta_version)
+          then fail "a hosted entry")
+        hosted hosted_ref;
+      let contexts = dense s.Server.neighbor_maps and contexts_ref = dense r.Server.neighbor_maps in
+      if List.map fst contexts <> List.map fst contexts_ref then fail "neighbor context order";
+      if
+        List.map (fun (nb, (n : Server.neighbor_ref)) -> (nb, n.Server.refs)) contexts
+        <> expected_contexts c.Cluster.tree hosted
+      then
+        Alcotest.failf "%s, server %d: contexts are not Tree.neighbors' over the hosted nodes" label
+          id;
+      List.iter2
+        (fun (_, (n : Server.neighbor_ref)) (_, (n_ref : Server.neighbor_ref)) ->
+          if not (n.Server.n_map == n_ref.Server.n_map && n.Server.refs = n_ref.Server.refs) then
+            fail "a neighbor context")
+        contexts contexts_ref;
+      if s.Server.owned_count <> r.Server.owned_count then fail "owned_count";
+      if
+        Digest_store.local_version s.Server.digests <> Digest_store.local_version r.Server.digests
+      then fail "the local digest version";
+      if Splitmix.draws s.Server.rng <> Splitmix.draws r.Server.rng then fail "rng draws")
+    c.Cluster.servers
+
+let test_grouped_bootstrap () =
+  let deploy ~tree ~servers placement ~seed =
+    let config = { Config.default with Config.num_servers = servers; placement; seed } in
+    Cluster.create ~monitor:false ~config ~tree ()
+  in
+  let idle = ref 0 in
+  List.iter
+    (fun (name, tree, servers) ->
+      List.iter
+        (fun (pname, placement) ->
+          List.iter
+            (fun seed ->
+              let c = deploy ~tree ~servers placement ~seed in
+              Array.iter (fun s -> if s.Server.owned_count = 0 then incr idle) c.Cluster.servers;
+              check_same_bootstrap (Printf.sprintf "%s, %s, seed %d" name pname seed) c)
+            [ 1; 2 ])
+        [ ("uniform", Config.Uniform); ("round robin", Config.Round_robin) ])
+    [
+      ("arity 1", Build.balanced ~arity:1 ~levels:9, 16);
+      ("arity 2", Build.balanced ~arity:2 ~levels:8, 24);
+      ("arity 3", Build.balanced ~arity:3 ~levels:5, 13);
+      ("arity 4", Build.balanced ~arity:4 ~levels:4, 40);
+      ("coda_like", Build.coda_like ~seed:7 ~target:600 (), 32);
+    ];
+  Alcotest.(check bool) "some servers own nothing" true (!idle > 0)
+
 let test_all_resolve_at_low_load () =
   let cluster = mk_cluster () in
   run_uniform ~rate:60.0 cluster;
@@ -623,6 +731,7 @@ let () =
           Alcotest.test_case "placement" `Quick test_bootstrap_placement;
           Alcotest.test_case "round robin" `Quick test_round_robin_placement;
           Alcotest.test_case "bootstrap maps shared" `Quick test_bootstrap_maps_shared;
+          Alcotest.test_case "grouped = node-order bootstrap" `Quick test_grouped_bootstrap;
           Alcotest.test_case "injection validation" `Quick test_injection_validation;
           Alcotest.test_case "queue bound" `Quick test_queue_bound;
         ] );

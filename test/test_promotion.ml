@@ -73,6 +73,21 @@ let test_pin_touch_node () =
   | Some h -> Alcotest.(check (float 0.0)) "last use recorded" 0.5 (Float.Array.get h.Server.h_last_used 0)
   | None -> Alcotest.fail "node 6 not hosted"
 
+(* The event heap at depth: one pop and one add, the engine's hold step.
+   The key is boxed once, here: a float computed per call would be boxed
+   by the call itself, outside [Pqueue]. *)
+let test_pin_pqueue_hold () =
+  let q = Pqueue.create () and rng = Splitmix.create 5 in
+  for seq = 0 to 4095 do
+    Pqueue.add_tagged q ~key:(Splitmix.float rng 1.0) ~seq ~tag:seq ()
+  done;
+  let key = Sys.opaque_identity 2.0 and seq = ref 4096 in
+  pin "Pqueue pop + add at 4096 entries" (fun () ->
+      Pqueue.pop_exn q;
+      Pqueue.add_tagged q ~key ~seq:!seq ~tag:0 ();
+      incr seq);
+  Alcotest.(check int) "depth held" 4096 (Pqueue.length q)
+
 (* ---- message thunks ---- *)
 
 let cluster () = Cluster.create ~monitor:false ~config ~tree ()
@@ -263,6 +278,7 @@ let () =
           Alcotest.test_case "merge subsumed" `Quick test_pin_merge_subsumed;
           Alcotest.test_case "note_peer_load known peer" `Quick test_pin_note_peer_load;
           Alcotest.test_case "touch_node hosted" `Quick test_pin_touch_node;
+          Alcotest.test_case "Pqueue pop + add" `Quick test_pin_pqueue_hold;
         ] );
       ( "msg-thunks",
         [

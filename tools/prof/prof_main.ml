@@ -7,6 +7,7 @@
                             [--seed N] [--hz H] [--top K]
      prof_main.exe mem [--servers N] [--duration D] [--seed N]
      prof_main.exe gc [--servers N] [--duration D] [--seed N]
+     prof_main.exe setup [--servers N] [--reps R] [--hz H] [--top K]
 
    [experiment] runs a registry entry (fig3 ... hetero, as
    `terradir_sim list` names them); [scenario] runs a uniform-lookup
@@ -63,7 +64,12 @@
    up.  An engine observer polls the ring every few thousand events, so
    it never overflows; [lost events] says if it did.  The ring is a file
    the runtime creates in the working directory and deletes at exit.
-   Tracing costs time of its own: never use it inside a measured run. *)
+   Tracing costs time of its own: never use it inside a measured run.
+
+   [setup] runs no simulation: it builds the deployment [mem] and [gc]
+   use (the namespace, then [Cluster.create]) R times under the sampler,
+   prints the tree-build and [Cluster.create] wall time of each rep, and
+   then the frame tables over all reps. *)
 
 module Registry = Terradir_experiments.Registry
 module Runner = Terradir_experiments.Runner
@@ -73,7 +79,8 @@ open Terradir
 let usage =
   "prof_main.exe (experiment ID [--scale S] [--duration D] | scenario [--servers N] [--levels L] \
    [--rate R] [--duration D]) [--seed N] [--hz H] [--top K]\n\
-   prof_main.exe (mem | gc) [--servers N] [--duration D] [--seed N]"
+   prof_main.exe (mem | gc) [--servers N] [--duration D] [--seed N]\n\
+   prof_main.exe setup [--servers N] [--reps R] [--hz H] [--top K]"
 
 let max_frames = 256
 
@@ -307,12 +314,27 @@ let run_gc ~servers ~duration ~seed =
     (Terradir_sim.Engine.events_executed cluster.Cluster.engine)
     !lost
 
+(* ---- setup: where set-up time goes ---- *)
+
+let run_setup ~servers ~reps =
+  let config = uniform_config ~servers in
+  Printf.printf "%4s %14s %18s\n" "rep" "tree build s" "Cluster.create s";
+  for rep = 1 to reps do
+    let t0 = host_wall () in
+    let tree = Terradir_namespace.Build.balanced_for ~servers in
+    let t1 = host_wall () in
+    ignore (Cluster.create ~config ~tree () : Cluster.t);
+    let t2 = host_wall () in
+    Printf.printf "%4d %14.3f %18.3f\n%!" rep (t1 -. t0) (t2 -. t1)
+  done
+
 let () =
   let command = if Array.length Sys.argv >= 2 then Sys.argv.(1) else "" in
   let id = if Array.length Sys.argv >= 3 then Sys.argv.(2) else "" in
   let first = match command with "experiment" -> 3 | _ -> 2 in
   let scale = ref 0.002 and duration = ref 90.0 and seed = ref 42 and hz = ref 1000 and top = ref 30 in
-  let uniform = command = "mem" || command = "gc" in
+  let reps = ref 3 in
+  let uniform = command = "mem" || command = "gc" || command = "setup" in
   let servers = ref (if uniform then 10_000 else 1024) in
   let levels = ref 13 and rate = ref 2000.0 in
   if uniform then duration := 9.0;
@@ -323,9 +345,10 @@ let () =
       ("--seed", Arg.Set_int seed, "N seed (default 42)");
       ("--hz", Arg.Set_int hz, "H samples per CPU second (default 1000)");
       ("--top", Arg.Set_int top, "K rows per table (default 30)");
-      ("--servers", Arg.Set_int servers, "N scenario servers (default 1024; mem, gc 10000)");
+      ("--servers", Arg.Set_int servers, "N scenario servers (default 1024; mem, gc, setup 10000)");
       ("--levels", Arg.Set_int levels, "L scenario namespace levels (default 13)");
       ("--rate", Arg.Set_float rate, "R scenario queries per simulated second (default 2000)");
+      ("--reps", Arg.Set_int reps, "R set-up repetitions (setup; default 3)");
     ]
   in
   (try
@@ -336,6 +359,7 @@ let () =
      prerr_string msg;
      exit 2);
   if !hz <= 0 then (prerr_endline "--hz must be positive"; exit 2);
+  if !reps <= 0 then (prerr_endline "--reps must be positive"; exit 2);
   Runner.set_jobs (Some 1);
   Runner.set_engine_domains (Some 1);
   if command = "mem" then begin
@@ -356,6 +380,9 @@ let () =
       | None ->
         Printf.eprintf "unknown experiment %S; one of: %s\n" id (String.concat " " (Registry.ids ()));
         exit 2)
+    | "setup" ->
+      ( (fun () -> run_setup ~servers:!servers ~reps:!reps),
+        Printf.sprintf "set-up of the uniform deployment: %d servers, %d reps" !servers !reps )
     | "scenario" ->
       ( (fun () ->
           run_scenario ~servers:!servers ~levels:!levels ~rate:!rate ~duration:!duration ~seed:!seed),
