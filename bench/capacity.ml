@@ -11,8 +11,9 @@
      TERRADIR_CAP_SEED        simulation seed         (default 42)
      TERRADIR_CAP_OUT         report path             (default BENCH_results.json)
      TERRADIR_CAP_GC_OUT      Gc.stat summary path    (default: not written)
-     TERRADIR_CAP_SPACE_OVERHEAD  major-heap pacing   (default 40)
      TERRADIR_ENGINE_DOMAINS  engine domains          (default 1)
+
+   The major heap is paced at space_overhead = 40 (see below).
 
    The report is schema v2 (see EXPERIMENTS.md): the simulation fields are
    deterministic per (servers, queries, seed) — and byte-identical for any
@@ -41,11 +42,10 @@ let out_file =
    measured top_heap is ~50× the end-of-run live set, i.e. peak RSS is
    mostly GC slack.  Pinning the overhead low keeps the heap near the
    live set, and the smaller working set is also measurably faster here
-   (cache residency beats the extra collection work).  Override with
-   TERRADIR_CAP_SPACE_OVERHEAD. *)
-let () =
-  let overhead = getenv_int "TERRADIR_CAP_SPACE_OVERHEAD" 40 in
-  Gc.set { (Gc.get ()) with Gc.space_overhead = overhead }
+   (cache residency beats the extra collection work). *)
+let space_overhead = 40
+
+let () = Gc.set { (Gc.get ()) with Gc.space_overhead }
 
 (* Linux-specific; [None] elsewhere (the report then says "null" — 0 would
    read as a real measurement to the regression gate). *)

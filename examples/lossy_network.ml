@@ -3,7 +3,8 @@
 
    The transport under the cluster is a [Terradir_sim.Net]: every message
    samples its latency from a distribution, may be lost iid, and is
-   silently swallowed while a partition covers its (src, dst) pair.  The
+   silently swallowed while a partition covers its (src, dst) pair; the
+   cluster's metrics count each lost and blocked message.  The
    issuer-side request timers ([rpc_timeout] > 0) are what turn silent
    loss into bounded retransmission instead of lost queries.
 
@@ -73,13 +74,8 @@ let () =
   window "partitioned (20-35s)" 20 35;
   window "healed, draining (35-60s)" 35 60;
 
-  Printf.printf "\nnetwork: %d delivered, %d lost (%.2f%%), %d blocked by the partition\n"
-    (Net.delivered cluster.Cluster.net)
-    (Net.lost cluster.Cluster.net)
-    (100.0
-    *. float_of_int (Net.lost cluster.Cluster.net)
-    /. float_of_int (max 1 (Net.delivered cluster.Cluster.net + Net.lost cluster.Cluster.net)))
-    (Net.blocked_count cluster.Cluster.net);
+  Printf.printf "\nnetwork: %d messages lost, %d blocked by the partition\n" m.Metrics.net_lost
+    m.Metrics.net_blocked;
   Printf.printf
     "recovery: %d query + %d fetch retransmits, %d late replies discarded, %d timed out\n"
     m.Metrics.query_retransmits m.Metrics.fetch_retransmits m.Metrics.late_replies

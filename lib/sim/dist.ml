@@ -4,14 +4,6 @@ let poisson_gap rng ~rate =
   if rate <= 0.0 then invalid_arg "Dist.poisson_gap: rate must be positive";
   Splitmix.exponential rng (1.0 /. rate)
 
-let lognormal rng ~mu ~sigma =
-  if sigma < 0.0 then invalid_arg "Dist.lognormal: sigma must be non-negative";
-  (* Box–Muller; u1 shifted into (0, 1] so the log is finite. *)
-  let u1 = 1.0 -. Splitmix.float rng 1.0 in
-  let u2 = Splitmix.float rng 1.0 in
-  let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  exp (mu +. (sigma *. z))
-
 module Zipf = struct
   type t = { alpha : float; cdf : float array }
 

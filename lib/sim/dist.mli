@@ -8,11 +8,6 @@ val poisson_gap : Terradir_util.Splitmix.t -> rate:float -> float
 (** Next inter-arrival gap of a Poisson process with the given rate (events
     per unit time).  @raise Invalid_argument if [rate <= 0]. *)
 
-val lognormal : Terradir_util.Splitmix.t -> mu:float -> sigma:float -> float
-(** One lognormal variate [exp(Normal(mu, sigma))] (Box–Muller) — the
-    heavy-tailed latency model of {!Net}.  Median is [exp mu].
-    @raise Invalid_argument if [sigma < 0]. *)
-
 module Zipf : sig
   (** Sampler for P(rank = k) ∝ 1/k^alpha over ranks 1..n, by inverse-CDF
       lookup with binary search (O(log n) per draw after O(n) setup). *)

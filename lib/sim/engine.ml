@@ -43,12 +43,11 @@ let ctx_shift = 43
 let max_ctx = 1 lsl 19
 
 type t = {
-  mutable domains : int; (* shard count K; 1 = sequential *)
-  mutable lanes : Shard.t array; (* K shard lanes, then the coordinator; length 1 when K = 1 *)
-  mutable coord : Shard.t; (* last of [lanes]: pseudo-context events *)
-  mutable shard_of : int array; (* context -> lane; unused when K = 1 *)
-  (* lint: boxed-float set once, by configure *)
-  mutable lookahead : float;
+  domains : int; (* shard count K; 1 = sequential *)
+  lanes : Shard.t array; (* K shard lanes, then the coordinator; length 1 when K = 1 *)
+  coord : Shard.t; (* last of [lanes]: pseudo-context events *)
+  shard_of : int array; (* context -> lane; unused when K = 1 *)
+  lookahead : float;
   mutable counters : int array; (* per-context seq counters, slot = ctx + 1 *)
   mutable observers : (int * (unit -> unit)) list;
       (** (cadence, hook) pairs, in registration order: each hook runs at
@@ -62,18 +61,33 @@ type t = {
   dls : Shard.t option Domain.DLS.key; (* worker domains' own lane *)
 }
 
-let create () =
-  let lane0 = Shard.create ~idx:0 ~ndest:0 in
+let create ?(domains = 1) ?(lookahead = 0.0) ?(shard_of = [||]) () =
+  if domains < 1 then invalid_arg "Engine.create: domains must be >= 1";
+  let num_ctx = Array.length shard_of in
+  if num_ctx + 1 > max_ctx then invalid_arg "Engine.create: too many contexts";
+  if domains > 1 then begin
+    if not (lookahead > 0.0) then
+      invalid_arg "Engine.create: domains > 1 requires a positive lookahead";
+    Array.iter
+      (fun s ->
+        if s < 0 || s >= domains then invalid_arg "Engine.create: shard assignment out of range")
+      shard_of
+  end;
+  let lanes =
+    if domains = 1 then [| Shard.create ~idx:0 ~ndest:0 |]
+    else Array.init (domains + 1) (fun i -> Shard.create ~idx:i ~ndest:(domains + 1))
+  in
+  let coord = lanes.(Array.length lanes - 1) in
   {
-    domains = 1;
-    lanes = [| lane0 |];
-    coord = lane0;
-    shard_of = [||];
-    lookahead = 0.0;
-    counters = Array.make 1 0;
+    domains;
+    lanes;
+    coord;
+    shard_of = (if domains = 1 then [||] else Array.copy shard_of);
+    lookahead;
+    counters = Array.make (num_ctx + 1) 0;
     observers = [];
     obs_mark = 0;
-    active = lane0;
+    active = coord;
     window_on = false;
     window_bound = 0.0;
     dls = Domain.DLS.new_key (fun () -> None);
@@ -137,29 +151,6 @@ let ensure_counter t c =
     let fresh = Array.make !m 0 in
     Array.blit t.counters 0 fresh 0 n;
     t.counters <- fresh
-  end
-
-let configure t ~domains ~lookahead ~shard_of =
-  if events_executed t <> 0 || pending t <> 0 || t.domains <> 1 then
-    invalid_arg "Engine.configure: engine already in use";
-  if domains < 1 then invalid_arg "Engine.configure: domains must be >= 1";
-  let num_ctx = Array.length shard_of in
-  if num_ctx + 1 > max_ctx then invalid_arg "Engine.configure: too many contexts";
-  ensure_counter t num_ctx;
-  if domains > 1 then begin
-    if not (lookahead > 0.0) then
-      invalid_arg "Engine.configure: domains > 1 requires a positive lookahead";
-    Array.iter
-      (fun s ->
-        if s < 0 || s >= domains then
-          invalid_arg "Engine.configure: shard assignment out of range")
-      shard_of;
-    t.domains <- domains;
-    t.shard_of <- Array.copy shard_of;
-    t.lookahead <- lookahead;
-    t.lanes <- Array.init (domains + 1) (fun i -> Shard.create ~idx:i ~ndest:(domains + 1));
-    t.coord <- t.lanes.(domains);
-    t.active <- t.coord
   end
 
 (* Allocate the canonical key for a fresh event and route it.  The seq

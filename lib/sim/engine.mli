@@ -21,22 +21,22 @@
 
 type t
 
-val create : unit -> t
-(** Fresh sequential engine with the clock at 0.  Each lane's event
-    queue is the binary heap {!Terradir_util.Pqueue}. *)
+val create : ?domains:int -> ?lookahead:float -> ?shard_of:int array -> unit -> t
+(** Fresh engine with the clock at 0, laid out for good.  Each lane's
+    event queue is the binary heap {!Terradir_util.Pqueue}.
 
-val configure : t -> domains:int -> lookahead:float -> shard_of:int array -> unit
-(** Partition the engine's contexts across [domains] shard lanes before
-    any event is scheduled.  [shard_of.(c)] is the lane of context [c]
-    (servers, in the TerraDir layer); [lookahead] must be a positive
-    lower bound on every cross-context scheduling delay — the minimum
-    network latency.  [domains = 1] only records the context count.
-    @raise Invalid_argument if the engine already has events, [domains]
-    or an assignment is out of range, or [lookahead <= 0] with
-    [domains > 1]. *)
+    [domains] (default 1) is the shard lane count K; [shard_of.(c)] is
+    the lane of context [c] (servers, in the TerraDir layer), and its
+    length is the context count; [lookahead] must be a positive lower
+    bound on every cross-context scheduling delay — the minimum network
+    latency.  The defaults are the sequential one-lane engine, which
+    ignores [lookahead] and the assignment.
+    @raise Invalid_argument if [domains < 1], the context count reaches
+    the tie's limit, or, with [domains > 1], [lookahead <= 0] or an
+    assignment is out of range. *)
 
 val domains : t -> int
-(** The configured shard count K (1 until {!configure}). *)
+(** The shard count K given at creation. *)
 
 val sync_ctx : int
 (** Pseudo-context [-2]: cross-shard readers (the load monitor).  Always

@@ -190,8 +190,16 @@ and send t ~from ~to_ payload =
   | (Net.Lost | Net.Blocked) as verdict -> (
     let m = Protocol.met t.core in
     (match verdict with
-    | Net.Lost -> m.Metrics.net_lost <- m.Metrics.net_lost + 1
-    | Net.Blocked | Net.Delivered _ -> m.Metrics.net_blocked <- m.Metrics.net_blocked + 1);
+    | Net.Lost ->
+      m.Metrics.net_lost <- m.Metrics.net_lost + 1;
+      if Obs.counters_on t.obs then
+        (* lint: obs-in-hot-path fault events are rare and gated on the counters level *)
+        Obs.record t.obs ~server:from (Event.Net_lost { src = from; dst = to_ })
+    | Net.Blocked | Net.Delivered _ ->
+      m.Metrics.net_blocked <- m.Metrics.net_blocked + 1;
+      if Obs.counters_on t.obs then
+        (* lint: obs-in-hot-path fault events are rare and gated on the counters level *)
+        Obs.record t.obs ~server:from (Event.Net_blocked { src = from; dst = to_ }));
     (* A silently-lost query attempt is this record's terminal point: the
        issuer's timer retransmits with a fresh record. *)
     match payload with
@@ -324,9 +332,12 @@ and served t msg =
   else
     (* The server died (epoch bumped) with this message in service: it
        was already popped from the queue, so this event is the sole owner.
-       A query inside is left to the GC — its issuer's timer recovers the
-       request; recycling it here would risk a double-free if a revive
-       raced the service completion. *)
+       A query inside is left to the GC, not finalized: only a positive
+       [rpc_timeout] arms an issuer timer that retransmits or gives up.
+       At [rpc_timeout = 0] nothing recovers the request, which stays in
+       [pending] for good (a known leak, ROADMAP item 4).  Recycling the
+       query here would risk a double-free if a revive raced the service
+       completion. *)
     free_msg t msg
 
 (* ------------------------------------------------------------------ *)
@@ -370,7 +381,6 @@ let group_by_owner owner_of ~servers =
 let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
   Config.validate config;
   let rng = Splitmix.create config.Config.seed in
-  let engine = Engine.create () in
   let owner_of = place_owners config tree rng in
   (* Heterogeneous capacities: log-uniform speeds, normalized to mean 1 so
      the cluster's aggregate capacity does not depend on the spread. *)
@@ -434,7 +444,7 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
         Net.Uniform { base = config.Config.network_delay; jitter = config.Config.net_jitter }
       else Net.Constant config.Config.network_delay
     in
-    Net.create ~loss:config.Config.net_loss ~latency ~obs ~peers:config.Config.num_servers
+    Net.create ~loss:config.Config.net_loss ~latency ~peers:config.Config.num_servers
       ~rng:(Splitmix.create (config.Config.seed lxor 0x4e455431)) ()
   in
   (* Effective domain count: multi-domain needs a positive lookahead
@@ -451,7 +461,7 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
     let assign = match shard_of with Some f -> f | None -> fun sid -> sid mod k in
     Array.init config.Config.num_servers (fun sid -> if k = 1 then 0 else assign sid)
   in
-  Engine.configure engine ~domains:k ~lookahead:(Net.min_latency net) ~shard_of:shard_ix;
+  let engine = Engine.create ~domains:k ~lookahead:(Net.min_latency net) ~shard_of:shard_ix () in
   let lanes = Engine.lane_count engine in
   (* Per-lane flight recording, stamped with the engine's canonical event
      key so the merged view at K >= 2 matches the K = 1 ring; a null sink

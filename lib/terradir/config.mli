@@ -40,8 +40,8 @@ type t = {
   net_jitter : float;
       (** half-width of the uniform per-message latency jitter around
           [network_delay] (0 = the paper's constant-delay network); must
-          not exceed [network_delay].  Richer latency models (lognormal)
-          are available on {!Terradir_sim.Net} directly *)
+          not exceed [network_delay].  [network_delay - net_jitter] is
+          the network's latency floor and the engine's lookahead *)
   net_loss : float;
       (** iid probability that any message is silently lost in the network
           (0 = the paper's lossless network).  Lost queries and fetches
@@ -85,7 +85,7 @@ type t = {
       (** OCaml domains driving the event loop: 1 (default) is the
           sequential engine; [k >= 2] shards servers across [k] domains
           under the conservative synchronization windows of
-          [Engine.configure].  Every observable output is byte-identical
+          [Engine.create].  Every observable output is byte-identical
           for any value — the knob is performance-only.  Clamped to
           [num_servers]; falls back to 1 when the run leaves no safe
           lookahead ([oracle_maps], or a latency floor of zero) *)

@@ -588,7 +588,12 @@ let issue t id r =
 
 let drop_unserved t reason = function
   | Query q -> finish_dropped t q reason
-  | Query_reply q -> free_query t q
+  | Query_reply q ->
+    (* Recycled, not finalized: only a positive [rpc_timeout] arms the
+       issuer timer that retransmits or gives up.  At [rpc_timeout = 0]
+       the request stays in [pending] for good (a known leak, ROADMAP
+       item 4). *)
+    free_query t q
   | Data_request { fetch_id; _ } -> fetch_retry t fetch_id
   | Load_probe _ | Load_reply _ | Replicate _ | Data_reply _ -> ()
 

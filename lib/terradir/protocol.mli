@@ -122,7 +122,8 @@ val issue : t -> int -> request -> unit
 val drop_unserved : t -> drop_reason -> payload -> unit
 (** Retire what a message that will never be served carried: a query is
     dropped for [reason], a reply recycled (only a crash at its issuer
-    strands one), a fetch fails over. *)
+    strands one; its request is left to the issuer's timer, and without
+    one, at [rpc_timeout = 0], stays pending), a fetch fails over. *)
 
 val crash : Server.t -> unit
 (** Fail-stop loses all soft state; ownership is durable. *)

@@ -158,9 +158,9 @@ let test_solo_positions () =
   let module Engine = Terradir_sim.Engine in
   let lookahead = 0.025 and contexts = 8 in
   let logs domains =
-    let e = Engine.create () in
-    Engine.configure e ~domains ~lookahead
-      ~shard_of:(Array.init contexts (fun c -> c mod domains));
+    let e =
+      Engine.create ~domains ~lookahead ~shard_of:(Array.init contexts (fun c -> c mod domains)) ()
+    in
     let solo = ref [] in
     let per_ctx = Array.make contexts [] in
     let log_solo () = solo := (Engine.ctx e, Engine.now e, Engine.events_executed e) :: !solo in

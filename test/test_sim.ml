@@ -68,6 +68,26 @@ let test_engine_validation () =
   Alcotest.check_raises "past until" (Invalid_argument "Engine.run: until is in the past")
     (fun () -> Engine.run ~until:1.0 e)
 
+(* The layout is checked once, at creation: one case per message.  No
+   engine here is ever run, so no worker domain starts. *)
+let test_engine_layout_validation () =
+  Alcotest.check_raises "no lane" (Invalid_argument "Engine.create: domains must be >= 1")
+    (fun () -> ignore (Engine.create ~domains:0 ()));
+  Alcotest.check_raises "no lookahead"
+    (Invalid_argument "Engine.create: domains > 1 requires a positive lookahead") (fun () ->
+      ignore (Engine.create ~domains:2 ~lookahead:0.0 ~shard_of:[| 0; 1 |] ()));
+  Alcotest.check_raises "lane out of range"
+    (Invalid_argument "Engine.create: shard assignment out of range") (fun () ->
+      ignore (Engine.create ~domains:2 ~lookahead:0.025 ~shard_of:[| 0; 2 |] ()));
+  (* the context id must fit the tie's 19 context bits, slot 0 taken by
+     the pseudo-contexts *)
+  Alcotest.check_raises "too many contexts" (Invalid_argument "Engine.create: too many contexts")
+    (fun () -> ignore (Engine.create ~shard_of:(Array.make (1 lsl 19) 0) ()));
+  let e = Engine.create ~domains:2 ~lookahead:0.025 ~shard_of:[| 0; 1; 1 |] () in
+  Alcotest.(check int) "two shard lanes and the coordinator" 3 (Engine.lane_count e);
+  Alcotest.(check int) "domains" 2 (Engine.domains e);
+  Alcotest.(check int) "one lane by default" 1 (Engine.lane_count (Engine.create ()))
+
 let test_engine_step_and_counters () =
   let e = Engine.create () in
   Engine.schedule e ~delay:1.0 (fun () -> ());
@@ -92,33 +112,6 @@ let test_poisson_gap_mean () =
   Alcotest.check_raises "rate validation"
     (Invalid_argument "Dist.poisson_gap: rate must be positive") (fun () ->
       ignore (Dist.poisson_gap rng ~rate:0.0))
-
-let test_lognormal_shape () =
-  let rng = Splitmix.create 17 in
-  let n = 50_001 in
-  let mu = log 0.05 and sigma = 0.7 in
-  let samples = Array.init n (fun _ -> Dist.lognormal rng ~mu ~sigma) in
-  Alcotest.(check bool) "strictly positive" true (Array.for_all (fun x -> x > 0.0) samples);
-  Array.sort compare samples;
-  let median = samples.(n / 2) in
-  Alcotest.(check bool)
-    (Printf.sprintf "median %.4f ~ exp mu = 0.05" median)
-    true
-    (abs_float (median -. 0.05) < 0.003);
-  (* mean of log-samples estimates mu *)
-  let s = Stats.create () in
-  Array.iter (fun x -> Stats.add s (log x)) samples;
-  Alcotest.(check bool) "log-mean ~ mu" true (abs_float (Stats.mean s -. mu) < 0.02)
-
-let test_lognormal_degenerate_and_validation () =
-  let rng = Splitmix.create 2 in
-  for _ = 1 to 20 do
-    Alcotest.(check (float 1e-9)) "sigma=0 is constant exp(mu)" (exp 1.5)
-      (Dist.lognormal rng ~mu:1.5 ~sigma:0.0)
-  done;
-  Alcotest.check_raises "sigma validation"
-    (Invalid_argument "Dist.lognormal: sigma must be non-negative") (fun () ->
-      ignore (Dist.lognormal rng ~mu:0.0 ~sigma:(-0.1)))
 
 let test_zipf_probabilities () =
   let z = Dist.Zipf.create ~alpha:1.0 ~n:100 in
@@ -200,13 +193,12 @@ let () =
           Alcotest.test_case "run until" `Quick test_engine_run_until;
           Alcotest.test_case "until inclusive" `Quick test_engine_until_boundary_inclusive;
           Alcotest.test_case "validation" `Quick test_engine_validation;
+          Alcotest.test_case "layout validation" `Quick test_engine_layout_validation;
           Alcotest.test_case "step/counters" `Quick test_engine_step_and_counters;
         ] );
       ( "dist",
         [
           Alcotest.test_case "poisson gap mean" `Quick test_poisson_gap_mean;
-          Alcotest.test_case "lognormal shape" `Quick test_lognormal_shape;
-          Alcotest.test_case "lognormal edge cases" `Quick test_lognormal_degenerate_and_validation;
           Alcotest.test_case "zipf pmf" `Quick test_zipf_probabilities;
           Alcotest.test_case "zipf alpha=0" `Quick test_zipf_alpha_zero_uniform;
           Alcotest.test_case "zipf sampling" `Quick test_zipf_sampling_matches_pmf;
