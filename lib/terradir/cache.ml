@@ -24,6 +24,8 @@ let create ?(obs = Obs.null) ?(owner = -1) ~slots ~r_map ~rng () =
     misses = 0;
   }
 
+let lru t = t.lru
+
 let slots t = Lru.capacity t.lru
 
 let length t = Lru.length t.lru

@@ -25,6 +25,9 @@ val create :
     receives a [Cache_hit]/[Cache_miss] event per lookup at the [Full]
     level, attributed to server [owner]. *)
 
+val lru : t -> Node_map.t Terradir_util.Lru.t
+(** The table itself, for memory breakdowns ([prof_main.exe mem]). *)
+
 val slots : t -> int
 
 val length : t -> int

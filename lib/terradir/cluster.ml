@@ -162,7 +162,7 @@ and send t ~from ~to_ payload =
       && Digest_store.last_version_sent s.Server.digests ~peer:to_ < version
     then begin
       Digest_store.note_version_sent s.Server.digests ~peer:to_ version;
-      Some (Digest_store.local s.Server.digests)
+      Digest_store.shared_local s.Server.digests
     end
     else None
   in

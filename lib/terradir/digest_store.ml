@@ -3,6 +3,7 @@ open Terradir_bloom
 
 type t = {
   mutable local : Bloom.t;
+  mutable shared : Bloom.t option; (* [Some local], built with it: one box per filter *)
   mutable local_version : int;
   mutable pending_count : int; (* -1: [local] is current; else the next read builds it *)
   mutable pending_iter : (int -> unit) -> unit;
@@ -12,8 +13,10 @@ type t = {
 }
 
 let create ~max_remote () =
+  let local = Bloom.create ~expected:1 () in
   {
-    local = Bloom.create ~expected:1 ();
+    local;
+    shared = Some local;
     local_version = 0;
     pending_count = -1;
     pending_iter = ignore;
@@ -34,12 +37,21 @@ let local_version t = t.local_version
    count anyway). *)
 let local t =
   if t.pending_count >= 0 then begin
-    t.local <-
-      Bloom.of_iter ~bits_per_element:16 ~hashes:10 ~expected:t.pending_count t.pending_iter;
+    let local = Bloom.of_iter ~bits_per_element:16 ~hashes:10 ~expected:t.pending_count t.pending_iter in
+    t.local <- local;
+    t.shared <- Some local;
     t.pending_count <- -1;
     t.pending_iter <- ignore
   end;
   t.local
+
+(* Every piggyback carries this one box, so a send allocates no option
+   of its own; boxes made per send were young objects written into pooled
+   messages in the major heap, each promoted by the next minor collection
+   if the message was still in flight. *)
+let shared_local t =
+  ignore (local t : Bloom.t);
+  t.shared
 
 (* The version moves at once, so numbering is the eager rebuild's; the
    filter waits for its first read.  Set-up adds every owned node one at a
@@ -99,6 +111,10 @@ let collect_mru t ~skip ~servers ~blooms =
   !n
 
 let remote_count t = Lru.length t.remotes
+
+let held_local t = t.local
+
+let remotes t = t.remotes
 
 let last_version_sent t ~peer =
   match Packed_table.find t.sent peer with -1 -> 0 | i -> Packed_table.payload_at t.sent i

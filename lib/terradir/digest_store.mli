@@ -17,6 +17,11 @@ val local_version : t -> int
 val local : t -> Terradir_bloom.Bloom.t
 (** The local digest; the first read after a rebuild builds it. *)
 
+val shared_local : t -> Terradir_bloom.Bloom.t option
+(** [Some (local t)], the same block for every call until the filter is
+    rebuilt: the piggyback a send carries, so carrying the digest
+    allocates nothing. *)
+
 val rebuild_local : t -> hosted:int list -> unit
 (** Recompute the local digest over the hosted node ids. *)
 
@@ -47,6 +52,14 @@ val collect_mru :
     cost. *)
 
 val remote_count : t -> int
+
+val held_local : t -> Terradir_bloom.Bloom.t
+(** The local filter as held now, without building a pending one: until
+    the next {!local} read after a rebuild, the previous filter.  For
+    memory breakdowns ([prof_main.exe mem]). *)
+
+val remotes : t -> Terradir_bloom.Bloom.t Terradir_util.Lru.t
+(** The remote digests by server, for memory breakdowns. *)
 
 val last_version_sent : t -> peer:int -> int
 (** Highest local version already piggybacked to [peer] (0 if never). *)

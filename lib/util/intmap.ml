@@ -1,15 +1,41 @@
 (* Dense int-keyed table: keys and values in parallel arrays, [0 .. len)
-   occupied, plus an open-addressing index of [slot + 1] per occupied
-   probe position ([0] empty, [-1] tombstone).  Live entries stay at most
-   half the index, and tombstones are swept by an in-place rebuild once
-   they fill a quarter of it, so a probe always meets an empty position. *)
+   occupied, plus an open-addressing index over them.  Live entries stay
+   at most half the index, and tombstones are swept by an in-place
+   rebuild once they fill a quarter of it, so a probe always meets an
+   empty position. *)
 
 module Index = struct
-  type t = { mutable tbl : int array; mutable tombs : int }
+  (* One cell per probe position in a [Bytes] block: [0] empty, [1]
+     tombstone, [slot + 2] occupied.  Cells are 2 bytes while the index
+     has at most 2^16 positions (the owner keeps [slot] below half the
+     size, so [slot + 2] fits) and 4 bytes beyond; the width is read off
+     the block's length, which the two ranges never share, and changes
+     only at the [reset] that grows the index.  Both widths are read and
+     written with the native-endian primitives, unboxed. *)
+  type t = { mutable tbl : Bytes.t; mutable tombs : int }
 
-  let create () = { tbl = [||]; tombs = 0 }
+  external get16 : Bytes.t -> int -> int = "%caml_bytes_get16"
 
-  let size ix = Array.length ix.tbl
+  external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16"
+
+  external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+
+  external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+  let narrow_positions = 1 lsl 16
+
+  (* Bytes per cell, as a shift: 1 for 2-byte cells, 2 for 4-byte. *)
+  let shift_for n = if n <= narrow_positions then 1 else 2
+
+  let shift tbl = if Bytes.length tbl <= narrow_positions lsl 1 then 1 else 2
+
+  let[@inline] get tbl sh i = if sh = 1 then get16 tbl (i lsl 1) else Int32.to_int (get32 tbl (i lsl 2))
+
+  let[@inline] set tbl sh i v = if sh = 1 then set16 tbl (i lsl 1) v else set32 tbl (i lsl 2) (Int32.of_int v)
+
+  let create () = { tbl = Bytes.empty; tombs = 0 }
+
+  let size ix = Bytes.length ix.tbl lsr shift ix.tbl
 
   (* Fibonacci-style multiplicative hash of an int key; keys here are
      dense interned ids, which linear probing over the raw low bits would
@@ -21,41 +47,45 @@ module Index = struct
 
   (* Probes are top-level functions over explicit arguments, not local
      closures, so a lookup allocates nothing. *)
-  let rec find_from tbl mask keys k i =
-    match tbl.(i) with
+  let rec find_from tbl sh mask keys k i =
+    match get tbl sh i with
     | 0 -> -1
-    | v when v > 0 && keys.(v - 1) = k -> v - 1
-    | _ -> find_from tbl mask keys k ((i + 1) land mask)
+    | v when v > 1 && keys.(v - 2) = k -> v - 2
+    | _ -> find_from tbl sh mask keys k ((i + 1) land mask)
 
   let find ix keys k =
     let tbl = ix.tbl in
-    let mask = Array.length tbl - 1 in
-    if mask < 0 then -1 else find_from tbl mask keys k (hash k land mask)
+    let sh = shift tbl in
+    let mask = (Bytes.length tbl lsr sh) - 1 in
+    if mask < 0 then -1 else find_from tbl sh mask keys k (hash k land mask)
 
-  let rec vacant_from tbl mask i =
-    if tbl.(i) <= 0 then i else vacant_from tbl mask ((i + 1) land mask)
+  let rec vacant_from tbl sh mask i =
+    if get tbl sh i <= 1 then i else vacant_from tbl sh mask ((i + 1) land mask)
 
   let insert ix k slot =
     let tbl = ix.tbl in
-    let mask = Array.length tbl - 1 in
-    let i = vacant_from tbl mask (hash k land mask) in
-    if tbl.(i) < 0 then ix.tombs <- ix.tombs - 1;
-    tbl.(i) <- slot + 1
+    let sh = shift tbl in
+    let mask = (Bytes.length tbl lsr sh) - 1 in
+    assert (slot + 2 <= if sh = 1 then 0xFFFF else 0x7FFF_FFFF);
+    let i = vacant_from tbl sh mask (hash k land mask) in
+    if get tbl sh i = 1 then ix.tombs <- ix.tombs - 1;
+    set tbl sh i (slot + 2)
 
-  let rec holding_from tbl mask v i =
-    if tbl.(i) = v then i else holding_from tbl mask v ((i + 1) land mask)
+  let rec holding_from tbl sh mask v i =
+    if get tbl sh i = v then i else holding_from tbl sh mask v ((i + 1) land mask)
 
-  (* The position holding [from + 1] on [k]'s probe sequence. *)
-  let position ix k from =
+  (* Overwrite the cell holding [from + 2] on [k]'s probe sequence. *)
+  let rewrite ix k from v =
     let tbl = ix.tbl in
-    let mask = Array.length tbl - 1 in
-    holding_from tbl mask (from + 1) (hash k land mask)
+    let sh = shift tbl in
+    let mask = (Bytes.length tbl lsr sh) - 1 in
+    set tbl sh (holding_from tbl sh mask (from + 2) (hash k land mask)) v
 
   let remove ix k slot =
-    ix.tbl.(position ix k slot) <- -1;
+    rewrite ix k slot 1;
     ix.tombs <- ix.tombs + 1
 
-  let move ix k ~from ~to_ = ix.tbl.(position ix k from) <- to_ + 1
+  let move ix k ~from ~to_ = rewrite ix k from (to_ + 2)
 
   let grown ix ~live =
     let rec go n = if 2 * live > n then go (2 * n) else n in
@@ -64,7 +94,9 @@ module Index = struct
   let crowded ix = 4 * ix.tombs > size ix
 
   let reset ix n =
-    if size ix = n then Array.fill ix.tbl 0 n 0 else ix.tbl <- Array.make n 0;
+    let bytes = n lsl shift_for n in
+    if Bytes.length ix.tbl = bytes then Bytes.fill ix.tbl 0 bytes '\000'
+    else ix.tbl <- (if n = 0 then Bytes.empty else Bytes.make bytes '\000');
     ix.tombs <- 0
 end
 
@@ -168,6 +200,8 @@ let fold t ~init ~f =
     acc := f !acc t.keys.(i) t.vals.(i)
   done;
   !acc
+
+let index t = t.index
 
 let set_key_unchecked t i k =
   check t i "set_key_unchecked";

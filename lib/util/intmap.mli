@@ -3,9 +3,9 @@
     Keys and values sit in dense arrays — [add] appends, [remove]
     swap-removes the last entry into the hole — so a sweep over the
     entries is a sequential walk of [0 .. length t - 1].  An
-    open-addressing index of [slot + 1] finds a key's slot.  Every array
-    starts empty and doubles on demand; a table emptied by {!remove}
-    returns to its created state.
+    open-addressing {!Index} of 2-byte cells (4-byte past 2^16 positions)
+    finds a key's slot.  Every array starts empty and doubles on demand;
+    a table emptied by {!remove} returns to its created state.
 
     Slots are positions, not handles: a removal moves the last entry into
     the freed slot.  Iteration order is slot order, which depends on the
@@ -65,10 +65,16 @@ val set_key_unchecked : 'a t -> int -> int -> unit
 
 (** The open-addressing index on its own, for tables that keep keys in
     slots of their own ({!Lru}).  It maps a key to a slot via the owner's
-    per-slot key array: each probe position holds [slot + 1], [0] for
-    empty, [-1] for a tombstone.  Sizes are powers of two; the owner keeps
-    live entries at most half the size (see {!Index.grown}) and rebuilds
-    when {!Index.crowded} says tombstones have piled up. *)
+    per-slot key array, probing linearly from {!Index.hash}.  Each probe
+    position is one cell of a [Bytes] block: [0] for empty, [1] for a
+    tombstone, [slot + 2] for an entry.  Cells take 2 bytes while the
+    index has at most 2^16 positions, which holds tables of up to 32,768
+    entries, and 4 bytes beyond: the {!Index.reset} that grows the index
+    past 2^16 positions widens them, so there is no capacity limit.
+    Sizes are powers of two; the owner keeps live entries at most half
+    the size (see {!Index.grown}), and so every slot below half the size,
+    and rebuilds when {!Index.crowded} says tombstones have piled up.
+    Lookups read the cells unboxed and allocate nothing. *)
 module Index : sig
   type t
 
@@ -86,7 +92,8 @@ module Index : sig
   (** [find ix keys k]: the slot whose key ([keys.(slot)]) is [k], or [-1]. *)
 
   val insert : t -> int -> int -> unit
-  (** [insert ix k slot]; [k] must be absent and the index must have room. *)
+  (** [insert ix k slot]; [k] must be absent, the index must have room and
+      [slot] must be below half its size. *)
 
   val remove : t -> int -> int -> unit
   (** [remove ix k slot] tombstones the entry for [k], which is in [slot]. *)
@@ -99,6 +106,10 @@ module Index : sig
   (** Tombstones fill more than a quarter of the index. *)
 
   val reset : t -> int -> unit
-  (** Empty the index at the given size (0 or a power of two); the owner
-      then re-inserts its live entries. *)
+  (** Empty the index at the given size (0 or a power of two), with the
+      cell width that size takes; the owner then re-inserts its live
+      entries. *)
 end
+
+val index : 'a t -> Index.t
+(** The table's index, for memory breakdowns ([prof_main.exe mem]). *)

@@ -172,6 +172,10 @@ let fold t ~init ~f =
 
 let slot = find_slot
 
+let index t = t.index
+
+let links t = (t.prev, t.next)
+
 (* A slot is occupied iff it has a predecessor or is the head: [unlink]
    resets a freed slot's [prev] to -1. *)
 let keys_into t dst =

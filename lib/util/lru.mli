@@ -47,6 +47,13 @@ val slot : 'a t -> int -> int
     its slot until it is removed or evicted, so callers may index per-entry
     data of their own by slot. *)
 
+val index : 'a t -> Intmap.Index.t
+(** The key → slot index, for memory breakdowns ([prof_main.exe mem]). *)
+
+val links : 'a t -> int array * int array
+(** The recency links by slot (toward the MRU end, toward the LRU end),
+    for memory breakdowns. *)
+
 val first : 'a t -> int
 (** The most recently used entry's slot; [-1] when empty. *)
 

@@ -79,7 +79,9 @@ let top_seq q = q.seqs.(0)
 
 let top_tag q = q.tags.(0)
 
-(* Sift the last entry down from the root hole. *)
+(* Sift the last entry down from the root hole.  Slot [n] keeps the
+   moved entry's value, which stays live at its new position, so the
+   popped value is not pinned there. *)
 let pop_exn q =
   if q.size = 0 then invalid_arg "Pqueue.pop_exn: empty";
   let top = q.vals.(0) in
@@ -88,7 +90,6 @@ let pop_exn q =
   if n > 0 then begin
     let keys = q.keys and seqs = q.seqs and tags = q.tags and vals = q.vals in
     let key = keys.(n) and seq = seqs.(n) and tag = tags.(n) and value = vals.(n) in
-    vals.(n) <- top (* keep slot initialized; avoids space leak concerns *);
     let i = ref 0 and continue = ref true in
     while !continue do
       let l = (2 * !i) + 1 in

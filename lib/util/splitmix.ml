@@ -1,43 +1,62 @@
-type t = { mutable state : int64; mutable draws : int }
+(* One 16-byte block: the 64-bit state at byte 0, the draw count at
+   byte 8.  Both are read and written with the native-endian primitives
+   inside the drawing function, so a draw updates them unboxed; a
+   [mutable state : int64] field would box every new state. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed); draws = 0 }
+let make state =
+  let g = Bytes.create 16 in
+  set64 g 0 state;
+  set64 g 8 0L;
+  g
 
-let copy g = { state = g.state; draws = g.draws }
+let create seed = make (mix64 (Int64.of_int seed))
 
-let bits64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  g.draws <- g.draws + 1;
-  mix64 g.state
+let copy = Bytes.copy
 
-let split g = { state = bits64 g; draws = 0 }
+(* Inlined into each drawing function, so the new state and its mix stay
+   unboxed up to the caller's conversion. *)
+let[@inline] next g =
+  let state = Int64.add (get64 g 0) golden_gamma in
+  set64 g 0 state;
+  set64 g 8 (Int64.succ (get64 g 8));
+  mix64 state
 
-let draws g = g.draws
+let bits64 g = next g
+
+let split g = make (next g)
+
+let draws g = Int64.to_int (get64 g 8)
 
 (* Non-negative 62-bit int from the top bits: keeps arithmetic on OCaml's
    63-bit native ints exact. *)
-let bits62 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 2)
+let bits62 g = Int64.to_int (Int64.shift_right_logical (next g) 2)
+
+(* Rejection sampling to avoid modulo bias, as a top-level loop over
+   explicit arguments: a local closure would be allocated per call. *)
+let rec below g n limit =
+  let v = bits62 g in
+  if v >= limit then below g n limit else v mod n
 
 let int g n =
   if n <= 0 then invalid_arg "Splitmix.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
   let mask_range = 0x3FFF_FFFF_FFFF_FFFF in
-  let limit = mask_range - (mask_range mod n) in
-  let rec draw () =
-    let v = bits62 g in
-    if v >= limit then draw () else v mod n
-  in
-  draw ()
+  below g n (mask_range - (mask_range mod n))
 
 let float g x =
   (* 53 random mantissa bits scaled to [0, 1). *)
-  let u = Int64.to_int (Int64.shift_right_logical (bits64 g) 11) in
+  let u = Int64.to_int (Int64.shift_right_logical (next g) 11) in
   float_of_int u /. 9007199254740992.0 *. x
 
 let exponential g mean =

@@ -7,7 +7,10 @@
     It is fast, has a period of 2^64, and passes BigCrush. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: one 16-byte block holding the 64-bit state
+    and the draw count, both updated in place without boxing.  A draw
+    allocates only a boxed float result: {!int} allocates nothing,
+    {!float} 2 words when its result is boxed at the call. *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator.  Generators created from the
@@ -31,7 +34,8 @@ val draws : t -> int
     the equivalence-test currency for "same rng consumption". *)
 
 val int : t -> int -> int
-(** [int g n] is uniform in [\[0, n)].  @raise Invalid_argument if [n <= 0]. *)
+(** [int g n] is uniform in [\[0, n)], by rejection sampling over 62-bit
+    draws; allocates nothing.  @raise Invalid_argument if [n <= 0]. *)
 
 val float : t -> float -> float
 (** [float g x] is uniform in [\[0, x)] (53-bit mantissa resolution). *)

@@ -102,13 +102,37 @@ let views_agree lru (model : Model.t) slots =
   && List.sort Int.compare (Array.to_list (Array.sub dst 0 n)) = List.sort Int.compare (Model.keys model)
   && stable
 
+(* Remove-heavy: fill past the capacity, then mostly removes, so
+   tombstones pile up past a quarter of the index and force sweeps
+   (reindexing at the same size) between the puts that reuse them. *)
+let lru_drain_gen ~cap ~keys =
+  QCheck.Gen.(
+    let fill = list_repeat (cap + (cap / 2)) (map2 (fun k v -> Put (k, v)) (int_bound keys) (int_bound 1000)) in
+    let drain =
+      list_size (int_bound (4 * cap))
+        (frequency
+           [
+             (8, map (fun k -> Remove k) (int_bound keys));
+             (2, map2 (fun k v -> Put (k, v)) (int_bound keys) (int_bound 1000));
+             (2, map (fun k -> Find k) (int_bound keys));
+           ])
+    in
+    map2 ( @ ) fill drain)
+
 (* Capacities 0, 1, 5 and 64 besides the small range: 64 grows the
-   arrays 4 → 64 and the index 8 → 128 under the model. *)
+   arrays 4 → 64 and the index 8 → 128 under the model.  One case in
+   three is remove-heavy. *)
 let lru_case_gen =
   QCheck.Gen.(
     frequency [ (2, int_range 0 8); (1, oneofl [ 0; 1; 5; 64 ]) ] >>= fun cap ->
     let keys = max 20 (cap + (cap / 2)) in
-    map (fun ops -> (cap, ops)) (list_size (int_bound (max 60 (4 * cap))) (lru_op_gen ~keys)))
+    map
+      (fun ops -> (cap, ops))
+      (frequency
+         [
+           (2, list_size (int_bound (max 60 (4 * cap))) (lru_op_gen ~keys));
+           (1, lru_drain_gen ~cap ~keys);
+         ]))
 
 let prop_lru_model =
   QCheck.Test.make ~name:"flat LRU ≡ list model (ops, results, MRU order)" ~count:500
@@ -195,6 +219,24 @@ let intmap_op_gen ~keys =
         (1, return I_iter);
       ])
 
+(* Remove-heavy: add most of the key range, then mostly remove, so
+   tombstones pass a quarter of the index and force sweeps between the
+   adds that would reuse them. *)
+let intmap_drain_gen ~keys =
+  QCheck.Gen.(
+    let fill = list_repeat keys (map2 (fun k v -> I_add (k, v)) (int_bound keys) (int_bound 1000)) in
+    let drain =
+      list_size (int_bound (3 * keys))
+        (frequency
+           [
+             (8, map (fun k -> I_remove k) (int_bound keys));
+             (1, return I_remove_last);
+             (2, map2 (fun k v -> I_add (k, v)) (int_bound keys) (int_bound 1000));
+             (2, map (fun k -> I_find k) (int_bound keys));
+           ])
+    in
+    map2 ( @ ) fill drain)
+
 (* The dense index agrees with the table: every slot's key resolves to
    that slot and carries the model's value, and the slots hold exactly the
    model's keys. *)
@@ -213,7 +255,13 @@ let prop_intmap_model =
          Printf.sprintf "keys %d: %s" keys (String.concat "; " (List.map show_intmap_op l)))
        QCheck.Gen.(
          oneofl [ 4; 40; 200 ] >>= fun keys ->
-         map (fun ops -> (keys, ops)) (list_size (int_bound 400) (intmap_op_gen ~keys))))
+         map
+           (fun ops -> (keys, ops))
+           (frequency
+              [
+                (2, list_size (int_bound 400) (intmap_op_gen ~keys));
+                (1, intmap_drain_gen ~keys);
+              ])))
     (fun (_, ops) ->
       let t = Intmap.create () in
       let model = ref IM.empty in
@@ -276,6 +324,30 @@ let test_intmap_downward_removal () =
   Alcotest.(check (option int)) "nothing found" None (Intmap.find_opt t 7);
   Intmap.add t 7 1;
   Alcotest.(check (option int)) "refills" (Some 1) (Intmap.find_opt t 7)
+
+(* Past 2^16 index positions the index widens its cells (at 32,769
+   entries), and 70,000 entries take it to 2^18 positions.  Every key
+   resolves to its slot before and after removing every other one. *)
+let test_intmap_wide_index () =
+  let n = 70_000 in
+  let key i = (i * 7919) + 3 in
+  let t = Intmap.create () in
+  for i = 0 to n - 1 do
+    Intmap.add t (key i) i
+  done;
+  let resolves i = Intmap.find_opt t (key i) = Some i && Intmap.key_at t (Intmap.slot t (key i)) = key i in
+  Alcotest.(check int) "all added" n (Intmap.length t);
+  Alcotest.(check bool) "every key resolves" true (List.for_all resolves (List.init n Fun.id));
+  for i = 0 to n - 1 do
+    if i land 1 = 0 then Intmap.remove t (key i)
+  done;
+  Alcotest.(check int) "half left" (n / 2) (Intmap.length t);
+  Alcotest.(check bool) "survivors resolve, removed keys are gone" true
+    (List.for_all
+       (fun i -> if i land 1 = 0 then Intmap.slot t (key i) = -1 else resolves i)
+       (List.init n Fun.id));
+  Alcotest.(check bool) "absent keys stay absent" true
+    (List.for_all (fun i -> not (Intmap.mem t (key i + 1))) (List.init 1000 Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Digest rebuild: list path vs iteration path                         *)
@@ -556,6 +628,7 @@ let () =
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_lru_model ] );
       ( "intmap",
         Alcotest.test_case "downward removal" `Quick test_intmap_downward_removal
+        :: Alcotest.test_case "wide index past 65,535 entries" `Quick test_intmap_wide_index
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_intmap_model ] );
       ( "packed",
         Alcotest.test_case "key and payload bounds" `Quick test_packed_bounds

@@ -88,6 +88,60 @@ let test_pin_pqueue_hold () =
       incr seq);
   Alcotest.(check int) "depth held" 4096 (Pqueue.length q)
 
+(* At most [n] words: a draw that returns a float boxes its result at
+   the call, since [Splitmix.float] is not inlined here. *)
+let pin_at_most name n f =
+  if Sys.backend_type = Sys.Native then begin
+    let words = words_of f in
+    if words > n then Alcotest.failf "%s allocates %.0f words, more than %.0f" name words n
+  end
+
+let test_pin_splitmix () =
+  let g = Splitmix.create 11 in
+  pin "Splitmix.int" (fun () -> ignore (Sys.opaque_identity (Splitmix.int g 1000) : int));
+  (* A bound that rejects about half of all draws: the loop runs. *)
+  pin "Splitmix.int (rejecting)" (fun () ->
+      ignore (Sys.opaque_identity (Splitmix.int g ((1 lsl 61) + 1)) : int));
+  pin_at_most "Splitmix.float" 2.0 (fun () -> ignore (Sys.opaque_identity (Splitmix.float g 1.0) : float))
+
+let test_pin_table_lookups () =
+  let t = Intmap.create () and lru = Lru.create ~capacity:16 in
+  for k = 0 to 11 do
+    Intmap.add t (k * 7) k;
+    Lru.put lru (k * 7) k
+  done;
+  pin "Intmap.slot (hit)" (fun () -> ignore (Sys.opaque_identity (Intmap.slot t 35) : int));
+  pin "Intmap.slot (miss)" (fun () -> ignore (Sys.opaque_identity (Intmap.slot t 36) : int));
+  pin "Lru.slot (hit)" (fun () -> ignore (Sys.opaque_identity (Lru.slot lru 35) : int));
+  pin "Lru.slot (miss)" (fun () -> ignore (Sys.opaque_identity (Lru.slot lru 36) : int))
+
+(* The event heap hands a popped value back and keeps no reference to
+   it: two of three closures, each over a fresh block, are popped, and a
+   full collection must reclaim both.  Filling and popping happen in
+   functions of their own, so no frame of the test holds a closure.  A
+   plain value goes in first and stays queued: growth prefills the
+   array's spare slots with the value being added. *)
+let test_pop_pins_nothing () =
+  let q = Pqueue.create () and w = Weak.create 3 in
+  let[@inline never] fill () =
+    Pqueue.add_tagged q ~key:10.0 ~seq:0 ~tag:0 ignore;
+    for i = 0 to 2 do
+      let cell = ref i in
+      let f () = incr cell in
+      Weak.set w i (Some f);
+      Pqueue.add_tagged q ~key:(float_of_int i) ~seq:(i + 1) ~tag:0 f
+    done
+  in
+  let[@inline never] pop () = ignore (Pqueue.pop_exn q : unit -> unit) in
+  fill ();
+  pop ();
+  pop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "first popped is collected" false (Weak.check w 0);
+  Alcotest.(check bool) "second popped is collected" false (Weak.check w 1);
+  Alcotest.(check bool) "the queued one is held" true (Weak.check w 2);
+  Alcotest.(check int) "two left" 2 (Pqueue.length q)
+
 (* ---- message thunks ---- *)
 
 let cluster () = Cluster.create ~monitor:false ~config ~tree ()
@@ -117,6 +171,36 @@ let test_freed_thunks_raise () =
   Alcotest.(check int) "freed record is scrubbed" (-1) m.msg_to;
   raises_invalid "msg_deliver" m.msg_deliver;
   raises_invalid "msg_served" m.msg_served
+
+(* A send that piggybacks the digest carries the store's one [Some] box
+   for the current filter: it allocates exactly what the same send
+   without a digest does.  Both sends take a pooled record and queue one
+   event in a heap with room for it. *)
+let test_pin_digest_send () =
+  if Sys.backend_type = Sys.Native then begin
+    let c = cluster () in
+    let d = c.Cluster.servers.(0).Server.digests in
+    let payload = Load_probe { session = 0 } in
+    let send () = c.Cluster.core.Protocol.transport.Protocol.send ~from:0 ~to_:1 payload in
+    let pooled = List.init 4 (fun _ -> alloc c) in
+    List.iter (Cluster.free_msg c) pooled;
+    send ();
+    send ();
+    Digest_store.rebuild_local d ~hosted:[ 0; 8; 16 ];
+    ignore (Digest_store.local d : Bloom.t);
+    let words f =
+      let before = Gc.minor_words () in
+      f ();
+      Gc.minor_words () -. before
+    in
+    let carrying = words send in
+    Alcotest.(check int) "the send carried the new version" (Digest_store.local_version d)
+      (Digest_store.last_version_sent d ~peer:1);
+    let plain = words send in
+    Alcotest.(check (float 0.0)) "a digest costs the send no words" plain carrying;
+    Alcotest.(check bool) "one box per filter" true
+      (Digest_store.shared_local d == Digest_store.shared_local d)
+  end
 
 (* ---- known-load cells keep min_load_peer's order ---- *)
 
@@ -279,6 +363,10 @@ let () =
           Alcotest.test_case "note_peer_load known peer" `Quick test_pin_note_peer_load;
           Alcotest.test_case "touch_node hosted" `Quick test_pin_touch_node;
           Alcotest.test_case "Pqueue pop + add" `Quick test_pin_pqueue_hold;
+          Alcotest.test_case "Splitmix draws" `Quick test_pin_splitmix;
+          Alcotest.test_case "Intmap and Lru lookups" `Quick test_pin_table_lookups;
+          Alcotest.test_case "digest-carrying send" `Quick test_pin_digest_send;
+          Alcotest.test_case "Pqueue pop pins nothing" `Quick test_pop_pins_nothing;
         ] );
       ( "msg-thunks",
         [

@@ -40,7 +40,10 @@
    config and observability sink first, then each field of every server
    in turn — so a block reachable from several fields counts once, in the
    first row that reaches it, and the rows sum to the total, which is the
-   benchmark's [mem.bytes_per_server].  Below the total, [names
+   benchmark's [mem.bytes_per_server].  A table store's row is split the
+   same way into indented rows that sum to it: its content (maps,
+   Blooms), then its structure (entry records, hash index, LRU links, and
+   the slots and records that remain).  Below the total, [names
    (process-wide)] is what building the tree added to the live heap
    besides the tree itself (the intern table, which no root reaches),
    and [other live] is the rest of the live heap (engine, cluster
@@ -74,6 +77,8 @@
 module Registry = Terradir_experiments.Registry
 module Runner = Terradir_experiments.Runner
 module Common = Terradir_experiments.Common
+module Intmap = Terradir_util.Intmap
+module Lru = Terradir_util.Lru
 open Terradir
 
 let usage =
@@ -160,19 +165,59 @@ let run_scenario ~servers ~levels ~rate ~duration ~seed =
 
 (* ---- mem: per-store heap breakdown ---- *)
 
-(* Per-server rows: name and the field's value.  Scalar fields, the
-   records themselves and boxed floats land in the last row. *)
-let server_fields : (string * (Server.t -> Obj.t)) list =
+(* Per-server rows: a store and its parts, each part the roots it adds
+   for one server.  A table store's content (the maps and Blooms it
+   points to) comes first, then its structure: per-entry records, the
+   hash index ({!Intmap.Index}), LRU links, and last the store itself,
+   which adds what remains — key and value slots, side arrays, the
+   store's own records.  Scalar fields, the server records themselves
+   and boxed floats land in the last row. *)
+let obj = Obj.repr
+
+let intmap_parts table ~content ~record =
+  let values f s = Intmap.fold (table s) ~init:[] ~f:(fun acc _ v -> obj (f v) :: acc) in
   [
-    ("hosted", fun s -> Obj.repr s.Server.hosted);
-    ("neighbor_maps", fun s -> Obj.repr s.Server.neighbor_maps);
-    ("rng", fun s -> Obj.repr s.Server.rng);
-    ("cache", fun s -> Obj.repr s.Server.cache);
-    ("digests", fun s -> Obj.repr s.Server.digests);
-    ("load", fun s -> Obj.repr s.Server.load);
-    ("ranking", fun s -> Obj.repr s.Server.ranking);
-    ("known_loads", fun s -> Obj.repr s.Server.known_loads);
-    ("queue, ctrl_queue", fun s -> Obj.repr (s.Server.queue, s.Server.ctrl_queue));
+    ("maps", values content);
+    ("entry records", values record);
+    ("index", fun s -> [ obj (Intmap.index (table s)) ]);
+    ("slots", fun s -> [ obj (table s) ]);
+  ]
+
+let lru_parts lru ~content ~rest =
+  let values s =
+    let acc = ref (snd content s) in
+    Lru.iter (lru s) ~f:(fun _ v -> acc := obj v :: !acc);
+    !acc
+  in
+  [
+    (fst content, values);
+    ("index", fun s -> [ obj (Lru.index (lru s)) ]);
+    ("links", fun s -> [ obj (fst (Lru.links (lru s))); obj (snd (Lru.links (lru s))) ]);
+    (fst rest, fun s -> [ snd rest s ]);
+  ]
+
+let server_fields : (string * (string * (Server.t -> Obj.t list)) list) list =
+  let whole name get = (name, [ (name, fun s -> [ obj (get s) ]) ]) in
+  [
+    ( "hosted",
+      intmap_parts (fun s -> s.Server.hosted) ~content:(fun h -> h.Server.h_map) ~record:Fun.id );
+    ( "neighbor_maps",
+      intmap_parts (fun s -> s.Server.neighbor_maps) ~content:(fun r -> r.Server.n_map) ~record:Fun.id );
+    whole "rng" (fun s -> s.Server.rng);
+    ( "cache",
+      lru_parts
+        (fun s -> Cache.lru s.Server.cache)
+        ~content:("maps", fun _ -> [])
+        ~rest:("slots", fun s -> obj s.Server.cache) );
+    ( "digests",
+      lru_parts
+        (fun s -> Digest_store.remotes s.Server.digests)
+        ~content:("Blooms", fun s -> [ obj (Digest_store.held_local s.Server.digests) ])
+        ~rest:("slots, versions, sent", fun s -> obj s.Server.digests) );
+    whole "load" (fun s -> s.Server.load);
+    whole "ranking" (fun s -> s.Server.ranking);
+    whole "known_loads" (fun s -> s.Server.known_loads);
+    whole "queue, ctrl_queue" (fun s -> (s.Server.queue, s.Server.ctrl_queue));
   ]
 
 (* Words reachable from [roots], without the array that holds them. *)
@@ -189,29 +234,42 @@ let print_breakdown (cluster : Cluster.t) ~names ~label =
   let n = List.length servers in
   let per_server words = float_of_int (words * (Sys.word_size / 8)) /. float_of_int n in
   let s0 = List.hd servers in
+  let one name roots = (name, [ (name, roots) ]) in
   let shared =
     [
-      ("tree (shared)", [ Obj.repr cluster.Cluster.tree ]);
-      ("config, obs (shared)", [ Obj.repr s0.Server.config; Obj.repr s0.Server.obs ]);
+      one "tree (shared)" [ obj cluster.Cluster.tree ];
+      one "config, obs (shared)" [ obj s0.Server.config; obj s0.Server.obs ];
     ]
   in
-  let fields = List.map (fun (name, get) -> (name, List.map get servers)) server_fields in
-  let rows = shared @ fields @ [ ("records, scalars", List.map Obj.repr servers) ] in
-  Printf.printf "\n== %s: live heap %.1f MB, %d servers ==\n%-24s %10s\n" label live_mb n "store"
+  let fields =
+    List.map
+      (fun (name, parts) -> (name, List.map (fun (part, get) -> (part, List.concat_map get servers)) parts))
+      server_fields
+  in
+  let stores = shared @ fields @ [ one "records, scalars" (List.map obj servers) ] in
+  Printf.printf "\n== %s: live heap %.1f MB, %d servers ==\n%-28s %10s\n" label live_mb n "store"
     "B/server";
   let _, total =
     List.fold_left
-      (fun (roots, before) (name, more) ->
-        let roots = more @ roots in
-        let words = reachable roots in
-        Printf.printf "%-24s %10.1f\n" name (per_server (words - before));
+      (fun (roots, before) (name, parts) ->
+        let roots, words, rows =
+          List.fold_left
+            (fun (roots, words, rows) (part, more) ->
+              let roots = more @ roots in
+              let now = reachable roots in
+              (roots, now, (part, now - words) :: rows))
+            (roots, before, []) parts
+        in
+        Printf.printf "%-28s %10.1f\n" name (per_server (words - before));
+        if List.length parts > 1 then
+          List.iter (fun (part, w) -> Printf.printf "  %-26s %10.1f\n" part (per_server w)) (List.rev rows);
         (roots, words))
-      ([], 0) rows
+      ([], 0) stores
   in
-  Printf.printf "%-24s %10.1f\n" "total" (per_server total);
-  Printf.printf "%-24s %10.1f\n" "names (process-wide)" (per_server names);
-  Printf.printf "%-24s %10.1f\n" "other live" (per_server (live - total - names));
-  Printf.printf "%-24s %10.1f\n" "live heap" (per_server live)
+  Printf.printf "%-28s %10.1f\n" "total" (per_server total);
+  Printf.printf "%-28s %10.1f\n" "names (process-wide)" (per_server names);
+  Printf.printf "%-28s %10.1f\n" "other live" (per_server (live - total - names));
+  Printf.printf "%-28s %10.1f\n" "live heap" (per_server live)
 
 (* The benchmark's uniform deployment: Fig. 9 sizing on one engine
    domain, over [Build.balanced_for], at the analytic rate for ρ = 0.5. *)
