@@ -49,10 +49,14 @@ type t = {
          — ties are globally unique. *)
 }
 
+(* The event heap's filler for slots that hold no event: one shared
+   closure, so a popped event is not pinned by a spare slot. *)
+let no_event () = ()
+
 let create ~idx ~ndest =
   {
     idx;
-    queue = Pqueue.create ();
+    queue = Pqueue.create ~filler:no_event;
     clock = Float.Array.make 1 0.0;
     ctx = -1;
     tie = 0;

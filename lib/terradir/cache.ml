@@ -34,9 +34,9 @@ let insert t ~node map =
   if Node_map.is_empty map then ()
   else
     let merged =
-      match Lru.peek t.lru node with
-      | None -> Node_map.truncate ~max:t.r_map map
-      | Some existing -> Node_map.merge ~max:t.r_map t.rng existing map
+      match Lru.slot t.lru node with
+      | -1 -> Node_map.truncate ~max:t.r_map map
+      | i -> Node_map.merge ~max:t.r_map t.rng (Lru.value_at t.lru i) map
     in
     Lru.put t.lru node merged
 

@@ -41,7 +41,6 @@ type t = {
   net : Net.t;
   obs : Obs.t;
   hop_budget : int;
-  data_holders : server_id array array;
   pending : (int, Protocol.request) Hashtbl.t array;
   core : Protocol.t;
   wire : wire;
@@ -422,19 +421,22 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
   (* Static data placement: owner first, then distinct extra holders. *)
   let data_holders =
     let extras = min (config.Config.data_copies - 1) (s_count - 1) in
-    Array.map
-      (fun owner ->
-        let holders = Array.make (extras + 1) owner and held = ref 1 in
+    let copies = extras + 1 in
+    let holders = Array.make (copies * Array.length owner_of) 0 in
+    Array.iteri
+      (fun node owner ->
+        let first = node * copies and held = ref 1 in
+        holders.(first) <- owner;
         while !held <= extras do
           let candidate = Splitmix.int rng s_count in
-          let rec fresh i = i = !held || (holders.(i) <> candidate && fresh (i + 1)) in
+          let rec fresh i = i = !held || (holders.(first + i) <> candidate && fresh (i + 1)) in
           if fresh 0 then begin
-            holders.(!held) <- candidate;
+            holders.(first + !held) <- candidate;
             incr held
           end
-        done;
-        holders)
-      owner_of
+        done)
+      owner_of;
+    holders
   in
   (* The network gets its own seed-derived stream (not a [split] of the
      main one) so an ideal-network run draws exactly the seed's sequence. *)
@@ -487,7 +489,6 @@ let create ?(monitor = true) ?(obs = Obs.null) ?shard_of ~config ~tree () =
       net;
       obs;
       hop_budget;
-      data_holders;
       pending;
       core;
       wire =
@@ -673,19 +674,20 @@ let fetch ?on_done t ~client ~node =
     }
 
 let owner_meta_version t node =
-  match Server.find_hosted t.servers.(t.owner_of.(node)) node with
-  | Some h -> h.Server.h_meta_version
-  | None -> 0
+  let owner = t.servers.(t.owner_of.(node)) in
+  match Intmap.slot owner.Server.hosted node with -1 -> 0 | i -> Server.meta_version_at owner i
 
 let update_meta t node =
   if node < 0 || node >= Tree.size t.tree then invalid_arg "Cluster.update_meta: bad node";
-  match Server.find_hosted t.servers.(t.owner_of.(node)) node with
-  | Some h ->
-    h.Server.h_meta_version <- h.Server.h_meta_version + 1;
+  let owner = t.servers.(t.owner_of.(node)) in
+  match Intmap.slot owner.Server.hosted node with
+  | -1 -> 0 (* unreachable: owners host their nodes durably *)
+  | i ->
+    let version = Server.meta_version_at owner i + 1 in
+    Server.set_meta_version_at owner i version;
     (* mirror of the owner's version, readable from any shard *)
-    t.core.Protocol.meta_version.(node) <- h.Server.h_meta_version;
-    h.Server.h_meta_version
-  | None -> 0 (* unreachable: owners host their nodes durably *)
+    t.core.Protocol.meta_version.(node) <- version;
+    version
 
 (* ------------------------------------------------------------------ *)
 (* Failures                                                            *)

@@ -50,8 +50,6 @@ type t = {
   hop_budget : int;
       (** a query is dropped once its hop count exceeds [4 × max tree depth
           + 16]; {!Trace.route} stops at the same budget *)
-  data_holders : server_id array array;
-      (** node → servers durably holding its data (owner + static copies) *)
   pending : (int, Protocol.request) Hashtbl.t array;
       (** per shard: every unfinalized lookup and fetch, by request id *)
   core : Protocol.t;  (** the protocol core, over the same servers *)

@@ -143,39 +143,42 @@ let check_server t ~now (s : Server.t) =
   let config = s.Server.config in
   let r_map = config.Config.r_map in
   let owned = ref 0 and replicas = ref 0 in
-  Intmap.iter s.Server.hosted ~f:(fun node (h : Server.hosted) ->
-      (match h.Server.h_kind with
-      | Server.Owned -> incr owned
-      | Server.Replicated -> incr replicas);
-      check_map t ~now ~server ~r_map ~what:"hosted" node h.Server.h_map;
-      (* Self-presence holds for every hosted node: owned self entries
-         carry the owner flag (pinned through every merge/truncation), and
-         replica self entries go through [Node_map.add_pinned], which
-         survives truncation by displacing the lowest-priority non-owner.
-         The one remaining exception: owners alone fill the map (r_map
-         owner entries) — pinning never displaces an owner, so a replica's
-         non-owner self entry genuinely cannot fit. *)
-      (if not (Node_map.mem h.Server.h_map server) then
-         let owners_fill_map =
-           Node_map.size h.Server.h_map >= r_map
-           && List.for_all
-                (fun (e : Node_map.entry) -> e.Node_map.is_owner)
-                (Node_map.entries h.Server.h_map)
-         in
-         if h.Server.h_kind = Server.Owned || not owners_fill_map then
-           add t ~now ~server "self-missing"
-             (Printf.sprintf "%s node %d's map does not list this server"
-                (match h.Server.h_kind with Server.Owned -> "owned" | Server.Replicated -> "replica")
-                node));
-      List.iter
-        (fun nb ->
-          if (not (Intmap.mem s.Server.neighbor_maps nb)) && not (Server.hosts s nb) then
-            add t ~now ~server "context-missing"
-              (Printf.sprintf "hosted node %d lacks context for tree-neighbor %d" node nb))
-        (Tree.neighbors s.Server.tree node);
-      if not (Bloom.mem (Digest_store.local s.Server.digests) node) then
-        add t ~now ~server "digest-stale"
-          (Printf.sprintf "local digest denies hosted node %d (Bloom false negative)" node));
+  for i = 0 to Intmap.length s.Server.hosted - 1 do
+    let node = Intmap.key_at s.Server.hosted i in
+    let kind = Server.hosted_kind_at s i and map = Intmap.value_at s.Server.hosted i in
+    (match kind with
+    | Server.Owned -> incr owned
+    | Server.Replicated -> incr replicas);
+    check_map t ~now ~server ~r_map ~what:"hosted" node map;
+    (* Self-presence holds for every hosted node: owned self entries
+       carry the owner flag (pinned through every merge/truncation), and
+       replica self entries go through [Node_map.add_pinned], which
+       survives truncation by displacing the lowest-priority non-owner.
+       The one remaining exception: owners alone fill the map (r_map
+       owner entries) — pinning never displaces an owner, so a replica's
+       non-owner self entry genuinely cannot fit. *)
+    (if not (Node_map.mem map server) then
+       let owners_fill_map =
+         Node_map.size map >= r_map
+         && List.for_all
+              (fun (e : Node_map.entry) -> e.Node_map.is_owner)
+              (Node_map.entries map)
+       in
+       if kind = Server.Owned || not owners_fill_map then
+         add t ~now ~server "self-missing"
+           (Printf.sprintf "%s node %d's map does not list this server"
+              (match kind with Server.Owned -> "owned" | Server.Replicated -> "replica")
+              node));
+    List.iter
+      (fun nb ->
+        if (not (Intmap.mem s.Server.neighbor_maps nb)) && not (Server.hosts s nb) then
+          add t ~now ~server "context-missing"
+            (Printf.sprintf "hosted node %d lacks context for tree-neighbor %d" node nb))
+      (Tree.neighbors s.Server.tree node);
+    if not (Bloom.mem (Digest_store.local s.Server.digests) node) then
+      add t ~now ~server "digest-stale"
+        (Printf.sprintf "local digest denies hosted node %d (Bloom false negative)" node)
+  done;
   (* Routing sweeps the hosted table's dense keys; each must resolve, via
      the table's index, to the very slot it sits in. *)
   for i = 0 to Intmap.length s.Server.hosted - 1 do
@@ -210,16 +213,19 @@ let check_server t ~now (s : Server.t) =
           Hashtbl.replace expected_refs nb
             (1 + Option.value ~default:0 (Hashtbl.find_opt expected_refs nb)))
         (Tree.neighbors s.Server.tree node));
-  Intmap.iter s.Server.neighbor_maps ~f:(fun nb (r : Server.neighbor_ref) ->
-      check_map t ~now ~server ~r_map ~what:"neighbor" nb r.Server.n_map;
-      match Hashtbl.find_opt expected_refs nb with
-      | Some n when n = r.Server.refs -> ()
-      | Some n ->
-        add t ~now ~server "context-refs"
-          (Printf.sprintf "neighbor %d refcount %d, expected %d" nb r.Server.refs n)
-      | None ->
-        add t ~now ~server "context-refs"
-          (Printf.sprintf "neighbor map for %d but no hosted node references it" nb));
+  let contexts = s.Server.neighbor_maps in
+  for i = 0 to Intmap.length contexts - 1 do
+    let nb = Intmap.key_at contexts i and refs = Intmap.int_at contexts i in
+    check_map t ~now ~server ~r_map ~what:"neighbor" nb (Intmap.value_at contexts i);
+    match Hashtbl.find_opt expected_refs nb with
+    | Some n when n = refs -> ()
+    | Some n ->
+      add t ~now ~server "context-refs"
+        (Printf.sprintf "neighbor %d refcount %d, expected %d" nb refs n)
+    | None ->
+      add t ~now ~server "context-refs"
+        (Printf.sprintf "neighbor map for %d but no hosted node references it" nb)
+  done;
   (* lint: ordered independent per-neighbor presence checks; visit order immaterial *)
   Hashtbl.iter
     (fun nb n ->
@@ -269,12 +275,13 @@ let check_cluster t ~now ~next_event ~(servers : Server.t array) ~(owner_of : se
      owned (ownership is durable — it survives even fail-stop). *)
   Array.iteri
     (fun node owner ->
-      match Server.find_hosted servers.(owner) node with
-      | Some h when h.Server.h_kind = Server.Owned -> ()
-      | Some _ ->
-        add t ~now "owner-missing" (Printf.sprintf "server %d holds node %d only as replica" owner node)
-      | None ->
-        add t ~now "owner-missing" (Printf.sprintf "server %d does not host its node %d" owner node))
+      let s = servers.(owner) in
+      match Intmap.slot s.Server.hosted node with
+      | -1 ->
+        add t ~now "owner-missing" (Printf.sprintf "server %d does not host its node %d" owner node)
+      | i when Server.hosted_kind_at s i = Server.Owned -> ()
+      | _ ->
+        add t ~now "owner-missing" (Printf.sprintf "server %d holds node %d only as replica" owner node))
     owner_of
 
 (* Raising convenience for tests and the legacy check_invariants entry

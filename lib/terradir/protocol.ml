@@ -52,7 +52,7 @@ type t = {
   owner_of : server_id array;
   obs : Obs.t;
   hop_budget : int;
-  data_holders : server_id array array;
+  data_holders : server_id array;
   shard_ix : int array;
   pending : (int, request) Hashtbl.t array;
   lane_metrics : Metrics.t array;
@@ -67,6 +67,13 @@ type t = {
 }
 
 let now t = Engine.now t.engine
+
+(* Cells per node in the node-major [data_holders]. *)
+let holder_copies t = Array.length t.data_holders / Tree.size t.tree
+
+let holders t node =
+  let copies = holder_copies t in
+  List.init copies (fun i -> t.data_holders.((node * copies) + i))
 
 (* The executing lane's metrics part.  Every counter bump lands in the
    part owned by the domain running the current event, so parts never
@@ -125,12 +132,13 @@ let reseed_root_contact t s =
    bouncing into the hop budget (the region is {e unreachable}, not
    {e forgotten}) and resolve again the moment it revives. *)
 let reseed_delegation t s node =
-  match Server.neighbor_map s node with
-  | Some m when Node_map.is_empty m ->
+  let contexts = s.Server.neighbor_maps in
+  match Intmap.slot contexts node with
+  | i when i >= 0 && Node_map.is_empty (Intmap.value_at contexts i) ->
     Server.merge_into_known_map s node
       (Node_map.singleton ~is_owner:true ~server:t.owner_of.(node) ~stamp:(now t) ())
       ~now:(now t)
-  | Some _ | None -> ()
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Message processing                                                  *)
@@ -188,12 +196,12 @@ and append_path_entry t s q =
     t.config.Config.features.Config.caching
     && t.config.Config.cache_policy = Config.Path_propagation
   then
-    match Server.find_hosted s q.target with
-    | Some h ->
-      path_append q q.target h.Server.h_map;
+    match Intmap.slot s.Server.hosted q.target with
+    | -1 -> ()
+    | i ->
+      path_append q q.target (Intmap.value_at s.Server.hosted i);
       (* Bound piggyback size, keeping the newest entries. *)
       path_truncate q
-    | None -> ()
 
 and process_query ?from t s q =
   let time = now t in
@@ -232,13 +240,14 @@ and process_query ?from t s q =
   match Routing.decide ~shortcut_bound:q.best_dist ?oracle s ~dst:q.dst with
   | Routing.Resolve ->
     Server.touch_node s q.dst ~now:time;
-    (match Server.find_hosted s q.dst with
-    | Some h ->
-      path_append q q.dst h.Server.h_map;
+    (match Intmap.slot s.Server.hosted q.dst with
+    | -1 -> ()
+    | i ->
+      let map = Intmap.value_at s.Server.hosted i in
+      path_append q q.dst map;
       (* the lookup's result: the destination's map and meta-data *)
-      q.result_map <- h.Server.h_map;
-      q.result_meta <- h.Server.h_meta_version
-    | None -> ());
+      q.result_map <- map;
+      q.result_meta <- Server.meta_version_at s i);
     if q.src_server = s.Server.id then complete_query t s q
     else begin
       q.hops <- q.hops + 1;
@@ -359,9 +368,7 @@ and start_attempt t id r =
     q.result_meta <- 0;
     t.transport.enqueue q
   | Fetch { tried; _ } -> (
-    let untried =
-      Array.to_list t.data_holders.(r.node) |> List.filter (fun h -> not (Hashtbl.mem tried h))
-    in
+    let untried = List.filter (fun h -> not (Hashtbl.mem tried h)) (holders t r.node) in
     match untried with
     | [] -> give_up t id r Dead_end
     | _ ->
@@ -568,7 +575,7 @@ let rec arm_timer t id =
                     (Event.Retransmit { qid = id; attempt = attempt + 1 })
               | Fetch { tried; _ } ->
                 m.Metrics.fetch_retransmits <- m.Metrics.fetch_retransmits + 1;
-                if Array.for_all (Hashtbl.mem tried) t.data_holders.(cur.node) then
+                if List.for_all (Hashtbl.mem tried) (holders t cur.node) then
                   Hashtbl.reset tried);
               start_attempt t id cur;
               arm_timer t id
@@ -609,9 +616,10 @@ let handoff t ~node ~to_ =
   let donor = t.servers.(t.owner_of.(node)) in
   let recipient = t.servers.(to_) in
   if not recipient.Server.alive then invalid_arg "Cluster.handoff: recipient is dead";
-  (match Server.find_hosted recipient node with
-  | Some h when h.Server.h_kind = Server.Owned -> invalid_arg "Cluster.handoff: already the owner"
-  | Some _ | None -> ());
+  (match Intmap.slot recipient.Server.hosted node with
+  | i when i >= 0 && Server.hosted_kind_at recipient i = Server.Owned ->
+    invalid_arg "Cluster.handoff: already the owner"
+  | _ -> ());
   let time = now t in
   let payload =
     match Server.make_replica_payload donor node with
@@ -622,9 +630,13 @@ let handoff t ~node ~to_ =
   Server.install_owned recipient payload ~now:time;
   t.owner_of.(node) <- to_;
   (* data moves with ownership *)
-  let holders = t.data_holders.(node) in
-  Array.iteri (fun i h -> if h = donor.Server.id then holders.(i) <- to_) holders;
-  if not (Array.exists (fun h -> h = to_) holders) then holders.(0) <- to_;
+  let copies = holder_copies t in
+  let first = node * copies and held = ref false in
+  for i = first to first + copies - 1 do
+    if t.data_holders.(i) = donor.Server.id then t.data_holders.(i) <- to_;
+    if t.data_holders.(i) = to_ then held := true
+  done;
+  if not !held then t.data_holders.(first) <- to_;
   (* the donor remembers where the node went (soft pointer, like any cache
      entry) so in-flight traffic it receives re-routes in one hop *)
   let new_owner_map = Node_map.singleton ~is_owner:true ~server:to_ ~stamp:time () in

@@ -75,7 +75,9 @@ type t = {
   owner_of : server_id array;
   obs : Terradir_obs.Obs.t;
   hop_budget : int;
-  data_holders : server_id array array;
+  data_holders : server_id array;
+      (** node-major: each node's data holders (owner first, then its
+          static copies) in one run of cells, read through {!holders} *)
   shard_ix : int array;  (** server → engine shard lane (all 0 when K = 1) *)
   pending : (int, request) Hashtbl.t array;
   lane_metrics : Metrics.t array;
@@ -101,6 +103,9 @@ type t = {
 
 val met : t -> Metrics.t
 (** The executing lane's metrics part. *)
+
+val holders : t -> node_id -> server_id list
+(** A node's data holders, owner first: its cells of [data_holders]. *)
 
 val next_id : t -> server_id -> int
 (** A fresh request or session id issued by a server. *)

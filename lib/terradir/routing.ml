@@ -146,6 +146,8 @@ let select_server (s : Server.t) node map =
   | Some _ as r -> r
   | None -> Node_map.random_server ~exclude:s.id map s.rng
 
+(* An empty map yields no server and draws nothing, so a missing map and
+   an empty one are alike here. *)
 let forward_via ?oracle (s : Server.t) ~node ~from_cache =
   let map =
     match oracle with
@@ -153,16 +155,16 @@ let forward_via ?oracle (s : Server.t) ~node ~from_cache =
       (* Perfect accuracy: select among the node's actual current hosts.
          Local state is still touched so demand accounting matches. *)
       if from_cache then ignore (Cache.use s.cache ~node);
-      let m = truth node in
-      if Node_map.is_empty m then None else Some m
-    | None -> if from_cache then Cache.use s.cache ~node else Server.neighbor_map s node
+      truth node
+    | None -> (
+      if not from_cache then Server.neighbor_map s node
+      else match Cache.use s.cache ~node with Some m -> m | None -> Node_map.empty)
   in
-  match map with
-  | None -> None
-  | Some map -> (
+  if Node_map.is_empty map then None
+  else
     match select_server s node map with
     | Some to_server -> Some (Forward { via_node = node; to_server; shortcut = false })
-    | None -> None)
+    | None -> None
 
 (* The fallback when the nearest candidate yields no server: try every
    candidate nearest first until one does.  The candidates are every
@@ -199,7 +201,7 @@ let rec fallback ?oracle (s : Server.t) sc ~cached ~dist ~node ~rank =
     consider sc ~dist ~node ~rank (Tree.anchored_distance tree a n) n 0
   done;
   for i = 0 to Intmap.length s.neighbor_maps - 1 do
-    if not (Node_map.is_empty (Intmap.value_at s.neighbor_maps i).Server.n_map) then begin
+    if not (Node_map.is_empty (Intmap.value_at s.neighbor_maps i)) then begin
       let n = Intmap.key_at s.neighbor_maps i in
       consider sc ~dist ~node ~rank (Tree.anchored_distance tree a n) n 1
     end

@@ -8,14 +8,12 @@ type host_kind = Owned | Replicated
 
 type hosted = {
   h_kind : host_kind;
-  mutable h_map : Node_map.t;
-  mutable h_meta_version : int;
-  h_last_used : floatarray;
+  h_map : Node_map.t;
+  h_meta_version : int;
+  h_last_used : float;
 }
 
 type session = { session_id : int; mutable tried : server_id list; mutable attempts : int }
-
-type neighbor_ref = { mutable n_map : Node_map.t; mutable refs : int }
 
 let queue_capacity = 12
 
@@ -37,8 +35,8 @@ type t = {
   rng : Splitmix.t;
   obs : Obs.t;
   speed : float;
-  hosted : hosted Intmap.t;
-  neighbor_maps : neighbor_ref Intmap.t;
+  hosted : Node_map.t Intmap.t;
+  neighbor_maps : Node_map.t Intmap.t;
   mutable owned_count : int;
   mutable replica_count : int;
   cache : Cache.t;
@@ -86,8 +84,8 @@ let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
     rng;
     obs;
     speed;
-    hosted = Intmap.create ();
-    neighbor_maps = Intmap.create ();
+    hosted = Intmap.create ~ints:true ~floats:true ();
+    neighbor_maps = Intmap.create ~ints:true ();
     owned_count = 0;
     replica_count = 0;
     cache = Cache.create ~obs ~owner:id ~slots:config.Config.cache_slots ~r_map:config.Config.r_map ~rng ();
@@ -107,7 +105,30 @@ let create ~id ~config ~tree ?(speed = 1.0) ?(obs = Obs.null) ~rng () =
     replicas_evicted = 0;
   }
 
-let find_hosted t node = Intmap.find_opt t.hosted node
+(* A hosted entry's int cell is [meta_version lsl 1 lor kind], the kind
+   bit 0 for owned and 1 for a replica; its float cell is the time of the
+   last processed query for it.  A neighbor context's int cell is its
+   refcount. *)
+let kind_bit = function Owned -> 0 | Replicated -> 1
+
+let hosted_kind_at t i = if Intmap.int_at t.hosted i land 1 = 0 then Owned else Replicated
+
+let meta_version_at t i = Intmap.int_at t.hosted i asr 1
+
+let set_meta_version_at t i v =
+  Intmap.set_int_at t.hosted i ((v lsl 1) lor (Intmap.int_at t.hosted i land 1))
+
+let find_hosted t node =
+  match Intmap.slot t.hosted node with
+  | -1 -> None
+  | i ->
+    Some
+      {
+        h_kind = hosted_kind_at t i;
+        h_map = Intmap.value_at t.hosted i;
+        h_meta_version = meta_version_at t i;
+        h_last_used = Float.Array.get (Intmap.floats t.hosted) i;
+      }
 
 let hosts t node = Intmap.mem t.hosted node
 
@@ -115,9 +136,11 @@ let hosted_nodes t =
   List.sort Int.compare (Intmap.fold t.hosted ~init:[] ~f:(fun acc node _ -> node :: acc))
 
 let nodes_of_kind t kind =
-  List.sort Int.compare
-    (Intmap.fold t.hosted ~init:[] ~f:(fun acc node h ->
-         if h.h_kind = kind then node :: acc else acc))
+  let acc = ref [] in
+  for i = 0 to Intmap.length t.hosted - 1 do
+    if hosted_kind_at t i = kind then acc := Intmap.key_at t.hosted i :: !acc
+  done;
+  List.sort Int.compare !acc
 
 let owned_nodes t = nodes_of_kind t Owned
 
@@ -135,44 +158,50 @@ let rebuild_digest t =
 
 let neighbor_map t node =
   match Intmap.slot t.neighbor_maps node with
-  | -1 -> None
-  | i -> Some (Intmap.value_at t.neighbor_maps i).n_map
+  | -1 -> Node_map.empty
+  | i -> Intmap.value_at t.neighbor_maps i
 
 let known_map t node =
-  match find_hosted t node with
-  | Some h -> Some h.h_map
-  | None -> (
-    match neighbor_map t node with
-    | Some _ as m -> m
-    | None -> Cache.peek t.cache ~node)
+  match Intmap.slot t.hosted node with
+  | -1 -> (
+    match Intmap.slot t.neighbor_maps node with
+    | -1 -> Cache.peek t.cache ~node
+    | i -> Some (Intmap.value_at t.neighbor_maps i))
+  | i -> Some (Intmap.value_at t.hosted i)
 
 let r_map t = t.config.Config.r_map
+
+(* Fold [map] into neighbor slot [i]'s context. *)
+let merge_neighbor_at t i map =
+  let nm = t.neighbor_maps in
+  Intmap.set_at nm i (Node_map.merge ~max:(r_map t) t.rng (Intmap.value_at nm i) map)
 
 (* Reference one tree-neighbor context, merging in [map] as the initial or
    additional view. *)
 let ref_neighbor t node map =
-  match Intmap.slot t.neighbor_maps node with
-  | -1 -> Intmap.add t.neighbor_maps node { n_map = map; refs = 1 }
+  let nm = t.neighbor_maps in
+  match Intmap.slot nm node with
+  | -1 ->
+    Intmap.add nm node map;
+    Intmap.set_int_at nm (Intmap.length nm - 1) 1
   | i ->
-    let r = Intmap.value_at t.neighbor_maps i in
-    r.refs <- r.refs + 1;
-    if not (Node_map.is_empty map) then r.n_map <- Node_map.merge ~max:(r_map t) t.rng r.n_map map
+    Intmap.set_int_at nm i (Intmap.int_at nm i + 1);
+    if not (Node_map.is_empty map) then merge_neighbor_at t i map
 
 let unref_neighbor t node =
-  match Intmap.find_opt t.neighbor_maps node with
-  | None -> ()
-  | Some r ->
-    r.refs <- r.refs - 1;
-    if r.refs <= 0 then Intmap.remove t.neighbor_maps node
+  let nm = t.neighbor_maps in
+  match Intmap.slot nm node with
+  | -1 -> ()
+  | i ->
+    let refs = Intmap.int_at nm i - 1 in
+    if refs <= 0 then Intmap.remove_at nm i else Intmap.set_int_at nm i refs
 
 let host t node kind ~map ~meta_version ~now =
-  Intmap.add t.hosted node
-    {
-      h_kind = kind;
-      h_map = map;
-      h_meta_version = meta_version;
-      h_last_used = Float.Array.make 1 now;
-    };
+  let h = t.hosted in
+  Intmap.add h node map;
+  let i = Intmap.length h - 1 in
+  Intmap.set_int_at h i ((meta_version lsl 1) lor kind_bit kind);
+  Float.Array.set (Intmap.floats h) i now;
   match kind with
   | Owned -> t.owned_count <- t.owned_count + 1
   | Replicated -> t.replica_count <- t.replica_count + 1
@@ -213,32 +242,33 @@ let add_owned t node ~owner_map =
   Array.iter (fun c -> ref_neighbor t c (owner_map c)) (Tree.children t.tree node);
   rebuild_digest t
 
-(* Bounded merges can push a replica host's own (non-owner) entry out of its
-   hosted node's map; the map a host advertises must always include itself. *)
-let ensure_self t h ~now =
-  if not (Node_map.mem h.h_map t.id) then
-    h.h_map <-
-      Node_map.add_pinned ~max:(r_map t) h.h_map
-        { Node_map.server = t.id; is_owner = (h.h_kind = Owned); stamp = now }
+(* Set hosted slot [i]'s map.  Bounded merges can push a replica host's
+   own (non-owner) entry out of its hosted node's map; the map a host
+   advertises must always include itself, so it is pinned back in. *)
+let set_hosted_map t i map ~now =
+  let map =
+    if Node_map.mem map t.id then map
+    else
+      Node_map.add_pinned ~max:(r_map t) map
+        { Node_map.server = t.id; is_owner = hosted_kind_at t i = Owned; stamp = now }
+  in
+  Intmap.set_at t.hosted i map
 
 let merge_into_known_map t node map ~now =
   if Node_map.is_empty map then ()
   else
-    match find_hosted t node with
-    | Some h ->
-      h.h_map <- Node_map.merge ~max:(r_map t) t.rng h.h_map map;
-      ensure_self t h ~now
-    | None -> (
-      match Intmap.find_opt t.neighbor_maps node with
-      | Some r ->
-        r.n_map <- Node_map.merge ~max:(r_map t) t.rng r.n_map map
-      | None -> if t.config.Config.features.Config.caching then Cache.insert t.cache ~node map)
+    match Intmap.slot t.hosted node with
+    | -1 -> (
+      match Intmap.slot t.neighbor_maps node with
+      | -1 -> if t.config.Config.features.Config.caching then Cache.insert t.cache ~node map
+      | i -> merge_neighbor_at t i map)
+    | i -> set_hosted_map t i (Node_map.merge ~max:(r_map t) t.rng (Intmap.value_at t.hosted i) map) ~now
 
 let touch_node t node ~now =
   Ranking.touch t.ranking node;
   (match Intmap.slot t.hosted node with
   | -1 -> ()
-  | i -> Float.Array.set (Intmap.value_at t.hosted i).h_last_used 0 now);
+  | i -> Float.Array.set (Intmap.floats t.hosted) i now);
   (* Periodic exponential decay keeps weights tracking recent demand. *)
   while now -. Float.Array.get t.floats i_last_decay >= load_window do
     Ranking.decay t.ranking;
@@ -308,9 +338,12 @@ let replica_budget t =
   int_of_float (t.config.Config.r_fact *. float_of_int t.owned_count) - t.replica_count
 
 let evict_replica t node =
-  match find_hosted t node with
-  | Some h when h.h_kind = Replicated ->
-    Intmap.remove t.hosted node;
+  match Intmap.slot t.hosted node with
+  | -1 -> invalid_arg "Server.evict_replica: node not hosted"
+  | i when hosted_kind_at t i = Owned ->
+    invalid_arg "Server.evict_replica: node is owned, not a replica"
+  | i ->
+    Intmap.remove_at t.hosted i;
     t.replica_count <- t.replica_count - 1;
     t.replicas_evicted <- t.replicas_evicted + 1;
     (* lint: obs-in-hot-path replica churn is counters-level and rare *)
@@ -318,13 +351,14 @@ let evict_replica t node =
     List.iter (unref_neighbor t) (Tree.neighbors t.tree node);
     Ranking.remove t.ranking node;
     rebuild_digest t
-  | Some _ -> invalid_arg "Server.evict_replica: node is owned, not a replica"
-  | None -> invalid_arg "Server.evict_replica: node not hosted"
 
 let remove_owned t node =
-  match find_hosted t node with
-  | Some h when h.h_kind = Owned ->
-    Intmap.remove t.hosted node;
+  match Intmap.slot t.hosted node with
+  | -1 -> invalid_arg "Server.remove_owned: node not hosted"
+  | i when hosted_kind_at t i = Replicated ->
+    invalid_arg "Server.remove_owned: node is a replica, not owned"
+  | i ->
+    Intmap.remove_at t.hosted i;
     t.owned_count <- t.owned_count - 1;
     List.iter (unref_neighbor t) (Tree.neighbors t.tree node);
     Ranking.remove t.ranking node;
@@ -341,15 +375,13 @@ let remove_owned t node =
       shed victims
     end;
     rebuild_digest t
-  | Some _ -> invalid_arg "Server.remove_owned: node is a replica, not owned"
-  | None -> invalid_arg "Server.remove_owned: node not hosted"
 
 let install_owned t payload ~now =
   let node = payload.rp_node in
-  (match find_hosted t node with
-  | Some h when h.h_kind = Replicated -> evict_replica t node
-  | Some _ -> invalid_arg "Server.install_owned: already owned"
-  | None -> ());
+  (match Intmap.slot t.hosted node with
+  | -1 -> ()
+  | i when hosted_kind_at t i = Replicated -> evict_replica t node
+  | _ -> invalid_arg "Server.install_owned: already owned");
   let map =
     Node_map.add_pinned ~max:(r_map t) payload.rp_map
       { Node_map.server = t.id; is_owner = true; stamp = now }
@@ -360,21 +392,17 @@ let install_owned t payload ~now =
 
 let install_replica t payload ~now =
   let node = payload.rp_node in
-  match find_hosted t node with
-  | Some h ->
+  match Intmap.slot t.hosted node with
+  | i when i >= 0 ->
     (* Already hosted: fold in the newer view (soft-state merge). *)
-    h.h_map <- Node_map.merge ~max:(r_map t) t.rng h.h_map payload.rp_map;
-    ensure_self t h ~now;
-    if payload.rp_meta_version > h.h_meta_version then h.h_meta_version <- payload.rp_meta_version;
+    set_hosted_map t i (Node_map.merge ~max:(r_map t) t.rng (Intmap.value_at t.hosted i) payload.rp_map) ~now;
+    if payload.rp_meta_version > meta_version_at t i then set_meta_version_at t i payload.rp_meta_version;
     List.iter
       (fun (nb, map) ->
-        match Intmap.find_opt t.neighbor_maps nb with
-        | Some r ->
-          r.n_map <- Node_map.merge ~max:(r_map t) t.rng r.n_map map
-        | None -> ())
+        match Intmap.slot t.neighbor_maps nb with -1 -> () | j -> merge_neighbor_at t j map)
       payload.rp_context;
     `Merged
-  | None ->
+  | _ ->
     (* Make room under the replication factor by evicting lowest-ranked
        replicas (§3.5) — but only replicas the incoming node clearly
        dominates.  Displacing comparably-warm replicas would thrash: under
@@ -412,13 +440,12 @@ let install_replica t payload ~now =
 
 let idle_scan t ~now =
   let timeout = t.config.Config.replica_idle_timeout in
-  let victims =
-    List.sort Int.compare
-      (Intmap.fold t.hosted ~init:[] ~f:(fun acc node h ->
-           if h.h_kind = Replicated && now -. Float.Array.get h.h_last_used 0 > timeout then
-             node :: acc
-           else acc))
-  in
+  let last_used = Intmap.floats t.hosted and idle = ref [] in
+  for i = 0 to Intmap.length t.hosted - 1 do
+    if hosted_kind_at t i = Replicated && now -. Float.Array.get last_used i > timeout then
+      idle := Intmap.key_at t.hosted i :: !idle
+  done;
+  let victims = List.sort Int.compare !idle in
   List.iter (evict_replica t) victims;
   victims
 
@@ -442,9 +469,9 @@ let prune_map_with_digests t node map =
   end
 
 let make_replica_payload t node =
-  match find_hosted t node with
-  | None -> None
-  | Some h ->
+  match Intmap.slot t.hosted node with
+  | -1 -> None
+  | i ->
     let context =
       List.map
         (fun nb ->
@@ -455,20 +482,20 @@ let make_replica_payload t node =
     Some
       {
         rp_node = node;
-        rp_meta_version = h.h_meta_version;
-        rp_map = h.h_map;
+        rp_meta_version = meta_version_at t i;
+        rp_map = Intmap.value_at t.hosted i;
         rp_context = context;
         rp_weight_hint = Ranking.weight t.ranking node /. 2.0;
       }
 
 let forget_server t node server =
-  match find_hosted t node with
-  | Some h -> h.h_map <- Node_map.remove h.h_map server
-  | None -> (
-    match Intmap.find_opt t.neighbor_maps node with
-    | Some r -> r.n_map <- Node_map.remove r.n_map server
-    | None ->
-      Cache.update t.cache ~node ~f:(fun map -> Node_map.remove map server))
+  match Intmap.slot t.hosted node with
+  | -1 -> (
+    let nm = t.neighbor_maps in
+    match Intmap.slot nm node with
+    | -1 -> Cache.update t.cache ~node ~f:(fun map -> Node_map.remove map server)
+    | i -> Intmap.set_at nm i (Node_map.remove (Intmap.value_at nm i) server))
+  | i -> Intmap.set_at t.hosted i (Node_map.remove (Intmap.value_at t.hosted i) server)
 
 let forget_peer t peer =
   let kl = t.known_loads in
@@ -487,13 +514,13 @@ let forget_all_peers t =
   Float.Array.set t.floats i_peer_load_sum 0.0
 
 let record_new_replica t node target ~now =
-  match find_hosted t node with
-  | None -> ()
-  | Some h ->
-    h.h_map <-
-      Node_map.add ~max:(r_map t) h.h_map
-        { Node_map.server = target; is_owner = false; stamp = now };
-    ensure_self t h ~now;
+  match Intmap.slot t.hosted node with
+  | -1 -> ()
+  | i ->
+    set_hosted_map t i
+      (Node_map.add ~max:(r_map t) (Intmap.value_at t.hosted i)
+         { Node_map.server = target; is_owner = false; stamp = now })
+      ~now;
     if Obs.counters_on t.obs then
       (* lint: obs-in-hot-path replica churn is counters-level and rare *)
       Obs.record t.obs ~server:t.id (Event.Replica_advertised { node; to_server = target })
@@ -502,8 +529,9 @@ let state_kinds t =
   let by_node (a, _) (b, _) = Int.compare a b in
   let hosted =
     List.sort by_node
-      (Intmap.fold t.hosted ~init:[] ~f:(fun acc node h ->
-           (node, match h.h_kind with Owned -> "Owned" | Replicated -> "Replicated") :: acc))
+      (List.init (Intmap.length t.hosted) (fun i ->
+           ( Intmap.key_at t.hosted i,
+             match hosted_kind_at t i with Owned -> "Owned" | Replicated -> "Replicated" )))
   in
   let neighboring =
     List.sort by_node

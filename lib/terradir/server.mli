@@ -32,19 +32,18 @@ val max_digests_consulted : int
 
 type host_kind = Owned | Replicated
 
+(** A read-only snapshot of one hosted entry, built by {!find_hosted}.
+    The entry itself is a slot of [hosted]: its map is the value, and the
+    rest sits in the table's columns, read through the slot accessors. *)
 type hosted = {
   h_kind : host_kind;
-  mutable h_map : Node_map.t;  (** hosts of this node, self included *)
-  mutable h_meta_version : int;
-  h_last_used : floatarray;  (** one cell: time of the last processed query for it *)
+  h_map : Node_map.t;  (** hosts of this node, self included *)
+  h_meta_version : int;
+  h_last_used : float;  (** time of the last processed query for it *)
 }
 
 (** An in-progress replication session (§3.3). *)
 type session = { session_id : int; mutable tried : server_id list; mutable attempts : int }
-
-(** Routing context for a tree-neighbor of hosted nodes, refcounted by the
-    number of hosted nodes whose context it belongs to. *)
-type neighbor_ref = { mutable n_map : Node_map.t; mutable refs : int }
 
 type t = {
   id : server_id;
@@ -55,11 +54,17 @@ type t = {
       (** observability sink (shared cluster-wide); read by {!Routing} and
           {!Replication} so their signatures stay hook-free *)
   speed : float;  (** relative capacity: service times divide by this *)
-  hosted : hosted Terradir_util.Intmap.t;
-      (** its dense keys ([Intmap.key_at] over [0 .. length - 1]) list
-          each hosted node once, in no particular order — read by
-          {!Routing} as a sequential sweep *)
-  neighbor_maps : neighbor_ref Terradir_util.Intmap.t;
+  hosted : Node_map.t Terradir_util.Intmap.t;
+      (** hosted node → its map, no record per entry.  Its dense keys
+          ([Intmap.key_at] over [0 .. length - 1]) list each hosted node
+          once, in no particular order — read by {!Routing} as a
+          sequential sweep.  The int column holds [meta_version lsl 1]
+          with the kind in the low bit (1 for a replica), the float column
+          the time of the last processed query for the node: read the
+          int cell through {!hosted_kind_at} and {!meta_version_at}. *)
+  neighbor_maps : Node_map.t Terradir_util.Intmap.t;
+      (** routing context for each tree-neighbor of a hosted node; the int
+          column counts the hosted nodes whose context it belongs to *)
   mutable owned_count : int;
   mutable replica_count : int;
   cache : Cache.t;
@@ -123,6 +128,19 @@ val add_owned : t -> node_id -> owner_map:(node_id -> Node_map.t) -> unit
     [owner_map node] does not name this server as owner. *)
 
 val find_hosted : t -> node_id -> hosted option
+(** A snapshot of the node's hosted entry, built on demand: for tests and
+    probes, never the hot path, which reads slots. *)
+
+(** {2 Hosted slots}
+
+    The int column of [hosted] read by slot ([Intmap.slot]); a slot is
+    good until the next hosting or eviction. *)
+
+val hosted_kind_at : t -> int -> host_kind
+
+val meta_version_at : t -> int -> int
+
+val set_meta_version_at : t -> int -> int -> unit
 
 val hosts : t -> node_id -> bool
 
@@ -132,8 +150,10 @@ val owned_nodes : t -> node_id list
 
 val replica_nodes : t -> node_id list
 
-val neighbor_map : t -> node_id -> Node_map.t option
-(** Routing context: map for a tree-neighbor of some hosted node. *)
+val neighbor_map : t -> node_id -> Node_map.t
+(** Routing context: map for a tree-neighbor of some hosted node, empty
+    when the server has none (an absent and an empty context route
+    alike). *)
 
 val known_map : t -> node_id -> Node_map.t option
 (** Best map this server has for a node: hosted > neighbor > cached.

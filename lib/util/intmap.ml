@@ -45,31 +45,48 @@ module Index = struct
     let h = h * 0x27220A95FE220589 in
     (h lxor (h lsr 29)) land max_int
 
-  (* Probes are top-level functions over explicit arguments, not local
-     closures, so a lookup allocates nothing. *)
-  let rec find_from tbl sh mask keys k i =
-    match get tbl sh i with
-    | 0 -> -1
-    | v when v > 1 && keys.(v - 2) = k -> v - 2
-    | _ -> find_from tbl sh mask keys k ((i + 1) land mask)
-
-  let find ix keys k =
-    let tbl = ix.tbl in
-    let sh = shift tbl in
-    let mask = (Bytes.length tbl lsr sh) - 1 in
-    if mask < 0 then -1 else find_from tbl sh mask keys k (hash k land mask)
-
   let rec vacant_from tbl sh mask i =
     if get tbl sh i <= 1 then i else vacant_from tbl sh mask ((i + 1) land mask)
+
+  (* Fill the vacant cell [i] (empty or a tombstone) with [slot]. *)
+  let fill ix tbl sh i slot =
+    assert (slot + 2 <= if sh = 1 then 0xFFFF else 0x7FFF_FFFF);
+    if get tbl sh i = 1 then ix.tombs <- ix.tombs - 1;
+    set tbl sh i (slot + 2)
 
   let insert ix k slot =
     let tbl = ix.tbl in
     let sh = shift tbl in
     let mask = (Bytes.length tbl lsr sh) - 1 in
-    assert (slot + 2 <= if sh = 1 then 0xFFFF else 0x7FFF_FFFF);
-    let i = vacant_from tbl sh mask (hash k land mask) in
-    if get tbl sh i = 1 then ix.tombs <- ix.tombs - 1;
-    set tbl sh i (slot + 2)
+    fill ix tbl sh (vacant_from tbl sh mask (hash k land mask)) slot
+
+  (* One walk of [k]'s probe path: [k]'s slot when bound, else [-1 -
+     cell] for the cell {!insert} would fill — the first tombstone on the
+     path, or the empty cell that ends it.  Probes are top-level
+     functions over explicit arguments, not local closures, so a lookup
+     allocates nothing. *)
+  let rec probe_from tbl sh mask keys k i tomb =
+    match get tbl sh i with
+    | 0 -> -1 - (if tomb >= 0 then tomb else i)
+    | 1 -> probe_from tbl sh mask keys k ((i + 1) land mask) (if tomb >= 0 then tomb else i)
+    | v when keys.(v - 2) = k -> v - 2
+    | _ -> probe_from tbl sh mask keys k ((i + 1) land mask) tomb
+
+  (* An empty index answers [-1] (cell 0), which the owner never fills:
+     its next entry grows the index. *)
+  let probe ix keys k =
+    let tbl = ix.tbl in
+    let sh = shift tbl in
+    let mask = (Bytes.length tbl lsr sh) - 1 in
+    if mask < 0 then -1 else probe_from tbl sh mask keys k (hash k land mask) (-1)
+
+  let find ix keys k = match probe ix keys k with p when p >= 0 -> p | _ -> -1
+
+  (* [insert] into the cell a [probe] found, which no change to the index
+     may have come between. *)
+  let insert_at ix cell slot =
+    let tbl = ix.tbl in
+    fill ix tbl (shift tbl) cell slot
 
   let rec holding_from tbl sh mask v i =
     if get tbl sh i = v then i else holding_from tbl sh mask v ((i + 1) land mask)
@@ -100,22 +117,36 @@ module Index = struct
     ix.tombs <- 0
 end
 
+(* The columns are slot-parallel when enabled, else stay empty; they grow
+   with [keys] and move with every swap-remove. *)
 type 'a t = {
   mutable keys : int array;
   mutable vals : 'a array; (* created at the first add: no 'a to prefill with before *)
+  mutable ints : int array;
+  mutable floats : floatarray;
   mutable len : int;
   index : Index.t;
+  with_ints : bool;
+  with_floats : bool;
 }
 
-let create () = { keys = [||]; vals = [||]; len = 0; index = Index.create () }
+let create ?(ints = false) ?(floats = false) () =
+  {
+    keys = [||];
+    vals = [||];
+    ints = [||];
+    floats = Float.Array.create 0;
+    len = 0;
+    index = Index.create ();
+    with_ints = ints;
+    with_floats = floats;
+  }
 
 let length t = t.len
 
 let slot t k = Index.find t.index t.keys k
 
 let mem t k = slot t k >= 0
-
-let find_opt t k = match slot t k with -1 -> None | i -> Some t.vals.(i)
 
 let check t i op = if i < 0 || i >= t.len then invalid_arg ("Intmap." ^ op ^ ": slot out of range")
 
@@ -137,13 +168,25 @@ let add_at (t : float t) i d =
   check t i "add_at";
   t.vals.(i) <- t.vals.(i) +. d
 
+let int_at t i =
+  check t i "int_at";
+  t.ints.(i)
+
+let set_int_at t i v =
+  check t i "set_int_at";
+  t.ints.(i) <- v
+
+let floats t = t.floats
+
 let rebuild t n =
   Index.reset t.index n;
   for i = 0 to t.len - 1 do
     Index.insert t.index t.keys.(i) i
   done
 
-let append t k v =
+(* Append [k] in slot [len]; [cell] is where a [probe] found it would go,
+   filled unless the index must grow first. *)
+let append t k v cell =
   let i = t.len in
   if i = Array.length t.keys then begin
     let cap = max 4 (2 * i) in
@@ -151,17 +194,35 @@ let append t k v =
     Array.blit t.keys 0 keys 0 i;
     Array.blit t.vals 0 vals 0 i;
     t.keys <- keys;
-    t.vals <- vals
+    t.vals <- vals;
+    if t.with_ints then begin
+      let ints = Array.make cap 0 in
+      Array.blit t.ints 0 ints 0 i;
+      t.ints <- ints
+    end;
+    if t.with_floats then begin
+      let floats = Float.Array.make cap 0.0 in
+      Float.Array.blit t.floats 0 floats 0 i;
+      t.floats <- floats
+    end
   end;
   t.keys.(i) <- k;
   t.vals.(i) <- v;
+  if t.with_ints then t.ints.(i) <- 0;
+  if t.with_floats then Float.Array.set t.floats i 0.0;
   t.len <- i + 1;
   if 2 * t.len > Index.size t.index then rebuild t (Index.grown t.index ~live:t.len)
-  else Index.insert t.index k i
+  else Index.insert_at t.index cell i
 
-let add t k v = if mem t k then invalid_arg "Intmap.add: key already bound" else append t k v
+let add t k v =
+  match Index.probe t.index t.keys k with
+  | p when p >= 0 -> invalid_arg "Intmap.add: key already bound"
+  | p -> append t k v (-1 - p)
 
-let replace t k v = match slot t k with -1 -> append t k v | i -> t.vals.(i) <- v
+let replace t k v =
+  match Index.probe t.index t.keys k with
+  | p when p >= 0 -> t.vals.(p) <- v
+  | p -> append t k v (-1 - p)
 
 let remove_at t i =
   check t i "remove_at";
@@ -170,6 +231,8 @@ let remove_at t i =
     (* Emptied: back to the created state, holding no stale value. *)
     t.keys <- [||];
     t.vals <- [||];
+    t.ints <- [||];
+    t.floats <- Float.Array.create 0;
     t.len <- 0;
     Index.reset t.index 0
   end
@@ -179,7 +242,9 @@ let remove_at t i =
       let moved = t.keys.(last) in
       Index.move t.index moved ~from:last ~to_:i;
       t.keys.(i) <- moved;
-      t.vals.(i) <- t.vals.(last)
+      t.vals.(i) <- t.vals.(last);
+      if t.with_ints then t.ints.(i) <- t.ints.(last);
+      if t.with_floats then Float.Array.set t.floats i (Float.Array.get t.floats last)
     end;
     (* Slot [last] is free; point it at a live value so it pins nothing. *)
     t.vals.(last) <- t.vals.(0);
@@ -202,6 +267,8 @@ let fold t ~init ~f =
   !acc
 
 let index t = t.index
+
+let columns t = (t.ints, t.floats)
 
 let set_key_unchecked t i k =
   check t i "set_key_unchecked";

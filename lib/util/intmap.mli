@@ -7,6 +7,11 @@
     finds a key's slot.  Every array starts empty and doubles on demand;
     a table emptied by {!remove} returns to its created state.
 
+    A table may also keep an int column and a float column: one more int
+    or unboxed float per slot, beside the value, which grows with the keys
+    and moves with its entry in a swap-remove.  A record per entry would
+    cost a header and a pointer per entry; a column costs one word.
+
     Slots are positions, not handles: a removal moves the last entry into
     the freed slot.  Iteration order is slot order, which depends on the
     history of adds and removes — callers whose result must not depend on
@@ -14,8 +19,9 @@
 
 type 'a t
 
-val create : unit -> 'a t
-(** An empty table: two small records, no arrays. *)
+val create : ?ints:bool -> ?floats:bool -> unit -> 'a t
+(** An empty table: two small records, no arrays.  [ints] and [floats]
+    (default [false]) add the int and the float column. *)
 
 val length : 'a t -> int
 
@@ -23,8 +29,6 @@ val slot : 'a t -> int -> int
 (** [slot t k] is [k]'s slot in [0 .. length t - 1], or [-1] when absent. *)
 
 val mem : 'a t -> int -> bool
-
-val find_opt : 'a t -> int -> 'a option
 
 val key_at : 'a t -> int -> int
 (** The key in slot [i] ([0 <= i < length t]). *)
@@ -38,8 +42,21 @@ val add_at : float t -> int -> float -> unit
 (** [add_at t i d] adds [d] to the value in slot [i], in place and without
     allocating. *)
 
+val int_at : 'a t -> int -> int
+(** The int column's cell in slot [i] (a table made with [~ints:true]). *)
+
+val set_int_at : 'a t -> int -> int -> unit
+
+val floats : 'a t -> floatarray
+(** The float column of a [~floats:true] table, indexed by slot: read and
+    write it with [Float.Array.get]/[set], which stay unboxed where a
+    float-returning accessor would box.  Like a slot, it is good until the
+    next {!add}, {!replace} of a new key or {!remove}. *)
+
 val add : 'a t -> int -> 'a -> unit
-(** Bind a key that is not yet bound, in slot [length t].
+(** Bind a key that is not yet bound, in slot [length t], with its column
+    cells at 0.  One walk of the key's probe path both rejects a bound key
+    and finds the cell the index fills.
     @raise Invalid_argument if [k] is bound. *)
 
 val replace : 'a t -> int -> 'a -> unit
@@ -113,3 +130,6 @@ end
 
 val index : 'a t -> Index.t
 (** The table's index, for memory breakdowns ([prof_main.exe mem]). *)
+
+val columns : 'a t -> int array * floatarray
+(** The int and the float column, for memory breakdowns. *)

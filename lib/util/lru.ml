@@ -1,8 +1,8 @@
-(* Flat, index-linked LRU: entries live in parallel arrays (key, value,
-   prev, next) indexed by slot, with recency links as slot indices and an
-   {!Intmap.Index} from key to slot.  No per-entry heap node and no
-   hash-bucket cons — [put]/[find]/eviction allocate nothing once the
-   arrays have grown to the entries held.
+(* Flat, index-linked LRU: entries live in parallel arrays (key, value)
+   indexed by slot, with the recency links as slot indices in one [Bytes]
+   block and an {!Intmap.Index} from key to slot.  No per-entry heap node
+   and no hash-bucket cons — [put]/[find]/eviction allocate nothing once
+   the arrays have grown to the entries held.
 
    Every array is sized by use, not by capacity: the slot arrays start
    empty and double up to [capacity]; the index doubles while live
@@ -18,8 +18,9 @@ type 'a t = {
   capacity : int;
   mutable keys : int array; (* per-slot key *)
   mutable vals : 'a array; (* no 'a to prefill with: created at first put *)
-  mutable prev : int array; (* toward MRU end; -1 = none *)
-  mutable next : int array; (* toward LRU end; -1 = none; a free slot: next free *)
+  mutable links : Bytes.t;
+      (* per slot two cells, [prev + 1] (toward the MRU end) then [next + 1]
+         (toward the LRU end; a free slot's next free), [0] for none *)
   mutable head : int; (* most recently used slot; -1 = empty *)
   mutable tail : int; (* least recently used slot; -1 = empty *)
   mutable len : int;
@@ -34,8 +35,7 @@ let create ~capacity =
     capacity;
     keys = [||];
     vals = [||];
-    prev = [||];
-    next = [||];
+    links = Bytes.empty;
     head = -1;
     tail = -1;
     len = 0;
@@ -50,17 +50,53 @@ let length t = t.len
 
 let find_slot t k = Index.find t.index t.keys k
 
-(* Re-index every live entry, at [size]: after growth, or to sweep
-   tombstones left by removals. *)
+(* ---- links ---- *)
+
+(* A link cell holds a slot + 1, at most [capacity]: 2 bytes while that
+   fits, 4 beyond, fixed for the table's life.  Both widths are read and
+   written with the native-endian primitives, unboxed. *)
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16"
+
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16"
+
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let narrow_capacity = 0xFFFF
+
+(* Bytes per slot, as a shift: 2 for two 2-byte cells, 3 for two 4-byte. *)
+let slot_shift capacity = if capacity <= narrow_capacity then 2 else 3
+
+let[@inline] get_cell t c =
+  if t.capacity <= narrow_capacity then get16 t.links (c lsl 1) - 1
+  else Int32.to_int (get32 t.links (c lsl 2)) - 1
+
+let[@inline] set_cell t c v =
+  if t.capacity <= narrow_capacity then set16 t.links (c lsl 1) (v + 1)
+  else set32 t.links (c lsl 2) (Int32.of_int (v + 1))
+
+let[@inline] prev t slot = get_cell t (2 * slot)
+
+let[@inline] next t slot = get_cell t ((2 * slot) + 1)
+
+let[@inline] set_prev t slot v = set_cell t (2 * slot) v
+
+let[@inline] set_next t slot v = set_cell t ((2 * slot) + 1) v
+
+(* Re-index every live entry, MRU first: a top-level recursion, so a
+   tombstone sweep allocates nothing. *)
+let rec reindex_from t slot =
+  if slot >= 0 then begin
+    Index.insert t.index t.keys.(slot) slot;
+    reindex_from t (next t slot)
+  end
+
+(* Re-index at [size]: after growth, or to sweep tombstones left by
+   removals. *)
 let reindex t size =
   Index.reset t.index size;
-  let rec go slot =
-    if slot >= 0 then begin
-      Index.insert t.index t.keys.(slot) slot;
-      go t.next.(slot)
-    end
-  in
-  go t.head
+  reindex_from t t.head
 
 let index_remove t k slot =
   Index.remove t.index k slot;
@@ -69,16 +105,16 @@ let index_remove t k slot =
 (* ---- recency list ---- *)
 
 let unlink t slot =
-  let p = t.prev.(slot) and n = t.next.(slot) in
-  if p >= 0 then t.next.(p) <- n else t.head <- n;
-  if n >= 0 then t.prev.(n) <- p else t.tail <- p;
-  t.prev.(slot) <- -1;
-  t.next.(slot) <- -1
+  let p = prev t slot and n = next t slot in
+  if p >= 0 then set_next t p n else t.head <- n;
+  if n >= 0 then set_prev t n p else t.tail <- p;
+  set_prev t slot (-1);
+  set_next t slot (-1)
 
 let push_front t slot =
-  t.next.(slot) <- t.head;
-  t.prev.(slot) <- -1;
-  if t.head >= 0 then t.prev.(t.head) <- slot else t.tail <- slot;
+  set_next t slot t.head;
+  set_prev t slot (-1);
+  if t.head >= 0 then set_prev t t.head slot else t.tail <- slot;
   t.head <- slot
 
 let promote t slot =
@@ -90,7 +126,7 @@ let promote t slot =
 (* ---- slots ---- *)
 
 let free_slot t slot =
-  t.next.(slot) <- t.free;
+  set_next t slot t.free;
   t.free <- slot;
   t.len <- t.len - 1
 
@@ -106,14 +142,16 @@ let grow t v =
   in
   t.keys <- extend t.keys 0;
   t.vals <- extend t.vals v;
-  t.prev <- extend t.prev (-1);
-  t.next <- extend t.next (-1)
+  (* Zeroed cells: no links. *)
+  let links = Bytes.make (cap lsl slot_shift t.capacity) '\000' in
+  Bytes.blit t.links 0 links 0 (Bytes.length t.links);
+  t.links <- links
 
 let take_slot t v =
   if t.free >= 0 then begin
     let slot = t.free in
-    t.free <- t.next.(slot);
-    t.next.(slot) <- -1;
+    t.free <- next t slot;
+    set_next t slot (-1);
     slot
   end
   else begin
@@ -167,21 +205,21 @@ let put t k v =
       else Index.insert t.index k slot
 
 let fold t ~init ~f =
-  let rec go acc slot = if slot < 0 then acc else go (f acc t.keys.(slot) t.vals.(slot)) t.next.(slot) in
+  let rec go acc slot = if slot < 0 then acc else go (f acc t.keys.(slot) t.vals.(slot)) (next t slot) in
   go init t.head
 
 let slot = find_slot
 
 let index t = t.index
 
-let links t = (t.prev, t.next)
+let links t = t.links
 
 (* A slot is occupied iff it has a predecessor or is the head: [unlink]
-   resets a freed slot's [prev] to -1. *)
+   resets a freed slot's [prev] to none. *)
 let keys_into t dst =
   let n = ref 0 in
   for slot = 0 to t.fresh - 1 do
-    if slot = t.head || t.prev.(slot) >= 0 then begin
+    if slot = t.head || prev t slot >= 0 then begin
       dst.(!n) <- t.keys.(slot);
       incr n
     end
@@ -189,8 +227,6 @@ let keys_into t dst =
   !n
 
 let first t = t.head
-
-let next t slot = t.next.(slot)
 
 let key_at t slot = t.keys.(slot)
 
@@ -204,8 +240,7 @@ let keys_mru_order t = List.rev (fold t ~init:[] ~f:(fun acc k _ -> k :: acc))
 let clear t =
   t.keys <- [||];
   t.vals <- [||];
-  t.prev <- [||];
-  t.next <- [||];
+  t.links <- Bytes.empty;
   t.head <- -1;
   t.tail <- -1;
   t.len <- 0;

@@ -2,11 +2,14 @@
 
     The TerraDir cache (§2.4 of the paper) stores node → map pointers with
     LRU replacement; an entry is "touched" whenever used in routing.  The
-    implementation is flat: entries live in parallel arrays with the
-    recency list as index links and an open-addressing int index
-    ({!Intmap.Index}) — all operations are O(1).  The arrays grow with the
-    entries held, up to [capacity], so an idle table costs a record and
-    {!put}/{!find} allocate only while growing. *)
+    implementation is flat: entries live in parallel arrays, an
+    open-addressing int index ({!Intmap.Index}) maps a key to its slot,
+    and the recency list is one [Bytes] block of slot links — per slot
+    [prev + 1] and [next + 1], [0] for none, in 2-byte cells while the
+    capacity is at most 65,535 and 4-byte cells beyond.  All operations
+    are O(1).  The arrays grow with the entries held, up to [capacity], so
+    an idle table costs a record and {!put}/{!find} allocate only while
+    growing. *)
 
 type 'a t
 
@@ -50,9 +53,8 @@ val slot : 'a t -> int -> int
 val index : 'a t -> Intmap.Index.t
 (** The key → slot index, for memory breakdowns ([prof_main.exe mem]). *)
 
-val links : 'a t -> int array * int array
-(** The recency links by slot (toward the MRU end, toward the LRU end),
-    for memory breakdowns. *)
+val links : 'a t -> Bytes.t
+(** The block of recency links, for memory breakdowns. *)
 
 val first : 'a t -> int
 (** The most recently used entry's slot; [-1] when empty. *)

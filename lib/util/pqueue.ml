@@ -14,17 +14,18 @@ type 'a t = {
   mutable keys : float array; (* positions [0, size) are live *)
   mutable seqs : int array;
   mutable tags : int array;
-  mutable vals : 'a array;
+  mutable vals : 'a array; (* positions [size, ..) hold [filler] *)
   mutable size : int;
+  filler : 'a;
 }
 
-let create () = { keys = [||]; seqs = [||]; tags = [||]; vals = [||]; size = 0 }
+let create ~filler = { keys = [||]; seqs = [||]; tags = [||]; vals = [||]; size = 0; filler }
 
 let length q = q.size
 
 let is_empty q = q.size = 0
 
-let grow q value =
+let grow q =
   let capacity = Array.length q.keys in
   if q.size = capacity then begin
     (* Starting at 16 keeps short-lived engines (tests, micro benches) to
@@ -33,7 +34,7 @@ let grow q value =
     let fresh_keys = Array.make fresh_cap 0.0 in
     let fresh_seqs = Array.make fresh_cap 0 in
     let fresh_tags = Array.make fresh_cap 0 in
-    let fresh_vals = Array.make fresh_cap value in
+    let fresh_vals = Array.make fresh_cap q.filler in
     Array.blit q.keys 0 fresh_keys 0 q.size;
     Array.blit q.seqs 0 fresh_seqs 0 q.size;
     Array.blit q.tags 0 fresh_tags 0 q.size;
@@ -52,7 +53,7 @@ let grow q value =
    is not inlined would box it at every call. *)
 
 let add_tagged q ~key ~seq ~tag value =
-  grow q value;
+  grow q;
   let i = ref q.size in
   q.size <- q.size + 1;
   (* Sift the hole up. *)
@@ -79,9 +80,9 @@ let top_seq q = q.seqs.(0)
 
 let top_tag q = q.tags.(0)
 
-(* Sift the last entry down from the root hole.  Slot [n] keeps the
-   moved entry's value, which stays live at its new position, so the
-   popped value is not pinned there. *)
+(* Sift the last entry down from the root hole.  The vacated slot [n]
+   gets the filler, so no spare slot pins a value: neither the popped one
+   nor the moved one, which would outlive its own later pop there. *)
 let pop_exn q =
   if q.size = 0 then invalid_arg "Pqueue.pop_exn: empty";
   let top = q.vals.(0) in
@@ -90,6 +91,7 @@ let pop_exn q =
   if n > 0 then begin
     let keys = q.keys and seqs = q.seqs and tags = q.tags and vals = q.vals in
     let key = keys.(n) and seq = seqs.(n) and tag = tags.(n) and value = vals.(n) in
+    vals.(n) <- q.filler;
     let i = ref 0 and continue = ref true in
     while !continue do
       let l = (2 * !i) + 1 in
@@ -115,5 +117,6 @@ let pop_exn q =
     seqs.(!i) <- seq;
     tags.(!i) <- tag;
     vals.(!i) <- value
-  end;
+  end
+  else q.vals.(0) <- q.filler;
   top

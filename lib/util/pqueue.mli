@@ -11,8 +11,9 @@
 
 type 'a t
 
-val create : unit -> 'a t
-(** Empty queue. *)
+val create : filler:'a -> 'a t
+(** Empty queue.  [filler] fills every slot that holds no entry, so a
+    popped value is not kept reachable from the queue's arrays. *)
 
 val length : 'a t -> int
 

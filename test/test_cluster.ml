@@ -41,12 +41,12 @@ let test_bootstrap_maps_shared () =
   let shared = ref 0 in
   Array.iter
     (fun (s : Server.t) ->
-      Intmap.iter s.Server.neighbor_maps ~f:(fun node (r : Server.neighbor_ref) ->
+      Intmap.iter s.Server.neighbor_maps ~f:(fun node map ->
           let owner = cluster.Cluster.servers.(cluster.Cluster.owner_of.(node)) in
           match Server.find_hosted owner node with
           | Some h ->
             incr shared;
-            if not (r.Server.n_map == h.Server.h_map) then
+            if not (map == h.Server.h_map) then
               Alcotest.failf "server %d's context for node %d is a copy of its owner's map"
                 s.Server.id node
           | None -> Alcotest.failf "node %d is not hosted by its owner" node))
@@ -92,7 +92,8 @@ let node_order_bootstrap (c : Cluster.t) =
   Array.iteri (fun node owner -> Server.add_owned servers.(owner) node ~owner_map) c.Cluster.owner_of;
   servers
 
-let dense m = List.rev (Intmap.fold m ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+(* Each slot's key, value and int cell, in dense order. *)
+let dense m = List.init (Intmap.length m) (fun i -> (Intmap.key_at m i, (Intmap.value_at m i, Intmap.int_at m i)))
 
 (* A server's neighbor contexts as [Tree.neighbors] (parent, then
    children) over its hosted nodes in dense order gives them: first
@@ -120,27 +121,22 @@ let check_same_bootstrap label (c : Cluster.t) =
       let fail what = Alcotest.failf "%s, server %d: %s differs from the node-order loop" label id what in
       let hosted = dense s.Server.hosted and hosted_ref = dense r.Server.hosted in
       if List.map fst hosted <> List.map fst hosted_ref then fail "hosted key order";
+      (* The int cell holds the kind and the meta-data version. *)
       List.iter2
-        (fun (_, (h : Server.hosted)) (_, (h_ref : Server.hosted)) ->
-          if
-            not
-              (h.Server.h_map == h_ref.Server.h_map
-              && h.Server.h_kind = h_ref.Server.h_kind
-              && h.Server.h_meta_version = h_ref.Server.h_meta_version)
-          then fail "a hosted entry")
+        (fun (_, (map, cell)) (_, (map_ref, cell_ref)) ->
+          if not (map == map_ref && cell = cell_ref) then fail "a hosted entry")
         hosted hosted_ref;
       let contexts = dense s.Server.neighbor_maps and contexts_ref = dense r.Server.neighbor_maps in
       if List.map fst contexts <> List.map fst contexts_ref then fail "neighbor context order";
       if
-        List.map (fun (nb, (n : Server.neighbor_ref)) -> (nb, n.Server.refs)) contexts
+        List.map (fun (nb, (_, refs)) -> (nb, refs)) contexts
         <> expected_contexts c.Cluster.tree hosted
       then
         Alcotest.failf "%s, server %d: contexts are not Tree.neighbors' over the hosted nodes" label
           id;
       List.iter2
-        (fun (_, (n : Server.neighbor_ref)) (_, (n_ref : Server.neighbor_ref)) ->
-          if not (n.Server.n_map == n_ref.Server.n_map && n.Server.refs = n_ref.Server.refs) then
-            fail "a neighbor context")
+        (fun (_, (map, refs)) (_, (map_ref, refs_ref)) ->
+          if not (map == map_ref && refs = refs_ref) then fail "a neighbor context")
         contexts contexts_ref;
       if s.Server.owned_count <> r.Server.owned_count then fail "owned_count";
       if
@@ -479,7 +475,7 @@ let test_owner_lost_mid_fetch_fails_over () =
   let pick_node ~client =
     (* a node whose two holders are distinct and exclude the client *)
     let rec find n =
-      let holders = cluster.Cluster.data_holders.(n) in
+      let holders = Array.of_list (Protocol.holders cluster.Cluster.core n) in
       if Array.length holders = 2 && holders.(0) <> holders.(1)
          && (not (Array.mem client holders))
       then n
@@ -538,12 +534,12 @@ let test_fetch_failover_many_holders () =
   let client = 3 in
   let node =
     let rec find n =
-      let holders = cluster.Cluster.data_holders.(n) in
+      let holders = Array.of_list (Protocol.holders cluster.Cluster.core n) in
       if Array.length holders = 12 && not (Array.mem client holders) then n else find (n + 1)
     in
     find 0
   in
-  let holders = cluster.Cluster.data_holders.(node) in
+  let holders = Array.of_list (Protocol.holders cluster.Cluster.core node) in
   (* keep exactly one non-owner holder alive *)
   let survivor = holders.(Array.length holders - 1) in
   Array.iter (fun h -> if h <> survivor then Cluster.kill cluster h) holders;
@@ -615,7 +611,7 @@ let test_handoff_transfers_ownership () =
   | Some h -> Alcotest.(check bool) "recipient owns" true (h.Server.h_kind = Server.Owned)
   | None -> Alcotest.fail "recipient must host");
   Alcotest.(check bool) "data moved" true
-    (Array.exists (fun h -> h = recipient) cluster.Cluster.data_holders.(node));
+    (List.mem recipient (Protocol.holders cluster.Cluster.core node));
   Cluster.check_invariants cluster;
   (* lookups still resolve, from anywhere *)
   let before = (Cluster.metrics cluster).Metrics.resolved in

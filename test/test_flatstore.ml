@@ -85,7 +85,7 @@ let views_agree lru (model : Model.t) slots =
   let rec walk slot =
     if slot < 0 then [] else (Lru.key_at lru slot, Lru.value_at lru slot) :: walk (Lru.next lru slot)
   in
-  let dst = Array.make (max 1 (Lru.capacity lru)) (-1) in
+  let dst = Array.make (max 1 (Lru.length lru)) (-1) in
   let n = Lru.keys_into lru dst in
   let stable =
     List.for_all
@@ -119,23 +119,30 @@ let lru_drain_gen ~cap ~keys =
     in
     map2 ( @ ) fill drain)
 
+(* Past this capacity the recency links take 4-byte cells. *)
+let wide_capacity = 70_000
+
 (* Capacities 0, 1, 5 and 64 besides the small range: 64 grows the
-   arrays 4 → 64 and the index 8 → 128 under the model.  One case in
-   three is remove-heavy. *)
+   arrays 4 → 64 and the index 8 → 128 under the model.  The wide
+   capacity runs its links at 4 bytes; its cases are sized as for 64,
+   since the model is a list.  One case in three is remove-heavy. *)
 let lru_case_gen =
   QCheck.Gen.(
-    frequency [ (2, int_range 0 8); (1, oneofl [ 0; 1; 5; 64 ]) ] >>= fun cap ->
-    let keys = max 20 (cap + (cap / 2)) in
+    frequency [ (4, int_range 0 8); (2, oneofl [ 0; 1; 5; 64 ]); (1, return wide_capacity) ]
+    >>= fun cap ->
+    let sized = min cap 64 in
+    let keys = max 20 (sized + (sized / 2)) in
     map
       (fun ops -> (cap, ops))
       (frequency
          [
-           (2, list_size (int_bound (max 60 (4 * cap))) (lru_op_gen ~keys));
-           (1, lru_drain_gen ~cap ~keys);
+           (2, list_size (int_bound (max 60 (4 * sized))) (lru_op_gen ~keys));
+           (1, lru_drain_gen ~cap:sized ~keys);
          ]))
 
 let prop_lru_model =
-  QCheck.Test.make ~name:"flat LRU ≡ list model (ops, results, MRU order)" ~count:500
+  QCheck.Test.make ~name:"flat LRU ≡ list model (ops, results, MRU order, both link widths)"
+    ~count:500
     (QCheck.make
        ~print:(fun (cap, l) ->
          Printf.sprintf "cap %d: %s" cap (String.concat "; " (List.map show_op l)))
@@ -179,6 +186,36 @@ let test_lru_eviction_order () =
   Lru.put lru 3 30;
   Lru.put lru 2 20;
   Alcotest.(check (list int)) "after churn" [ 2; 3; 4 ] (Lru.keys_mru_order lru)
+
+(* Past 65,535 entries, slots themselves need the 4-byte link cells:
+   70,000 keys fill the table, a few are promoted, and new keys evict the
+   least recently used.  Recency order and [keys_into] follow. *)
+let test_lru_wide_links () =
+  let n = wide_capacity in
+  let lru = Lru.create ~capacity:n in
+  for k = 0 to n - 1 do
+    Lru.put lru k k
+  done;
+  let promoted = [ 0; 1; 65_535; 65_536; n - 2 ] in
+  List.iter (fun k -> ignore (Lru.find lru k : int option)) promoted;
+  (* Evicts 2 and 3, the least recent now. *)
+  Lru.put lru n n;
+  Lru.put lru (n + 1) (n + 1);
+  let rest = List.filter (fun k -> k > 3 && not (List.mem k promoted)) (List.init n Fun.id) in
+  let expected = [ n + 1; n ] @ List.rev promoted @ List.rev rest in
+  (* A cursor walk bounded by the entry count: corrupt links could cycle. *)
+  let rec walk slot steps acc =
+    if slot < 0 || steps > n then List.rev acc
+    else walk (Lru.next lru slot) (steps + 1) (Lru.key_at lru slot :: acc)
+  in
+  Alcotest.(check bool) "MRU order" true (walk (Lru.first lru) 0 [] = expected);
+  Alcotest.(check (option int)) "evicted" None (Lru.peek lru 2);
+  Alcotest.(check (option int)) "past 65,535" (Some 65_536) (Lru.peek lru 65_536);
+  let dst = Array.make n (-1) in
+  let count = Lru.keys_into lru dst in
+  Alcotest.(check int) "keys_into count" n count;
+  Alcotest.(check bool) "keys_into holds the key set" true
+    (List.sort Int.compare (Array.to_list dst) = List.sort Int.compare expected)
 
 (* ------------------------------------------------------------------ *)
 (* Intmap vs Map                                                       *)
@@ -237,19 +274,30 @@ let intmap_drain_gen ~keys =
     in
     map2 ( @ ) fill drain)
 
+let find_opt t k = match Intmap.slot t k with -1 -> None | i -> Some (Intmap.value_at t i)
+
+(* The model binds a key to its value and its column cells.  An add
+   writes cells derived from key and value; a replace keeps a bound key's
+   cells, and a new key starts at 0 in both. *)
+let cells_of k v = ((k * 7) + v, float_of_int (k - v) +. 0.25)
+
 (* The dense index agrees with the table: every slot's key resolves to
-   that slot and carries the model's value, and the slots hold exactly the
-   model's keys. *)
+   that slot and carries the model's value and cells, and the slots hold
+   exactly the model's keys. *)
 let intmap_agrees t model =
   let n = Intmap.length t in
-  let dense = List.init n (fun i -> (Intmap.key_at t i, Intmap.value_at t i)) in
+  let dense =
+    List.init n (fun i ->
+        (Intmap.key_at t i, (Intmap.value_at t i, (Intmap.int_at t i, Float.Array.get (Intmap.floats t) i))))
+  in
   n = IM.cardinal model
   && List.for_all (fun i -> Intmap.slot t (Intmap.key_at t i) = i) (List.init n Fun.id)
   && List.sort compare dense = IM.bindings model
-  && IM.for_all (fun k v -> Intmap.find_opt t k = Some v && Intmap.mem t k) model
+  && IM.for_all (fun k (v, _) -> find_opt t k = Some v && Intmap.mem t k) model
 
 let prop_intmap_model =
-  QCheck.Test.make ~name:"intmap ≡ Map (add/replace/remove/find/iter, dense index)" ~count:300
+  QCheck.Test.make ~name:"intmap ≡ Map (add/replace/remove/find/iter, dense index, columns)"
+    ~count:300
     (QCheck.make
        ~print:(fun (keys, l) ->
          Printf.sprintf "keys %d: %s" keys (String.concat "; " (List.map show_intmap_op l)))
@@ -263,7 +311,7 @@ let prop_intmap_model =
                 (1, intmap_drain_gen ~keys);
               ])))
     (fun (_, ops) ->
-      let t = Intmap.create () in
+      let t = Intmap.create ~ints:true ~floats:true () in
       let model = ref IM.empty in
       List.for_all
         (fun op ->
@@ -272,12 +320,17 @@ let prop_intmap_model =
             match Intmap.add t k v with
             | () ->
               let fresh = not (IM.mem k !model) in
-              model := IM.add k v !model;
+              let i = Intmap.length t - 1 in
+              let ((n, x) as cells) = cells_of k v in
+              Intmap.set_int_at t i n;
+              Float.Array.set (Intmap.floats t) i x;
+              model := IM.add k (v, cells) !model;
               fresh
             | exception Invalid_argument _ -> IM.mem k !model)
           | I_replace (k, v) ->
             Intmap.replace t k v;
-            model := IM.add k v !model;
+            let cells = match IM.find_opt k !model with Some (_, c) -> c | None -> (0, 0.0) in
+            model := IM.add k (v, cells) !model;
             true
           | I_remove k ->
             Intmap.remove t k;
@@ -290,12 +343,12 @@ let prop_intmap_model =
               Intmap.remove_at t (n - 1)
             end;
             true
-          | I_find k -> Intmap.find_opt t k = IM.find_opt k !model
+          | I_find k -> find_opt t k = Option.map fst (IM.find_opt k !model)
           | I_iter ->
             let seen = ref [] in
             Intmap.iter t ~f:(fun k v -> seen := (k, v) :: !seen);
             let folded = Intmap.fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
-            List.sort compare !seen = IM.bindings !model && folded = !seen)
+            List.sort compare !seen = IM.bindings (IM.map fst !model) && folded = !seen)
           && intmap_agrees t !model)
         ops)
 
@@ -321,9 +374,9 @@ let test_intmap_downward_removal () =
     Intmap.remove_at t i
   done;
   Alcotest.(check int) "emptied" 0 (Intmap.length t);
-  Alcotest.(check (option int)) "nothing found" None (Intmap.find_opt t 7);
+  Alcotest.(check (option int)) "nothing found" None (find_opt t 7);
   Intmap.add t 7 1;
-  Alcotest.(check (option int)) "refills" (Some 1) (Intmap.find_opt t 7)
+  Alcotest.(check (option int)) "refills" (Some 1) (find_opt t 7)
 
 (* Past 2^16 index positions the index widens its cells (at 32,769
    entries), and 70,000 entries take it to 2^18 positions.  Every key
@@ -335,7 +388,7 @@ let test_intmap_wide_index () =
   for i = 0 to n - 1 do
     Intmap.add t (key i) i
   done;
-  let resolves i = Intmap.find_opt t (key i) = Some i && Intmap.key_at t (Intmap.slot t (key i)) = key i in
+  let resolves i = find_opt t (key i) = Some i && Intmap.key_at t (Intmap.slot t (key i)) = key i in
   Alcotest.(check int) "all added" n (Intmap.length t);
   Alcotest.(check bool) "every key resolves" true (List.for_all resolves (List.init n Fun.id));
   for i = 0 to n - 1 do
@@ -625,6 +678,7 @@ let () =
     [
       ( "lru",
         Alcotest.test_case "eviction order and churn" `Quick test_lru_eviction_order
+        :: Alcotest.test_case "wide links past 65,535 entries" `Quick test_lru_wide_links
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_lru_model ] );
       ( "intmap",
         Alcotest.test_case "downward removal" `Quick test_intmap_downward_removal

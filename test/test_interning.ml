@@ -189,7 +189,7 @@ let prop_heap_matches_reference =
     ~name:"scheduler: top_key/pop_exn agree with min/pop of a stable-sorted (key, seq) list"
     ~count:500 arb_qops
     (fun ops ->
-      let h = Pqueue.create () in
+      let h = Pqueue.create ~filler:0 in
       let model = ref [] and serial = ref 0 and ok = ref true in
       let pop () =
         match ref_pop !model with

@@ -51,16 +51,20 @@ let test_clean_server () =
   ignore (Server.install_replica s (payload_for 20) ~now:1.0);
   Alcotest.(check (list string)) "no violations" [] (rules_of s ~now:1.0)
 
+(* Rewrite a hosted node's map behind the server's back. *)
+let set_hosted_map s node f =
+  let i = Intmap.slot s.Server.hosted node in
+  Intmap.set_at s.Server.hosted i (f (Intmap.value_at s.Server.hosted i))
+
 let test_oversized_map () =
   let s = owned_server [ 1 ] in
-  let h = Option.get (Server.find_hosted s 1) in
   (* Blow past r_map by constructing the oversized map directly (no mutator
      allows this, which is the point). *)
   let entries =
     List.init (config.Config.r_map + 3) (fun i ->
         { Node_map.server = i; is_owner = i = 0; stamp = 0.5 })
   in
-  h.Server.h_map <- Node_map.of_entries ~max:1000 entries;
+  set_hosted_map s 1 (fun _ -> Node_map.of_entries ~max:1000 entries);
   check_fires "oversized map" "map-bound" (rules_of s ~now:1.0)
 
 let test_replica_over_budget () =
@@ -81,23 +85,21 @@ let test_stale_digest () =
 
 let test_self_missing () =
   let s = owned_server [ 1 ] in
-  let h = Option.get (Server.find_hosted s 1) in
-  h.Server.h_map <- Node_map.remove h.Server.h_map s.Server.id;
+  set_hosted_map s 1 (fun map -> Node_map.remove map s.Server.id);
   check_fires "self removed from owned map" "self-missing" (rules_of s ~now:1.0)
 
 let test_stamp_future () =
   let s = owned_server [ 1 ] in
-  let h = Option.get (Server.find_hosted s 1) in
-  h.Server.h_map <-
-    Node_map.add ~max:config.Config.r_map h.Server.h_map
-      { Node_map.server = 3; is_owner = false; stamp = 99.0 };
+  set_hosted_map s 1 (fun map ->
+      Node_map.add ~max:config.Config.r_map map { Node_map.server = 3; is_owner = false; stamp = 99.0 });
   check_fires "entry stamped ahead of clock" "stamp-future" (rules_of s ~now:1.0)
 
 let test_context_refs () =
   let s = owned_server [ 1 ] in
-  (match Intmap.find_opt s.Server.neighbor_maps 0 with
-  | Some r -> r.Server.refs <- r.Server.refs + 7
-  | None -> Alcotest.fail "expected a neighbor context for node 1's parent");
+  let contexts = s.Server.neighbor_maps in
+  (match Intmap.slot contexts 0 with
+  | -1 -> Alcotest.fail "expected a neighbor context for node 1's parent"
+  | i -> Intmap.set_int_at contexts i (Intmap.int_at contexts i + 7));
   check_fires "forged refcount" "context-refs" (rules_of s ~now:1.0)
 
 let test_cache_empty_map () =

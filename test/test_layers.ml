@@ -81,7 +81,7 @@ let test_fetch_basic () =
 let test_fetch_failover_to_data_copy () =
   let cluster = mk_cluster ~data_copies:3 () in
   let node = 9 in
-  let holders = cluster.Cluster.data_holders.(node) in
+  let holders = Array.of_list (Protocol.holders cluster.Cluster.core node) in
   Alcotest.(check int) "three holders" 3 (Array.length holders);
   Alcotest.(check int) "owner is first holder" cluster.Cluster.owner_of.(node) holders.(0);
   (* kill all but the last holder: the fetch must fail over *)
@@ -100,11 +100,11 @@ let test_fetch_failover_to_data_copy () =
 let test_fetch_fails_when_all_holders_dead () =
   let cluster = mk_cluster ~data_copies:2 () in
   let node = 9 in
-  Array.iter (Cluster.kill cluster) cluster.Cluster.data_holders.(node);
+  List.iter (Cluster.kill cluster) (Protocol.holders cluster.Cluster.core node);
   let got = ref None in
   let client =
     let rec free c =
-      if Array.exists (fun h -> h = c) cluster.Cluster.data_holders.(node) then free (c + 1) else c
+      if List.mem c (Protocol.holders cluster.Cluster.core node) then free (c + 1) else c
     in
     free 0
   in

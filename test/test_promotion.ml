@@ -70,14 +70,14 @@ let test_pin_touch_node () =
   let s = server [ 1; 6 ] in
   pin "touch_node on a hosted node" (fun () -> Server.touch_node s 6 ~now:0.5);
   match Server.find_hosted s 6 with
-  | Some h -> Alcotest.(check (float 0.0)) "last use recorded" 0.5 (Float.Array.get h.Server.h_last_used 0)
+  | Some h -> Alcotest.(check (float 0.0)) "last use recorded" 0.5 h.Server.h_last_used
   | None -> Alcotest.fail "node 6 not hosted"
 
 (* The event heap at depth: one pop and one add, the engine's hold step.
    The key is boxed once, here: a float computed per call would be boxed
    by the call itself, outside [Pqueue]. *)
 let test_pin_pqueue_hold () =
-  let q = Pqueue.create () and rng = Splitmix.create 5 in
+  let q = Pqueue.create ~filler:() and rng = Splitmix.create 5 in
   for seq = 0 to 4095 do
     Pqueue.add_tagged q ~key:(Splitmix.float rng 1.0) ~seq ~tag:seq ()
   done;
@@ -104,6 +104,62 @@ let test_pin_splitmix () =
       ignore (Sys.opaque_identity (Splitmix.int g ((1 lsl 61) + 1)) : int));
   pin_at_most "Splitmix.float" 2.0 (fun () -> ignore (Sys.opaque_identity (Splitmix.float g 1.0) : float))
 
+(* New keys into a full LRU: every put evicts, and the tombstones the
+   evictions leave force an index sweep every few puts. *)
+let test_pin_lru_churn () =
+  let lru = Lru.create ~capacity:16 and next = ref 0 in
+  let put () =
+    Lru.put lru !next !next;
+    incr next
+  in
+  for _ = 1 to 64 do
+    put ()
+  done;
+  pin "Lru put of a new key under eviction churn" (fun () ->
+      for _ = 1 to 1000 do
+        put ()
+      done);
+  Alcotest.(check int) "full" 16 (Lru.length lru);
+  Alcotest.(check (list int)) "the newest keys, MRU first"
+    (List.init 16 (fun i -> !next - 1 - i))
+    (Lru.keys_mru_order lru)
+
+let hosted_map s node = Intmap.value_at s.Server.hosted (Intmap.slot s.Server.hosted node)
+
+(* A path entry the server already knows costs nothing, wherever the
+   node's map lives: hosted, a neighbor context or the cache. *)
+let test_pin_merge_known () =
+  let s = server [ 1; 6 ] in
+  let hosted = hosted_map s 6 in
+  let nb = Intmap.key_at s.Server.neighbor_maps 0 in
+  let context = Server.neighbor_map s nb in
+  Alcotest.(check bool) "node 30 is neither hosted nor a context" false
+    (Server.hosts s 30 || Intmap.mem s.Server.neighbor_maps 30);
+  let cached = map_of [ 4; 9 ] in
+  Server.merge_into_known_map s 30 cached ~now:0.5;
+  let cached_map () = Option.get (Cache.peek s.Server.cache ~node:30) in
+  let before = cached_map () in
+  Alcotest.(check bool) "the context is not empty" false (Node_map.is_empty context);
+  pin "merge_into_known_map, hosted" (fun () -> Server.merge_into_known_map s 6 hosted ~now:0.5);
+  pin "merge_into_known_map, neighbor" (fun () -> Server.merge_into_known_map s nb context ~now:0.5);
+  pin "merge_into_known_map, cached" (fun () -> Server.merge_into_known_map s 30 cached ~now:0.5);
+  Alcotest.(check bool) "hosted map kept" true (hosted_map s 6 == hosted);
+  Alcotest.(check bool) "context kept" true (Server.neighbor_map s nb == context);
+  Alcotest.(check bool) "cached map kept" true (cached_map () == before)
+
+let test_pin_slot_accessors () =
+  let s = server [ 1; 6 ] in
+  let nb = Intmap.key_at s.Server.neighbor_maps 0 in
+  pin "Server.neighbor_map (hit)" (fun () -> ignore (Sys.opaque_identity (Server.neighbor_map s nb)));
+  pin "Server.neighbor_map (miss)" (fun () -> ignore (Sys.opaque_identity (Server.neighbor_map s 30)));
+  let i = Intmap.slot s.Server.hosted 6 in
+  pin "Intmap.value_at" (fun () -> ignore (Sys.opaque_identity (Intmap.value_at s.Server.hosted i)));
+  pin "Server.hosted_kind_at" (fun () -> ignore (Sys.opaque_identity (Server.hosted_kind_at s i)));
+  pin "Server.meta_version_at" (fun () -> ignore (Sys.opaque_identity (Server.meta_version_at s i) : int));
+  pin "Server.set_meta_version_at" (fun () -> Server.set_meta_version_at s i 5);
+  Alcotest.(check int) "version set" 5 (Server.meta_version_at s i);
+  Alcotest.(check bool) "kind kept" true (Server.hosted_kind_at s i = Server.Owned)
+
 let test_pin_table_lookups () =
   let t = Intmap.create () and lru = Lru.create ~capacity:16 in
   for k = 0 to 11 do
@@ -116,31 +172,46 @@ let test_pin_table_lookups () =
   pin "Lru.slot (miss)" (fun () -> ignore (Sys.opaque_identity (Lru.slot lru 36) : int))
 
 (* The event heap hands a popped value back and keeps no reference to
-   it: two of three closures, each over a fresh block, are popped, and a
-   full collection must reclaim both.  Filling and popping happen in
-   functions of their own, so no frame of the test holds a closure.  A
-   plain value goes in first and stays queued: growth prefills the
-   array's spare slots with the value being added. *)
-let test_pop_pins_nothing () =
-  let q = Pqueue.create () and w = Weak.create 3 in
+   it.  Closures, each over a fresh block, go in with [keys] (all
+   distinct) and the [pops] least come out; a full collection must
+   reclaim each popped one and no other.  Filling and popping happen in
+   functions of their own, so no frame of the test holds a closure. *)
+let pops_pin_nothing keys ~pops =
+  let n = List.length keys in
+  let q = Pqueue.create ~filler:ignore and w = Weak.create n in
   let[@inline never] fill () =
-    Pqueue.add_tagged q ~key:10.0 ~seq:0 ~tag:0 ignore;
-    for i = 0 to 2 do
-      let cell = ref i in
-      let f () = incr cell in
-      Weak.set w i (Some f);
-      Pqueue.add_tagged q ~key:(float_of_int i) ~seq:(i + 1) ~tag:0 f
-    done
+    List.iteri
+      (fun i key ->
+        let cell = ref i in
+        let f () = incr cell in
+        Weak.set w i (Some f);
+        Pqueue.add_tagged q ~key ~seq:i ~tag:0 f)
+      keys
   in
   let[@inline never] pop () = ignore (Pqueue.pop_exn q : unit -> unit) in
   fill ();
-  pop ();
-  pop ();
+  for _ = 1 to pops do
+    pop ()
+  done;
   Gc.full_major ();
-  Alcotest.(check bool) "first popped is collected" false (Weak.check w 0);
-  Alcotest.(check bool) "second popped is collected" false (Weak.check w 1);
-  Alcotest.(check bool) "the queued one is held" true (Weak.check w 2);
-  Alcotest.(check int) "two left" 2 (Pqueue.length q)
+  let label = String.concat ", " (List.map string_of_float keys) in
+  List.iteri
+    (fun i key ->
+      let popped = List.length (List.filter (fun k -> k < key) keys) < pops in
+      Alcotest.(check bool)
+        (Printf.sprintf "keys %s: entry %g %s" label key (if popped then "collected" else "held"))
+        (not popped) (Weak.check w i))
+    keys;
+  Alcotest.(check int) "the rest left" (n - pops) (Pqueue.length q)
+
+(* The first case pins growth: spare slots hold the filler, not the first
+   value added.  In the second, keys 2, 0, 1, the first pop moves key 1's
+   entry from slot 2 to the root: a copy left in slot 2 would outlive key
+   1's own pop, the second. *)
+let test_pop_pins_nothing () =
+  pops_pin_nothing [ 0.0; 1.0; 2.0 ] ~pops:2;
+  pops_pin_nothing [ 2.0; 0.0; 1.0 ] ~pops:2;
+  pops_pin_nothing [ 2.0; 0.0; 1.0 ] ~pops:3
 
 (* ---- message thunks ---- *)
 
@@ -365,6 +436,9 @@ let () =
           Alcotest.test_case "Pqueue pop + add" `Quick test_pin_pqueue_hold;
           Alcotest.test_case "Splitmix draws" `Quick test_pin_splitmix;
           Alcotest.test_case "Intmap and Lru lookups" `Quick test_pin_table_lookups;
+          Alcotest.test_case "Lru put of a new key under eviction churn" `Quick test_pin_lru_churn;
+          Alcotest.test_case "merge_into_known_map of a known map" `Quick test_pin_merge_known;
+          Alcotest.test_case "Server slot accessors" `Quick test_pin_slot_accessors;
           Alcotest.test_case "digest-carrying send" `Quick test_pin_digest_send;
           Alcotest.test_case "Pqueue pop pins nothing" `Quick test_pop_pins_nothing;
         ] );

@@ -51,7 +51,7 @@ let make ?(config = base_config) () =
       owner_of;
       obs = Obs.null;
       hop_budget = (4 * Tree.max_depth tree) + 16;
-      data_holders = Array.map (fun owner -> [| owner |]) owner_of;
+      data_holders = Array.copy owner_of;
       shard_ix = Array.make n 0;
       pending = [| Hashtbl.create 8 |];
       lane_metrics = [| Metrics.create () |];

@@ -52,7 +52,7 @@ let test_add_owned () =
           Alcotest.(check bool)
             (Printf.sprintf "context for %d" nb)
             true
-            (Server.hosts s nb || Server.neighbor_map s nb <> None))
+            (Server.hosts s nb || Intmap.mem s.Server.neighbor_maps nb))
         (Tree.neighbors tree n))
     [ 1; 6 ];
   (* self pinned as owner in own map *)
@@ -158,7 +158,7 @@ let test_evict_replica_refcounts () =
   List.iter
     (fun nb ->
       Alcotest.(check bool) "context kept" true
-        (Server.hosts s nb || Server.neighbor_map s nb <> None))
+        (Server.hosts s nb || Intmap.mem s.Server.neighbor_maps nb))
     (Tree.neighbors tree 5);
   Alcotest.check_raises "evicting owned"
     (Invalid_argument "Server.evict_replica: node is owned, not a replica") (fun () ->
@@ -205,9 +205,8 @@ let test_merge_into_known_map_routes () =
   | None -> Alcotest.fail "hosted");
   (* neighbor *)
   Server.merge_into_known_map s 2 incoming ~now:9.0;
-  (match Server.neighbor_map s 2 with
-  | Some m -> Alcotest.(check bool) "merged into neighbor" true (Node_map.mem m 7)
-  | None -> Alcotest.fail "neighbor map");
+  Alcotest.(check bool) "neighbor map" true (Intmap.mem s.Server.neighbor_maps 2);
+  Alcotest.(check bool) "merged into neighbor" true (Node_map.mem (Server.neighbor_map s 2) 7);
   (* neither → cache (caching on) *)
   Server.merge_into_known_map s 30 incoming ~now:9.0;
   Alcotest.(check bool) "cached" true (Cache.peek s.Server.cache ~node:30 <> None)
@@ -248,9 +247,9 @@ let test_forget_server () =
   | None -> Alcotest.fail "hosted");
   (* neighbor map *)
   Server.forget_server s 2 (owner_of 2);
-  (match Server.neighbor_map s 2 with
-  | Some m -> Alcotest.(check bool) "dropped from neighbor map" false (Node_map.mem m (owner_of 2))
-  | None -> Alcotest.fail "neighbor");
+  Alcotest.(check bool) "neighbor" true (Intmap.mem s.Server.neighbor_maps 2);
+  Alcotest.(check bool) "dropped from neighbor map" false
+    (Node_map.mem (Server.neighbor_map s 2) (owner_of 2));
   (* cached map: emptying it drops the entry *)
   Cache.insert s.Server.cache ~node:30 (Node_map.singleton ~server:3 ~stamp:1.0 ());
   Server.forget_server s 30 3;

@@ -86,8 +86,8 @@ let test_permutation_is_permutation () =
 (* ------------------------------------------------------------------ *)
 
 (* Insert with sequence numbers in insertion order, as the engine does. *)
-let pqueue_of ?(tag = fun _ -> 0) entries =
-  let q = Pqueue.create () in
+let pqueue_of ?(tag = fun _ -> 0) ~filler entries =
+  let q = Pqueue.create ~filler in
   List.iteri (fun seq (key, v) -> Pqueue.add_tagged q ~key ~seq ~tag:(tag v) v) entries;
   q
 
@@ -96,18 +96,18 @@ let pqueue_drain q =
   go []
 
 let test_pqueue_ordering () =
-  let q = pqueue_of [ (3.0, "c"); (1.0, "a"); (2.0, "b") ] in
+  let q = pqueue_of ~filler:"" [ (3.0, "c"); (1.0, "a"); (2.0, "b") ] in
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] (pqueue_drain q);
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
   Alcotest.check_raises "pop on empty" (Invalid_argument "Pqueue.pop_exn: empty") (fun () ->
       ignore (Pqueue.pop_exn q))
 
 let test_pqueue_fifo_ties () =
-  let q = pqueue_of (List.map (fun v -> (5.0, v)) [ 1; 2; 3; 4 ]) in
+  let q = pqueue_of ~filler:0 (List.map (fun v -> (5.0, v)) [ 1; 2; 3; 4 ]) in
   Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4 ] (pqueue_drain q)
 
 let test_pqueue_min_peek () =
-  let q = pqueue_of ~tag:(fun v -> Char.code v.[0]) [ (2.0, "x"); (1.0, "y") ] in
+  let q = pqueue_of ~tag:(fun v -> Char.code v.[0]) ~filler:"" [ (2.0, "x"); (1.0, "y") ] in
   check_float "min key" 1.0 (Pqueue.top_key q);
   Alcotest.(check int) "min seq" 1 (Pqueue.top_seq q);
   Alcotest.(check int) "min tag" (Char.code 'y') (Pqueue.top_tag q);
@@ -115,7 +115,7 @@ let test_pqueue_min_peek () =
 
 let test_pqueue_sorted_view () =
   (* Tags and values travel with their keys through every sift. *)
-  let q = pqueue_of ~tag:Fun.id (List.map (fun v -> (float_of_int v, v)) [ 4; 1; 3; 2 ]) in
+  let q = pqueue_of ~tag:Fun.id ~filler:0 (List.map (fun v -> (float_of_int v, v)) [ 4; 1; 3; 2 ]) in
   let rec view acc =
     if Pqueue.is_empty q then List.rev acc
     else begin
@@ -133,7 +133,7 @@ let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue: pops are sorted" ~count:200
     QCheck.(list (float_bound_inclusive 1000.0))
     (fun keys ->
-      let q = pqueue_of (List.map (fun k -> (k, k)) keys) in
+      let q = pqueue_of ~filler:0.0 (List.map (fun k -> (k, k)) keys) in
       pqueue_drain q = List.sort compare keys)
 
 (* ------------------------------------------------------------------ *)

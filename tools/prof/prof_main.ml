@@ -167,18 +167,20 @@ let run_scenario ~servers ~levels ~rate ~duration ~seed =
 
 (* Per-server rows: a store and its parts, each part the roots it adds
    for one server.  A table store's content (the maps and Blooms it
-   points to) comes first, then its structure: per-entry records, the
+   points to) comes first, then its structure: the per-slot columns, the
    hash index ({!Intmap.Index}), LRU links, and last the store itself,
    which adds what remains — key and value slots, side arrays, the
    store's own records.  Scalar fields, the server records themselves
    and boxed floats land in the last row. *)
 let obj = Obj.repr
 
-let intmap_parts table ~content ~record =
-  let values f s = Intmap.fold (table s) ~init:[] ~f:(fun acc _ v -> obj (f v) :: acc) in
+let intmap_parts table =
   [
-    ("maps", values content);
-    ("entry records", values record);
+    ("maps", fun s -> Intmap.fold (table s) ~init:[] ~f:(fun acc _ map -> obj map :: acc));
+    ( "columns",
+      fun s ->
+        let ints, floats = Intmap.columns (table s) in
+        [ obj ints; obj floats ] );
     ("index", fun s -> [ obj (Intmap.index (table s)) ]);
     ("slots", fun s -> [ obj (table s) ]);
   ]
@@ -192,17 +194,15 @@ let lru_parts lru ~content ~rest =
   [
     (fst content, values);
     ("index", fun s -> [ obj (Lru.index (lru s)) ]);
-    ("links", fun s -> [ obj (fst (Lru.links (lru s))); obj (snd (Lru.links (lru s))) ]);
+    ("links", fun s -> [ obj (Lru.links (lru s)) ]);
     (fst rest, fun s -> [ snd rest s ]);
   ]
 
 let server_fields : (string * (string * (Server.t -> Obj.t list)) list) list =
   let whole name get = (name, [ (name, fun s -> [ obj (get s) ]) ]) in
   [
-    ( "hosted",
-      intmap_parts (fun s -> s.Server.hosted) ~content:(fun h -> h.Server.h_map) ~record:Fun.id );
-    ( "neighbor_maps",
-      intmap_parts (fun s -> s.Server.neighbor_maps) ~content:(fun r -> r.Server.n_map) ~record:Fun.id );
+    ("hosted", intmap_parts (fun s -> s.Server.hosted));
+    ("neighbor_maps", intmap_parts (fun s -> s.Server.neighbor_maps));
     whole "rng" (fun s -> s.Server.rng);
     ( "cache",
       lru_parts
