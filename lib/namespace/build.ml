@@ -107,23 +107,22 @@ let coda_like ?(seed = 1993) ~target () =
   done;
   Tree.Builder.freeze b
 
+(* Each path's components are walked from the root; a (parent, component)
+   table reuses the children earlier paths made. *)
 let of_paths paths =
   let b = Tree.Builder.create () in
-  let interned = Hashtbl.create 256 in
-  Hashtbl.add interned (Name.id Name.root) Tree.root;
-  let rec intern name =
-    let key = Name.id name in
-    match Hashtbl.find_opt interned key with
-    | Some id -> id
-    | None ->
-      let parent_name = match Name.parent name with Some p -> p | None -> assert false in
-      let parent_id = intern parent_name in
-      let component = match Name.basename name with Some c -> c | None -> assert false in
-      let id = Tree.Builder.add_child b parent_id component in
-      Hashtbl.add interned key id;
-      id
+  let made = Hashtbl.create 256 in
+  let step parent c =
+    if c = "" then parent
+    else
+      match Hashtbl.find_opt made (parent, c) with
+      | Some id -> id
+      | None ->
+        let id = Tree.Builder.add_child b parent c in
+        Hashtbl.add made (parent, c) id;
+        id
   in
-  List.iter (fun p -> ignore (intern (Name.of_string p))) paths;
+  List.iter (fun p -> ignore (List.fold_left step Tree.root (String.split_on_char '/' p) : Tree.node)) paths;
   Tree.Builder.freeze b
 
 let describe t =

@@ -40,7 +40,8 @@ val coda_like : ?seed:int -> target:int -> unit -> Tree.t
 
 val of_paths : string list -> Tree.t
 (** Build a tree containing every listed path, creating intermediate
-    components as needed.  Duplicates are fine. *)
+    components as needed.  Paths parse as {!Tree.find_string} reads them;
+    duplicates are fine. *)
 
 val describe : Tree.t -> string
 (** One-line shape summary: nodes, max depth, mean/max fan-out, leaf share. *)

@@ -8,7 +8,7 @@ type t = {
          subtree, at 4v+2 its depth, at 4v+3 its parent (-1 for the root):
          one step up a parent chain, with its "is this above w" test, reads
          one node's four adjacent ints *)
-  name_of : Name.t array; (* id -> interned name, O(1) lookup *)
+  components : string array; (* id -> last path component, "" for the root *)
   max_depth : int;
 }
 
@@ -23,7 +23,7 @@ module Builder = struct
     mutable parents : int array;
     mutable last_kid : int array; (* the newest child, -1 for none *)
     mutable prev_sib : int array; (* the sibling added just before, -1 for none *)
-    mutable names : Name.t array; (* interned name per node *)
+    mutable components : string array; (* last path component per node *)
     mutable count : int;
     mutable sealed : bool;
   }
@@ -33,7 +33,7 @@ module Builder = struct
       parents = Array.make 16 (-1);
       last_kid = Array.make 16 (-1);
       prev_sib = Array.make 16 (-1);
-      names = Array.make 16 Name.root;
+      components = Array.make 16 "";
       count = 1;
       sealed = false;
     }
@@ -53,25 +53,24 @@ module Builder = struct
       b.parents <- grow b.parents (-1);
       b.last_kid <- grow b.last_kid (-1);
       b.prev_sib <- grow b.prev_sib (-1);
-      b.names <- grow b.names Name.root
+      b.components <- grow b.components ""
     end
 
   (* Children are chained newest first through [prev_sib], in int arrays,
      so adding one allocates nothing for the minor collector to promote. *)
-  let rec named b name k = k >= 0 && (Name.equal b.names.(k) name || named b name b.prev_sib.(k))
+  let rec named b c k = k >= 0 && (String.equal b.components.(k) c || named b c b.prev_sib.(k))
 
   let add_child b parent component =
     check_alive b "add_child";
     if parent < 0 || parent >= b.count then invalid_arg "Tree.Builder.add_child: bad parent id";
     if component = "" || String.contains component '/' then
       invalid_arg "Tree.Builder.add_child: invalid component";
-    let name = Name.child b.names.(parent) component in
-    if named b name b.last_kid.(parent) then invalid_arg "Tree.Builder.add_child: duplicate child";
+    if named b component b.last_kid.(parent) then invalid_arg "Tree.Builder.add_child: duplicate child";
     ensure b;
     let id = b.count in
     b.count <- id + 1;
     b.parents.(id) <- parent;
-    b.names.(id) <- name;
+    b.components.(id) <- component;
     b.prev_sib.(id) <- b.last_kid.(parent);
     b.last_kid.(parent) <- id;
     id
@@ -114,21 +113,15 @@ module Builder = struct
       uid = Atomic.fetch_and_add next_uid 1;
       children;
       span;
-      name_of = Array.sub b.names 0 n;
+      components = Array.sub b.components 0 n;
       max_depth = !max_depth;
     }
 end
 
-let size t = Array.length t.name_of
+let size t = Array.length t.components
 
 let check_node t v op =
   if v < 0 || v >= size t then invalid_arg ("Tree." ^ op ^ ": node id out of range")
-
-let name t v =
-  check_node t v "name";
-  t.name_of.(v)
-
-let name_string t v = Name.to_string (name t v)
 
 let[@inline] pre_of t v = t.span.(4 * v)
 
@@ -158,15 +151,18 @@ let neighbors t v =
   let kids = Array.to_list (children t v) in
   if v = 0 then kids else parent_of t v :: kids
 
-(* Walk root-first components down through [children], matching each
-   child's last component: nothing is interned. *)
-let find_components t cs =
-  let step c v = Array.find_opt (fun k -> Name.basename t.name_of.(k) = Some c) t.children.(v) in
-  List.fold_left (fun v c -> Option.bind v (step c)) (Some root) cs
+let name_string t v =
+  check_node t v "name_string";
+  let rec up acc v = if v = root then acc else up (t.components.(v) :: acc) (parent_of t v) in
+  "/" ^ String.concat "/" (up [] v)
 
-let find t n = find_components t (Name.components n)
-
-let find_string t s = find_components t (List.filter (( <> ) "") (String.split_on_char '/' s))
+(* Walk the path's components down through [children]; empty components
+   (a leading, repeated or trailing slash) stay where they are. *)
+let find_string t s =
+  let step c v = Array.find_opt (fun k -> String.equal t.components.(k) c) t.children.(v) in
+  List.fold_left
+    (fun v c -> if c = "" then v else Option.bind v (step c))
+    (Some root) (String.split_on_char '/' s)
 
 (* [v]'s subtree holds the node of preorder rank [p] iff [p] falls inside
    [v]'s span.  The chain walks below index [span] directly, unchecked:
@@ -287,6 +283,6 @@ let check_invariants t =
   let total_children = Array.fold_left (fun acc kids -> acc + Array.length kids) 0 t.children in
   if total_children <> n - 1 then failwith "Tree: children count mismatch";
   iter t (fun v ->
-      match find t (name t v) with
+      match find_string t (name_string t v) with
       | Some v' when v' = v -> ()
-      | _ -> failwith "Tree: name interning mismatch")
+      | _ -> failwith "Tree: name_string does not find its node")

@@ -1,10 +1,13 @@
-(** Immutable tree namespaces over interned node identifiers.
+(** Immutable tree namespaces over dense node identifiers.
 
     The routing protocol treats the namespace as shared global knowledge of
     {e structure} (names and parent/child relations), while knowledge of
     {e placement} (which servers host which nodes) is local and replicated.
-    Interning every name to a dense integer id makes the hot routing path
-    (distance computations, digest membership) allocation-free.
+    Routing reads only node ids and their preorder spans, so the hot path
+    (distance computations, digest membership) is allocation-free.  Each
+    node keeps its last path component; full names are rendered and parsed
+    only where a person reads or types a path ({!name_string},
+    {!find_string}).
 
     Ids are dense: [0 .. size-1], with the root always id [0]. *)
 
@@ -24,7 +27,8 @@ module Builder : sig
   val add_child : t -> node -> string -> node
   (** [add_child b parent component] appends a new child and returns its id.
       @raise Invalid_argument if [parent] is out of range, the component is
-      invalid, or a child with that component already exists. *)
+      empty or contains ['/'], or a child with that component already
+      exists. *)
 
   val size : t -> int
 
@@ -37,10 +41,9 @@ val size : t -> int
 
 val root : node
 
-val name : t -> node -> Name.t
-(** Full name of a node; O(1). *)
-
 val name_string : t -> node -> string
+(** The node's full path, ["/a/b"]; the root is ["/"].  Walks the parent
+    chain, O(depth). *)
 
 val parent : t -> node -> node option
 (** [None] for the root. *)
@@ -60,13 +63,11 @@ val neighbors : t -> node -> node list
     Built on each call from the parent and {!children}: one fresh list of
     [1 + num_children] cells. *)
 
-val find : t -> Name.t -> node option
-(** Name lookup: walks the name's components down from the root, scanning
-    each level's children; O(depth × fan-out), no table. *)
-
 val find_string : t -> string -> node option
-(** [find] of the path as {!Name.of_string} would parse it, but interning
-    nothing: looking up an absent path leaves the intern table as it was. *)
+(** The node at path ["/a/b"]: walks its components down from the root,
+    scanning each level's children; O(depth × fan-out), no table.  The
+    leading slash is optional and repeated or trailing slashes are
+    ignored, so [""] and ["/"] are the root. *)
 
 val lca : t -> node -> node -> node
 (** Walks the shallower node's parent chain, testing each step in O(1)
@@ -121,5 +122,6 @@ val fold : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 val leaves : t -> node list
 
 val check_invariants : t -> unit
-(** Structural self-check (parent/child symmetry, depths, id density);
-    raises [Failure] with a description when violated.  For tests. *)
+(** Structural self-check (parent/child symmetry, depths, spans, and
+    {!find_string} of every {!name_string} finding its node); raises
+    [Failure] with a description when violated.  For tests. *)

@@ -84,19 +84,24 @@ let[@inline] set_prev t slot v = set_cell t (2 * slot) v
 
 let[@inline] set_next t slot v = set_cell t ((2 * slot) + 1) v
 
-(* Re-index every live entry, MRU first: a top-level recursion, so a
-   tombstone sweep allocates nothing. *)
-let rec reindex_from t slot =
+(* A recency walk meets at most [len] entries: one more means the links
+   loop, and the walk stops instead of hanging. *)
+let looped () = invalid_arg "Lru: recency walk passed length entries (the links loop)"
+
+(* Re-index every live entry, MRU first, at most [left] of them: a
+   top-level recursion, so a tombstone sweep allocates nothing. *)
+let rec reindex_from t slot left =
   if slot >= 0 then begin
+    if left = 0 then looped ();
     Index.insert t.index t.keys.(slot) slot;
-    reindex_from t (next t slot)
+    reindex_from t (next t slot) (left - 1)
   end
 
 (* Re-index at [size]: after growth, or to sweep tombstones left by
    removals. *)
 let reindex t size =
   Index.reset t.index size;
-  reindex_from t t.head
+  reindex_from t t.head t.len
 
 let index_remove t k slot =
   Index.remove t.index k slot;
@@ -205,8 +210,12 @@ let put t k v =
       else Index.insert t.index k slot
 
 let fold t ~init ~f =
-  let rec go acc slot = if slot < 0 then acc else go (f acc t.keys.(slot) t.vals.(slot)) (next t slot) in
-  go init t.head
+  let rec go acc slot left =
+    if slot < 0 then acc
+    else if left = 0 then looped ()
+    else go (f acc t.keys.(slot) t.vals.(slot)) (next t slot) (left - 1)
+  in
+  go init t.head t.len
 
 let slot = find_slot
 

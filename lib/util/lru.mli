@@ -67,6 +67,10 @@ val key_at : 'a t -> int -> int
 val value_at : 'a t -> int -> 'a
 
 val iter : 'a t -> f:(int -> 'a -> unit) -> unit
+(** MRU first.  Like every recency walk here ({!keys_mru_order}, the
+    re-index a {!put} or {!remove} may run), it counts its steps.
+    @raise Invalid_argument if it passes {!length} entries: the links
+    loop. *)
 
 val keys_mru_order : 'a t -> int list
 (** Keys from most- to least-recently-used (for tests). *)

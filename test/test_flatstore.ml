@@ -217,6 +217,38 @@ let test_lru_wide_links () =
   Alcotest.(check bool) "keys_into holds the key set" true
     (List.sort Int.compare (Array.to_list dst) = List.sort Int.compare expected)
 
+(* Links whose tail points back at the head form a loop.  Every recency
+   walk counts its steps, so each must raise rather than hang: [iter],
+   [keys_mru_order], and the re-index a [put] runs when the index grows. *)
+let test_lru_looped_links () =
+  let corrupted () =
+    let lru = Lru.create ~capacity:64 in
+    (* Fill to just below the next index growth. *)
+    Lru.put lru 0 0;
+    while 2 * (Lru.length lru + 1) <= Intmap.Index.size (Lru.index lru) do
+      Lru.put lru (Lru.length lru) 0
+    done;
+    Alcotest.(check bool) "several entries" true (Lru.length lru >= 4);
+    let rec tail slot = if Lru.next lru slot < 0 then slot else tail (Lru.next lru slot) in
+    let head = Lru.first lru in
+    (* Two-byte cells, [prev + 1] then [next + 1] per slot. *)
+    Bytes.set_uint16_ne (Lru.links lru) (((2 * tail head) + 1) * 2) (head + 1);
+    lru
+  in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s walked looped links without raising" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (what ^ " names the LRU") true (String.starts_with ~prefix:"Lru:" msg)
+  in
+  let lru = corrupted () in
+  raises "iter" (fun () -> Lru.iter lru ~f:(fun _ _ -> ()));
+  let lru = corrupted () in
+  raises "keys_mru_order" (fun () -> ignore (Lru.keys_mru_order lru : int list));
+  let lru = corrupted () in
+  let k = Lru.length lru in
+  raises "put with a re-index" (fun () -> Lru.put lru k 0)
+
 (* ------------------------------------------------------------------ *)
 (* Intmap vs Map                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -679,6 +711,7 @@ let () =
       ( "lru",
         Alcotest.test_case "eviction order and churn" `Quick test_lru_eviction_order
         :: Alcotest.test_case "wide links past 65,535 entries" `Quick test_lru_wide_links
+        :: Alcotest.test_case "looped links raise, never hang" `Quick test_lru_looped_links
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_lru_model ] );
       ( "intmap",
         Alcotest.test_case "downward removal" `Quick test_intmap_downward_removal

@@ -1,7 +1,7 @@
-(* Equivalence suite for the scaling refactor: the interned [Name], the
-   struct-of-arrays [Pqueue] and the floatarray [Load_meter] must be
-   bit-identical — structural results and RNG draw counts — to the
-   semantics of the representations they replaced.  Each reference
+(* Equivalence suite for the scaling refactor: the span-and-component
+   [Tree], the struct-of-arrays [Pqueue] and the floatarray [Load_meter]
+   must be bit-identical — structural results and RNG draw counts — to
+   the semantics of the representations they replaced.  Each reference
    implementation below is a straight rewrite of the historical code
    (string-list names, record meters, a sorted-list queue), and qcheck
    drives both sides through the same operation sequences. *)
@@ -16,19 +16,11 @@ open Terradir_namespace
 module Ref_name = struct
   (* A reference name is its component list, root-first. *)
 
-  let valid_component c = String.length c > 0 && not (String.contains c '/')
-
-  let of_string s =
-    List.filter (fun c -> c <> "") (String.split_on_char '/' s)
+  let of_string s = List.filter (fun c -> c <> "") (String.split_on_char '/' s)
 
   let to_string = function [] -> "/" | cs -> "/" ^ String.concat "/" cs
 
-  let child t c = if valid_component c then t @ [ c ] else invalid_arg "Ref_name.child"
-
-  let parent t =
-    match List.rev t with [] -> None | _ :: rest -> Some (List.rev rest)
-
-  let basename t = match List.rev t with [] -> None | c :: _ -> Some c
+  let parent t = match List.rev t with [] -> None | _ :: rest -> Some (List.rev rest)
 
   let depth = List.length
 
@@ -38,13 +30,8 @@ module Ref_name = struct
     | _, [] -> false
     | x :: xs, y :: ys -> String.equal x y && is_ancestor xs ys
 
-  (* Strict prefixes, nearest first, ending with the root. *)
-  let ancestors t =
-    let rec prefixes pre acc = function
-      | [] -> acc
-      | c :: rest -> let pre = pre @ [ c ] in prefixes pre (pre :: acc) rest
-    in
-    match t with [] -> [] | _ -> List.tl (prefixes [] [ [] ] t)
+  (* The ancestor at depth [d]: the first [d] components. *)
+  let ancestor_at_depth t d = List.filteri (fun i _ -> i < d) t
 
   let rec lowest_common_ancestor a b =
     match (a, b) with
@@ -53,107 +40,121 @@ module Ref_name = struct
 
   let distance a b = depth a + depth b - (2 * depth (lowest_common_ancestor a b))
 
-  let compare = List.compare String.compare
+  let equal = List.equal String.equal
 
-  let equal a b = compare a b = 0
+  (* Every prefix of every path, each once, in the order a root-first walk
+     of the paths first meets it: the order [Build.of_paths] numbers its
+     nodes in. *)
+  let prefixes paths =
+    let seen = Hashtbl.create 64 and order = ref [] in
+    let visit p =
+      if not (Hashtbl.mem seen p) then begin
+        Hashtbl.add seen p ();
+        order := p :: !order
+      end
+    in
+    visit [];
+    List.iter (fun t -> List.iteri (fun d _ -> visit (ancestor_at_depth t (d + 1))) t) paths;
+    Array.of_list (List.rev !order)
 end
 
+(* ------------------------------------------------------------------ *)
+(* Tree vs the reference names                                         *)
+(* ------------------------------------------------------------------ *)
+
 (* Small alphabet so random names collide on prefixes (the interesting
-   case for ancestors/LCA and for hash-consing). *)
-let components_gen =
-  QCheck.Gen.(list_size (int_bound 6) (map string_of_int (int_bound 3)))
+   case for ancestors and LCA). *)
+let components_gen = QCheck.Gen.(list_size (int_bound 6) (map string_of_int (int_bound 3)))
 
-let arb_components =
-  QCheck.make ~print:(fun cs -> Ref_name.to_string cs) components_gen
+type shape = Paths of string list list | Coda of int
 
-let name_of_ref cs = Name.of_components cs
+let arb_shape_and_pairs =
+  QCheck.make
+    ~print:(fun (shape, pairs) ->
+      Printf.sprintf "%s, pairs [%s]"
+        (match shape with
+        | Paths ps -> "paths [" ^ String.concat "; " (List.map Ref_name.to_string ps) ^ "]"
+        | Coda seed -> Printf.sprintf "coda_like seed %d" seed)
+        (String.concat "; " (List.map (fun (a, b) -> Printf.sprintf "(%d, %d)" a b) pairs)))
+    QCheck.Gen.(
+      pair
+        (oneof
+           [
+             map (fun ps -> Paths ps) (list_size (int_range 1 20) components_gen);
+             map (fun seed -> Coda seed) (int_bound 1000);
+           ])
+        (list_size (int_range 1 20) (pair (int_bound 10_000) (int_bound 10_000))))
+
+(* A listed namespace's reference name per node is known up front, ids
+   included; a generated one's is its own rendering, parsed, and must
+   then be consistent with every other answer. *)
+let tree_and_refs = function
+  | Paths ps ->
+    let t = Build.of_paths (List.map Ref_name.to_string ps) in
+    (t, Ref_name.prefixes ps)
+  | Coda seed ->
+    let t = Build.coda_like ~seed ~target:200 () in
+    (t, Array.init (Tree.size t) (fun v -> Ref_name.of_string (Tree.name_string t v)))
 
 let prop_name_ops_match =
   QCheck.Test.make ~name:"interning: every Name op matches the string-list reference"
-    ~count:500
-    QCheck.(pair arb_components arb_components)
-    (fun (a, b) ->
-      let na = name_of_ref a and nb = name_of_ref b in
-      String.equal (Name.to_string na) (Ref_name.to_string a)
-      && Name.components na = a
-      && Name.depth na = Ref_name.depth a
-      && Name.basename na = Ref_name.basename a
-      && (match (Name.parent na, Ref_name.parent a) with
-         | None, None -> true
-         | Some n, Some r -> Name.equal n (name_of_ref r)
-         | _ -> false)
-      && Name.is_ancestor na nb = Ref_name.is_ancestor a b
-      && Name.is_ancestor nb na = Ref_name.is_ancestor b a
-      && List.equal Name.equal (Name.ancestors na)
-           (List.map name_of_ref (Ref_name.ancestors a))
-      && Name.equal
-           (Name.lowest_common_ancestor na nb)
-           (name_of_ref (Ref_name.lowest_common_ancestor a b))
-      && Name.distance na nb = Ref_name.distance a b
-      && Name.equal na nb = Ref_name.equal a b
-      &&
-      let sign c = if c < 0 then -1 else if c > 0 then 1 else 0 in
-      sign (Name.compare na nb) = sign (Ref_name.compare a b))
+    ~count:300 arb_shape_and_pairs
+    (fun (shape, pairs) ->
+      let t, refs = tree_and_refs shape in
+      let same v r = Ref_name.equal refs.(v) r in
+      let node_ok a =
+        let r = refs.(a) in
+        String.equal (Tree.name_string t a) (Ref_name.to_string r)
+        && Tree.depth t a = Ref_name.depth r
+        && (match (Tree.parent t a, Ref_name.parent r) with
+           | None, None -> true
+           | Some p, Some rp -> same p rp
+           | _ -> false)
+        && List.for_all
+             (fun d -> same (Tree.ancestor_at_depth t a d) (Ref_name.ancestor_at_depth r d))
+             (List.init (Ref_name.depth r + 1) Fun.id)
+      in
+      let pair_ok (a, b) =
+        let ra = refs.(a) and rb = refs.(b) in
+        node_ok a
+        && Tree.is_ancestor t a b = Ref_name.is_ancestor ra rb
+        && Tree.is_ancestor t b a = Ref_name.is_ancestor rb ra
+        && same (Tree.lca t a b) (Ref_name.lowest_common_ancestor ra rb)
+        && Tree.distance t a b = Ref_name.distance ra rb
+      in
+      let n = Tree.size t in
+      n = Array.length refs && List.for_all (fun (a, b) -> pair_ok (a mod n, b mod n)) pairs)
 
+(* [Tree.find_string] is the name parser now: canonical, respelled and
+   absent paths must resolve as the reference parser reads them. *)
 let prop_name_roundtrip_via_strings =
   QCheck.Test.make ~name:"interning: of_string agrees with the reference parser" ~count:300
-    arb_components
-    (fun a ->
-      let s = Ref_name.to_string a in
-      Name.equal (Name.of_string s) (name_of_ref (Ref_name.of_string s)))
-
-let prop_name_hash_consing =
-  QCheck.Test.make ~name:"interning: equal names share one id; ids are dense" ~count:300
-    arb_components
-    (fun a ->
-      let n1 = name_of_ref a and n2 = Name.of_string (Ref_name.to_string a) in
-      Name.id n1 = Name.id n2
-      && Name.hash n1 = Name.id n1
-      && Name.id n1 >= 0
-      && Name.id n1 < Name.interned_count ())
-
-let prop_name_child =
-  QCheck.Test.make ~name:"interning: child agrees with the reference" ~count:300
-    QCheck.(pair arb_components (int_bound 3))
-    (fun (a, i) ->
-      let c = string_of_int i in
-      Name.equal (Name.child (name_of_ref a) c) (name_of_ref (Ref_name.child a c)))
+    arb_shape_and_pairs
+    (fun (shape, _) ->
+      let t, refs = tree_and_refs shape in
+      let parses_to v s =
+        Ref_name.equal (Ref_name.of_string s) refs.(v) && Tree.find_string t s = Some v
+      in
+      Array.length refs = Tree.size t
+      && Tree.fold t ~init:true ~f:(fun ok v ->
+             let r = refs.(v) in
+             ok
+             && parses_to v (Ref_name.to_string r)
+             && parses_to v (String.concat "//" r ^ "/")
+             && Tree.find_string t (Ref_name.to_string (r @ [ "absent" ])) = None))
 
 (* ------------------------------------------------------------------ *)
-(* Tree lookups through interned names                                 *)
+(* Tree lookups by rendered name                                       *)
 (* ------------------------------------------------------------------ *)
 
 let tree_roundtrip () =
   let tree = Build.balanced ~arity:3 ~levels:4 in
   for v = 0 to Tree.size tree - 1 do
-    let n = Tree.name tree v in
-    (match Tree.find tree n with
-    | Some v' -> Alcotest.(check int) "find (name v) = v" v v'
-    | None -> Alcotest.failf "vertex %d not found by its own name" v);
-    match Tree.find_string tree (Name.to_string n) with
+    match Tree.find_string tree (Tree.name_string tree v) with
     | Some v' -> Alcotest.(check int) "find_string roundtrip" v v'
     | None -> Alcotest.failf "vertex %d not found by its path string" v
   done;
-  let interned = Name.interned_count () in
-  Alcotest.(check (option int)) "unknown path" None (Tree.find_string tree "/no/such/node");
-  Alcotest.(check int) "lookups intern nothing" interned (Name.interned_count ())
-
-(* The (parent, component) -> id table starts at 1024 slots and doubles
-   whenever it passes half full, so it has at most max(1024, ~4 x
-   interned) slots when this test starts: 16 x (interned + 1024) fresh
-   names grow it at least three times.  Re-interning every one of them
-   afterwards must return its original id. *)
-let flat_table_growth () =
-  let n = 16 * (Name.interned_count () + 1024) in
-  let parents = Array.init 64 (fun i -> Name.of_components [ "growth"; string_of_int i ]) in
-  let key i = (parents.(i mod 64), Printf.sprintf "g%d" i) in
-  let ids = Array.init n (fun i -> Name.id (Name.child (fst (key i)) (snd (key i)))) in
-  Array.iteri
-    (fun i id ->
-      let parent, c = key i in
-      if Name.id (Name.child parent c) <> id then
-        Alcotest.failf "(%s, %s) re-interned to a new id" (Name.to_string parent) c)
-    ids
+  Alcotest.(check (option int)) "unknown path" None (Tree.find_string tree "/no/such/node")
 
 (* ------------------------------------------------------------------ *)
 (* Pqueue (SoA heap) vs a stable-sorted list reference                 *)
@@ -425,17 +426,8 @@ let () =
   Alcotest.run "interning"
     [
       ( "names",
-        q
-          [
-            prop_name_ops_match;
-            prop_name_roundtrip_via_strings;
-            prop_name_hash_consing;
-            prop_name_child;
-          ]
-        @ [
-            Alcotest.test_case "tree name/find roundtrip" `Quick tree_roundtrip;
-            Alcotest.test_case "flat child table survives growth" `Quick flat_table_growth;
-          ] );
+        q [ prop_name_ops_match; prop_name_roundtrip_via_strings ]
+        @ [ Alcotest.test_case "tree name/find roundtrip" `Quick tree_roundtrip ] );
       ("scheduler", q [ prop_heap_matches_reference ]);
       ("meters", q [ prop_load_meter_matches ]);
       ( "rng",

@@ -1,56 +1,75 @@
-(* Tests for hierarchical names, interned trees and namespace generators. *)
+(* Tests for hierarchical names, trees and namespace generators. *)
 
 open Terradir_namespace
 
-let name = Alcotest.testable Name.pp Name.equal
+(* ------------------------------------------------------------------ *)
+(* Names: paths rendered and parsed by a tree                          *)
+(* ------------------------------------------------------------------ *)
 
-(* ------------------------------------------------------------------ *)
-(* Name                                                                *)
-(* ------------------------------------------------------------------ *)
+(* The node at [path], which the test expects to exist. *)
+let node t path =
+  match Tree.find_string t path with Some v -> v | None -> Alcotest.failf "%s not in the tree" path
 
 let test_name_parse_print () =
   List.iter
     (fun (input, expected) ->
-      Alcotest.(check string) input expected (Name.to_string (Name.of_string input)))
+      let t = Build.of_paths [ input ] in
+      Alcotest.(check string) input expected (Tree.name_string t (node t input));
+      Alcotest.(check string) (input ^ ", found by its rendering") expected
+        (Tree.name_string t (node t expected)))
     [
       ("/university/private", "/university/private");
       ("university/private", "/university/private");
       ("//a///b/", "/a/b");
+      ("/a/b/", "/a/b");
       ("/", "/");
       ("", "/");
-    ]
+    ];
+  Alcotest.(check int) "the root path adds no node" 1 (Tree.size (Build.of_paths [ "/"; ""; "//" ]));
+  let t = Build.of_paths [ "/a/b" ] in
+  Alcotest.(check (option int)) "absent" None (Tree.find_string t "/a/c");
+  Alcotest.(check (option int)) "no partial component" None (Tree.find_string t "/a/bb")
 
 let test_name_components () =
-  let n = Name.of_string "/a/b/c" in
-  Alcotest.(check (list string)) "components" [ "a"; "b"; "c" ] (Name.components n);
-  Alcotest.(check int) "depth" 3 (Name.depth n);
-  Alcotest.(check int) "root depth" 0 (Name.depth Name.root)
+  let t = Build.of_paths [ "/a/b/c" ] in
+  let c = node t "/a/b/c" in
+  Alcotest.(check (list string)) "one node per component"
+    [ "/"; "/a"; "/a/b"; "/a/b/c" ]
+    (List.init 4 (fun d -> Tree.name_string t (Tree.ancestor_at_depth t c d)));
+  Alcotest.(check int) "depth" 3 (Tree.depth t c);
+  Alcotest.(check int) "root depth" 0 (Tree.depth t Tree.root)
 
 let test_name_child_parent () =
-  let n = Name.of_string "/a/b" in
-  Alcotest.check name "child" (Name.of_string "/a/b/c") (Name.child n "c");
-  Alcotest.check (Alcotest.option name) "parent" (Some (Name.of_string "/a")) (Name.parent n);
-  Alcotest.check (Alcotest.option name) "root parent" None (Name.parent Name.root);
-  Alcotest.(check (option string)) "basename" (Some "b") (Name.basename n);
-  Alcotest.(check (option string)) "root basename" None (Name.basename Name.root);
-  Alcotest.check_raises "bad component" (Invalid_argument "Name: component contains '/'")
-    (fun () -> ignore (Name.child n "x/y"));
-  Alcotest.check_raises "empty component" (Invalid_argument "Name: empty component") (fun () ->
-      ignore (Name.of_components [ "a"; "" ]))
+  let b = Tree.Builder.create () in
+  let a = Tree.Builder.add_child b Tree.root "a" in
+  let ab = Tree.Builder.add_child b a "b" in
+  let abc = Tree.Builder.add_child b ab "c" in
+  let t = Tree.Builder.freeze b in
+  Alcotest.(check string) "child" "/a/b/c" (Tree.name_string t abc);
+  Alcotest.(check (option int)) "parent" (Some a) (Tree.parent t ab);
+  Alcotest.(check (option int)) "root parent" None (Tree.parent t Tree.root);
+  let b = Tree.Builder.create () in
+  Alcotest.check_raises "bad component" (Invalid_argument "Tree.Builder.add_child: invalid component")
+    (fun () -> ignore (Tree.Builder.add_child b Tree.root "x/y"));
+  Alcotest.check_raises "empty component" (Invalid_argument "Tree.Builder.add_child: invalid component")
+    (fun () -> ignore (Tree.Builder.add_child b Tree.root ""))
 
 let test_name_ancestors () =
-  let n = Name.of_string "/a/b/c" in
+  let t = Build.of_paths [ "/a/b/c" ] in
+  let c = node t "/a/b/c" in
   Alcotest.(check (list string)) "nearest first"
     [ "/a/b"; "/a"; "/" ]
-    (List.map Name.to_string (Name.ancestors n));
-  Alcotest.(check (list string)) "root has none" [] (List.map Name.to_string (Name.ancestors Name.root))
+    (List.init 3 (fun i -> Tree.name_string t (Tree.ancestor_at_depth t c (2 - i))));
+  Alcotest.(check string) "the root is its own" "/"
+    (Tree.name_string t (Tree.ancestor_at_depth t Tree.root 0))
 
 let test_name_is_ancestor () =
+  let t = Build.of_paths [ "/a/b"; "/ab" ] in
   let check a b expected =
     Alcotest.(check bool)
       (Printf.sprintf "%s ancestor of %s" a b)
       expected
-      (Name.is_ancestor (Name.of_string a) (Name.of_string b))
+      (Tree.is_ancestor t (node t a) (node t b))
   in
   check "/" "/a/b" true;
   check "/a" "/a/b" true;
@@ -59,42 +78,58 @@ let test_name_is_ancestor () =
   check "/a" "/ab" false
 
 let test_name_lca_distance () =
-  let lca a b = Name.to_string (Name.lowest_common_ancestor (Name.of_string a) (Name.of_string b)) in
+  let t =
+    Build.of_paths [ "/a/b/c/d"; "/a/c"; "/c"; "/u/public/people/students"; "/u/private" ]
+  in
+  let lca a b = Tree.name_string t (Tree.lca t (node t a) (node t b)) in
   Alcotest.(check string) "lca siblings" "/a" (lca "/a/b" "/a/c");
   Alcotest.(check string) "lca disjoint" "/" (lca "/a/b" "/c");
   Alcotest.(check string) "lca nested" "/a/b" (lca "/a/b" "/a/b/c/d");
-  let dist a b = Name.distance (Name.of_string a) (Name.of_string b) in
+  let dist a b = Tree.distance t (node t a) (node t b) in
   (* The paper's example: /u/private from /u/public/people/students/Lisa. *)
   Alcotest.(check int) "paper example" 4 (dist "/u/public/people/students" "/u/private");
   Alcotest.(check int) "self" 0 (dist "/a/b" "/a/b");
   Alcotest.(check int) "parent" 1 (dist "/a/b" "/a")
 
-let name_gen =
-  QCheck.Gen.(
-    map
-      (fun parts -> Name.of_components (List.map (fun i -> string_of_int i) parts))
-      (list_size (int_bound 6) (int_bound 3)))
+(* Random namespaces over a small alphabet, so cousins share components;
+   the properties below pick nodes of one by index. *)
+let arb_named_tree =
+  let path = QCheck.Gen.(list_size (int_bound 6) (map string_of_int (int_bound 3))) in
+  QCheck.make
+    ~print:(fun (paths, picks) ->
+      Printf.sprintf "paths [%s], picks [%s]"
+        (String.concat "; " (List.map (fun cs -> "/" ^ String.concat "/" cs) paths))
+        (String.concat "; " (List.map string_of_int picks)))
+    QCheck.Gen.(pair (list_size (int_range 1 12) path) (list_size (int_range 3 6) (int_bound 1000)))
 
-let arb_name = QCheck.make ~print:Name.to_string name_gen
+let named_tree (paths, picks) =
+  let t = Build.of_paths (List.map (fun cs -> "/" ^ String.concat "/" cs) paths) in
+  (t, List.map (fun i -> i mod Tree.size t) picks)
 
 let prop_name_roundtrip =
-  QCheck.Test.make ~name:"name: of_string/to_string roundtrip" ~count:300 arb_name (fun n ->
-      Name.equal n (Name.of_string (Name.to_string n)))
+  QCheck.Test.make ~name:"name: of_string/to_string roundtrip" ~count:300 arb_named_tree (fun input ->
+      let t, _ = named_tree input in
+      Tree.fold t ~init:true ~f:(fun ok v -> ok && Tree.find_string t (Tree.name_string t v) = Some v))
 
 let prop_distance_metric =
-  QCheck.Test.make ~name:"name: distance is a metric (tree metric axioms)" ~count:300
-    QCheck.(triple arb_name arb_name arb_name)
-    (fun (a, b, c) ->
-      let d = Name.distance in
-      d a b = d b a
-      && d a b >= 0
-      && (d a b = 0) = Name.equal a b
-      && d a c <= d a b + d b c)
+  QCheck.Test.make ~name:"name: distance is a metric (tree metric axioms)" ~count:300 arb_named_tree
+    (fun input ->
+      match named_tree input with
+      | t, a :: b :: c :: _ ->
+        let d = Tree.distance t in
+        d a b = d b a && d a b >= 0 && (d a b = 0) = (a = b) && d a c <= d a b + d b c
+      | _ -> false)
 
 let prop_ancestor_distance =
-  QCheck.Test.make ~name:"name: ancestors are at their depth difference" ~count:200 arb_name
-    (fun n ->
-      List.for_all (fun a -> Name.distance n a = Name.depth n - Name.depth a) (Name.ancestors n))
+  QCheck.Test.make ~name:"name: ancestors are at their depth difference" ~count:200 arb_named_tree
+    (fun input ->
+      let t, picks = named_tree input in
+      List.for_all
+        (fun v ->
+          List.for_all
+            (fun d -> Tree.distance t v (Tree.ancestor_at_depth t v d) = Tree.depth t v - d)
+            (List.init (Tree.depth t v + 1) Fun.id))
+        picks)
 
 (* ------------------------------------------------------------------ *)
 (* Tree                                                                *)
@@ -170,12 +205,17 @@ let test_builder_validation () =
     (fun () -> ignore (Tree.Builder.add_child b Tree.root "a"));
   Alcotest.check_raises "bad parent" (Invalid_argument "Tree.Builder.add_child: bad parent id")
     (fun () -> ignore (Tree.Builder.add_child b 99 "x"));
+  Alcotest.check_raises "empty component" (Invalid_argument "Tree.Builder.add_child: invalid component")
+    (fun () -> ignore (Tree.Builder.add_child b Tree.root ""));
+  Alcotest.check_raises "component with a slash"
+    (Invalid_argument "Tree.Builder.add_child: invalid component") (fun () ->
+      ignore (Tree.Builder.add_child b Tree.root "a/b"));
   let t = Tree.Builder.freeze b in
   Tree.check_invariants t;
   Alcotest.check_raises "sealed" (Invalid_argument "Tree.Builder.add_child: builder is sealed")
     (fun () -> ignore (Tree.Builder.add_child b Tree.root "z"))
 
-(* [find] and [find_string] walk the tree down from the root; the
+(* [find_string] walks the tree down from the root; the
    reference is a linear scan for the node whose rendered name is the
    path.  Trees come from [of_paths] over a small alphabet (so siblings
    share components with cousins) and from [coda_like]; queries mix the
@@ -205,17 +245,19 @@ let prop_find_matches_linear =
         | `Paths ps -> Build.of_paths (List.map (fun cs -> "/" ^ String.concat "/" cs) ps)
         | `Coda seed -> Build.coda_like ~seed ~target:300 ()
       in
-      let own = List.map (fun i -> Name.components (Tree.name t (i mod Tree.size t))) picks in
+      let components v = List.filter (( <> ) "") (String.split_on_char '/' (Tree.name_string t v)) in
+      let own = List.map (fun i -> components (i mod Tree.size t)) picks in
       List.for_all
         (fun cs ->
           let expected = linear_find t cs in
-          Tree.find t (Name.of_components cs) = expected
-          && Tree.find_string t ("/" ^ String.concat "/" cs) = expected
+          Tree.find_string t ("/" ^ String.concat "/" cs) = expected
+          && Tree.find_string t (String.concat "/" cs) = expected
           && Tree.find_string t (String.concat "//" cs ^ "/") = expected)
         (absent @ own))
 
-(* The shared tree is paid for per node at every scale: spans, name ids
-   and children arrays, nothing per-node besides. *)
+(* The shared tree is paid for per node at every scale: spans, components
+   and children arrays, nothing per-node besides.  The names are counted:
+   the tree is the only place they live. *)
 let test_tree_words_per_node () =
   let t = Build.balanced ~arity:2 ~levels:14 in
   let words = Obj.reachable_words (Obj.repr t) in
@@ -373,12 +415,23 @@ let prop_spans_match_lift_walk =
       let n = Tree.size t in
       spans_agree t (a mod n) (b mod n))
 
+(* Name-level distance, read off the rendered paths alone: hops up from
+   each name to their longest common prefix. *)
+let name_level_distance t a b =
+  let comps v = List.filter (( <> ) "") (String.split_on_char '/' (Tree.name_string t v)) in
+  let rec common = function
+    | x :: xs, y :: ys when String.equal x y -> 1 + common (xs, ys)
+    | _ -> 0
+  in
+  let ca = comps a and cb = comps b in
+  List.length ca + List.length cb - (2 * common (ca, cb))
+
 let prop_tree_distance_equals_name_distance =
   QCheck.Test.make ~name:"tree: interned distance = name-level distance" ~count:100
     QCheck.(pair (int_bound 62) (int_bound 62))
     (fun (a, b) ->
       let t = Build.balanced ~arity:2 ~levels:5 in
-      Tree.distance t a b = Name.distance (Tree.name t a) (Tree.name t b))
+      Tree.distance t a b = name_level_distance t a b)
 
 let () =
   Alcotest.run "terradir_namespace"

@@ -119,8 +119,8 @@ let test_outbox_bypass () =
 
 (* The interprocedural part: a non-exported helper whose only references
    sit inside [Mutex.protect lock (fun () -> ...)] closures inherits the
-   guard (this is what proves Name.intern_child safe).  Exporting the
-   helper through the .mli forfeits the proof: anyone may call it bare. *)
+   guard, so its bare write into [table] is safe.  Exporting the helper
+   through the .mli forfeits the proof: anyone may call it bare. *)
 let test_guard_fixpoint () =
   let source =
     "let lock = Mutex.create ()\n\

@@ -43,12 +43,9 @@
    benchmark's [mem.bytes_per_server].  A table store's row is split the
    same way into indented rows that sum to it: its content (maps,
    Blooms), then its structure (entry records, hash index, LRU links, and
-   the slots and records that remain).  Below the total, [names
-   (process-wide)] is what building the tree added to the live heap
-   besides the tree itself (the intern table, which no root reaches),
-   and [other live] is the rest of the live heap (engine, cluster
-   arrays, metrics), so total, names and other live sum to the live
-   heap.  [Obj.reachable_words] needs memory of its own in proportion to
+   the slots and records that remain).  Below the total, [other live]
+   is the rest of the live heap (engine, cluster arrays, metrics), so
+   total and other live sum to the live heap.  [Obj.reachable_words] needs memory of its own in proportion to
    the heap it walks: at 10k servers this command peaks at about 370 MB
    RSS (VmHWM), where the benchmark's run of the same deployment peaks at
    about 230 MB ([peak_rss_mb], 2-core Intel Xeon container).  Never
@@ -227,7 +224,7 @@ let live_words () =
   Gc.full_major ();
   (Gc.stat ()).Gc.live_words
 
-let print_breakdown (cluster : Cluster.t) ~names ~label =
+let print_breakdown (cluster : Cluster.t) ~label =
   let live = live_words () in
   let live_mb = float_of_int (live * (Sys.word_size / 8)) /. 1e6 in
   let servers = Array.to_list cluster.Cluster.servers in
@@ -267,8 +264,7 @@ let print_breakdown (cluster : Cluster.t) ~names ~label =
       ([], 0) stores
   in
   Printf.printf "%-28s %10.1f\n" "total" (per_server total);
-  Printf.printf "%-28s %10.1f\n" "names (process-wide)" (per_server names);
-  Printf.printf "%-28s %10.1f\n" "other live" (per_server (live - total - names));
+  Printf.printf "%-28s %10.1f\n" "other live" (per_server (live - total));
   Printf.printf "%-28s %10.1f\n" "live heap" (per_server live)
 
 (* The benchmark's uniform deployment: Fig. 9 sizing on one engine
@@ -285,16 +281,13 @@ let run_uniform cluster ~rate ~duration ~seed =
   Cluster.run_until cluster (Scenario.stream_end d +. 2.0)
 
 let run_mem ~servers ~duration ~seed =
-  let before = live_words () in
   let tree = Terradir_namespace.Build.balanced_for ~servers in
-  let names = live_words () - before - reachable [ Obj.repr tree ] in
   let config = uniform_config ~servers in
   let rate = Common.analytic_rate ~rho:0.5 config tree in
   let cluster = Cluster.create ~config ~tree () in
-  print_breakdown cluster ~names ~label:"after set-up";
+  print_breakdown cluster ~label:"after set-up";
   run_uniform cluster ~rate ~duration ~seed;
-  print_breakdown cluster ~names
-    ~label:(Printf.sprintf "after %g s of uniform lookups at %.0f/s" duration rate)
+  print_breakdown cluster ~label:(Printf.sprintf "after %g s of uniform lookups at %.0f/s" duration rate)
 
 (* ---- gc: per-phase collector time from runtime_events ---- *)
 

@@ -38,9 +38,10 @@
        environment).  A helper that is only ever named inside
        [Mutex.protect lock (fun () -> ...)] is thereby proven to run
        with [lock] held even though its own body takes no lock — e.g.
-       [Name.intern_child].  Exported functions (named in the [.mli],
-       or every function when there is no [.mli]) and lane entries get
-       the empty environment: anyone may call them bare.
+       [helper] in test_racecheck's guard-fixpoint case.  Exported
+       functions (named in the [.mli], or every function when there is
+       no [.mli]) and lane entries get the empty environment: anyone may
+       call them bare.
 
    and reports:
 
