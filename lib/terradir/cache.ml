@@ -15,7 +15,7 @@ type t = {
 let create ?(obs = Obs.null) ?(owner = -1) ~slots ~r_map ~rng () =
   if r_map < 1 then invalid_arg "Cache.create: r_map must be >= 1";
   {
-    lru = Lru.create ~capacity:slots;
+    lru = Lru.create ~capacity:slots ();
     r_map;
     rng;
     obs;

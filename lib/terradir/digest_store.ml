@@ -7,8 +7,7 @@ type t = {
   mutable local_version : int;
   mutable pending_count : int; (* -1: [local] is current; else the next read builds it *)
   mutable pending_iter : (int -> unit) -> unit;
-  remotes : Bloom.t Lru.t;
-  mutable versions : int array; (* LRU slot -> version of its digest; grows with the slots *)
+  remotes : Bloom.t Lru.t; (* server -> its digest, with the digest's version as the int *)
   sent : Packed_table.t; (* peer -> last local version piggybacked, one int each *)
 }
 
@@ -20,8 +19,7 @@ let create ~max_remote () =
     local_version = 0;
     pending_count = -1;
     pending_iter = ignore;
-    remotes = Lru.create ~capacity:max_remote;
-    versions = [||];
+    remotes = Lru.create ~ints:true ~capacity:max_remote ();
     sent = Packed_table.create ();
   }
 
@@ -68,28 +66,19 @@ let rebuild_local_from t ~count ~iter =
 let rebuild_local t ~hosted =
   rebuild_local_from t ~count:(List.length hosted) ~iter:(fun add -> List.iter add hosted)
 
-(* Versions live beside the LRU, indexed by slot — a slot stays its key's
-   until the key leaves — so the LRU holds the Blooms themselves and the
-   routing shortcut reaches a digest without a record in between. *)
+(* Versions are the LRU's int column, so the LRU holds the Blooms
+   themselves and the routing shortcut reaches a digest without a record
+   in between.  A [put] makes its key the most recent: [first] is its slot
+   (or [-1] at capacity 0). *)
 let record_remote t ~server ~version bloom =
   let slot = Lru.slot t.remotes server in
-  if slot < 0 || t.versions.(slot) < version then begin
+  if slot < 0 || Lru.int_at t.remotes slot < version then begin
     Lru.put t.remotes server bloom;
-    let slot = Lru.slot t.remotes server in
-    if slot >= 0 then begin
-      let n = Array.length t.versions in
-      if slot >= n then begin
-        let grown = Array.make (min (Lru.capacity t.remotes) (max (slot + 1) (max 4 (2 * n)))) 0 in
-        Array.blit t.versions 0 grown 0 n;
-        t.versions <- grown
-      end;
-      t.versions.(slot) <- version
-    end
+    match Lru.first t.remotes with -1 -> () | slot -> Lru.set_int_at t.remotes slot version
   end
 
 let remote_version t ~server =
-  let slot = Lru.slot t.remotes server in
-  if slot < 0 then None else Some t.versions.(slot)
+  match Lru.slot t.remotes server with -1 -> None | slot -> Some (Lru.int_at t.remotes slot)
 
 let test_remote t ~server ~node =
   (* [find] rather than [peek]: a consulted digest is useful state, keep it

@@ -118,7 +118,11 @@ module Index = struct
 end
 
 (* The columns are slot-parallel when enabled, else stay empty; they grow
-   with [keys] and move with every swap-remove. *)
+   with [keys] and move with every swap-remove.  [shape] packs the growth
+   cap and the two column flags into one field, [cap lsl 2] over bit 0
+   (ints) and bit 1 (floats): a server holds five tables (hosted nodes,
+   neighbor contexts, ranking, and the two LRUs'), so each field costs
+   40 bytes per server. *)
 type 'a t = {
   mutable keys : int array;
   mutable vals : 'a array; (* created at the first add: no 'a to prefill with before *)
@@ -126,11 +130,13 @@ type 'a t = {
   mutable floats : floatarray;
   mutable len : int;
   index : Index.t;
-  with_ints : bool;
-  with_floats : bool;
+  shape : int;
 }
 
-let create ?(ints = false) ?(floats = false) () =
+let uncapped = max_int lsr 2
+
+let create ?(ints = false) ?(floats = false) ?(cap = uncapped) () =
+  if cap < 0 || cap > uncapped then invalid_arg "Intmap.create: cap out of range";
   {
     keys = [||];
     vals = [||];
@@ -138,9 +144,12 @@ let create ?(ints = false) ?(floats = false) () =
     floats = Float.Array.create 0;
     len = 0;
     index = Index.create ();
-    with_ints = ints;
-    with_floats = floats;
+    shape = (cap lsl 2) lor Bool.to_int ints lor (Bool.to_int floats lsl 1);
   }
+
+let with_ints t = t.shape land 1 <> 0
+
+let with_floats t = t.shape land 2 <> 0
 
 let length t = t.len
 
@@ -148,7 +157,10 @@ let slot t k = Index.find t.index t.keys k
 
 let mem t k = slot t k >= 0
 
-let check t i op = if i < 0 || i >= t.len then invalid_arg ("Intmap." ^ op ^ ": slot out of range")
+let out_of_range op = invalid_arg ("Intmap." ^ op ^ ": slot out of range")
+
+(* Small enough to inline, so a slot accessor costs no call. *)
+let[@inline] check t i op = if i < 0 || i >= t.len then out_of_range op
 
 let key_at t i =
   check t i "key_at";
@@ -189,27 +201,29 @@ let rebuild t n =
 let append t k v cell =
   let i = t.len in
   if i = Array.length t.keys then begin
-    let cap = max 4 (2 * i) in
-    let keys = Array.make cap 0 and vals = Array.make cap v in
+    let want = max 4 (2 * i) in
+    let cap = t.shape lsr 2 in
+    let size = if i < cap then min cap want else want in
+    let keys = Array.make size 0 and vals = Array.make size v in
     Array.blit t.keys 0 keys 0 i;
     Array.blit t.vals 0 vals 0 i;
     t.keys <- keys;
     t.vals <- vals;
-    if t.with_ints then begin
-      let ints = Array.make cap 0 in
+    if with_ints t then begin
+      let ints = Array.make size 0 in
       Array.blit t.ints 0 ints 0 i;
       t.ints <- ints
     end;
-    if t.with_floats then begin
-      let floats = Float.Array.make cap 0.0 in
+    if with_floats t then begin
+      let floats = Float.Array.make size 0.0 in
       Float.Array.blit t.floats 0 floats 0 i;
       t.floats <- floats
     end
   end;
   t.keys.(i) <- k;
   t.vals.(i) <- v;
-  if t.with_ints then t.ints.(i) <- 0;
-  if t.with_floats then Float.Array.set t.floats i 0.0;
+  if with_ints t then t.ints.(i) <- 0;
+  if with_floats t then Float.Array.set t.floats i 0.0;
   t.len <- i + 1;
   if 2 * t.len > Index.size t.index then rebuild t (Index.grown t.index ~live:t.len)
   else Index.insert_at t.index cell i
@@ -224,18 +238,19 @@ let replace t k v =
   | p when p >= 0 -> t.vals.(p) <- v
   | p -> append t k v (-1 - p)
 
+let clear t =
+  t.keys <- [||];
+  t.vals <- [||];
+  t.ints <- [||];
+  t.floats <- Float.Array.create 0;
+  t.len <- 0;
+  Index.reset t.index 0
+
 let remove_at t i =
   check t i "remove_at";
   let last = t.len - 1 in
-  if last = 0 then begin
-    (* Emptied: back to the created state, holding no stale value. *)
-    t.keys <- [||];
-    t.vals <- [||];
-    t.ints <- [||];
-    t.floats <- Float.Array.create 0;
-    t.len <- 0;
-    Index.reset t.index 0
-  end
+  if last = 0 then (* Emptied: back to the created state, holding no stale value. *)
+    clear t
   else begin
     Index.remove t.index t.keys.(i) i;
     if i < last then begin
@@ -243,8 +258,8 @@ let remove_at t i =
       Index.move t.index moved ~from:last ~to_:i;
       t.keys.(i) <- moved;
       t.vals.(i) <- t.vals.(last);
-      if t.with_ints then t.ints.(i) <- t.ints.(last);
-      if t.with_floats then Float.Array.set t.floats i (Float.Array.get t.floats last)
+      if with_ints t then t.ints.(i) <- t.ints.(last);
+      if with_floats t then Float.Array.set t.floats i (Float.Array.get t.floats last)
     end;
     (* Slot [last] is free; point it at a live value so it pins nothing. *)
     t.vals.(last) <- t.vals.(0);

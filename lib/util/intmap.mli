@@ -4,8 +4,9 @@
     swap-removes the last entry into the hole — so a sweep over the
     entries is a sequential walk of [0 .. length t - 1].  An
     open-addressing {!Index} of 2-byte cells (4-byte past 2^16 positions)
-    finds a key's slot.  Every array starts empty and doubles on demand;
-    a table emptied by {!remove} returns to its created state.
+    finds a key's slot.  Every array starts empty and doubles on demand
+    (up to the growth cap, if one is set); a table emptied by {!remove}
+    or {!clear} returns to its created state.
 
     A table may also keep an int column and a float column: one more int
     or unboxed float per slot, beside the value, which grows with the keys
@@ -19,9 +20,13 @@
 
 type 'a t
 
-val create : ?ints:bool -> ?floats:bool -> unit -> 'a t
+val create : ?ints:bool -> ?floats:bool -> ?cap:int -> unit -> 'a t
 (** An empty table: two small records, no arrays.  [ints] and [floats]
-    (default [false]) add the int and the float column. *)
+    (default [false]) add the int and the float column.  [cap] bounds
+    growth: while a table holds at most [cap] entries, no array is longer
+    than [cap] (a 24-entry table stops at 24 slots, not 32).  It does not
+    bound the table, which grows past it by doubling.  Default: no cap.
+    @raise Invalid_argument if [cap] is negative or above [max_int lsr 2]. *)
 
 val length : 'a t -> int
 
@@ -66,6 +71,9 @@ val remove : 'a t -> int -> unit
 (** Unbind [k] (no-op when absent); the last slot's entry moves into [k]'s
     slot. *)
 
+val clear : 'a t -> unit
+(** Drop every entry and release the arrays: back to the created state. *)
+
 val remove_at : 'a t -> int -> unit
 (** {!remove} of the key in slot [i].  Only slots [>= i] change, so a walk
     from the last slot down to 0 may remove as it goes. *)
@@ -80,18 +88,10 @@ val set_key_unchecked : 'a t -> int -> int -> unit
 (** Overwrite slot [i]'s key without touching the index — only for tests
     that inject a violation the auditor must catch. *)
 
-(** The open-addressing index on its own, for tables that keep keys in
-    slots of their own ({!Lru}).  It maps a key to a slot via the owner's
-    per-slot key array, probing linearly from {!Index.hash}.  Each probe
-    position is one cell of a [Bytes] block: [0] for empty, [1] for a
-    tombstone, [slot + 2] for an entry.  Cells take 2 bytes while the
-    index has at most 2^16 positions, which holds tables of up to 32,768
-    entries, and 4 bytes beyond: the {!Index.reset} that grows the index
-    past 2^16 positions widens them, so there is no capacity limit.
-    Sizes are powers of two; the owner keeps live entries at most half
-    the size (see {!Index.grown}), and so every slot below half the size,
-    and rebuilds when {!Index.crowded} says tombstones have piled up.
-    Lookups read the cells unboxed and allocate nothing. *)
+(** The open-addressing index from key to slot: one cell per probe
+    position in a [Bytes] block, 2 bytes while the index has at most 2^16
+    positions and 4 bytes beyond, with live entries at most half the
+    positions.  Lookups read the cells unboxed and allocate nothing. *)
 module Index : sig
   type t
 
@@ -99,33 +99,6 @@ module Index : sig
   (** The non-negative scramble of a key that probing starts from (keys
       are dense ids, which the raw low bits would cluster); {!Packed_table}
       probes from it too. *)
-
-  val create : unit -> t
-  (** Size 0: {!find} answers [-1] and no insertion is possible. *)
-
-  val size : t -> int
-
-  val find : t -> int array -> int -> int
-  (** [find ix keys k]: the slot whose key ([keys.(slot)]) is [k], or [-1]. *)
-
-  val insert : t -> int -> int -> unit
-  (** [insert ix k slot]; [k] must be absent, the index must have room and
-      [slot] must be below half its size. *)
-
-  val remove : t -> int -> int -> unit
-  (** [remove ix k slot] tombstones the entry for [k], which is in [slot]. *)
-
-  val grown : t -> live:int -> int
-  (** The size that holds [live] entries at most half full: the current
-      size (at least 8), doubled as often as needed. *)
-
-  val crowded : t -> bool
-  (** Tombstones fill more than a quarter of the index. *)
-
-  val reset : t -> int -> unit
-  (** Empty the index at the given size (0 or a power of two), with the
-      cell width that size takes; the owner then re-inserts its live
-      entries. *)
 end
 
 val index : 'a t -> Index.t

@@ -1,58 +1,37 @@
-(* Flat, index-linked LRU: entries live in parallel arrays (key, value)
-   indexed by slot, with the recency links as slot indices in one [Bytes]
-   block and an {!Intmap.Index} from key to slot.  No per-entry heap node
-   and no hash-bucket cons — [put]/[find]/eviction allocate nothing once
-   the arrays have grown to the entries held.
+(* Bounded LRU over an {!Intmap}: the table holds keys, values, the
+   key → slot index and the optional int column; this module adds the
+   recency list, as slot links in one [Bytes] block.  No per-entry heap
+   node and no hash-bucket cons — [put]/[find]/eviction allocate nothing
+   once the arrays have grown to the entries held.
 
-   Every array is sized by use, not by capacity: the slot arrays start
-   empty and double up to [capacity]; the index doubles while live
-   entries exceed half of it, so it never outgrows [2 × capacity]
-   rounded up to a power of two.  Slots are handed out freed-first (most
-   recently freed, threaded through [next]), then fresh in ascending
-   order — a key keeps its slot until it leaves, and [keys_into] sweeps
-   only slots ever used. *)
+   The list is circular through a sentinel at position 0; slot [s] sits
+   at position [s + 1], with two cells there, [prev] (toward the MRU end)
+   then [next] (toward the LRU end), each a position.  The sentinel's
+   [next] is the MRU entry and its [prev] the LRU one, so no record field
+   holds the ends and unlinking needs no end cases.
 
-module Index = Intmap.Index
+   Slots are the table's positions: a removal or eviction swap-removes,
+   moving the last slot's entry (and its int) into the hole, and its two
+   links move with it, its neighbours re-pointed.  The link block grows
+   as the table's arrays do, doubling up to [capacity] slots (plus the
+   sentinel, which the block's padding word mostly absorbs). *)
 
-type 'a t = {
-  capacity : int;
-  mutable keys : int array; (* per-slot key *)
-  mutable vals : 'a array; (* no 'a to prefill with: created at first put *)
-  mutable links : Bytes.t;
-      (* per slot two cells, [prev + 1] (toward the MRU end) then [next + 1]
-         (toward the LRU end; a free slot's next free), [0] for none *)
-  mutable head : int; (* most recently used slot; -1 = empty *)
-  mutable tail : int; (* least recently used slot; -1 = empty *)
-  mutable len : int;
-  mutable free : int; (* most recently freed slot; -1 = none *)
-  mutable fresh : int; (* slots [fresh ..] have never been used *)
-  index : Index.t;
-}
+(* [capacity] is also the table's growth cap; the copy here spares every
+   link access a load through the table (the cursor walk runs on every
+   routing decision). *)
+type 'a t = { capacity : int; map : 'a Intmap.t; mutable links : Bytes.t }
 
-let create ~capacity =
+let create ?(ints = false) ~capacity () =
   if capacity < 0 then invalid_arg "Lru.create: negative capacity";
-  {
-    capacity;
-    keys = [||];
-    vals = [||];
-    links = Bytes.empty;
-    head = -1;
-    tail = -1;
-    len = 0;
-    free = -1;
-    fresh = 0;
-    index = Index.create ();
-  }
+  { capacity; map = Intmap.create ~ints ~cap:capacity (); links = Bytes.empty }
 
 let capacity t = t.capacity
 
-let length t = t.len
-
-let find_slot t k = Index.find t.index t.keys k
+let length t = Intmap.length t.map
 
 (* ---- links ---- *)
 
-(* A link cell holds a slot + 1, at most [capacity]: 2 bytes while that
+(* A link cell holds a position, at most [capacity]: 2 bytes while that
    fits, 4 beyond, fixed for the table's life.  Both widths are read and
    written with the native-endian primitives, unboxed. *)
 external get16 : Bytes.t -> int -> int = "%caml_bytes_get16"
@@ -65,194 +44,133 @@ external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
 
 let narrow_capacity = 0xFFFF
 
-(* Bytes per slot, as a shift: 2 for two 2-byte cells, 3 for two 4-byte. *)
-let slot_shift capacity = if capacity <= narrow_capacity then 2 else 3
-
 let[@inline] get_cell t c =
-  if t.capacity <= narrow_capacity then get16 t.links (c lsl 1) - 1
-  else Int32.to_int (get32 t.links (c lsl 2)) - 1
+  if capacity t <= narrow_capacity then get16 t.links (c lsl 1) else Int32.to_int (get32 t.links (c lsl 2))
 
 let[@inline] set_cell t c v =
-  if t.capacity <= narrow_capacity then set16 t.links (c lsl 1) (v + 1)
-  else set32 t.links (c lsl 2) (Int32.of_int (v + 1))
+  if capacity t <= narrow_capacity then set16 t.links (c lsl 1) v else set32 t.links (c lsl 2) (Int32.of_int v)
 
-let[@inline] prev t slot = get_cell t (2 * slot)
+let[@inline] prev t p = get_cell t (2 * p)
 
-let[@inline] next t slot = get_cell t ((2 * slot) + 1)
+let[@inline] succ t p = get_cell t ((2 * p) + 1)
 
-let[@inline] set_prev t slot v = set_cell t (2 * slot) v
+let[@inline] set_prev t p v = set_cell t (2 * p) v
 
-let[@inline] set_next t slot v = set_cell t ((2 * slot) + 1) v
+let[@inline] set_succ t p v = set_cell t ((2 * p) + 1) v
 
-(* A recency walk meets at most [len] entries: one more means the links
-   loop, and the walk stops instead of hanging. *)
-let looped () = invalid_arg "Lru: recency walk passed length entries (the links loop)"
-
-(* Re-index every live entry, MRU first, at most [left] of them: a
-   top-level recursion, so a tombstone sweep allocates nothing. *)
-let rec reindex_from t slot left =
-  if slot >= 0 then begin
-    if left = 0 then looped ();
-    Index.insert t.index t.keys.(slot) slot;
-    reindex_from t (next t slot) (left - 1)
+(* Room for position [p] (slot [p - 1]): zeroed cells, no links. *)
+let reserve t p =
+  let pos_bytes = if capacity t <= narrow_capacity then 4 else 8 in
+  let held = Bytes.length t.links / pos_bytes in
+  if p >= held then begin
+    let slots = min (capacity t) (max 4 (2 * (held - 1))) in
+    let links = Bytes.make ((slots + 1) * pos_bytes) '\000' in
+    Bytes.blit t.links 0 links 0 (Bytes.length t.links);
+    t.links <- links
   end
 
-(* Re-index at [size]: after growth, or to sweep tombstones left by
-   removals. *)
-let reindex t size =
-  Index.reset t.index size;
-  reindex_from t t.head t.len
-
-let index_remove t k slot =
-  Index.remove t.index k slot;
-  if Index.crowded t.index then reindex t (Index.size t.index)
+(* A recency walk meets at most [length] entries: one more means the
+   links loop, and the walk stops instead of hanging. *)
+let looped () = invalid_arg "Lru: recency walk passed length entries (the links loop)"
 
 (* ---- recency list ---- *)
 
-let unlink t slot =
-  let p = prev t slot and n = next t slot in
-  if p >= 0 then set_next t p n else t.head <- n;
-  if n >= 0 then set_prev t n p else t.tail <- p;
-  set_prev t slot (-1);
-  set_next t slot (-1)
+let unlink t p =
+  let a = prev t p and b = succ t p in
+  set_succ t a b;
+  set_prev t b a
 
-let push_front t slot =
-  set_next t slot t.head;
-  set_prev t slot (-1);
-  if t.head >= 0 then set_prev t t.head slot else t.tail <- slot;
-  t.head <- slot
+let push_front t p =
+  let mru = succ t 0 in
+  set_prev t p 0;
+  set_succ t p mru;
+  set_prev t mru p;
+  set_succ t 0 p
 
-let promote t slot =
-  if t.head <> slot then begin
-    unlink t slot;
-    push_front t slot
+let promote t p =
+  if succ t 0 <> p then begin
+    unlink t p;
+    push_front t p
   end
 
-(* ---- slots ---- *)
-
-let free_slot t slot =
-  set_next t slot t.free;
-  t.free <- slot;
-  t.len <- t.len - 1
-
-(* Grow the slot arrays (doubling, capped at [capacity]) so that slot
-   [fresh] exists; [v] prefills the value array. *)
-let grow t v =
-  let n = Array.length t.keys in
-  let cap = min t.capacity (max 4 (2 * n)) in
-  let extend a fill =
-    let b = Array.make cap fill in
-    Array.blit a 0 b 0 n;
-    b
-  in
-  t.keys <- extend t.keys 0;
-  t.vals <- extend t.vals v;
-  (* Zeroed cells: no links. *)
-  let links = Bytes.make (cap lsl slot_shift t.capacity) '\000' in
-  Bytes.blit t.links 0 links 0 (Bytes.length t.links);
-  t.links <- links
-
-let take_slot t v =
-  if t.free >= 0 then begin
-    let slot = t.free in
-    t.free <- next t slot;
-    set_next t slot (-1);
-    slot
-  end
-  else begin
-    if t.fresh = Array.length t.keys then grow t v;
-    t.fresh <- t.fresh + 1;
-    t.fresh - 1
-  end
+(* Unlink slot [i] and swap-remove it: the last slot's entry moves into
+   [i], so its links move there too and its neighbours point at [i]. *)
+let drop t i =
+  let p = i + 1 and last = length t in
+  unlink t p;
+  if p < last then begin
+    let a = prev t last and b = succ t last in
+    set_prev t p a;
+    set_succ t p b;
+    set_succ t a p;
+    set_prev t b p
+  end;
+  Intmap.remove_at t.map i
 
 (* ---- operations ---- *)
 
+let slot t k = Intmap.slot t.map k
+
+let[@inline] first t = if length t = 0 then -1 else succ t 0 - 1
+
+let[@inline] next t slot = succ t (slot + 1) - 1
+
+let[@inline] key_at t slot = Intmap.key_at t.map slot
+
+let[@inline] value_at t slot = Intmap.value_at t.map slot
+
+let int_at t slot = Intmap.int_at t.map slot
+
+let set_int_at t slot v = Intmap.set_int_at t.map slot v
+
 let find t k =
-  match find_slot t k with
+  match slot t k with
   | -1 -> None
-  | slot ->
-    promote t slot;
-    Some t.vals.(slot)
+  | i ->
+    promote t (i + 1);
+    Some (value_at t i)
 
-let peek t k = match find_slot t k with -1 -> None | slot -> Some t.vals.(slot)
+let peek t k = match slot t k with -1 -> None | i -> Some (value_at t i)
 
-let remove t k =
-  match find_slot t k with
-  | -1 -> ()
-  | slot ->
-    unlink t slot;
-    index_remove t k slot;
-    free_slot t slot
-
-let evict_lru t =
-  let slot = t.tail in
-  if slot >= 0 then begin
-    unlink t slot;
-    index_remove t t.keys.(slot) slot;
-    free_slot t slot
-  end
+let remove t k = match slot t k with -1 -> () | i -> drop t i
 
 let put t k v =
-  if t.capacity = 0 then ()
-  else
-    match find_slot t k with
-    | slot when slot >= 0 ->
-      t.vals.(slot) <- v;
-      promote t slot
-    | _ ->
-      if t.len >= t.capacity then evict_lru t;
-      let slot = take_slot t v in
-      t.len <- t.len + 1;
-      t.keys.(slot) <- k;
-      t.vals.(slot) <- v;
-      push_front t slot;
-      if 2 * t.len > Index.size t.index then reindex t (Index.grown t.index ~live:t.len)
-      else Index.insert t.index k slot
+  match slot t k with
+  | -1 ->
+    if capacity t > 0 then begin
+      if length t = capacity t then drop t (prev t 0 - 1);
+      Intmap.add t.map k v;
+      let p = length t in
+      reserve t p;
+      push_front t p
+    end
+  | i ->
+    Intmap.set_at t.map i v;
+    promote t (i + 1)
 
 let fold t ~init ~f =
   let rec go acc slot left =
     if slot < 0 then acc
     else if left = 0 then looped ()
-    else go (f acc t.keys.(slot) t.vals.(slot)) (next t slot) (left - 1)
+    else go (f acc (key_at t slot) (value_at t slot)) (next t slot) (left - 1)
   in
-  go init t.head t.len
-
-let slot = find_slot
-
-let index t = t.index
-
-let links t = t.links
-
-(* A slot is occupied iff it has a predecessor or is the head: [unlink]
-   resets a freed slot's [prev] to none. *)
-let keys_into t dst =
-  let n = ref 0 in
-  for slot = 0 to t.fresh - 1 do
-    if slot = t.head || prev t slot >= 0 then begin
-      dst.(!n) <- t.keys.(slot);
-      incr n
-    end
-  done;
-  !n
-
-let first t = t.head
-
-let key_at t slot = t.keys.(slot)
-
-let value_at t slot = t.vals.(slot)
+  go init (first t) (length t)
 
 let iter t ~f = fold t ~init:() ~f:(fun () k v -> f k v)
 
 let keys_mru_order t = List.rev (fold t ~init:[] ~f:(fun acc k _ -> k :: acc))
 
+let keys_into t dst =
+  for i = 0 to length t - 1 do
+    dst.(i) <- key_at t i
+  done;
+  length t
+
+let index t = Intmap.index t.map
+
+let links t = t.links
+
 (* Back to the created state, arrays released. *)
 let clear t =
-  t.keys <- [||];
-  t.vals <- [||];
-  t.links <- Bytes.empty;
-  t.head <- -1;
-  t.tail <- -1;
-  t.len <- 0;
-  t.free <- -1;
-  t.fresh <- 0;
-  Index.reset t.index 0
+  Intmap.clear t.map;
+  t.links <- Bytes.empty

@@ -2,20 +2,21 @@
 
     The TerraDir cache (§2.4 of the paper) stores node → map pointers with
     LRU replacement; an entry is "touched" whenever used in routing.  The
-    implementation is flat: entries live in parallel arrays, an
-    open-addressing int index ({!Intmap.Index}) maps a key to its slot,
-    and the recency list is one [Bytes] block of slot links — per slot
-    [prev + 1] and [next + 1], [0] for none, in 2-byte cells while the
-    capacity is at most 65,535 and 4-byte cells beyond.  All operations
-    are O(1).  The arrays grow with the entries held, up to [capacity], so
-    an idle table costs a record and {!put}/{!find} allocate only while
-    growing. *)
+    implementation is flat: the entries are an {!Intmap} (dense keys and
+    values, its index, an optional int column), and the recency list is
+    one [Bytes] block of slot links — two cells per slot, circular through
+    a sentinel, in 2-byte cells while the capacity is at most 65,535 and
+    4-byte cells beyond.  All operations are O(1).  The arrays grow with
+    the entries held, up to [capacity], so an idle table costs three small
+    records and {!put}/{!find} allocate only while growing. *)
 
 type 'a t
 
-val create : capacity:int -> 'a t
-(** [create ~capacity] holds at most [capacity] entries.  Capacity 0 is a
-    valid always-empty cache. @raise Invalid_argument if negative. *)
+val create : ?ints:bool -> capacity:int -> unit -> 'a t
+(** [create ~capacity ()] holds at most [capacity] entries.  Capacity 0 is
+    a valid always-empty cache.  [ints] (default [false]) adds an int per
+    entry ({!int_at}), 0 when the entry is put, which moves with it.
+    @raise Invalid_argument if negative. *)
 
 val capacity : 'a t -> int
 
@@ -36,8 +37,8 @@ val remove : 'a t -> int -> unit
 val keys_into : 'a t -> int array -> int
 (** [keys_into t dst] writes every key into [dst] (length ≥ [length t]), in
     slot order — not recency order — and returns how many.  A sequential
-    sweep of the key and link arrays, for scans whose result does not
-    depend on visit order. *)
+    sweep of the dense key array, for scans whose result does not depend
+    on visit order. *)
 
 (** {2 Cursor}
 
@@ -46,9 +47,12 @@ val keys_into : 'a t -> int array -> int
     A cursor is invalidated by any mutation of [t] ({!find} included). *)
 
 val slot : 'a t -> int -> int
-(** [slot t k] is [k]'s slot, [-1] when absent; no promotion.  A key keeps
-    its slot until it is removed or evicted, so callers may index per-entry
-    data of their own by slot. *)
+(** [slot t k] is [k]'s slot in [0 .. length t - 1], [-1] when absent; no
+    promotion.  Slots are positions, as in {!Intmap}: a {!remove}, or the
+    eviction a {!put} of a new key may make, moves the last slot's entry
+    into the freed one.  A slot is good until the next {!put} of a new key,
+    {!remove} or {!clear}; per-entry data belongs in the int column, which
+    moves with its entry. *)
 
 val index : 'a t -> Intmap.Index.t
 (** The key → slot index, for memory breakdowns ([prof_main.exe mem]). *)
@@ -66,9 +70,14 @@ val key_at : 'a t -> int -> int
 
 val value_at : 'a t -> int -> 'a
 
+val int_at : 'a t -> int -> int
+(** The int of the entry in a slot (a table made with [~ints:true]). *)
+
+val set_int_at : 'a t -> int -> int -> unit
+
 val iter : 'a t -> f:(int -> 'a -> unit) -> unit
-(** MRU first.  Like every recency walk here ({!keys_mru_order}, the
-    re-index a {!put} or {!remove} may run), it counts its steps.
+(** MRU first.  Like every recency walk here ({!keys_mru_order}), it
+    counts its steps.
     @raise Invalid_argument if it passes {!length} entries: the links
     loop. *)
 

@@ -54,21 +54,27 @@ module Model = struct
   let keys m = List.map fst m.items
 end
 
-type lru_op = Put of int * int | Find of int | Peek of int | Remove of int | Clear
+type lru_op = Put of int * int | Find of int | Peek of int | Remove of int | Clear | Set_int of int * int
 
 (* Keys range a little past the capacity, so a table both fills (and
    evicts) and runs below capacity; [Clear] is rare, and the refill after
-   it regrows the arrays from nothing. *)
-let lru_op_gen ~keys =
+   it regrows the arrays from nothing.  [Set_int] only for tables with
+   the int column ([ints]), at weight [w]. *)
+let set_int_ops ~ints ~keys w =
+  if ints then [ (w, QCheck.Gen.(map2 (fun k x -> Set_int (k, x)) (int_bound keys) (int_range 1 1000))) ]
+  else []
+
+let lru_op_gen ~ints ~keys =
   QCheck.Gen.(
     frequency
-      [
-        (8, map2 (fun k v -> Put (k, v)) (int_bound keys) (int_bound 1000));
-        (6, map (fun k -> Find k) (int_bound keys));
-        (2, map (fun k -> Peek k) (int_bound keys));
-        (2, map (fun k -> Remove k) (int_bound keys));
-        (1, return Clear);
-      ])
+      ([
+         (8, map2 (fun k v -> Put (k, v)) (int_bound keys) (int_bound 1000));
+         (6, map (fun k -> Find k) (int_bound keys));
+         (2, map (fun k -> Peek k) (int_bound keys));
+         (2, map (fun k -> Remove k) (int_bound keys));
+         (1, return Clear);
+       ]
+      @ set_int_ops ~ints ~keys 4))
 
 let show_op = function
   | Put (k, v) -> Printf.sprintf "Put(%d,%d)" k v
@@ -76,46 +82,40 @@ let show_op = function
   | Peek k -> Printf.sprintf "Peek %d" k
   | Remove k -> Printf.sprintf "Remove %d" k
   | Clear -> "Clear"
+  | Set_int (k, x) -> Printf.sprintf "Set_int(%d,%d)" k x
 
 (* The allocation-free views agree with the model after every operation:
-   the cursor walks (key, value) pairs in MRU order, [keys_into] yields the
-   key set, and a key keeps its slot for as long as it stays present
-   ([slots] carries the previous step's key -> slot binding). *)
-let views_agree lru (model : Model.t) slots =
-  let rec walk slot =
-    if slot < 0 then [] else (Lru.key_at lru slot, Lru.value_at lru slot) :: walk (Lru.next lru slot)
-  in
-  let dst = Array.make (max 1 (Lru.length lru)) (-1) in
-  let n = Lru.keys_into lru dst in
-  let stable =
-    List.for_all
-      (fun (k, _) ->
-        let slot = Lru.slot lru k in
-        slot >= 0
-        && Lru.key_at lru slot = k
-        && match Hashtbl.find_opt slots k with Some old -> old = slot | None -> true)
-      model.Model.items
-  in
-  Hashtbl.reset slots;
-  List.iter (fun (k, _) -> Hashtbl.replace slots k (Lru.slot lru k)) model.Model.items;
-  walk (Lru.first lru) = model.Model.items
-  && List.sort Int.compare (Array.to_list (Array.sub dst 0 n)) = List.sort Int.compare (Model.keys model)
-  && stable
+   the cursor walks (key, value) pairs in MRU order and [keys_into]
+   yields the key set.  The structure holds too: the walk from [first]
+   visits exactly [length] distinct slots, all below [length], and each
+   is its own key's slot. *)
+let views_agree lru (model : Model.t) =
+  let n = Lru.length lru in
+  let rec walk slot steps = if slot < 0 || steps > n then [] else slot :: walk (Lru.next lru slot) (steps + 1) in
+  let walked = walk (Lru.first lru) 0 in
+  let dst = Array.make (max 1 n) (-1) in
+  let count = Lru.keys_into lru dst in
+  List.length walked = n
+  && List.length (List.sort_uniq Int.compare walked) = n
+  && List.for_all (fun slot -> slot < n && Lru.slot lru (Lru.key_at lru slot) = slot) walked
+  && List.map (fun slot -> (Lru.key_at lru slot, Lru.value_at lru slot)) walked = model.Model.items
+  && List.sort Int.compare (Array.to_list (Array.sub dst 0 count)) = List.sort Int.compare (Model.keys model)
 
 (* Remove-heavy: fill past the capacity, then mostly removes, so
    tombstones pile up past a quarter of the index and force sweeps
    (reindexing at the same size) between the puts that reuse them. *)
-let lru_drain_gen ~cap ~keys =
+let lru_drain_gen ~ints ~cap ~keys =
   QCheck.Gen.(
     let fill = list_repeat (cap + (cap / 2)) (map2 (fun k v -> Put (k, v)) (int_bound keys) (int_bound 1000)) in
     let drain =
       list_size (int_bound (4 * cap))
         (frequency
-           [
-             (8, map (fun k -> Remove k) (int_bound keys));
-             (2, map2 (fun k v -> Put (k, v)) (int_bound keys) (int_bound 1000));
-             (2, map (fun k -> Find k) (int_bound keys));
-           ])
+           ([
+              (8, map (fun k -> Remove k) (int_bound keys));
+              (2, map2 (fun k v -> Put (k, v)) (int_bound keys) (int_bound 1000));
+              (2, map (fun k -> Find k) (int_bound keys));
+            ]
+           @ set_int_ops ~ints ~keys 2))
     in
     map2 ( @ ) fill drain)
 
@@ -126,7 +126,7 @@ let wide_capacity = 70_000
    arrays 4 → 64 and the index 8 → 128 under the model.  The wide
    capacity runs its links at 4 bytes; its cases are sized as for 64,
    since the model is a list.  One case in three is remove-heavy. *)
-let lru_case_gen =
+let lru_case_gen ~ints =
   QCheck.Gen.(
     frequency [ (4, int_range 0 8); (2, oneofl [ 0; 1; 5; 64 ]); (1, return wide_capacity) ]
     >>= fun cap ->
@@ -136,45 +136,69 @@ let lru_case_gen =
       (fun ops -> (cap, ops))
       (frequency
          [
-           (2, list_size (int_bound (max 60 (4 * sized))) (lru_op_gen ~keys));
-           (1, lru_drain_gen ~cap:sized ~keys);
+           (2, list_size (int_bound (max 60 (4 * sized))) (lru_op_gen ~ints ~keys));
+           (1, lru_drain_gen ~ints ~cap:sized ~keys);
          ]))
+
+let print_case (cap, l) = Printf.sprintf "cap %d: %s" cap (String.concat "; " (List.map show_op l))
+
+(* One step on the LRU and the model; false when a read disagrees.
+   [ints] models the int column: key -> int, 0 for a key put new, kept
+   by a put of a held key, and dropped with the key by an eviction,
+   [Remove] or [Clear]. *)
+let lru_step lru model ints op =
+  match op with
+  | Put (k, v) ->
+    if not (List.mem_assoc k model.Model.items) then Hashtbl.replace ints k 0;
+    Lru.put lru k v;
+    Model.put model k v;
+    Hashtbl.filter_map_inplace (fun k x -> if List.mem_assoc k model.Model.items then Some x else None) ints;
+    true
+  | Find k -> Lru.find lru k = Model.find model k
+  | Peek k -> Lru.peek lru k = Model.peek model k
+  | Remove k ->
+    Lru.remove lru k;
+    Model.remove model k;
+    Hashtbl.remove ints k;
+    true
+  | Clear ->
+    Lru.clear lru;
+    Model.clear model;
+    Hashtbl.reset ints;
+    true
+  | Set_int (k, x) ->
+    (match Lru.slot lru k with -1 -> () | slot -> Lru.set_int_at lru slot x);
+    if Hashtbl.mem ints k then Hashtbl.replace ints k x;
+    true
+
+let run_lru_case ~ints (cap, ops) =
+  let lru = Lru.create ~ints ~capacity:cap () in
+  let model = Model.create cap and model_ints = Hashtbl.create 16 in
+  let ints_agree () =
+    (not ints)
+    || List.for_all
+         (fun (k, _) -> Lru.int_at lru (Lru.slot lru k) = Hashtbl.find model_ints k)
+         model.Model.items
+  in
+  List.for_all (fun op -> lru_step lru model model_ints op && views_agree lru model && ints_agree ()) ops
+  && Lru.keys_mru_order lru = Model.keys model
+  && Lru.length lru = List.length (Model.keys model)
 
 let prop_lru_model =
   QCheck.Test.make ~name:"flat LRU ≡ list model (ops, results, MRU order, both link widths)"
     ~count:500
-    (QCheck.make
-       ~print:(fun (cap, l) ->
-         Printf.sprintf "cap %d: %s" cap (String.concat "; " (List.map show_op l)))
-       lru_case_gen)
-    (fun (cap, ops) ->
-      let lru = Lru.create ~capacity:cap in
-      let model = Model.create cap in
-      let slots = Hashtbl.create 16 in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Put (k, v) ->
-            Lru.put lru k v;
-            Model.put model k v;
-            true
-          | Find k -> Lru.find lru k = Model.find model k
-          | Peek k -> Lru.peek lru k = Model.peek model k
-          | Remove k ->
-            Lru.remove lru k;
-            Model.remove model k;
-            true
-          | Clear ->
-            Lru.clear lru;
-            Model.clear model;
-            true)
-          && views_agree lru model slots)
-        ops
-      && Lru.keys_mru_order lru = Model.keys model
-      && Lru.length lru = List.length (Model.keys model))
+    (QCheck.make ~print:print_case (lru_case_gen ~ints:false))
+    (run_lru_case ~ints:false)
+
+(* With the int column: each key's int follows it through eviction, the
+   swap-remove of [remove] and [clear]. *)
+let prop_lru_ints_model =
+  QCheck.Test.make ~name:"flat LRU int column follows its key (eviction, remove, clear)" ~count:300
+    (QCheck.make ~print:print_case (lru_case_gen ~ints:true))
+    (run_lru_case ~ints:true)
 
 let test_lru_eviction_order () =
-  let lru = Lru.create ~capacity:3 in
+  let lru = Lru.create ~capacity:3 () in
   List.iter (fun k -> Lru.put lru k (10 * k)) [ 1; 2; 3 ];
   ignore (Lru.find lru 1);
   (* 1 promoted: inserting 4 must evict 2, the LRU *)
@@ -192,7 +216,7 @@ let test_lru_eviction_order () =
    least recently used.  Recency order and [keys_into] follow. *)
 let test_lru_wide_links () =
   let n = wide_capacity in
-  let lru = Lru.create ~capacity:n in
+  let lru = Lru.create ~capacity:n () in
   for k = 0 to n - 1 do
     Lru.put lru k k
   done;
@@ -218,21 +242,20 @@ let test_lru_wide_links () =
     (List.sort Int.compare (Array.to_list dst) = List.sort Int.compare expected)
 
 (* Links whose tail points back at the head form a loop.  Every recency
-   walk counts its steps, so each must raise rather than hang: [iter],
-   [keys_mru_order], and the re-index a [put] runs when the index grows. *)
+   walk counts its steps, so each must raise rather than hang: [iter] and
+   [keys_mru_order]. *)
 let test_lru_looped_links () =
   let corrupted () =
-    let lru = Lru.create ~capacity:64 in
-    (* Fill to just below the next index growth. *)
-    Lru.put lru 0 0;
-    while 2 * (Lru.length lru + 1) <= Intmap.Index.size (Lru.index lru) do
-      Lru.put lru (Lru.length lru) 0
+    let lru = Lru.create ~capacity:64 () in
+    for k = 0 to 5 do
+      Lru.put lru k 0
     done;
-    Alcotest.(check bool) "several entries" true (Lru.length lru >= 4);
     let rec tail slot = if Lru.next lru slot < 0 then slot else tail (Lru.next lru slot) in
     let head = Lru.first lru in
-    (* Two-byte cells, [prev + 1] then [next + 1] per slot. *)
-    Bytes.set_uint16_ne (Lru.links lru) (((2 * tail head) + 1) * 2) (head + 1);
+    (* Two-byte cells, [prev] then [next] per position; slot [s] sits at
+       position [s + 1], past the sentinel at 0, and a link holds a
+       position. *)
+    Bytes.set_uint16_ne (Lru.links lru) (((2 * (tail head + 1)) + 1) * 2) (head + 1);
     lru
   in
   let raises what f =
@@ -241,13 +264,8 @@ let test_lru_looped_links () =
     | exception Invalid_argument msg ->
       Alcotest.(check bool) (what ^ " names the LRU") true (String.starts_with ~prefix:"Lru:" msg)
   in
-  let lru = corrupted () in
-  raises "iter" (fun () -> Lru.iter lru ~f:(fun _ _ -> ()));
-  let lru = corrupted () in
-  raises "keys_mru_order" (fun () -> ignore (Lru.keys_mru_order lru : int list));
-  let lru = corrupted () in
-  let k = Lru.length lru in
-  raises "put with a re-index" (fun () -> Lru.put lru k 0)
+  raises "iter" (fun () -> Lru.iter (corrupted ()) ~f:(fun _ _ -> ()));
+  raises "keys_mru_order" (fun () -> ignore (Lru.keys_mru_order (corrupted ()) : int list))
 
 (* ------------------------------------------------------------------ *)
 (* Intmap vs Map                                                       *)
@@ -571,6 +589,61 @@ let prop_sent_model =
            (fun peer -> Digest_store.last_version_sent d ~peer = last peer)
            (List.init 701 Fun.id))
 
+(* Remote digest versions sit in the LRU's int column and move with
+   their entry when an eviction swap-removes.  One store takes digests
+   from more servers than it holds, older and newer versions interleaved,
+   with [test_remote] promotions between; after every call each server's
+   [remote_version] and the [remote_count] match a list model, MRU first,
+   in which a newer version replaces and promotes, an older or equal one
+   is ignored, and a new server evicts the least recently used. *)
+type digest_op = Record of int * int | Consult of int
+
+let prop_remote_versions =
+  let servers = 100 and cap = 64 (* a server's max_remote_digests *) in
+  QCheck.Test.make ~name:"remote digest versions ≡ list model (newer replaces, LRU evicts)" ~count:50
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            list (function
+              | Record (s, v) -> Printf.sprintf "Record(%d,%d)" s v
+              | Consult s -> Printf.sprintf "Consult %d" s))
+        Gen.(
+          list_size (int_bound 1500)
+            (frequency
+               [
+                 (3, map2 (fun s v -> Record (s, v)) (int_bound (servers - 1)) (int_range 1 30));
+                 (1, map (fun s -> Consult s) (int_bound (servers - 1)));
+               ])))
+    (fun ops ->
+      let d = Digest_store.create ~max_remote:cap () in
+      let bloom = Terradir_bloom.Bloom.create ~expected:1 () in
+      let model = ref [] in
+      let promote server version = model := (server, version) :: List.remove_assoc server !model in
+      let step = function
+        | Record (server, version) ->
+          Digest_store.record_remote d ~server ~version bloom;
+          (match List.assoc_opt server !model with
+          | Some held when held >= version -> ()
+          | Some _ -> promote server version
+          | None ->
+            if List.length !model = cap then model := List.filteri (fun i _ -> i < cap - 1) !model;
+            promote server version);
+          true
+        | Consult server ->
+          let held = List.assoc_opt server !model in
+          Option.iter (promote server) held;
+          Option.is_some (Digest_store.test_remote d ~server ~node:0) = Option.is_some held
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Digest_store.remote_count d = List.length !model
+          && List.for_all
+               (fun server -> Digest_store.remote_version d ~server = List.assoc_opt server !model)
+               (List.init servers Fun.id))
+        ops)
+
 (* ------------------------------------------------------------------ *)
 
 (* [rebuild_local_from] over a hash table's arbitrary iteration order
@@ -712,7 +785,7 @@ let () =
         Alcotest.test_case "eviction order and churn" `Quick test_lru_eviction_order
         :: Alcotest.test_case "wide links past 65,535 entries" `Quick test_lru_wide_links
         :: Alcotest.test_case "looped links raise, never hang" `Quick test_lru_looped_links
-        :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_lru_model ] );
+        :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_lru_model; prop_lru_ints_model ] );
       ( "intmap",
         Alcotest.test_case "downward removal" `Quick test_intmap_downward_removal
         :: Alcotest.test_case "wide index past 65,535 entries" `Quick test_intmap_wide_index
@@ -721,7 +794,7 @@ let () =
         Alcotest.test_case "key and payload bounds" `Quick test_packed_bounds
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_packed_model ] );
       ( "digests",
-        List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_digest_rebuild; prop_sent_model ] );
+        List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_digest_rebuild; prop_sent_model; prop_remote_versions ] );
       ( "node_map",
         List.map
           (QCheck_alcotest.to_alcotest ~long:false)

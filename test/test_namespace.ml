@@ -107,7 +107,7 @@ let named_tree (paths, picks) =
   (t, List.map (fun i -> i mod Tree.size t) picks)
 
 let prop_name_roundtrip =
-  QCheck.Test.make ~name:"name: of_string/to_string roundtrip" ~count:300 arb_named_tree (fun input ->
+  QCheck.Test.make ~name:"name: name_string round-trips" ~count:300 arb_named_tree (fun input ->
       let t, _ = named_tree input in
       Tree.fold t ~init:true ~f:(fun ok v -> ok && Tree.find_string t (Tree.name_string t v) = Some v))
 
@@ -238,7 +238,7 @@ let prop_find_matches_linear =
         (list_size (int_bound 20) comps)
         (list_size (int_bound 20) (int_bound 10_000)))
   in
-  QCheck.Test.make ~name:"tree: find/find_string = linear scan" ~count:100 (QCheck.make gen)
+  QCheck.Test.make ~name:"tree: find_string = linear scan" ~count:100 (QCheck.make gen)
     (fun (shape, absent, picks) ->
       let t =
         match shape with

@@ -107,7 +107,7 @@ let test_pin_splitmix () =
 (* New keys into a full LRU: every put evicts, and the tombstones the
    evictions leave force an index sweep every few puts. *)
 let test_pin_lru_churn () =
-  let lru = Lru.create ~capacity:16 and next = ref 0 in
+  let lru = Lru.create ~capacity:16 () and next = ref 0 in
   let put () =
     Lru.put lru !next !next;
     incr next
@@ -161,7 +161,7 @@ let test_pin_slot_accessors () =
   Alcotest.(check bool) "kind kept" true (Server.hosted_kind_at s i = Server.Owned)
 
 let test_pin_table_lookups () =
-  let t = Intmap.create () and lru = Lru.create ~capacity:16 in
+  let t = Intmap.create () and lru = Lru.create ~capacity:16 () in
   for k = 0 to 11 do
     Intmap.add t (k * 7) k;
     Lru.put lru (k * 7) k

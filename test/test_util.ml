@@ -141,7 +141,7 @@ let prop_pqueue_sorted =
 (* ------------------------------------------------------------------ *)
 
 let test_lru_put_find () =
-  let c = Lru.create ~capacity:2 in
+  let c = Lru.create ~capacity:2 () in
   Lru.put c 1 "a";
   Lru.put c 2 "b";
   Alcotest.(check (option string)) "find 1" (Some "a") (Lru.find c 1);
@@ -152,7 +152,7 @@ let test_lru_put_find () =
   Alcotest.(check (option string)) "3 kept" (Some "c") (Lru.find c 3)
 
 let test_lru_eviction_order () =
-  let c = Lru.create ~capacity:3 in
+  let c = Lru.create ~capacity:3 () in
   List.iter (fun k -> Lru.put c k k) [ 1; 2; 3 ];
   Alcotest.(check (list int)) "mru order" [ 3; 2; 1 ] (Lru.keys_mru_order c);
   ignore (Lru.find c 1);
@@ -162,7 +162,7 @@ let test_lru_eviction_order () =
   Alcotest.(check int) "length" 3 (Lru.length c)
 
 let test_lru_peek_no_promote () =
-  let c = Lru.create ~capacity:2 in
+  let c = Lru.create ~capacity:2 () in
   Lru.put c 1 "a";
   Lru.put c 2 "b";
   Alcotest.(check (option string)) "peek" (Some "a") (Lru.peek c 1);
@@ -170,13 +170,13 @@ let test_lru_peek_no_promote () =
   Alcotest.(check bool) "1 evicted despite peek" false (Option.is_some (Lru.peek c 1))
 
 let test_lru_zero_capacity () =
-  let c = Lru.create ~capacity:0 in
+  let c = Lru.create ~capacity:0 () in
   Lru.put c 1 "a";
   Alcotest.(check int) "stays empty" 0 (Lru.length c);
   Alcotest.(check (option string)) "no find" None (Lru.find c 1)
 
 let test_lru_update_existing () =
-  let c = Lru.create ~capacity:2 in
+  let c = Lru.create ~capacity:2 () in
   Lru.put c 1 "a";
   Lru.put c 2 "b";
   Lru.put c 1 "a2";
@@ -184,7 +184,7 @@ let test_lru_update_existing () =
   Alcotest.(check int) "no duplicate" 2 (Lru.length c)
 
 let test_lru_remove () =
-  let c = Lru.create ~capacity:4 in
+  let c = Lru.create ~capacity:4 () in
   List.iter (fun k -> Lru.put c k k) [ 1; 2; 3 ];
   Lru.remove c 2;
   Alcotest.(check bool) "removed" false (Option.is_some (Lru.peek c 2));
@@ -195,7 +195,7 @@ let prop_lru_capacity_respected =
   QCheck.Test.make ~name:"lru: length never exceeds capacity" ~count:200
     QCheck.(pair (int_range 1 16) (small_list (int_bound 50)))
     (fun (cap, keys) ->
-      let c = Lru.create ~capacity:cap in
+      let c = Lru.create ~capacity:cap () in
       List.iter (fun k -> Lru.put c k k) keys;
       Lru.length c <= cap)
 
@@ -203,7 +203,7 @@ let prop_lru_contains_recent =
   QCheck.Test.make ~name:"lru: the most recent distinct keys are present" ~count:200
     QCheck.(pair (int_range 1 8) (list_of_size (Gen.return 30) (int_bound 20)))
     (fun (cap, keys) ->
-      let c = Lru.create ~capacity:cap in
+      let c = Lru.create ~capacity:cap () in
       List.iter (fun k -> Lru.put c k k) keys;
       (* The last [cap] distinct keys inserted must be retained. *)
       let rec last_distinct acc = function
