@@ -147,6 +147,32 @@ let bench_cache_insert =
       node := (!node + 97) land 1023;
       Cache.insert cache ~node:!node map))
 
+(* New keys into a full 24-slot LRU (the cache at the default config):
+   every put evicts the least recent entry by swap-remove. *)
+let bench_lru_put_evict =
+  let lru = Lru.create ~capacity:24 () in
+  let k = ref 0 in
+  for _ = 1 to 24 do
+    incr k;
+    Lru.put lru !k !k
+  done;
+  Test.make ~name:"lru_put_evict" (Staged.stage (fun () ->
+      incr k;
+      Lru.put lru !k !k))
+
+(* Remove a key from a 32-entry table and add it back: the index's
+   backward shift, then the append that refills it. *)
+let bench_intmap_remove_add =
+  let t = Intmap.create () in
+  for i = 0 to 31 do
+    Intmap.add t (i * 37) i
+  done;
+  let i = ref 0 in
+  Test.make ~name:"intmap_remove_add" (Staged.stage (fun () ->
+      i := (!i + 7) land 31;
+      Intmap.remove t (!i * 37);
+      Intmap.add t (!i * 37) !i))
+
 let bench_engine_event =
   Test.make ~name:"engine_schedule_run" (Staged.stage (fun () ->
       let e = Terradir_sim.Engine.create () in
@@ -224,6 +250,8 @@ let all =
     bench_node_map_of_entries;
     bench_bloom_mem;
     bench_cache_insert;
+    bench_lru_put_evict;
+    bench_intmap_remove_add;
     bench_engine_event;
     bench_load_meter;
     bench_splitmix_exp;

@@ -99,7 +99,7 @@ let validate c =
   if not (c.min_delta > 0.0 && c.min_delta <= 1.0) then fail "min_delta must be in (0, 1]";
   if c.r_fact < 0.0 then fail "r_fact must be non-negative";
   if c.r_map < 1 then fail "r_map must be >= 1";
-  if c.cache_slots < 0 then fail "cache_slots must be non-negative";
+  if c.cache_slots < 0 || c.cache_slots > Terradir_util.Lru.max_capacity then fail "cache_slots must be in [0, 65535]";
   if c.replica_idle_timeout <= 0.0 then fail "replica_idle_timeout must be positive";
   if c.data_copies < 1 then fail "data_copies must be >= 1";
   if c.engine_domains < 1 then fail "engine_domains must be >= 1"

@@ -69,7 +69,7 @@ type t = {
   min_delta : float;  (** minimum load gap required to shed onto a peer *)
   r_fact : float;  (** replicas hosted <= r_fact * nodes owned *)
   r_map : int;  (** maximum entries in any node map *)
-  cache_slots : int;  (** LRU cache capacity, entries *)
+  cache_slots : int;  (** LRU cache capacity, entries, at most [Lru.max_capacity] (65,535) *)
   cache_policy : cache_policy;
   replica_idle_timeout : float;  (** soft-state: evict replicas unused this long *)
   data_copies : int;

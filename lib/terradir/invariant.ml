@@ -1,5 +1,6 @@
 open Types
 module Intmap = Terradir_util.Intmap
+module Lru = Terradir_util.Lru
 module Tree = Terradir_namespace.Tree
 module Bloom = Terradir_bloom.Bloom
 
@@ -179,15 +180,14 @@ let check_server t ~now (s : Server.t) =
       add t ~now ~server "digest-stale"
         (Printf.sprintf "local digest denies hosted node %d (Bloom false negative)" node)
   done;
-  (* Routing sweeps the hosted table's dense keys; each must resolve, via
-     the table's index, to the very slot it sits in. *)
-  for i = 0 to Intmap.length s.Server.hosted - 1 do
-    let node = Intmap.key_at s.Server.hosted i in
-    let found = Intmap.slot s.Server.hosted node in
-    if found <> i then
-      add t ~now ~server "hosted-index"
-        (Printf.sprintf "node %d sits at dense slot %d but its index resolves to %d" node i found)
-  done;
+  (* Routing sweeps the tables' dense keys, so each must resolve through
+     its index; an LRU's recency walk must also meet exactly its entries. *)
+  let table what = Option.iter (fun d -> add t ~now ~server "table-index" (what ^ ": " ^ d)) in
+  table "hosted" (Intmap.check s.Server.hosted);
+  table "neighbor contexts" (Intmap.check s.Server.neighbor_maps);
+  table "ranking" (Intmap.check (s.Server.ranking :> float Intmap.t));
+  table "cache" (Lru.check (Cache.lru s.Server.cache));
+  table "remote digests" (Lru.check (Digest_store.remotes s.Server.digests));
   if !owned <> s.Server.owned_count then
     add t ~now ~server "count-mismatch"
       (Printf.sprintf "owned_count=%d but %d owned nodes hosted" s.Server.owned_count !owned);

@@ -22,9 +22,9 @@
     - {b cache-bound}: LRU occupancy within [cache_slots];
     - {b cache-empty-map}: no cache entry holds an empty map (routing's
       candidate scan reads cache keys only, relying on this);
-    - {b hosted-index}: each dense key of the server's hosted table
-      resolves, through the table's index, to the slot it sits in
-      (routing sweeps the dense keys);
+    - {b table-index}: every server table (hosted, neighbor contexts,
+      ranking, cache, remote digests) passes [Intmap.check] or
+      [Lru.check] (routing sweeps the dense keys);
     - {b load-range}: measured busy fractions lie in [0, 1];
     - {b digest-stale} (§3.6): the local Bloom digest has no false
       negatives over the hosted set;

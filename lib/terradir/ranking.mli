@@ -6,7 +6,7 @@
     selects which nodes to replicate (highest weight) and which replicas to
     evict (lowest weight). *)
 
-type t
+type t = private float Terradir_util.Intmap.t (** node → weight *)
 
 val create : unit -> t
 

@@ -21,7 +21,7 @@
 type 'a t
 
 val create : ?ints:bool -> ?floats:bool -> ?cap:int -> unit -> 'a t
-(** An empty table: two small records, no arrays.  [ints] and [floats]
+(** An empty table: one small record, no arrays.  [ints] and [floats]
     (default [false]) add the int and the float column.  [cap] bounds
     growth: while a table holds at most [cap] entries, no array is longer
     than [cap] (a 24-entry table stops at 24 slots, not 32).  It does not
@@ -88,21 +88,24 @@ val set_key_unchecked : 'a t -> int -> int -> unit
 (** Overwrite slot [i]'s key without touching the index — only for tests
     that inject a violation the auditor must catch. *)
 
-(** The open-addressing index from key to slot: one cell per probe
-    position in a [Bytes] block, 2 bytes while the index has at most 2^16
-    positions and 4 bytes beyond, with live entries at most half the
-    positions.  Lookups read the cells unboxed and allocate nothing. *)
-module Index : sig
-  type t
+val check : 'a t -> string option
+(** The index's first broken property, or [None]: entries fill at most
+    half the positions, exactly {!length} cells are non-empty and each
+    names a slot below it, and every dense key's probe reaches its slot. *)
 
+(** The open-addressing index from key to slot: a [Bytes] block of cells,
+    [0] or [slot + 1], 2 bytes up to 2^16 positions and 4 beyond, at most
+    half full.  Probing is linear from {!Index.hash}; a removal shifts the
+    rest of the probe run back (no tombstones).  Lookups allocate nothing. *)
+module Index : sig
   val hash : int -> int
   (** The non-negative scramble of a key that probing starts from (keys
       are dense ids, which the raw low bits would cluster); {!Packed_table}
       probes from it too. *)
 end
 
-val index : 'a t -> Index.t
-(** The table's index, for memory breakdowns ([prof_main.exe mem]). *)
+val index : 'a t -> Bytes.t
+(** The table's index cells, for memory breakdowns ([prof_main.exe mem]). *)
 
 val columns : 'a t -> int array * floatarray
 (** The int and the float column, for memory breakdowns. *)

@@ -16,13 +16,14 @@
    as the table's arrays do, doubling up to [capacity] slots (plus the
    sentinel, which the block's padding word mostly absorbs). *)
 
-(* [capacity] is also the table's growth cap; the copy here spares every
-   link access a load through the table (the cursor walk runs on every
-   routing decision). *)
+(* [capacity] bounds [put]; the table takes it as its growth cap. *)
 type 'a t = { capacity : int; map : 'a Intmap.t; mutable links : Bytes.t }
 
+(* A link cell holds a position, at most [capacity], in 2 bytes. *)
+let max_capacity = 0xFFFF
+
 let create ?(ints = false) ~capacity () =
-  if capacity < 0 then invalid_arg "Lru.create: negative capacity";
+  if capacity < 0 || capacity > max_capacity then invalid_arg "Lru.create: capacity outside [0, 65535]";
   { capacity; map = Intmap.create ~ints ~cap:capacity (); links = Bytes.empty }
 
 let capacity t = t.capacity
@@ -31,40 +32,25 @@ let length t = Intmap.length t.map
 
 (* ---- links ---- *)
 
-(* A link cell holds a position, at most [capacity]: 2 bytes while that
-   fits, 4 beyond, fixed for the table's life.  Both widths are read and
-   written with the native-endian primitives, unboxed. *)
+(* Read and written with the native-endian primitives, unboxed. *)
 external get16 : Bytes.t -> int -> int = "%caml_bytes_get16"
 
 external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16"
 
-external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+let[@inline] prev t p = get16 t.links (4 * p)
 
-external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+let[@inline] succ t p = get16 t.links ((4 * p) + 2)
 
-let narrow_capacity = 0xFFFF
+let[@inline] set_prev t p v = set16 t.links (4 * p) v
 
-let[@inline] get_cell t c =
-  if capacity t <= narrow_capacity then get16 t.links (c lsl 1) else Int32.to_int (get32 t.links (c lsl 2))
-
-let[@inline] set_cell t c v =
-  if capacity t <= narrow_capacity then set16 t.links (c lsl 1) v else set32 t.links (c lsl 2) (Int32.of_int v)
-
-let[@inline] prev t p = get_cell t (2 * p)
-
-let[@inline] succ t p = get_cell t ((2 * p) + 1)
-
-let[@inline] set_prev t p v = set_cell t (2 * p) v
-
-let[@inline] set_succ t p v = set_cell t ((2 * p) + 1) v
+let[@inline] set_succ t p v = set16 t.links ((4 * p) + 2) v
 
 (* Room for position [p] (slot [p - 1]): zeroed cells, no links. *)
 let reserve t p =
-  let pos_bytes = if capacity t <= narrow_capacity then 4 else 8 in
-  let held = Bytes.length t.links / pos_bytes in
+  let held = Bytes.length t.links / 4 in
   if p >= held then begin
     let slots = min (capacity t) (max 4 (2 * (held - 1))) in
-    let links = Bytes.make ((slots + 1) * pos_bytes) '\000' in
+    let links = Bytes.make ((slots + 1) * 4) '\000' in
     Bytes.blit t.links 0 links 0 (Bytes.length t.links);
     t.links <- links
   end
@@ -174,3 +160,16 @@ let links t = t.links
 let clear t =
   Intmap.clear t.map;
   t.links <- Bytes.empty
+
+(* Mutual links never revisit a position, so the walk ends within
+   [length + 1] steps. *)
+let check t =
+  let n = length t in
+  let rec walk p steps =
+    let q = succ t p in
+    if q > n || prev t q <> p then Some (Printf.sprintf "position %d's next, %d, does not link back" p q)
+    else if q > 0 then walk q (steps + 1)
+    else if steps < n then Some (Printf.sprintf "the recency walk meets %d of %d entries" steps n)
+    else None
+  in
+  match Intmap.check t.map with None when n > 0 -> walk 0 0 | broken -> broken

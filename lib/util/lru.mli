@@ -4,19 +4,21 @@
     LRU replacement; an entry is "touched" whenever used in routing.  The
     implementation is flat: the entries are an {!Intmap} (dense keys and
     values, its index, an optional int column), and the recency list is
-    one [Bytes] block of slot links — two cells per slot, circular through
-    a sentinel, in 2-byte cells while the capacity is at most 65,535 and
-    4-byte cells beyond.  All operations are O(1).  The arrays grow with
-    the entries held, up to [capacity], so an idle table costs three small
+    one [Bytes] block of slot links — two 2-byte cells per slot, circular
+    through a sentinel.  All operations are O(1).  The arrays grow with
+    the entries held, up to [capacity], so an idle table costs two small
     records and {!put}/{!find} allocate only while growing. *)
 
 type 'a t
+
+val max_capacity : int
+(** 65,535: a link cell holds a position in 2 bytes. *)
 
 val create : ?ints:bool -> capacity:int -> unit -> 'a t
 (** [create ~capacity ()] holds at most [capacity] entries.  Capacity 0 is
     a valid always-empty cache.  [ints] (default [false]) adds an int per
     entry ({!int_at}), 0 when the entry is put, which moves with it.
-    @raise Invalid_argument if negative. *)
+    @raise Invalid_argument if negative or above {!max_capacity}. *)
 
 val capacity : 'a t -> int
 
@@ -54,7 +56,7 @@ val slot : 'a t -> int -> int
     {!remove} or {!clear}; per-entry data belongs in the int column, which
     moves with its entry. *)
 
-val index : 'a t -> Intmap.Index.t
+val index : 'a t -> Bytes.t
 (** The key → slot index, for memory breakdowns ([prof_main.exe mem]). *)
 
 val links : 'a t -> Bytes.t
@@ -86,3 +88,7 @@ val keys_mru_order : 'a t -> int list
 
 val clear : 'a t -> unit
 (** Drop every entry and release the arrays, back to the created state. *)
+
+val check : 'a t -> string option
+(** {!Intmap.check}, then the recency walk: exactly {!length} distinct
+    slots, every [prev]/[next] pair mutual. *)

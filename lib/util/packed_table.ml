@@ -1,8 +1,8 @@
 (* One int per slot: [(key + 1) lsl payload_bits lor payload], [0] for
    empty.  [key + 1] takes the top [key_bits] of the 63; reading it back
-   with [lsr] is exact even when it reaches the sign bit.  Linear probing
-   from [Intmap.Index.hash]; at most 3/4 of the slots are occupied, so a
-   probe always meets an empty one.  Removal shifts the rest of the probe
+   with [lsr] is exact even when it reaches the sign bit.  At most 3/4 of
+   the slots are occupied.  Probing and removal are [Intmap]'s: linear
+   from [Intmap.Index.hash], and a removal shifts the rest of the probe
    run back (no tombstones), moving each entry's float with it. *)
 
 let key_bits = 24

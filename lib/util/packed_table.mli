@@ -1,8 +1,8 @@
 (** Int-keyed table of small payloads, one packed int per entry.
 
     An entry is [(key + 1) lsl 39 lor payload] in an open-addressing
-    array (linear probing, [0] for an empty slot) kept at most 3/4 full;
-    a removal shifts the probe run back, so there are no tombstones.  A
+    array ([0] for an empty slot) kept at most 3/4 full, probed and
+    shifted back on removal by {!Intmap}'s rule (no tombstones).  A
     table made with [~floats:true] also keeps one float per slot, unboxed
     in a [floatarray] beside the entries, which moves with its entry.
 

@@ -46,6 +46,11 @@ let test_validation_rejects () =
   expect_invalid "r_fact" (fun c -> { c with Config.r_fact = -1.0 });
   expect_invalid "r_map" (fun c -> { c with Config.r_map = 0 });
   expect_invalid "cache_slots" (fun c -> { c with Config.cache_slots = -1 });
+  (* The cache's LRU links are 2-byte positions: 65,535 slots fit. *)
+  Alcotest.check_raises "cache_slots above the LRU bound"
+    (Invalid_argument "Config: cache_slots must be in [0, 65535]") (fun () ->
+      Config.validate { Config.default with Config.cache_slots = 65_536 });
+  Config.validate { Config.default with Config.cache_slots = 65_535 };
   expect_invalid "replica_idle_timeout" (fun c -> { c with Config.replica_idle_timeout = 0.0 });
   expect_invalid "data_copies" (fun c -> { c with Config.data_copies = 0 });
   expect_invalid "engine_domains" (fun c -> { c with Config.engine_domains = 0 })

@@ -84,26 +84,22 @@ let show_op = function
   | Clear -> "Clear"
   | Set_int (k, x) -> Printf.sprintf "Set_int(%d,%d)" k x
 
-(* The allocation-free views agree with the model after every operation:
-   the cursor walks (key, value) pairs in MRU order and [keys_into]
-   yields the key set.  The structure holds too: the walk from [first]
-   visits exactly [length] distinct slots, all below [length], and each
-   is its own key's slot. *)
+(* The structure holds after every operation ({!Lru.check}: the index,
+   and a recency walk over exactly [length] distinct slots), and the
+   allocation-free views agree with the model: the cursor walks (key,
+   value) pairs in MRU order and [keys_into] yields the key set. *)
 let views_agree lru (model : Model.t) =
   let n = Lru.length lru in
-  let rec walk slot steps = if slot < 0 || steps > n then [] else slot :: walk (Lru.next lru slot) (steps + 1) in
-  let walked = walk (Lru.first lru) 0 in
+  let rec walk slot = if slot < 0 then [] else slot :: walk (Lru.next lru slot) in
   let dst = Array.make (max 1 n) (-1) in
   let count = Lru.keys_into lru dst in
-  List.length walked = n
-  && List.length (List.sort_uniq Int.compare walked) = n
-  && List.for_all (fun slot -> slot < n && Lru.slot lru (Lru.key_at lru slot) = slot) walked
-  && List.map (fun slot -> (Lru.key_at lru slot, Lru.value_at lru slot)) walked = model.Model.items
+  Lru.check lru = None
+  && List.map (fun slot -> (Lru.key_at lru slot, Lru.value_at lru slot)) (walk (Lru.first lru)) = model.Model.items
   && List.sort Int.compare (Array.to_list (Array.sub dst 0 count)) = List.sort Int.compare (Model.keys model)
 
-(* Remove-heavy: fill past the capacity, then mostly removes, so
-   tombstones pile up past a quarter of the index and force sweeps
-   (reindexing at the same size) between the puts that reuse them. *)
+(* Remove-heavy: fill past the capacity, then mostly removes, so long
+   runs of backward shifts in the index come between the puts that
+   refill it. *)
 let lru_drain_gen ~ints ~cap ~keys =
   QCheck.Gen.(
     let fill = list_repeat (cap + (cap / 2)) (map2 (fun k v -> Put (k, v)) (int_bound keys) (int_bound 1000)) in
@@ -119,25 +115,19 @@ let lru_drain_gen ~ints ~cap ~keys =
     in
     map2 ( @ ) fill drain)
 
-(* Past this capacity the recency links take 4-byte cells. *)
-let wide_capacity = 70_000
-
 (* Capacities 0, 1, 5 and 64 besides the small range: 64 grows the
-   arrays 4 → 64 and the index 8 → 128 under the model.  The wide
-   capacity runs its links at 4 bytes; its cases are sized as for 64,
-   since the model is a list.  One case in three is remove-heavy. *)
+   arrays 4 → 64 and the index 8 → 128 under the model.  One case in
+   three is remove-heavy. *)
 let lru_case_gen ~ints =
   QCheck.Gen.(
-    frequency [ (4, int_range 0 8); (2, oneofl [ 0; 1; 5; 64 ]); (1, return wide_capacity) ]
-    >>= fun cap ->
-    let sized = min cap 64 in
-    let keys = max 20 (sized + (sized / 2)) in
+    frequency [ (4, int_range 0 8); (2, oneofl [ 0; 1; 5; 64 ]) ] >>= fun cap ->
+    let keys = max 20 (cap + (cap / 2)) in
     map
       (fun ops -> (cap, ops))
       (frequency
          [
-           (2, list_size (int_bound (max 60 (4 * sized))) (lru_op_gen ~ints ~keys));
-           (1, lru_drain_gen ~ints ~cap:sized ~keys);
+           (2, list_size (int_bound (max 60 (4 * cap))) (lru_op_gen ~ints ~keys));
+           (1, lru_drain_gen ~ints ~cap ~keys);
          ]))
 
 let print_case (cap, l) = Printf.sprintf "cap %d: %s" cap (String.concat "; " (List.map show_op l))
@@ -185,7 +175,7 @@ let run_lru_case ~ints (cap, ops) =
   && Lru.length lru = List.length (Model.keys model)
 
 let prop_lru_model =
-  QCheck.Test.make ~name:"flat LRU ≡ list model (ops, results, MRU order, both link widths)"
+  QCheck.Test.make ~name:"flat LRU ≡ list model (ops, results, MRU order, structure)"
     ~count:500
     (QCheck.make ~print:print_case (lru_case_gen ~ints:false))
     (run_lru_case ~ints:false)
@@ -205,45 +195,36 @@ let test_lru_eviction_order () =
   Lru.put lru 4 40;
   Alcotest.(check (list int)) "MRU order after eviction" [ 4; 1; 3 ] (Lru.keys_mru_order lru);
   Alcotest.(check bool) "evicted key gone" false (Option.is_some (Lru.peek lru 2));
-  (* tombstone reuse: remove then reinsert keeps the index consistent *)
+  (* backward shift: remove then reinsert keeps the index consistent *)
   Lru.remove lru 3;
   Lru.put lru 3 30;
   Lru.put lru 2 20;
   Alcotest.(check (list int)) "after churn" [ 2; 3; 4 ] (Lru.keys_mru_order lru)
 
-(* Past 65,535 entries, slots themselves need the 4-byte link cells:
-   70,000 keys fill the table, a few are promoted, and new keys evict the
-   least recently used.  Recency order and [keys_into] follow. *)
-let test_lru_wide_links () =
-  let n = wide_capacity in
+(* Links are 2-byte positions: a 65,535-entry LRU fills, promotes and
+   evicts like a small one, and one entry more is rejected. *)
+let test_lru_capacity_bound () =
+  let n = Lru.max_capacity in
+  Alcotest.check_raises "capacity 65,536" (Invalid_argument "Lru.create: capacity outside [0, 65535]") (fun () ->
+      ignore (Lru.create ~capacity:65_536 () : int Lru.t));
   let lru = Lru.create ~capacity:n () in
   for k = 0 to n - 1 do
     Lru.put lru k k
   done;
-  let promoted = [ 0; 1; 65_535; 65_536; n - 2 ] in
-  List.iter (fun k -> ignore (Lru.find lru k : int option)) promoted;
-  (* Evicts 2 and 3, the least recent now. *)
+  Alcotest.(check (option int)) "last position" (Some (n - 1)) (Lru.find lru (n - 1));
+  ignore (Lru.find lru 0 : int option);
+  (* Evicts 1 and 2, the least recent now. *)
   Lru.put lru n n;
   Lru.put lru (n + 1) (n + 1);
-  let rest = List.filter (fun k -> k > 3 && not (List.mem k promoted)) (List.init n Fun.id) in
-  let expected = [ n + 1; n ] @ List.rev promoted @ List.rev rest in
-  (* A cursor walk bounded by the entry count: corrupt links could cycle. *)
-  let rec walk slot steps acc =
-    if slot < 0 || steps > n then List.rev acc
-    else walk (Lru.next lru slot) (steps + 1) (Lru.key_at lru slot :: acc)
-  in
-  Alcotest.(check bool) "MRU order" true (walk (Lru.first lru) 0 [] = expected);
-  Alcotest.(check (option int)) "evicted" None (Lru.peek lru 2);
-  Alcotest.(check (option int)) "past 65,535" (Some 65_536) (Lru.peek lru 65_536);
-  let dst = Array.make n (-1) in
-  let count = Lru.keys_into lru dst in
-  Alcotest.(check int) "keys_into count" n count;
-  Alcotest.(check bool) "keys_into holds the key set" true
-    (List.sort Int.compare (Array.to_list dst) = List.sort Int.compare expected)
+  Alcotest.(check int) "full" n (Lru.length lru);
+  Alcotest.(check (list (option int))) "evicted" [ None; None ] [ Lru.peek lru 1; Lru.peek lru 2 ];
+  Alcotest.(check (list int)) "MRU prefix" [ n + 1; n; 0; n - 1; n - 2 ]
+    (List.filteri (fun i _ -> i < 5) (Lru.keys_mru_order lru));
+  Alcotest.(check (option string)) "structure" None (Lru.check lru)
 
 (* Links whose tail points back at the head form a loop.  Every recency
    walk counts its steps, so each must raise rather than hang: [iter] and
-   [keys_mru_order]. *)
+   [keys_mru_order]; [check] reports it. *)
 let test_lru_looped_links () =
   let corrupted () =
     let lru = Lru.create ~capacity:64 () in
@@ -265,7 +246,8 @@ let test_lru_looped_links () =
       Alcotest.(check bool) (what ^ " names the LRU") true (String.starts_with ~prefix:"Lru:" msg)
   in
   raises "iter" (fun () -> Lru.iter (corrupted ()) ~f:(fun _ _ -> ()));
-  raises "keys_mru_order" (fun () -> ignore (Lru.keys_mru_order (corrupted ()) : int list))
+  raises "keys_mru_order" (fun () -> ignore (Lru.keys_mru_order (corrupted ()) : int list));
+  Alcotest.(check bool) "check reports the loop" true (Lru.check (corrupted ()) <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Intmap vs Map                                                       *)
@@ -291,7 +273,7 @@ let show_intmap_op = function
 
 (* Keys from a range of [keys] plus a few far-apart ones (the scramble
    must spread those too).  Long runs of adds grow the table past 64
-   entries; long runs of removes leave tombstones until a sweep. *)
+   entries; long runs of removes shift probe runs back. *)
 let intmap_op_gen ~keys =
   QCheck.Gen.(
     let far = map (fun k -> (k * 1_000_003) + 7) (int_bound 50) in
@@ -306,9 +288,9 @@ let intmap_op_gen ~keys =
         (1, return I_iter);
       ])
 
-(* Remove-heavy: add most of the key range, then mostly remove, so
-   tombstones pass a quarter of the index and force sweeps between the
-   adds that would reuse them. *)
+(* Remove-heavy: add most of the key range, then mostly remove, so long
+   runs of backward shifts come between the adds that refill the
+   index. *)
 let intmap_drain_gen ~keys =
   QCheck.Gen.(
     let fill = list_repeat keys (map2 (fun k v -> I_add (k, v)) (int_bound keys) (int_bound 1000)) in
@@ -331,16 +313,17 @@ let find_opt t k = match Intmap.slot t k with -1 -> None | i -> Some (Intmap.val
    cells, and a new key starts at 0 in both. *)
 let cells_of k v = ((k * 7) + v, float_of_int (k - v) +. 0.25)
 
-(* The dense index agrees with the table: every slot's key resolves to
-   that slot and carries the model's value and cells, and the slots hold
-   exactly the model's keys. *)
+(* The index passes {!Intmap.check} and agrees with the table: every
+   slot's key resolves to that slot and carries the model's value and
+   cells, and the slots hold exactly the model's keys. *)
 let intmap_agrees t model =
   let n = Intmap.length t in
   let dense =
     List.init n (fun i ->
         (Intmap.key_at t i, (Intmap.value_at t i, (Intmap.int_at t i, Float.Array.get (Intmap.floats t) i))))
   in
-  n = IM.cardinal model
+  Intmap.check t = None
+  && n = IM.cardinal model
   && List.for_all (fun i -> Intmap.slot t (Intmap.key_at t i) = i) (List.init n Fun.id)
   && List.sort compare dense = IM.bindings model
   && IM.for_all (fun k (v, _) -> find_opt t k = Some v && Intmap.mem t k) model
@@ -450,7 +433,8 @@ let test_intmap_wide_index () =
        (fun i -> if i land 1 = 0 then Intmap.slot t (key i) = -1 else resolves i)
        (List.init n Fun.id));
   Alcotest.(check bool) "absent keys stay absent" true
-    (List.for_all (fun i -> not (Intmap.mem t (key i + 1))) (List.init 1000 Fun.id))
+    (List.for_all (fun i -> not (Intmap.mem t (key i + 1))) (List.init 1000 Fun.id));
+  Alcotest.(check (option string)) "structure" None (Intmap.check t)
 
 (* ------------------------------------------------------------------ *)
 (* Digest rebuild: list path vs iteration path                         *)
@@ -783,7 +767,7 @@ let () =
     [
       ( "lru",
         Alcotest.test_case "eviction order and churn" `Quick test_lru_eviction_order
-        :: Alcotest.test_case "wide links past 65,535 entries" `Quick test_lru_wide_links
+        :: Alcotest.test_case "capacity bound: 65,535 fills and evicts" `Quick test_lru_capacity_bound
         :: Alcotest.test_case "looped links raise, never hang" `Quick test_lru_looped_links
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_lru_model; prop_lru_ints_model ] );
       ( "intmap",

@@ -121,11 +121,16 @@ let test_hosted_index () =
   let k0 = Intmap.key_at h 0 and k1 = Intmap.key_at h 1 in
   Intmap.set_key_unchecked h 0 k1;
   Intmap.set_key_unchecked h 1 k0;
-  check_fires "swapped keys" "hosted-index" (rules_of s ~now:1.0);
+  check_fires "swapped keys" "table-index" (rules_of s ~now:1.0);
   (* A dense key the index has never seen resolves to no slot. *)
   let s = owned_server [ 1; 6 ] in
   Intmap.set_key_unchecked s.Server.hosted 1 30;
-  check_fires "forged key" "hosted-index" (rules_of s ~now:1.0)
+  check_fires "forged key" "table-index" (rules_of s ~now:1.0);
+  (* The rule covers every server table, neighbor contexts included.
+     Node 29's probe path meets an empty cell before slot 0's. *)
+  let s = owned_server [ 1; 6 ] in
+  Intmap.set_key_unchecked s.Server.neighbor_maps 0 29;
+  check_fires "forged context key" "table-index" (rules_of s ~now:1.0)
 
 let test_clock_regression () =
   let t = Invariant.create () in

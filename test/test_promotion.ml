@@ -104,8 +104,8 @@ let test_pin_splitmix () =
       ignore (Sys.opaque_identity (Splitmix.int g ((1 lsl 61) + 1)) : int));
   pin_at_most "Splitmix.float" 2.0 (fun () -> ignore (Sys.opaque_identity (Splitmix.float g 1.0) : float))
 
-(* New keys into a full LRU: every put evicts, and the tombstones the
-   evictions leave force an index sweep every few puts. *)
+(* New keys into a full LRU: every put evicts, and each eviction shifts
+   the rest of its probe run back in the index. *)
 let test_pin_lru_churn () =
   let lru = Lru.create ~capacity:16 () and next = ref 0 in
   let put () =
